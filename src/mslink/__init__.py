@@ -17,8 +17,8 @@ from .txchain import (BasebandSignal, Constellation, Frame, FrameLayout,
                       synthesize_baseband, synthesize_passband)
 from .channel import ChannelConfig, apply_channel, noise_variance
 from .rxchain import (RxDiagnostics, SyncResult, correct_cfo, demodulate,
-                      dump_symbols_csv, estimate_cfo_cp, frame_sync,
-                      integrate_and_dump, ls_channel_estimate,
+                      derotate_and_dump, dump_symbols_csv, estimate_cfo_cp,
+                      frame_sync, integrate_and_dump, ls_channel_estimate,
                       ls_channel_estimate_taps, measure_snr, receive_frame,
                       zf_equalize)
 from .harness import (BerRecord, ExperimentConfig, compare_architectures,

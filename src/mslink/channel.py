@@ -55,12 +55,27 @@ def apply_channel(sig: BasebandSignal, cfg: ChannelConfig) -> BasebandSignal:
     x = np.asarray(sig.samples)
     sps = sig.samples_per_symbol
     taps = np.asarray(cfg.fir_taps, dtype=complex)
-    y = np.convolve(x, taps)
     d = cfg.timing_offset
-    y = np.concatenate([np.zeros(d, dtype=complex), y])
-    n = np.arange(y.size)
-    y = y * np.exp(2j * np.pi * cfg.cfo_normalized * (n - d) / (CFO_BLOCK * sps))
-    y = y * cfg.complex_gain
+    # One output buffer at its final length; every stage that is an exact
+    # identity (unit tap, zero CFO, unit gain) is skipped.
+    # np.empty, not np.zeros: only the delay prefix needs zeroing, and the
+    # zeroed allocation measured slower on the stream workload
+    y = np.empty(d + x.size + taps.size - 1, dtype=complex)
+    y[:d] = 0.0
+    body = y[d:]
+    if taps.size == 1 and taps[0] == 1.0:
+        body[:] = x
+    else:
+        body[:] = np.convolve(x, taps)
+    if cfg.cfo_normalized != 0.0:
+        m = np.arange(body.size)
+        ramp = np.exp(2j * np.pi * cfg.cfo_normalized * m / (CFO_BLOCK * sps))
+        # ramp first: complex products round differently with the operands
+        # swapped, and this is the order numpy evaluates `y * ramp` in when
+        # it reuses the ramp's buffer, as it does at frame sizes
+        np.multiply(ramp, body, out=body)
+    if cfg.complex_gain != 1.0:
+        body *= cfg.complex_gain
     if cfg.snr_db != math.inf:
         p_ref = cfg.ref_power
         if p_ref is None:
@@ -68,6 +83,7 @@ def apply_channel(sig: BasebandSignal, cfg: ChannelConfig) -> BasebandSignal:
         var = sps * noise_variance(cfg.snr_db, p_ref)
         rng = np.random.default_rng(cfg.seed)
         w = rng.normal(scale=np.sqrt(var / 2.0), size=(2, y.size))
-        y = y + w[0] + 1j * w[1]
+        y.real += w[0]
+        y.imag += w[1]
     return BasebandSignal(samples=y, sample_rate=sig.sample_rate,
                           samples_per_symbol=sps)

@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc
 
 from .channel import ChannelConfig, apply_channel
 from .circuit import DEFAULT_TARGET_PHASES, default_gamma_lut, select_control_voltages
@@ -89,7 +88,7 @@ def theoretical_qpsk_ber(ebn0_db: float) -> float:
         return 0.0
     if ebn0_db == -math.inf:
         return 0.5
-    return float(0.5 * erfc(math.sqrt(10.0 ** (ebn0_db / 10.0))))
+    return 0.5 * math.erfc(math.sqrt(10.0 ** (ebn0_db / 10.0)))
 
 
 def _transmit_samples(frame, constellation, cfg: ExperimentConfig,

@@ -14,15 +14,23 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
+from .channel import CFO_BLOCK
 from .errors import (DegeneratePilotError, SingularChannelError,
                      SyncNotFoundError)
-from .txchain import (BasebandSignal, Constellation, FrameLayout,
-                      build_pilot_sequence, build_sync_sequence, demap_symbols,
-                      ideal_qpsk)
+from .txchain import (DEFAULT_PILOT_SEED, BasebandSignal, Constellation,
+                      FrameLayout, build_pilot_sequence, build_sync_sequence,
+                      demap_symbols, ideal_qpsk)
 
 SYNC_THRESHOLD = 0.5  # fraction of the power-normalized ideal peak
+# Quadrant slicer: a symbol this close to an axis, relative to
+# (1 + max(|re|, |im|))^2, is decided by the distance argmin, because there
+# the rounded distances to the two neighbouring points may tie or swap.
+AXIS_TOLERANCE = 1e-9
+
+_QPSK_POINTS = ideal_qpsk().points
+# ideal-QPSK index by quadrant code 2*(re < 0) + (im < 0)
+_QUADRANT_INDEX = np.array([0, 3, 1, 2], dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -67,7 +75,11 @@ def frame_sync(rx: BasebandSignal, sync_ref, search_window=None) -> SyncResult:
     if w1 <= w0:
         raise SyncNotFoundError("empty search window")
     seg = samples[w0 : w1 - 1 + L]
-    corr = np.abs(fftconvolve(seg, np.conj(rep[::-1]), mode="valid"))
+    # circular cross-correlation over a power-of-two length >= the segment:
+    # the first w1 - w0 lags never wrap, so they are the linear ones
+    nfft = 1 << (seg.size - 1).bit_length()
+    spec = np.fft.fft(seg, nfft) * np.conj(np.fft.fft(rep, nfft))
+    corr = np.abs(np.fft.ifft(spec)[: w1 - w0])
     k = int(np.argmax(corr))
     peak = float(corr[k])
     p_hat = float(np.mean(np.abs(seg) ** 2))
@@ -119,7 +131,7 @@ def correct_cfo(samples, eps: float, sps: int = 1) -> np.ndarray:
     """Remove the estimated carrier-offset phase ramp."""
     r = np.asarray(samples)
     n = np.arange(r.size)
-    return r * np.exp(-2j * np.pi * eps * n / (2048.0 * sps))
+    return r * np.exp(-2j * np.pi * eps * n / (CFO_BLOCK * sps))
 
 
 def integrate_and_dump(samples, sps: int) -> np.ndarray:
@@ -128,6 +140,28 @@ def integrate_and_dump(samples, sps: int) -> np.ndarray:
     if r.size % sps:
         raise ValueError("sample count not divisible by sps")
     return r.reshape(-1, sps).mean(axis=1)
+
+
+def derotate_and_dump(samples, eps: float, sps: int = 1) -> np.ndarray:
+    """integrate_and_dump(correct_cfo(samples, eps, sps), sps), with the ramp
+    folded into the dump so that it is evaluated at the symbol rate:
+
+        sym[k] = e^{j w sps k} (1/sps) sum_m r[sps k + m] e^{j w m},
+        w = -2 pi eps / (CFO_BLOCK sps).
+
+    That is len/sps + sps exponentials instead of len, and no corrected copy
+    at the sample rate.
+    """
+    r = np.asarray(samples)
+    if r.size % sps:
+        raise ValueError("sample count not divisible by sps")
+    n = sps * np.arange(r.size // sps)
+    ramp = np.exp(-2j * np.pi * eps * n / (CFO_BLOCK * sps))
+    if sps == 1:
+        return ramp * r
+    m = np.arange(sps)
+    dump = np.exp(-2j * np.pi * eps * m / (CFO_BLOCK * sps)) / sps
+    return (r.reshape(-1, sps) @ dump) * ramp
 
 
 def ls_channel_estimate(y_pilot_freq, x_pilot_freq) -> np.ndarray:
@@ -178,9 +212,30 @@ def zf_equalize(y_block, h) -> np.ndarray:
 
 def nearest_symbol_indices(symbols, constellation: Constellation | None = None
                            ) -> np.ndarray:
-    """Minimum-distance decisions; ties go to the lower point index."""
-    pts = (constellation or ideal_qpsk()).points
-    d = np.abs(np.asarray(symbols)[:, None] - pts[None, :])
+    """Minimum-distance decisions; ties go to the lower point index.
+
+    For the ideal QPSK points the decision is the quadrant, read from the
+    signs of re and im; symbols within AXIS_TOLERANCE of an axis (and any
+    non-finite ones) take the distance argmin, so the result is always the
+    argmin's, ties included.
+    """
+    s = np.asarray(symbols)
+    pts = _QPSK_POINTS if constellation is None else constellation.points
+    if not np.array_equal(pts, _QPSK_POINTS):
+        return _argmin_distance(s, pts)
+    re, im = s.real, s.imag
+    idx = _QUADRANT_INDEX[2 * (re < 0) + (im < 0)]
+    a, b = np.abs(re), np.abs(im)
+    scale = 1.0 + np.maximum(a, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        near = ~(np.minimum(a, b) > AXIS_TOLERANCE * scale * scale)
+    if near.any():
+        idx[near] = _argmin_distance(s[near], pts)
+    return idx
+
+
+def _argmin_distance(symbols, pts) -> np.ndarray:
+    d = np.abs(symbols[:, None] - pts[None, :])
     return np.argmin(d, axis=1)
 
 
@@ -209,14 +264,12 @@ def measure_snr(equalized, reference_indices,
 def receive_frame(rx: BasebandSignal, layout: FrameLayout = FrameLayout(),
                   pilot_seed: int | None = None, sync_ref=None,
                   search_window=None, est_taps: int | None = 8):
-    """Full receiver: sync -> CFO -> CP removal -> LS -> ZF -> demod.
+    """Full receiver: sync -> CFO -> dump -> CP removal -> LS -> ZF -> demod.
 
     Returns (payload_bits, RxDiagnostics).  The single pilot estimate is
     reused for all nine data subframes.  est_taps bounds the assumed channel
     delay spread for the LS fit (None: raw per-bin estimate).
     """
-    from .txchain import DEFAULT_PILOT_SEED
-
     sps = rx.samples_per_symbol
     if sync_ref is None:
         sync_ref = build_sync_sequence()
@@ -231,8 +284,7 @@ def receive_frame(rx: BasebandSignal, layout: FrameLayout = FrameLayout(),
     frame = np.asarray(rx.samples)[start : start + n_frame]
 
     eps = estimate_cfo_cp(frame, layout, sps)
-    frame = correct_cfo(frame, eps, sps)
-    symbols = integrate_and_dump(frame, sps) if sps > 1 else frame
+    symbols = derotate_and_dump(frame, eps, sps)
 
     ideal = ideal_qpsk()
     pilot_idx = build_pilot_sequence(pilot_seed, layout.fft_len)

@@ -63,7 +63,10 @@ def aggregate_reflection(gamma_mod, cfg: ArrayConfig):
     gain.  Affine in gamma_mod; accepts scalars or sample arrays."""
     n = cfg.n_total
     na = cfg.n_active
-    out = (na * np.asarray(gamma_mod) + (n - na) * cfg.gamma_static) / n
+    # (na * g + (n - na) * g_static) / n, evaluated in place in that order
+    out = np.multiply(na, gamma_mod, dtype=complex)
+    out += (n - na) * cfg.gamma_static
+    out /= n
     return out if np.ndim(gamma_mod) else complex(out)
 
 

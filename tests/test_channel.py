@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mslink.channel import ChannelConfig, apply_channel, noise_variance
+from mslink.channel import (CFO_BLOCK, ChannelConfig, apply_channel,
+                            noise_variance)
 from mslink.txchain import BasebandSignal
 
 
@@ -119,3 +120,50 @@ def test_config_validation():
         ChannelConfig(fir_taps=())
     with pytest.raises(ValueError):
         ChannelConfig(snr_db=-math.inf)
+
+
+def _closed_form_channel(x, sps, cfg):
+    """The channel written as one expression per stage, every stage always
+    applied: the oracle for the fast path, which skips identity stages."""
+    taps = np.asarray(cfg.fir_taps, dtype=complex)
+    y = np.convolve(x, taps)
+    d = cfg.timing_offset
+    y = np.concatenate([np.zeros(d, dtype=complex), y])
+    n = np.arange(y.size)
+    y = y * np.exp(2j * np.pi * cfg.cfo_normalized * (n - d)
+                   / (CFO_BLOCK * sps))
+    y = y * cfg.complex_gain
+    if cfg.snr_db != math.inf:
+        p_ref = cfg.ref_power
+        if p_ref is None:
+            p_ref = float(np.mean(np.abs(x) ** 2)) if x.size else 0.0
+        var = sps * noise_variance(cfg.snr_db, p_ref)
+        rng = np.random.default_rng(cfg.seed)
+        w = rng.normal(scale=np.sqrt(var / 2.0), size=(2, y.size))
+        y = y + w[0] + 1j * w[1]
+    return y
+
+
+@pytest.mark.parametrize("sps", [1, 8])
+@pytest.mark.parametrize("snr_db", [math.inf, 10.0])
+@pytest.mark.parametrize("offset", [0, 37])
+@pytest.mark.parametrize("taps", [(1.0,), (0.7,), (1.0, 0.3 - 0.2j)])
+@pytest.mark.parametrize("gain", [1.0, 0.5 * np.exp(1j * np.pi / 4)])
+@pytest.mark.parametrize("cfo", [0.0, 0.2])
+def test_channel_bit_exact_against_closed_form(cfo, gain, taps, offset,
+                                               snr_db, sps):
+    # 20000 samples: frame-sized arrays (above numpy's 256 KiB threshold for
+    # reusing temporaries), where the oracle's `y * ramp` is evaluated as
+    # ramp * y; complex products round differently with the operands swapped
+    rng = np.random.default_rng(21)
+    sym = np.exp(1j * np.pi / 2 * rng.integers(0, 4, 20000 // sps)
+                 + 1j * np.pi / 4)
+    x = np.repeat(sym * rng.uniform(0.5, 1.0, sym.size), sps)
+    x_before = x.copy()
+    cfg = ChannelConfig(snr_db=snr_db, cfo_normalized=cfo,
+                        timing_offset=offset, complex_gain=gain,
+                        fir_taps=taps, seed=4)
+    y = apply_channel(_sig(x, sps), cfg).samples
+    np.testing.assert_array_equal(y, _closed_form_channel(x_before, sps, cfg))
+    np.testing.assert_array_equal(x, x_before)
+    assert not np.shares_memory(y, x)

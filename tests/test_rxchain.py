@@ -5,13 +5,13 @@ from hypothesis import given, settings, strategies as st
 from mslink.channel import ChannelConfig, apply_channel
 from mslink.errors import (DegeneratePilotError, SingularChannelError,
                            SyncNotFoundError)
-from mslink.rxchain import (correct_cfo, demodulate, estimate_cfo_cp,
-                            frame_sync, integrate_and_dump,
+from mslink.rxchain import (correct_cfo, demodulate, derotate_and_dump,
+                            estimate_cfo_cp, frame_sync, integrate_and_dump,
                             ls_channel_estimate, ls_channel_estimate_taps,
                             measure_snr, nearest_symbol_indices,
                             receive_frame, zf_equalize)
 from mslink.txchain import (FrameLayout, build_frame, build_sync_sequence,
-                            ideal_qpsk, synthesize_baseband)
+                            ideal_qpsk, impaired_qpsk, synthesize_baseband)
 
 
 def _frame_signal(seed=0, sps=1, pilot_seed=None):
@@ -186,6 +186,25 @@ def test_integrate_and_dump():
         integrate_and_dump(np.ones(10), 4)
 
 
+@given(eps=st.floats(-0.5, 0.5, exclude_min=True, exclude_max=True),
+       sps=st.sampled_from([1, 2, 8]),
+       n_symbols=st.integers(1, 22500),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_derotate_and_dump_matches_correct_then_dump(eps, sps, n_symbols,
+                                                     seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n_symbols * sps) + 1j * rng.normal(size=n_symbols * sps)
+    want = integrate_and_dump(correct_cfo(x, eps, sps), sps)
+    np.testing.assert_allclose(derotate_and_dump(x, eps, sps), want,
+                               rtol=0, atol=1e-12)
+
+
+def test_derotate_and_dump_rejects_partial_symbol():
+    with pytest.raises(ValueError):
+        derotate_and_dump(np.ones(10), 0.1, 4)
+
+
 # --- demodulation ----------------------------------------------------------------
 
 def test_demodulate_exact_points():
@@ -214,6 +233,46 @@ def test_nearest_symbol_matches_brute_force(symbols):
 def test_nearest_symbol_tie_breaks_low():
     # the origin is equidistant from all four points; index 0 wins
     assert nearest_symbol_indices(np.array([0.0 + 0.0j]))[0] == 0
+
+
+def _argmin_slicer(symbols):
+    pts = ideal_qpsk().points
+    return np.argmin(np.abs(symbols[:, None] - pts[None, :]), axis=1)
+
+
+def test_quadrant_slicer_equals_argmin_at_the_edges():
+    # each coordinate on an axis, 1 ulp either side of it, or elsewhere,
+    # at magnitudes from subnormal to 1e8
+    coords = set()
+    for v in (0.0, 5e-324, 1e-300, 1e-9, 0.3, 1.0, 3.0, 1e8):
+        for c in (v, -v):
+            coords |= {c, np.nextafter(c, np.inf), np.nextafter(c, -np.inf)}
+    c = np.array(sorted(coords))
+    grid = (c[:, None] + 1j * c[None, :]).ravel()
+    ring = 1e8 * np.exp(2j * np.pi * np.arange(64) / 64)
+    symbols = np.concatenate([grid, ring, [1e8 + 1j, 1e8 - 1j, 1 + 1e8j,
+                                           -1 + 1e8j, 0.0j]])
+    np.testing.assert_array_equal(nearest_symbol_indices(symbols),
+                                  _argmin_slicer(symbols))
+    assert nearest_symbol_indices(symbols).dtype == np.intp
+
+
+@given(st.lists(st.complex_numbers(max_magnitude=1e200, allow_nan=False,
+                                   allow_infinity=False), min_size=1,
+                max_size=64))
+@settings(max_examples=200, deadline=None)
+def test_quadrant_slicer_equals_argmin(symbols):
+    s = np.array(symbols, dtype=complex)
+    np.testing.assert_array_equal(nearest_symbol_indices(s),
+                                  _argmin_slicer(s))
+
+
+def test_slicer_keeps_argmin_for_other_constellations():
+    pts = impaired_qpsk(200.0, [1.0, 0.9, 0.8, 0.7])
+    rng = np.random.default_rng(3)
+    s = rng.normal(size=500) + 1j * rng.normal(size=500)
+    want = np.argmin(np.abs(s[:, None] - pts.points[None, :]), axis=1)
+    np.testing.assert_array_equal(nearest_symbol_indices(s, pts), want)
 
 
 # --- SNR measurement -------------------------------------------------------------
@@ -254,14 +313,27 @@ def test_receive_frame_absorbs_gain_and_rotation():
     np.testing.assert_array_equal(bits, payload)
 
 
-@pytest.mark.parametrize("eps,offset,taps", [
-    (0.0, 0, (1.0,)),
-    (0.35, 11, (1.0,)),
-    (-0.2, 300, (1.0, 0.4 - 0.2j, -0.1j)),
-    (0.1, 64, (0.9 + 0.1j, 0.2)),
-])
-def test_receive_frame_noiseless_end_to_end_identity(eps, offset, taps):
-    payload, sig = _frame_signal(seed=12)
+# eps, timing offset and FIR taps in samples, sps.  The sps=8 rows send a
+# CFO through the oversampled receiver's symbol-rate derotation; their
+# offsets are not whole symbols.  The ids keep the sps=1 rows' names.
+_IDENTITY_CASES = [
+    (0.0, 0, (1.0,), 1),
+    (0.35, 11, (1.0,), 1),
+    (-0.2, 300, (1.0, 0.4 - 0.2j, -0.1j), 1),
+    (0.1, 64, (0.9 + 0.1j, 0.2), 1),
+    (0.35, 11, (1.0,), 8),
+    (-0.2, 300, (1.0, 0.4 - 0.2j, -0.1j), 8),
+    (0.1, 61, (0.9 + 0.1j, 0.2), 8),
+    (-0.45, 83, (0.8, 0.3j, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0, -0.2), 8),
+]
+
+
+@pytest.mark.parametrize("eps,offset,taps,sps", [
+    pytest.param(*case, id=f"{case[0]}-{case[1]}-taps{i}"
+                 + ("" if case[3] == 1 else f"-sps{case[3]}"))
+    for i, case in enumerate(_IDENTITY_CASES)])
+def test_receive_frame_noiseless_end_to_end_identity(eps, offset, taps, sps):
+    payload, sig = _frame_signal(seed=12, sps=sps)
     rx = apply_channel(sig, ChannelConfig(cfo_normalized=eps,
                                           timing_offset=offset,
                                           fir_taps=taps))
