@@ -13,7 +13,7 @@ from mslink.circuit import (DEFAULT_TARGET_PHASES, default_gamma_lut,
 
 def main():
     lut = default_gamma_lut()
-    print(f"LUT points: {len(lut.points)} "
+    print(f"LUT points: {lut.voltages.size} "
           f"(0..20 V in 0.1 V steps)")
     print(f"phase span: {lut.phase_span_deg():.1f} deg")
     print(f"|Gamma| range: {lut.magnitudes.min():.3f} .. "

@@ -5,7 +5,7 @@ frame synthesis, channel impairments, and a conventional SC-FDE receiver,
 plus a Monte-Carlo experiment harness.
 """
 
-from .circuit import (CircuitParams, GammaLUT, GammaPoint, VaractorModel,
+from .circuit import (CircuitParams, GammaLUT, VaractorModel,
                       build_gamma_lut, default_gamma_lut, load_impedance,
                       reflection_coefficient, reflection_phase,
                       select_control_voltages, varactor_capacitance)

@@ -56,14 +56,6 @@ class VaractorModel:
 
 
 @dataclass(frozen=True)
-class GammaPoint:
-    voltage: float
-    gamma: complex
-    phase_deg: float
-    magnitude: float
-
-
-@dataclass(frozen=True)
 class GammaLUT:
     """Voltage -> reflection coefficient table at a single frequency."""
 
@@ -91,13 +83,6 @@ class GammaLUT:
     def magnitudes(self) -> np.ndarray:
         return np.abs(self.gammas)
 
-    @property
-    def points(self) -> list[GammaPoint]:
-        return [
-            GammaPoint(float(v), complex(g), reflection_phase(g), abs(g))
-            for v, g in zip(self.voltages, self.gammas)
-        ]
-
     def phase_span_deg(self) -> float:
         """Total phase travel across the table (unwrapped, degrees)."""
         unwrapped = np.unwrap(np.angle(self.gammas))
@@ -106,11 +91,9 @@ class GammaLUT:
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("voltage_v,re_gamma,im_gamma,mag,phase_deg\n")
-            for p in self.points:
-                fh.write(
-                    f"{p.voltage!r},{p.gamma.real!r},{p.gamma.imag!r},"
-                    f"{p.magnitude!r},{p.phase_deg!r}\n"
-                )
+            for v, g in zip(self.voltages.tolist(), self.gammas.tolist()):
+                fh.write(f"{v!r},{g.real!r},{g.imag!r},{abs(g)!r},"
+                         f"{reflection_phase(g)!r}\n")
 
     @classmethod
     def from_csv(cls, path, frequency: float) -> "GammaLUT":

@@ -13,13 +13,12 @@ import sys
 import numpy as np
 
 from .channel import ChannelConfig, apply_channel
-from .config import circuit_from_dict, experiment_from_dict, parse_config
-from .circuit import DEFAULT_FREQUENCY, DEFAULT_VOLTAGE_GRID, build_gamma_lut
+from .config import experiment_from_dict, gamma_lut_from_dict, parse_config
 from .errors import SyncNotFoundError
 from .harness import (compare_architectures, receive_file, run_ber_sweep,
-                      run_frame, transmit_file, write_ber_csv)
+                      run_frame, transmit_file, transmit_frame, write_ber_csv)
 from .rxchain import dump_symbols_csv, frame_sync
-from .txchain import build_frame, build_sync_sequence, synthesize_baseband
+from .txchain import build_sync_sequence
 
 
 def _common_flags(p):
@@ -93,11 +92,7 @@ def cmd_receive(args) -> int:
 
 
 def cmd_gamma_curve(args) -> int:
-    d = _load(args)
-    params, model = circuit_from_dict(d)
-    lut = build_gamma_lut(model, params,
-                          float(d.get("frequency", DEFAULT_FREQUENCY)),
-                          DEFAULT_VOLTAGE_GRID)
+    lut = gamma_lut_from_dict(_load(args))
     out = args.out or "gamma_curve.csv"
     lut.to_csv(out)
     print(f"wrote {out}: {lut.voltages.size} points, "
@@ -124,12 +119,9 @@ def cmd_sync_check(args) -> int:
     snr = cfg.snr_list[0]
     trials = cfg.frames_per_point
     sps = cfg.resolved_sps()
-    constellation = cfg.resolved_constellation()
     hits = 0
     rng = np.random.default_rng(cfg.base_seed)
-    payload = rng.integers(0, 2, cfg.layout.payload_bits)
-    frame = build_frame(payload, cfg.layout, cfg.pilot_seed)
-    sig = synthesize_baseband(frame, constellation, sps)
+    _, sig = transmit_frame(cfg, rng)  # the offsets below continue rng
     for t in range(trials):
         offset = int(rng.integers(0, 1000))
         ch = ChannelConfig(snr_db=snr, timing_offset=offset,

@@ -1,20 +1,66 @@
-"""Line-oriented `key = value` config files and experiment construction."""
+"""Line-oriented `key = value` config files and experiment construction.
+
+The accepted keys are the fields of ExperimentConfig, ArrayConfig,
+CircuitParams and VaractorModel that text can set, the aliases `snr`,
+`frames` and `seed`, and `frequency`, `target_phases` and `target_ber`.  A key
+that is not set keeps its dataclass default.
+"""
 
 from __future__ import annotations
 
-import math
+from dataclasses import fields, replace
 
-from .circuit import (CircuitParams, VaractorModel, build_gamma_lut,
-                      default_gamma_lut, select_control_voltages,
+from .circuit import (CircuitParams, GammaLUT, VaractorModel, build_gamma_lut,
                       DEFAULT_FREQUENCY, DEFAULT_TARGET_PHASES,
                       DEFAULT_VOLTAGE_GRID)
-from .harness import ExperimentConfig
+from .harness import ExperimentConfig, surface_constellation
 from .surface import ArrayConfig
-from .txchain import metasurface_constellation
+
+
+def _tuple_of(convert):
+    """Comma-separated text (or an iterable) -> tuple of converted items."""
+    def parse(value):
+        items = value.split(",") if isinstance(value, str) else value
+        return tuple(convert(v) for v in items if str(v).strip())
+    return parse
+
+
+# text -> value, by field annotation; fields with none are not config keys
+_BY_ANNOTATION = {
+    "str": str, "int": int, "int | None": int, "float": float,
+    "complex": complex,
+    "np.ndarray": lambda spec: spec,  # a mask literal, parsed by ArrayConfig
+}
+_BY_NAME = {"snr_list": _tuple_of(float), "fir_taps": _tuple_of(complex),
+            "target_phases": _tuple_of(float)}
+_ALIASES = {"snr": "snr_list", "frames": "frames_per_point",
+            "seed": "base_seed"}
+_EXTRA = ("frequency", "target_phases", "target_ber")
+
+
+def _parsers(cls) -> dict:
+    out = {}
+    for f in fields(cls):
+        parse = _BY_NAME.get(f.name) or _BY_ANNOTATION.get(f.type)
+        if parse is not None:
+            out[f.name] = parse
+    return out
+
+
+_PARSERS = {cls: _parsers(cls) for cls in
+            (ExperimentConfig, ArrayConfig, CircuitParams, VaractorModel)}
+KEYS = frozenset().union(*_PARSERS.values(), _ALIASES, _EXTRA)
+
+
+def _build(cls, d: dict, **extra):
+    """cls from the keys of d that name its fields; the rest keep defaults."""
+    given = {k: parse(d[k]) for k, parse in _PARSERS[cls].items() if k in d}
+    return cls(**given, **extra)
 
 
 def parse_config(path) -> dict:
-    """Read `key = value` lines; '#' starts a comment; keys lower_snake_case."""
+    """Read `key = value` lines; '#' starts a comment; keys lower_snake_case.
+    A key outside KEYS is an error naming its file and line."""
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -24,91 +70,41 @@ def parse_config(path) -> dict:
             key, sep, val = line.partition("=")
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            out[key.strip()] = val.strip()
+            key = key.strip()
+            if key not in KEYS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            out[key] = val.strip()
     return out
 
 
-def _floats(text: str) -> tuple:
-    return tuple(float(v) for v in text.split(",") if v.strip())
-
-
-def _complexes(text: str) -> tuple:
-    return tuple(complex(v.strip()) for v in text.split(",") if v.strip())
-
-
 def circuit_from_dict(d: dict) -> tuple[CircuitParams, VaractorModel]:
-    params = CircuitParams(
-        r_series=float(d.get("r_series", 12.0)),
-        l_top=float(d.get("l_top", 0.5e-9)),
-        l_bottom=float(d.get("l_bottom", 5.0e-9)),
-        z_air=float(d.get("z_air", CircuitParams().z_air)),
-    )
-    model = VaractorModel(
-        c_zero=float(d.get("c_zero", 1.2e-12)),
-        v_junction=float(d.get("v_junction", 2.0)),
-        exponent=float(d.get("exponent", 1.0)),
-        c_min=float(d.get("c_min", 0.2e-12)),
-    )
-    return params, model
+    return _build(CircuitParams, d), _build(VaractorModel, d)
+
+
+def gamma_lut_from_dict(d: dict) -> GammaLUT:
+    """Tuning table of the cell the circuit keys and `frequency` describe."""
+    params, model = circuit_from_dict(d)
+    return build_gamma_lut(model, params,
+                           float(d.get("frequency", DEFAULT_FREQUENCY)),
+                           DEFAULT_VOLTAGE_GRID)
 
 
 def experiment_from_dict(d: dict, **overrides) -> ExperimentConfig:
     """Build an ExperimentConfig from parsed config text plus CLI overrides
-    (overrides win)."""
+    (overrides win, and a field's own name wins over its alias)."""
     merged = dict(d)
-    for key, val in overrides.items():
-        if val is not None:
-            merged[key] = val
+    merged.update((k, v) for k, v in overrides.items() if v is not None)
+    for alias, name in _ALIASES.items():
+        if alias in merged:
+            merged.setdefault(name, merged.pop(alias))
+    unknown = sorted(merged.keys() - KEYS)
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
 
-    def get(key, default=None):
-        return merged.get(key, default)
-
-    mode = str(get("mode", "conventional"))
-    snr = get("snr_list", get("snr", (2.0, 4.0, 6.0, 8.0, 10.0)))
-    if isinstance(snr, str):
-        snr = _floats(snr)
-    snr = tuple(math.inf if s == math.inf else float(s) for s in snr)
-
-    array = ArrayConfig(
-        rows=int(get("rows", 8)),
-        cols=int(get("cols", 16)),
-        mask=get("mask", "full"),
-        gamma_static=complex(str(get("gamma_static", "0"))),
-    )
-
-    constellation = None
-    if mode == "metasurface":
-        targets = get("target_phases", DEFAULT_TARGET_PHASES)
-        if isinstance(targets, str):
-            targets = _floats(targets)
-        if any(k in merged for k in
-               ("r_series", "l_top", "l_bottom", "z_air", "c_zero",
-                "v_junction", "exponent", "c_min", "frequency")):
-            params, model = circuit_from_dict(merged)
-            lut = build_gamma_lut(model, params,
-                                  float(get("frequency", DEFAULT_FREQUENCY)),
-                                  DEFAULT_VOLTAGE_GRID)
-        else:
-            lut = default_gamma_lut()
-        volts, _ = select_control_voltages(lut, targets)
-        constellation = metasurface_constellation(lut, volts, normalize=False)
-
-    sps = get("sps")
-    fir = get("fir_taps", (1.0 + 0.0j,))
-    if isinstance(fir, str):
-        fir = _complexes(fir)
-    return ExperimentConfig(
-        mode=mode,
-        snr_list=snr,
-        frames_per_point=int(get("frames_per_point", get("frames", 100))),
-        base_seed=int(get("base_seed", get("seed", 0))),
-        sps=None if sps is None else int(sps),
-        constellation=constellation,
-        array=array,
-        cfo_normalized=float(get("cfo_normalized", 0.0)),
-        timing_offset=int(get("timing_offset", 0)),
-        complex_gain=complex(str(get("complex_gain", "1"))),
-        fir_taps=tuple(fir),
-        pilot_seed=int(get("pilot_seed", 1)),
-        est_taps=None if get("est_taps") is None else int(get("est_taps")),
-    )
+    cfg = _build(ExperimentConfig, merged, array=_build(ArrayConfig, merged))
+    if cfg.mode == "metasurface":
+        targets = _BY_NAME["target_phases"](
+            merged.get("target_phases", DEFAULT_TARGET_PHASES))
+        cfg = replace(cfg, constellation=surface_constellation(
+            gamma_lut_from_dict(merged), targets))
+    return cfg

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelConfig, apply_channel
-from .circuit import DEFAULT_TARGET_PHASES, default_gamma_lut, select_control_voltages
+from .circuit import (DEFAULT_TARGET_PHASES, GammaLUT, default_gamma_lut,
+                      select_control_voltages)
 from .errors import (InterpolationError, PartialReceiveError,
                      SyncNotFoundError)
 from .iqfile import StreamHeader, read_iq, write_iq
@@ -45,8 +46,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if len(self.snr_list) == 0:
             raise ValueError("SNR list must be non-empty")
-        if self.frames_per_point < 1:
-            raise ValueError("frames_per_point must be >= 1")
+        if not 1 <= self.frames_per_point <= SEED_POINT_STRIDE:
+            # above the stride, frame f of point p reuses the payload and
+            # noise seeds of frame f - SEED_POINT_STRIDE of point p + 1
+            raise ValueError(
+                f"frames_per_point must be in 1..{SEED_POINT_STRIDE}")
 
     def resolved_sps(self) -> int:
         if self.sps is not None:
@@ -66,11 +70,16 @@ class ExperimentConfig:
             return self.constellation
         if self.mode == "conventional":
             return ideal_qpsk()
-        lut = default_gamma_lut()
-        volts, _ = select_control_voltages(lut, DEFAULT_TARGET_PHASES)
-        # raw reflection values: ohmic loss is charged against the fixed
-        # incident-power budget the SNR axis is referenced to
-        return metasurface_constellation(lut, volts, normalize=False)
+        return surface_constellation(default_gamma_lut(), DEFAULT_TARGET_PHASES)
+
+
+def surface_constellation(lut: GammaLUT, target_phases) -> Constellation:
+    """The surface driven at the LUT voltages nearest the four target phases.
+
+    The points are the raw reflection values: ohmic loss is charged against
+    the fixed incident-power budget the SNR axis is referenced to."""
+    volts, _ = select_control_voltages(lut, target_phases)
+    return metasurface_constellation(lut, volts, normalize=False)
 
 
 @dataclass(frozen=True)
@@ -105,15 +114,19 @@ def _transmit_samples(frame, constellation, cfg: ExperimentConfig,
     return sig
 
 
-def run_frame(cfg: ExperimentConfig, snr_db: float, seed: int):
-    """One frame through the link; returns (payload, recovered|None, diag|None)."""
-    sps = cfg.resolved_sps()
-    constellation = cfg.resolved_constellation()
+def transmit_frame(cfg: ExperimentConfig, seed) -> tuple:
+    """One frame of random payload, drawn from `default_rng(seed)` (a seed or
+    a Generator), as the transmitter emits it: returns (payload, signal)."""
     payload = np.random.default_rng(seed).integers(
         0, 2, cfg.layout.payload_bits)
     frame = build_frame(payload, cfg.layout, cfg.pilot_seed)
-    sig = _transmit_samples(frame, constellation, cfg, sps)
-    ch = ChannelConfig(
+    sig = _transmit_samples(frame, cfg.resolved_constellation(), cfg,
+                            cfg.resolved_sps())
+    return payload, sig
+
+
+def _channel(cfg: ExperimentConfig, snr_db: float, seed: int) -> ChannelConfig:
+    return ChannelConfig(
         snr_db=snr_db,
         cfo_normalized=cfg.cfo_normalized,
         timing_offset=cfg.timing_offset,
@@ -123,8 +136,14 @@ def run_frame(cfg: ExperimentConfig, snr_db: float, seed: int):
         ref_power=1.0,  # SNR referenced to unit incident power (a fixed
                         # transmit budget), so reflection loss costs SNR
     )
-    rx = apply_channel(sig, ch)
-    window = (0, cfg.timing_offset + sps * (len(cfg.fir_taps) + 2))
+
+
+def run_frame(cfg: ExperimentConfig, snr_db: float, seed: int):
+    """One frame through the link; returns (payload, recovered|None, diag|None)."""
+    payload, sig = transmit_frame(cfg, seed)
+    rx = apply_channel(sig, _channel(cfg, snr_db, seed))
+    window = (0, cfg.timing_offset
+              + sig.samples_per_symbol * (len(cfg.fir_taps) + 2))
     try:
         bits, diag = receive_frame(rx, cfg.layout, cfg.pilot_seed,
                                    search_window=window,
@@ -138,22 +157,9 @@ def measure_link_snr(cfg: ExperimentConfig, snr_db: float, seed: int) -> float:
     """Received SNR in dB: signal power over noise power at the receiver
     input, measured on one frame by differencing paired noisy/noiseless
     channel passes (identical channel, identical seed)."""
-    sps = cfg.resolved_sps()
-    constellation = cfg.resolved_constellation()
-    payload = np.random.default_rng(seed).integers(
-        0, 2, cfg.layout.payload_bits)
-    frame = build_frame(payload, cfg.layout, cfg.pilot_seed)
-    sig = _transmit_samples(frame, constellation, cfg, sps)
-    kwargs = dict(
-        cfo_normalized=cfg.cfo_normalized,
-        timing_offset=cfg.timing_offset,
-        complex_gain=cfg.complex_gain,
-        fir_taps=cfg.fir_taps,
-        seed=seed + _NOISE_SEED_OFFSET,
-        ref_power=1.0,
-    )
-    noisy = apply_channel(sig, ChannelConfig(snr_db=snr_db, **kwargs))
-    clean = apply_channel(sig, ChannelConfig(snr_db=math.inf, **kwargs))
+    _, sig = transmit_frame(cfg, seed)
+    noisy = apply_channel(sig, _channel(cfg, snr_db, seed))
+    clean = apply_channel(sig, _channel(cfg, math.inf, seed))
     noise = noisy.samples - clean.samples
     p_sig = float(np.mean(np.abs(clean.samples) ** 2))
     p_noise = float(np.mean(np.abs(noise) ** 2))

@@ -41,13 +41,10 @@ class ArrayConfig:
     cols: int = 16
     mask: np.ndarray = field(default=None, repr=False)
     gamma_static: complex = 0.0 + 0.0j
-    normalization: str = "full-array-unity"
 
     def __post_init__(self):
         mask = self.mask if self.mask is not None else "full"
         object.__setattr__(self, "mask", parse_mask(mask, self.rows, self.cols))
-        if self.normalization != "full-array-unity":
-            raise ValueError(f"unknown normalization {self.normalization!r}")
 
     @property
     def n_total(self) -> int:

@@ -232,7 +232,7 @@ def synthesize_passband(frame, constellation: Constellation,
         raise AliasingError(
             f"need sample_rate > 4*carrier ({sample_rate:g} <= {4 * carrier_freq:g})"
         )
-    bb = np.repeat(constellation.points[_as_indices(frame)], sps)
+    bb = synthesize_baseband(frame, constellation, sps).samples
     n = np.arange(bb.size)
     carrier = amplitude * np.exp(
         1j * (2.0 * np.pi * carrier_freq * n / sample_rate + phase0)

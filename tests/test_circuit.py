@@ -145,10 +145,10 @@ def test_reflection_phase_range_and_conjugate(g):
 
 def test_single_voltage_lut_is_consistent():
     lut = build_gamma_lut(VaractorModel(), CircuitParams(), 4e9, [5.0])
-    (p,) = lut.points
-    assert p.voltage == 5.0
-    assert p.magnitude == pytest.approx(abs(p.gamma))
-    assert p.phase_deg == pytest.approx(reflection_phase(p.gamma))
+    (v,), (g,) = lut.voltages, lut.gammas
+    assert v == 5.0
+    assert lut.magnitudes[0] == pytest.approx(abs(g))
+    assert lut.phases_deg[0] == pytest.approx(reflection_phase(g))
 
 
 def test_default_lut_phase_span_at_least_255():
@@ -194,6 +194,19 @@ def test_lut_csv_roundtrip(tmp_path):
     back = GammaLUT.from_csv(path, lut.frequency)
     assert np.array_equal(back.voltages, lut.voltages)
     np.testing.assert_allclose(back.gammas, lut.gammas, rtol=0, atol=0)
+
+
+def test_lut_csv_columns_are_plain_numbers(tmp_path):
+    lut = default_gamma_lut()
+    path = tmp_path / "gamma.csv"
+    lut.to_csv(path)
+    rows = np.array([[float(x) for x in line.split(",")]
+                     for line in path.read_text().splitlines()[1:]])
+    np.testing.assert_array_equal(rows[:, 0], lut.voltages)
+    np.testing.assert_array_equal(rows[:, 1] + 1j * rows[:, 2], lut.gammas)
+    # scalar abs() and vectorized np.abs may differ in the last bit
+    np.testing.assert_allclose(rows[:, 3], lut.magnitudes, rtol=1e-15)
+    np.testing.assert_array_equal(rows[:, 4], lut.phases_deg)
 
 
 def test_lut_rejects_disordered_grid():

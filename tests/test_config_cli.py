@@ -1,8 +1,15 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from mslink.circuit import (DEFAULT_VOLTAGE_GRID, CircuitParams, VaractorModel,
+                            build_gamma_lut)
 from mslink.cli import main
-from mslink.config import circuit_from_dict, experiment_from_dict, parse_config
+from mslink.config import (KEYS, circuit_from_dict, experiment_from_dict,
+                           parse_config)
+from mslink.harness import ExperimentConfig, surface_constellation
+from mslink.surface import ArrayConfig, parse_mask
 
 
 def test_parse_config(tmp_path):
@@ -23,6 +30,112 @@ def test_parse_config_rejects_bad_line(tmp_path):
     path.write_text("no equals sign here\n")
     with pytest.raises(ValueError):
         parse_config(path)
+
+
+def test_parse_config_rejects_unknown_key(tmp_path):
+    path = tmp_path / "typo.cfg"
+    path.write_text("mode = metasurface\n\nsnr_lsit = 8\n")
+    with pytest.raises(ValueError) as exc:
+        parse_config(path)
+    assert str(exc.value) == f"{path}:3: unknown key 'snr_lsit'"
+
+
+def test_experiment_from_dict_rejects_unknown_key():
+    with pytest.raises(ValueError, match="snr_lsit"):
+        experiment_from_dict({"snr_lsit": "8"})
+
+
+# one non-default value per accepted key: text, and the value it must become
+EVERY_KEY = {
+    "mode": ("metasurface", "metasurface"),
+    "snr_list": ("3, 5.5, inf", (3.0, 5.5, float("inf"))),
+    "frames_per_point": ("7", 7),
+    "base_seed": ("11", 11),
+    "sps": ("4", 4),
+    "cfo_normalized": ("0.01", 0.01),
+    "timing_offset": ("3", 3),
+    "complex_gain": ("0.5+0.5j", 0.5 + 0.5j),
+    "fir_taps": ("1, 0.2-0.1j", (1.0 + 0j, 0.2 - 0.1j)),
+    "pilot_seed": ("2", 2),
+    "est_taps": ("2", 2),
+    "rows": ("4", 4),
+    "cols": ("8", 8),
+    "mask": ("left-half", "left-half"),
+    "gamma_static": ("0.1+0.2j", 0.1 + 0.2j),
+    "r_series": ("10.0", 10.0),
+    "l_top": ("0.6e-9", 0.6e-9),
+    "l_bottom": ("4.5e-9", 4.5e-9),
+    "z_air": ("370.0", 370.0),
+    "c_zero": ("1.3e-12", 1.3e-12),
+    "v_junction": ("2.5", 2.5),
+    "exponent": ("0.9", 0.9),
+    "c_min": ("0.25e-12", 0.25e-12),
+    "frequency": ("4.1e9", 4.1e9),
+    "target_phases": ("0, 70, 140, 210", (0.0, 70.0, 140.0, 210.0)),
+    "target_ber": ("1e-3", 1e-3),
+}
+ALIASES = {"snr": ("6, 9", "snr_list", (6.0, 9.0)),
+           "frames": ("5", "frames_per_point", 5),
+           "seed": ("13", "base_seed", 13)}
+
+
+def test_every_accepted_key_lands_in_its_field(tmp_path):
+    assert KEYS == EVERY_KEY.keys() | ALIASES.keys()
+    path = tmp_path / "all.cfg"
+    path.write_text("".join(f"{k} = {text}\n"
+                            for k, (text, _) in EVERY_KEY.items()))
+    d = parse_config(path)
+    cfg = experiment_from_dict(d)
+    want = {k: value for k, (_, value) in EVERY_KEY.items()}
+    for f in fields(ExperimentConfig):
+        if f.name in want:
+            assert getattr(cfg, f.name) == want[f.name], f.name
+    for f in fields(ArrayConfig):
+        if f.name == "mask":
+            np.testing.assert_array_equal(cfg.array.mask,
+                                          parse_mask("left-half", 4, 8))
+        else:
+            assert getattr(cfg.array, f.name) == want[f.name], f.name
+    params, model = circuit_from_dict(d)
+    assert params == CircuitParams(**{f.name: want[f.name]
+                                      for f in fields(CircuitParams)})
+    assert model == VaractorModel(**{f.name: want[f.name]
+                                     for f in fields(VaractorModel)})
+    lut = build_gamma_lut(model, params, 4.1e9, DEFAULT_VOLTAGE_GRID)
+    np.testing.assert_array_equal(
+        cfg.constellation.points,
+        surface_constellation(lut, want["target_phases"]).points)
+    assert float(d["target_ber"]) == want["target_ber"]
+
+
+@pytest.mark.parametrize("alias", sorted(ALIASES))
+def test_alias_lands_in_its_field(alias, tmp_path):
+    text, name, value = ALIASES[alias]
+    path = tmp_path / "alias.cfg"
+    path.write_text(f"{alias} = {text}\n")
+    assert getattr(experiment_from_dict(parse_config(path)), name) == value
+    # the field's own name wins over its alias
+    named = experiment_from_dict({alias: text, name: EVERY_KEY[name][0]})
+    assert getattr(named, name) == EVERY_KEY[name][1]
+
+
+def test_empty_dict_gives_the_dataclass_defaults():
+    got, want = experiment_from_dict({}), ExperimentConfig()
+    for f in fields(ExperimentConfig):
+        if f.name != "array":
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+    for f in fields(ArrayConfig):
+        np.testing.assert_array_equal(getattr(got.array, f.name),
+                                      getattr(want.array, f.name))
+    assert circuit_from_dict({}) == (CircuitParams(), VaractorModel())
+
+
+@pytest.mark.parametrize("extra", [{}, {"r_series": "12.0"}])
+def test_config_metasurface_constellation_is_the_default_one(extra):
+    cfg = experiment_from_dict({"mode": "metasurface", **extra})
+    np.testing.assert_array_equal(
+        cfg.constellation.points,
+        ExperimentConfig(mode="metasurface").resolved_constellation().points)
 
 
 def test_experiment_from_dict_overrides_win():
@@ -79,6 +192,13 @@ def test_cli_constellation_dump(tmp_path):
 def test_cli_sync_check_reports_rate(tmp_path, capsys):
     assert main(["sync-check", "--snr", "5", "--frames", "5"]) == 0
     assert "5/5" in capsys.readouterr().out
+
+
+def test_cli_sync_check_sees_the_array_mask(capsys):
+    # no active cell: the surface reflects nothing, so nothing is detected
+    assert main(["sync-check", "--mode", "metasurface", "--snr", "30",
+                 "--frames", "5", "--mask", "0" * 128]) == 0
+    assert "0/5" in capsys.readouterr().out
 
 
 def test_cli_compare(tmp_path, capsys):

@@ -5,8 +5,8 @@ import pytest
 
 from mslink.channel import ChannelConfig, apply_channel
 from mslink.errors import InterpolationError
-from mslink.harness import (BerRecord, ExperimentConfig, bits_from_file,
-                            bits_to_bytes, compare_architectures,
+from mslink.harness import (SEED_POINT_STRIDE, BerRecord, ExperimentConfig,
+                            bits_from_file, bits_to_bytes, compare_architectures,
                             measure_link_snr, receive_file, run_ber_sweep,
                             run_frame, snr_at_ber, theoretical_qpsk_ber,
                             transmit_file, write_ber_csv)
@@ -28,6 +28,14 @@ def test_experiment_config_validation():
         ExperimentConfig(snr_list=())
     with pytest.raises(ValueError):
         ExperimentConfig(frames_per_point=0)
+
+
+def test_frames_per_point_stays_within_the_seed_stride():
+    # seeds are base + point * SEED_POINT_STRIDE + frame: one frame more
+    # and the last frame of point 0 would replay frame 0 of point 1
+    ExperimentConfig(frames_per_point=SEED_POINT_STRIDE)
+    with pytest.raises(ValueError, match="frames_per_point"):
+        ExperimentConfig(frames_per_point=SEED_POINT_STRIDE + 1)
 
 
 def test_resolved_defaults():
