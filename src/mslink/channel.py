@@ -1,8 +1,9 @@
 """Link impairments: FIR multipath, complex gain, CFO, delay, AWGN.
 
 Everything is seeded and deterministic.  The carrier frequency offset is
-normalized to cycles per FFT-length block (2048 symbols), so the per-sample
-phase increment is 2 pi eps / (2048 * sps).
+normalized to cycles per FFT-length block of the fixed frame format
+(FrameLayout.fft_len = 2048 symbols), so the per-sample phase increment is
+2 pi eps / (2048 * sps).
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .txchain import BasebandSignal
+from .txchain import BasebandSignal, FrameLayout
 
-CFO_BLOCK = 2048  # symbols per normalization block
+CFO_BLOCK = FrameLayout.fft_len  # symbols per normalization block
 
 
 @dataclass(frozen=True)

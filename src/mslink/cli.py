@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .channel import ChannelConfig, apply_channel
+from .channel import apply_channel
 from .config import experiment_from_dict, gamma_lut_from_dict, parse_config
 from .errors import SyncNotFoundError
-from .harness import (compare_architectures, receive_file, run_ber_sweep,
-                      run_frame, transmit_file, transmit_frame, write_ber_csv)
+from .harness import (_channel, compare_architectures, receive_file,
+                      run_ber_sweep, run_frame, transmit_file, transmit_frame,
+                      write_ber_csv)
 from .rxchain import dump_symbols_csv, frame_sync
 from .txchain import build_sync_sequence
 
@@ -122,13 +124,14 @@ def cmd_sync_check(args) -> int:
     hits = 0
     rng = np.random.default_rng(cfg.base_seed)
     _, sig = transmit_frame(cfg, rng)  # the offsets below continue rng
+    window = (0, cfg.timing_offset + 1200 * sps)
     for t in range(trials):
-        offset = int(rng.integers(0, 1000))
-        ch = ChannelConfig(snr_db=snr, timing_offset=offset,
-                           seed=cfg.base_seed + t, ref_power=1.0)
+        offset = cfg.timing_offset + int(rng.integers(0, 1000))
+        ch = replace(_channel(cfg, snr, cfg.base_seed + t),
+                     timing_offset=offset)
         rx = apply_channel(sig, ch)
         try:
-            res = frame_sync(rx, build_sync_sequence(), (0, 1200 * sps))
+            res = frame_sync(rx, build_sync_sequence(), window)
             hits += res.frame_start == offset
         except SyncNotFoundError:
             pass

@@ -14,6 +14,7 @@ from .circuit import (CircuitParams, GammaLUT, VaractorModel, build_gamma_lut,
                       DEFAULT_FREQUENCY, DEFAULT_TARGET_PHASES,
                       DEFAULT_VOLTAGE_GRID)
 from .harness import ExperimentConfig, surface_constellation
+from .iqfile import read_key_values
 from .surface import ArrayConfig
 
 
@@ -61,20 +62,7 @@ def _build(cls, d: dict, **extra):
 def parse_config(path) -> dict:
     """Read `key = value` lines; '#' starts a comment; keys lower_snake_case.
     A key outside KEYS is an error naming its file and line."""
-    out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, val = line.partition("=")
-            if not sep:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key = key.strip()
-            if key not in KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = val.strip()
-    return out
+    return read_key_values(path, KEYS)
 
 
 def circuit_from_dict(d: dict) -> tuple[CircuitParams, VaractorModel]:

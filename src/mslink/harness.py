@@ -39,7 +39,7 @@ class ExperimentConfig:
     fir_taps: tuple = (1.0 + 0.0j,)
     pilot_seed: int = DEFAULT_PILOT_SEED
     est_taps: int | None = None           # None: match the simulated channel
-    layout: FrameLayout = field(default_factory=FrameLayout)
+    layout = FrameLayout                  # the fixed frame format; not a field
 
     def __post_init__(self):
         if self.mode not in ("conventional", "metasurface"):
@@ -118,8 +118,8 @@ def transmit_frame(cfg: ExperimentConfig, seed) -> tuple:
     """One frame of random payload, drawn from `default_rng(seed)` (a seed or
     a Generator), as the transmitter emits it: returns (payload, signal)."""
     payload = np.random.default_rng(seed).integers(
-        0, 2, cfg.layout.payload_bits)
-    frame = build_frame(payload, cfg.layout, cfg.pilot_seed)
+        0, 2, FrameLayout.payload_bits)
+    frame = build_frame(payload, cfg.pilot_seed)
     sig = _transmit_samples(frame, cfg.resolved_constellation(), cfg,
                             cfg.resolved_sps())
     return payload, sig
@@ -145,8 +145,7 @@ def run_frame(cfg: ExperimentConfig, snr_db: float, seed: int):
     window = (0, cfg.timing_offset
               + sig.samples_per_symbol * (len(cfg.fir_taps) + 2))
     try:
-        bits, diag = receive_frame(rx, cfg.layout, cfg.pilot_seed,
-                                   search_window=window,
+        bits, diag = receive_frame(rx, cfg.pilot_seed, search_window=window,
                                    est_taps=cfg.resolved_est_taps())
     except SyncNotFoundError:
         return payload, None, None
@@ -183,7 +182,7 @@ def run_ber_sweep(cfg: ExperimentConfig) -> list[BerRecord]:
                 failures += 1
             else:
                 errors += int(np.count_nonzero(bits != payload))
-        n_bits = cfg.frames_per_point * cfg.layout.payload_bits
+        n_bits = cfg.frames_per_point * FrameLayout.payload_bits
         records.append(BerRecord(snr_db=float(snr), bits_simulated=n_bits,
                                  bit_errors=errors, ber=errors / n_bits,
                                  sync_failures=failures))
@@ -244,7 +243,7 @@ def transmit_file(path, cfg: ExperimentConfig, iq_path, header_path=None
                   ) -> StreamHeader:
     """Frame a file's bits (zero-padded tail) and write the IQ stream."""
     bits = bits_from_file(path)
-    per_frame = cfg.layout.payload_bits
+    per_frame = FrameLayout.payload_bits
     n_frames = max(1, -(-bits.size // per_frame)) if bits.size else 0
     pad = n_frames * per_frame - bits.size
     bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
@@ -253,7 +252,7 @@ def transmit_file(path, cfg: ExperimentConfig, iq_path, header_path=None
     chunks = []
     for i in range(n_frames):
         frame = build_frame(bits[i * per_frame:(i + 1) * per_frame],
-                            cfg.layout, cfg.pilot_seed)
+                            cfg.pilot_seed)
         chunks.append(_transmit_samples(frame, constellation, cfg, sps).samples)
     samples = np.concatenate(chunks) if chunks else np.zeros(0, dtype=complex)
     write_iq(iq_path, samples)
@@ -266,7 +265,6 @@ def transmit_file(path, cfg: ExperimentConfig, iq_path, header_path=None
 
 
 def receive_stream(sig: BasebandSignal, header: StreamHeader,
-                   layout: FrameLayout = FrameLayout(),
                    search_span: int | None = None) -> np.ndarray:
     """Recover the concatenated payload bits of a multi-frame stream.
 
@@ -277,7 +275,7 @@ def receive_stream(sig: BasebandSignal, header: StreamHeader,
     from .txchain import build_sync_sequence
 
     sps = header.samples_per_symbol
-    stride = layout.frame_len * sps
+    stride = FrameLayout.frame_len * sps
     if header.frames == 0:
         return np.zeros(0, dtype=int)
     if search_span is None:
@@ -292,7 +290,7 @@ def receive_stream(sig: BasebandSignal, header: StreamHeader,
         expect = start + i * stride
         window = (max(0, expect - 2 * sps), expect + 2 * sps + 1)
         try:
-            bits, _ = receive_frame(sig, layout, header.pilot_seed,
+            bits, _ = receive_frame(sig, header.pilot_seed,
                                     search_window=window)
         except SyncNotFoundError as exc:
             raise PartialReceiveError(i, str(exc)) from exc
@@ -300,23 +298,23 @@ def receive_stream(sig: BasebandSignal, header: StreamHeader,
     return np.concatenate(out)
 
 
-def receive_file(iq_path, header, out_path,
-                 layout: FrameLayout = FrameLayout()) -> int:
+def receive_file(iq_path, header, out_path) -> int:
     """Demodulate an IQ stream back into the original file; returns the byte
     count written.  `header` is a StreamHeader or a path to one."""
     if not isinstance(header, StreamHeader):
         header = StreamHeader.read(header)
     samples = read_iq(iq_path)
-    expected = header.frames * layout.frame_len * header.samples_per_symbol
+    expected = (header.frames * FrameLayout.frame_len
+                * header.samples_per_symbol)
     if samples.size < expected:
         raise ValueError(
             f"stream has {samples.size} samples, header implies >= {expected}")
-    if not (0 <= header.pad_bits < max(1, layout.payload_bits)):
+    if not (0 <= header.pad_bits < FrameLayout.payload_bits):
         raise ValueError(f"inconsistent pad_bits {header.pad_bits}")
     sig = BasebandSignal(samples=samples,
                          sample_rate=header.sample_rate_hz,
                          samples_per_symbol=header.samples_per_symbol)
-    bits = receive_stream(sig, header, layout)
+    bits = receive_stream(sig, header)
     if header.pad_bits:
         bits = bits[:-header.pad_bits]
     payload = bits_to_bytes(bits)

@@ -1,18 +1,41 @@
 """IQ binary files (little-endian interleaved float32 I,Q) plus the text
-sidecar header describing the stream."""
+sidecar header describing the stream, and the `key = value` line reader that
+the header and config files share."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-HEADER_KEYS = ("sample_rate_hz", "samples_per_symbol", "frames", "pad_bits",
-               "pilot_seed")
+_HEADER_TYPES = {"float": float, "int": int}  # by field annotation
+
+
+def read_key_values(path, keys) -> dict:
+    """Read `key = value` lines; '#' starts a comment.  A line without '='
+    or with a key outside `keys` is an error naming its file and line."""
+    out = {}
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, val = line.partition("=")
+            if not sep:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+            key = key.strip()
+            if key not in keys:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            out[key] = val.strip()
+    return out
 
 
 @dataclass(frozen=True)
 class StreamHeader:
+    """Sidecar header: one `field = value` line per field.  It comes from
+    outside the program, so reading it is strict: every field must be
+    present and no other key may appear."""
+
     sample_rate_hz: float
     samples_per_symbol: int
     frames: int
@@ -21,32 +44,18 @@ class StreamHeader:
 
     def write(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write(f"sample_rate_hz = {self.sample_rate_hz!r}\n")
-            fh.write(f"samples_per_symbol = {self.samples_per_symbol}\n")
-            fh.write(f"frames = {self.frames}\n")
-            fh.write(f"pad_bits = {self.pad_bits}\n")
-            fh.write(f"pilot_seed = {self.pilot_seed}\n")
+            for f in fields(self):
+                value = _HEADER_TYPES[f.type](getattr(self, f.name))
+                fh.write(f"{f.name} = {value!r}\n")
 
     @classmethod
     def read(cls, path) -> "StreamHeader":
-        vals = {}
-        with open(path) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, _, val = line.partition("=")
-                vals[key.strip()] = val.strip()
-        missing = [k for k in HEADER_KEYS if k not in vals]
+        types = {f.name: _HEADER_TYPES[f.type] for f in fields(cls)}
+        vals = read_key_values(path, types)
+        missing = [k for k in types if k not in vals]
         if missing:
             raise ValueError(f"header {path} missing keys: {missing}")
-        return cls(
-            sample_rate_hz=float(vals["sample_rate_hz"]),
-            samples_per_symbol=int(vals["samples_per_symbol"]),
-            frames=int(vals["frames"]),
-            pad_bits=int(vals["pad_bits"]),
-            pilot_seed=int(vals["pilot_seed"]),
-        )
+        return cls(**{k: types[k](v) for k, v in vals.items()})
 
 
 def write_iq(path, samples) -> None:

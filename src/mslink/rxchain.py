@@ -48,11 +48,10 @@ class RxDiagnostics:
     equalized_symbols: np.ndarray = field(repr=False)
 
 
-def sync_replica(sync_chips, constellation: Constellation | None = None,
-                 sps: int = 1) -> np.ndarray:
-    """Modulated sync waveform: chips ride on P1/P3 (180 degrees apart)."""
-    pts = (constellation or ideal_qpsk()).points
-    sym = np.where(np.asarray(sync_chips) > 0, pts[0], pts[2])
+def sync_replica(sync_chips, sps: int = 1) -> np.ndarray:
+    """Modulated sync waveform: chips ride on ideal-QPSK P1/P3 (180 degrees
+    apart)."""
+    sym = np.where(np.asarray(sync_chips) > 0, _QPSK_POINTS[0], _QPSK_POINTS[2])
     return np.repeat(sym, sps)
 
 
@@ -94,8 +93,7 @@ def frame_sync(rx: BasebandSignal, sync_ref, search_window=None) -> SyncResult:
                       threshold_passed=passed)
 
 
-def estimate_cfo_cp(samples, layout: FrameLayout = FrameLayout(),
-                    sps: int = 1) -> float:
+def estimate_cfo_cp(samples, sps: int = 1) -> float:
     """CP-based ML carrier-offset estimate, in cycles per 2048-symbol block.
 
     Correlates every cyclic prefix with the matching subframe tail and takes
@@ -104,16 +102,17 @@ def estimate_cfo_cp(samples, layout: FrameLayout = FrameLayout(),
     estimate.  Valid for |eps| < 0.5.
     """
     r = np.asarray(samples)
-    N = layout.fft_len * sps
+    lay = FrameLayout
+    N = lay.fft_len * sps
     acc = 0.0 + 0.0j
     frame = 0
     found = False
     while True:
-        base = frame * layout.frame_len * sps
+        base = frame * lay.frame_len * sps
         any_this_frame = False
-        for j in range(layout.n_subframes):
-            cp0 = base + (layout.sync_len + j * layout.subframe_len) * sps
-            cp1 = cp0 + layout.cp_len * sps
+        for j in range(lay.n_subframes):
+            cp0 = base + (lay.sync_len + j * lay.subframe_len) * sps
+            cp1 = cp0 + lay.cp_len * sps
             if cp1 + N > r.size:
                 continue
             acc += np.vdot(r[cp0:cp1], r[cp0 + N : cp1 + N])
@@ -200,12 +199,13 @@ def ls_channel_estimate_taps(y_pilot_freq, x_pilot_freq,
 
 
 def zf_equalize(y_block, h) -> np.ndarray:
-    """Zero-forcing SC-FDE: IFFT( FFT(y)/h ).  CP must already be removed."""
+    """Zero-forcing SC-FDE: IFFT( FFT(y)/h ) along the last axis, so a stack
+    of blocks is equalized with one estimate.  CP must already be removed."""
     h = np.asarray(h, dtype=complex)
     if np.any(np.abs(h) < 1e-12):
         raise SingularChannelError("channel estimate has a zero bin")
     y = np.asarray(y_block, dtype=complex)
-    if y.shape != h.shape:
+    if y.shape[-1:] != h.shape:
         raise ValueError("block/estimate length mismatch")
     return np.fft.ifft(np.fft.fft(y) / h)
 
@@ -261,50 +261,34 @@ def measure_snr(equalized, reference_indices,
     return 10.0 * math.log10(sig / err)
 
 
-def receive_frame(rx: BasebandSignal, layout: FrameLayout = FrameLayout(),
-                  pilot_seed: int | None = None, sync_ref=None,
-                  search_window=None, est_taps: int | None = 8):
+def receive_frame(rx: BasebandSignal, pilot_seed: int = DEFAULT_PILOT_SEED,
+                  search_window=None, est_taps: int = 8):
     """Full receiver: sync -> CFO -> dump -> CP removal -> LS -> ZF -> demod.
 
     Returns (payload_bits, RxDiagnostics).  The single pilot estimate is
     reused for all nine data subframes.  est_taps bounds the assumed channel
-    delay spread for the LS fit (None: raw per-bin estimate).
+    delay spread for the LS fit.
     """
     sps = rx.samples_per_symbol
-    if sync_ref is None:
-        sync_ref = build_sync_sequence()
-    if pilot_seed is None:
-        pilot_seed = DEFAULT_PILOT_SEED
-
-    sync = frame_sync(rx, sync_ref, search_window)
-    n_frame = layout.frame_len * sps
+    lay = FrameLayout
+    sync = frame_sync(rx, build_sync_sequence(), search_window)
+    n_frame = lay.frame_len * sps
     start = sync.frame_start
     if start + n_frame > rx.samples.size:
         raise ValueError("signal does not contain a complete frame")
     frame = np.asarray(rx.samples)[start : start + n_frame]
 
-    eps = estimate_cfo_cp(frame, layout, sps)
+    eps = estimate_cfo_cp(frame, sps)
     symbols = derotate_and_dump(frame, eps, sps)
 
     ideal = ideal_qpsk()
-    pilot_idx = build_pilot_sequence(pilot_seed, layout.fft_len)
-    x_pilot = np.fft.fft(ideal.points[pilot_idx])
-
-    blocks = []
-    for j in range(layout.n_subframes):
-        b0 = layout.sync_len + j * layout.subframe_len + layout.cp_len
-        blocks.append(symbols[b0 : b0 + layout.fft_len])
-
-    y_pilot = np.fft.fft(blocks[0])
-    if est_taps is None:
-        h = ls_channel_estimate(y_pilot, x_pilot)
-    else:
-        h = ls_channel_estimate_taps(y_pilot, x_pilot, est_taps)
-    if np.any(np.abs(h) < 1e-12):
-        raise SingularChannelError("channel estimate has a zero bin")
-    eq_blocks = []
-    for b in blocks[1:]:
-        eq = zf_equalize(b, h)
+    x_pilot = np.fft.fft(ideal.points[build_pilot_sequence(pilot_seed)])
+    # the ten subframe bodies without their CPs, pilot first
+    bodies = symbols[lay.sync_len:].reshape(
+        lay.n_subframes, lay.subframe_len)[:, lay.cp_len:]
+    h = ls_channel_estimate_taps(np.fft.fft(bodies[0]), x_pilot, est_taps)
+    eq_blocks = zf_equalize(bodies[1:], h)
+    for eq in eq_blocks:
         # decision-directed removal of the residual common phase left by
         # CFO-estimate jitter (grows with distance from the pilot subframe).
         # Iterated because a single pass under-corrects large rotations:
@@ -313,9 +297,8 @@ def receive_frame(rx: BasebandSignal, layout: FrameLayout = FrameLayout(),
             dec = nearest_symbol_indices(eq, ideal)
             rot = np.vdot(ideal.points[dec], eq)
             if abs(rot) > 0:
-                eq = eq * (np.conj(rot) / abs(rot))
-        eq_blocks.append(eq)
-    equalized = np.concatenate(eq_blocks)
+                eq *= np.conj(rot) / abs(rot)
+    equalized = eq_blocks.ravel()
 
     decided = nearest_symbol_indices(equalized, ideal)
     bits = demap_symbols(decided)

@@ -1,8 +1,9 @@
 """Transmit chain: bit mapping, frame assembly, waveform synthesis.
 
-Frame layout (symbols): 420 sync chips, then 10 subframes of 160-symbol
-cyclic prefix + 2048-symbol body (subframe 0 is the pilot, 1..9 carry data),
-22500 symbols per frame, 36864 payload bits.
+The frame format is fixed, and FrameLayout states it once for transmitter,
+channel and receiver (symbols): 420 sync chips, then 10 subframes of
+160-symbol cyclic prefix + 2048-symbol body (subframe 0 is the pilot, 1..9
+carry data), 22500 symbols per frame, 36864 payload bits.
 """
 
 from __future__ import annotations
@@ -87,29 +88,19 @@ def metasurface_constellation(lut: GammaLUT, voltages,
     return Constellation(pts)
 
 
-@dataclass(frozen=True)
 class FrameLayout:
-    sync_len: int = 420
-    fft_len: int = 2048
-    cp_len: int = 160
-    data_subframes: int = 9
-    pilot_subframes: int = 1
+    """The SC-FDE frame format, in symbols.  Its values are constants: the
+    sync word, the single pilot and the CFO normalization all assume them."""
 
-    @property
-    def subframe_len(self) -> int:
-        return self.fft_len + self.cp_len
-
-    @property
-    def n_subframes(self) -> int:
-        return self.pilot_subframes + self.data_subframes
-
-    @property
-    def frame_len(self) -> int:
-        return self.sync_len + self.n_subframes * self.subframe_len
-
-    @property
-    def payload_bits(self) -> int:
-        return 2 * self.fft_len * self.data_subframes
+    __slots__ = ()
+    sync_len = 420                # Barker 3 x 4 x 5 x 7 chips
+    fft_len = 2048
+    cp_len = 160
+    n_subframes = 10              # subframe 0 is the pilot
+    data_subframes = n_subframes - 1
+    subframe_len = fft_len + cp_len
+    frame_len = sync_len + n_subframes * subframe_len
+    payload_bits = 2 * fft_len * data_subframes
 
 
 def map_bits_to_symbols(bits) -> np.ndarray:
@@ -137,7 +128,7 @@ def build_sync_sequence() -> np.ndarray:
 
 
 def build_pilot_sequence(seed: int = DEFAULT_PILOT_SEED,
-                         length: int = 2048) -> np.ndarray:
+                         length: int = FrameLayout.fft_len) -> np.ndarray:
     """Deterministic pilot symbol indices for a seed.
 
     A seeded quadratic-phase (chirp) sequence quantized to the four QPSK
@@ -162,36 +153,30 @@ class Frame:
     pilot: np.ndarray = field(repr=False)      # 2048 symbol indices
     data: np.ndarray = field(repr=False)       # (9, 2048) symbol indices
     payload_bits: np.ndarray = field(repr=False)
-    layout: FrameLayout = FrameLayout()
 
     def symbol_indices(self) -> np.ndarray:
         """Serialize to 22500 symbol indices with per-subframe CP.
 
         Sync chips ride on the two 180-degree-apart points P1/P3
         (+1 -> P1, -1 -> P3)."""
-        lay = self.layout
-        parts = [np.where(self.sync > 0, 0, 2)]
-        for body in (self.pilot, *self.data):
-            parts.append(body[-lay.cp_len:])
-            parts.append(body)
-        return np.concatenate(parts)
+        bodies = np.vstack([self.pilot, self.data])
+        subframes = np.hstack([bodies[:, -FrameLayout.cp_len:], bodies])
+        return np.concatenate([np.where(self.sync > 0, 0, 2),
+                               subframes.ravel()])
 
 
-def build_frame(payload_bits, layout: FrameLayout = FrameLayout(),
-                pilot_seed: int = DEFAULT_PILOT_SEED) -> Frame:
+def build_frame(payload_bits, pilot_seed: int = DEFAULT_PILOT_SEED) -> Frame:
     bits = np.asarray(payload_bits, dtype=int).ravel()
-    if bits.size != layout.payload_bits:
-        raise FramingError(
-            f"payload must be exactly {layout.payload_bits} bits, got {bits.size}"
-        )
-    data = map_bits_to_symbols(bits).reshape(layout.data_subframes,
-                                             layout.fft_len)
+    if bits.size != FrameLayout.payload_bits:
+        raise FramingError(f"payload must be exactly "
+                           f"{FrameLayout.payload_bits} bits, got {bits.size}")
+    data = map_bits_to_symbols(bits).reshape(FrameLayout.data_subframes,
+                                             FrameLayout.fft_len)
     return Frame(
         sync=build_sync_sequence(),
-        pilot=build_pilot_sequence(pilot_seed, layout.fft_len),
+        pilot=build_pilot_sequence(pilot_seed),
         data=data,
         payload_bits=bits,
-        layout=layout,
     )
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from mslink.channel import (CFO_BLOCK, ChannelConfig, apply_channel,
                             noise_variance)
-from mslink.txchain import BasebandSignal
+from mslink.txchain import BasebandSignal, FrameLayout
 
 
 def _sig(samples, sps=1):
@@ -56,6 +56,7 @@ def test_cfo_phase_ramp():
 
 
 def test_cfo_ramp_spans_full_block_at_any_sps():
+    assert CFO_BLOCK == FrameLayout.fft_len == 2048
     eps = 0.1
     for sps in (1, 8):
         x = np.ones(2048 * sps, dtype=complex)

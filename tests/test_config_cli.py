@@ -201,6 +201,21 @@ def test_cli_sync_check_sees_the_array_mask(capsys):
     assert "0/5" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text, want", [
+    # a -40 dB gain at 5 dB SNR, plus CFO and multipath: nothing detectable
+    ("complex_gain = 0.01\ncfo_normalized = 0.45\n"
+     "fir_taps = 1, 0.3-0.2j, 0.1+0.05j\n", "0/5"),
+    # the configured delay adds to the drawn one, and the search widens
+    ("timing_offset = 5000\n", "5/5"),
+], ids=["impaired", "delayed"])
+def test_cli_sync_check_uses_the_config_channel(tmp_path, capsys, text, want):
+    cfg = tmp_path / "link.cfg"
+    cfg.write_text(text)
+    assert main(["sync-check", "--config", str(cfg), "--snr", "5",
+                 "--frames", "5"]) == 0
+    assert f" {want} " in capsys.readouterr().out
+
+
 def test_cli_compare(tmp_path, capsys):
     stem = tmp_path / "cmp"
     assert main(["compare", "--snr", "10,12,14,16,18", "--frames", "3",

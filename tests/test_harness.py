@@ -149,16 +149,35 @@ def test_iq_file_roundtrip(tmp_path):
 
 def test_stream_header_roundtrip(tmp_path):
     path = tmp_path / "s.hdr"
-    hdr = StreamHeader(1.25e6, 1, 3, 17, 1)
-    hdr.write(path)
-    assert StreamHeader.read(path) == hdr
+    # numpy scalars are written as plain numbers too
+    for real, num in ((float, int), (np.float64, np.int64)):
+        hdr = StreamHeader(real(1.25e6), num(1), num(3), num(17), num(1))
+        hdr.write(path)
+        assert path.read_text() == ("sample_rate_hz = 1250000.0\n"
+                                    "samples_per_symbol = 1\nframes = 3\n"
+                                    "pad_bits = 17\npilot_seed = 1\n")
+        assert StreamHeader.read(path) == hdr
 
 
 def test_stream_header_rejects_missing_keys(tmp_path):
     path = tmp_path / "bad.hdr"
     path.write_text("frames = 1\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="missing keys"):
         StreamHeader.read(path)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("gain = 2", "unknown key 'gain'"),
+    ("frames 3", "expected 'key = value'"),
+], ids=["unknown-key", "no-equals"])
+def test_stream_header_rejects_malformed_lines(tmp_path, line, message):
+    path = tmp_path / "bad.hdr"
+    StreamHeader(1.25e6, 1, 3, 17, 1).write(path)
+    with open(path, "a") as fh:
+        fh.write(line + "\n")
+    with pytest.raises(ValueError) as err:
+        StreamHeader.read(path)
+    assert str(err.value) == f"{path}:6: {message}"
 
 
 # --- file transport -----------------------------------------------------------------

@@ -158,10 +158,14 @@ def test_zf_equalize_identity_with_flat_channel():
 
 def test_zf_equalize_inverts_fir_exactly():
     rng = np.random.default_rng(7)
-    sym = ideal_qpsk().points[rng.integers(0, 4, 2048)]
     h = np.fft.fft(np.array([1.0, 0.3, -0.2j]), 2048)
-    y = np.fft.ifft(np.fft.fft(sym) * h)
-    np.testing.assert_allclose(zf_equalize(y, h), sym, atol=1e-9)
+    for shape in ((2048,), (9, 2048)):
+        sym = ideal_qpsk().points[rng.integers(0, 4, shape)]
+        y = np.fft.ifft(np.fft.fft(sym) * h)
+        eq = zf_equalize(y, h)
+        np.testing.assert_allclose(eq, sym, atol=1e-9)
+    # a stack of blocks is equalized exactly as block by block
+    np.testing.assert_array_equal(eq, [zf_equalize(row, h) for row in y])
 
 
 def test_zf_equalize_preserves_noise_variance_with_flat_channel():
@@ -174,7 +178,8 @@ def test_zf_equalize_preserves_noise_variance_with_flat_channel():
 def test_zf_equalize_rejects_singular_channel():
     h = np.ones(2048, dtype=complex)
     h[5] = 0.0
-    with pytest.raises(SingularChannelError):
+    with pytest.raises(SingularChannelError,
+                       match="channel estimate has a zero bin"):
         zf_equalize(np.ones(2048, dtype=complex), h)
 
 

@@ -43,7 +43,7 @@ def test_map_demap_roundtrip(bits):
 
 def test_sync_sequence_length_and_alphabet():
     seq = build_sync_sequence()
-    assert seq.size == 420
+    assert seq.size == 420 == FrameLayout.sync_len
     assert set(np.unique(seq)) <= {-1, 1}
 
 
@@ -88,6 +88,11 @@ def test_frame_constants():
     lay = FrameLayout()
     assert lay.frame_len == 420 + 10 * (2048 + 160) == 22500
     assert lay.payload_bits == 9 * 2048 * 2 == 36864
+    # the format is fixed: neither a constructor argument nor settable
+    with pytest.raises(TypeError):
+        FrameLayout(sync_len=100)
+    with pytest.raises(AttributeError):
+        lay.sync_len = 100
 
 
 def test_frame_serialization_and_cp():
