@@ -16,6 +16,10 @@ import numpy as np
 from .txchain import BasebandSignal, FrameLayout
 
 CFO_BLOCK = FrameLayout.fft_len  # symbols per normalization block
+# Noise is drawn this many values at a time: a fixed chunk is reused from the
+# allocator on every call, where a frame-sized draw is handed back to the
+# kernel and faulted in again on the next frame.
+NOISE_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -83,8 +87,12 @@ def apply_channel(sig: BasebandSignal, cfg: ChannelConfig) -> BasebandSignal:
             p_ref = float(np.mean(np.abs(x) ** 2)) if x.size else 0.0
         var = sps * noise_variance(cfg.snr_db, p_ref)
         rng = np.random.default_rng(cfg.seed)
-        w = rng.normal(scale=np.sqrt(var / 2.0), size=(2, y.size))
-        y.real += w[0]
-        y.imag += w[1]
+        scale = np.sqrt(var / 2.0)
+        # all real parts, then all imaginary parts: the generator's stream
+        # in the order of the one-shot rng.normal(size=(2, y.size)) draw
+        for part in (y.real, y.imag):
+            for i in range(0, part.size, NOISE_CHUNK):
+                chunk = part[i:i + NOISE_CHUNK]
+                chunk += rng.normal(scale=scale, size=chunk.size)
     return BasebandSignal(samples=y, sample_rate=sig.sample_rate,
                           samples_per_symbol=sps)

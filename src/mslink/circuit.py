@@ -8,6 +8,7 @@ saturating arc (the varactor capacitance clamps at high bias).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -55,6 +56,11 @@ class VaractorModel:
             raise ValueError("v_junction and exponent must be > 0")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class GammaLUT:
     """Voltage -> reflection coefficient table at a single frequency."""
@@ -64,20 +70,22 @@ class GammaLUT:
     gammas: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.voltages, dtype=float)
-        g = np.asarray(self.gammas, dtype=complex)
+        # copies: the table owns its arrays, read-only like the table itself
+        v = np.array(self.voltages, dtype=float)
+        g = np.array(self.gammas, dtype=complex)
         if v.size == 0:
             raise ValueError("empty LUT")
         if v.size != g.size:
             raise ValueError("voltage/gamma length mismatch")
         if np.any(np.diff(v) <= 0):
             raise ValueError("voltages must be strictly increasing")
-        object.__setattr__(self, "voltages", v)
-        object.__setattr__(self, "gammas", g)
+        object.__setattr__(self, "voltages", _read_only(v))
+        object.__setattr__(self, "gammas", _read_only(g))
 
-    @property
+    @functools.cached_property
     def phases_deg(self) -> np.ndarray:
-        return np.array([reflection_phase(g) for g in self.gammas])
+        """Reflection phase of each entry in degrees, computed once."""
+        return _read_only(np.array([reflection_phase(g) for g in self.gammas]))
 
     @property
     def magnitudes(self) -> np.ndarray:
@@ -215,8 +223,11 @@ DEFAULT_VOLTAGE_GRID = np.round(np.arange(0.0, 20.0 + 1e-9, 0.1), 10)
 DEFAULT_TARGET_PHASES = (0.0, 85.0, 170.0, 255.0)
 
 
+@functools.cache
 def default_gamma_lut(r_series: float = 12.0) -> GammaLUT:
-    """Tuning table of the stock cell at 4 GHz (phase travel ~263 deg)."""
+    """Tuning table of the stock cell at 4 GHz (phase travel ~263 deg).
+
+    Built once per r_series and shared by every caller."""
     return build_gamma_lut(
         VaractorModel(),
         CircuitParams(r_series=r_series),

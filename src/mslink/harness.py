@@ -104,14 +104,13 @@ def _transmit_samples(frame, constellation, cfg: ExperimentConfig,
                       sps: int) -> BasebandSignal:
     from .txchain import synthesize_baseband
 
-    sig = synthesize_baseband(frame, constellation, sps)
+    points = constellation.points
     if cfg.mode == "metasurface":
-        sig = BasebandSignal(
-            samples=aggregate_reflection(sig.samples, cfg.array),
-            sample_rate=sig.sample_rate,
-            samples_per_symbol=sps,
-        )
-    return sig
+        # the array response is elementwise, so applying it to the four
+        # points gives the very samples it would give applied to each
+        # sample; with no active cell the four values coincide
+        points = aggregate_reflection(points, cfg.array)
+    return synthesize_baseband(frame, points, sps)
 
 
 def transmit_frame(cfg: ExperimentConfig, seed) -> tuple:
@@ -309,8 +308,6 @@ def receive_file(iq_path, header, out_path) -> int:
     if samples.size < expected:
         raise ValueError(
             f"stream has {samples.size} samples, header implies >= {expected}")
-    if not (0 <= header.pad_bits < FrameLayout.payload_bits):
-        raise ValueError(f"inconsistent pad_bits {header.pad_bits}")
     sig = BasebandSignal(samples=samples,
                          sample_rate=header.sample_rate_hz,
                          samples_per_symbol=header.samples_per_symbol)

@@ -8,12 +8,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .txchain import FrameLayout
+
 _HEADER_TYPES = {"float": float, "int": int}  # by field annotation
 
 
 def read_key_values(path, keys) -> dict:
-    """Read `key = value` lines; '#' starts a comment.  A line without '='
-    or with a key outside `keys` is an error naming its file and line."""
+    """Read `key = value` lines; '#' starts a comment.  A line without '=',
+    with a key outside `keys` or with a key already read is an error naming
+    its file and line."""
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -26,6 +29,8 @@ def read_key_values(path, keys) -> dict:
             key = key.strip()
             if key not in keys:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
             out[key] = val.strip()
     return out
 
@@ -34,13 +39,28 @@ def read_key_values(path, keys) -> dict:
 class StreamHeader:
     """Sidecar header: one `field = value` line per field.  It comes from
     outside the program, so reading it is strict: every field must be
-    present and no other key may appear."""
+    present, once, as a number in its field's range, and no other key may
+    appear."""
 
     sample_rate_hz: float
     samples_per_symbol: int
     frames: int
     pad_bits: int
     pilot_seed: int
+
+    def __post_init__(self):
+        if not self.sample_rate_hz > 0:
+            raise ValueError(
+                f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
+        if self.samples_per_symbol < 1:
+            raise ValueError(f"samples_per_symbol must be >= 1, "
+                             f"got {self.samples_per_symbol}")
+        if self.frames < 0:
+            raise ValueError(f"frames must be >= 0, got {self.frames}")
+        if not 0 <= self.pad_bits < FrameLayout.payload_bits:
+            raise ValueError(f"pad_bits must be in "
+                             f"0..{FrameLayout.payload_bits - 1}, "
+                             f"got {self.pad_bits}")
 
     def write(self, path) -> None:
         with open(path, "w") as fh:
@@ -55,7 +75,17 @@ class StreamHeader:
         missing = [k for k in types if k not in vals]
         if missing:
             raise ValueError(f"header {path} missing keys: {missing}")
-        return cls(**{k: types[k](v) for k, v in vals.items()})
+        args = {}
+        for k, v in vals.items():
+            try:
+                args[k] = types[k](v)
+            except ValueError:
+                raise ValueError(f"header {path}: {k} = {v!r} is not a valid "
+                                 f"{types[k].__name__}") from None
+        try:
+            return cls(**args)
+        except ValueError as exc:
+            raise ValueError(f"header {path}: {exc}") from None
 
 
 def write_iq(path, samples) -> None:

@@ -130,7 +130,11 @@ def correct_cfo(samples, eps: float, sps: int = 1) -> np.ndarray:
     """Remove the estimated carrier-offset phase ramp."""
     r = np.asarray(samples)
     n = np.arange(r.size)
-    return r * np.exp(-2j * np.pi * eps * n / (CFO_BLOCK * sps))
+    ramp = np.exp(-2j * np.pi * eps * n / (CFO_BLOCK * sps))
+    # ramp first at every length: `r * ramp` swaps its operands when numpy
+    # reuses the ramp's buffer, and swapped complex products can round
+    # differently, so a prefix would not match a shorter call
+    return np.multiply(ramp, r, out=ramp)
 
 
 def integrate_and_dump(samples, sps: int) -> np.ndarray:

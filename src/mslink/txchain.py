@@ -8,6 +8,7 @@ carry data), 22500 symbols per frame, 36864 payload bits.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,15 +119,18 @@ def demap_symbols(indices) -> np.ndarray:
     return _INDEX_TO_BITS[np.asarray(indices, dtype=int)].ravel()
 
 
+@functools.cache
 def build_sync_sequence() -> np.ndarray:
     """Length-420 extended Barker chips: Barker-3 x 4 x 5 x 7 Kronecker
-    product, +-1 valued."""
+    product, +-1 valued.  Built once and shared, so read-only."""
     seq = np.array([1])
     for n in (3, 4, 5, 7):
         seq = np.kron(seq, _BARKER[n])
+    seq.flags.writeable = False
     return seq
 
 
+@functools.cache
 def build_pilot_sequence(seed: int = DEFAULT_PILOT_SEED,
                          length: int = FrameLayout.fft_len) -> np.ndarray:
     """Deterministic pilot symbol indices for a seed.
@@ -134,7 +138,8 @@ def build_pilot_sequence(seed: int = DEFAULT_PILOT_SEED,
     A seeded quadratic-phase (chirp) sequence quantized to the four QPSK
     states: near-flat magnitude spectrum, so every FFT bin stays well away
     from zero and the per-bin LS/ZF division is safe.  The default seed keeps
-    the minimum bin above 0.1x the mean bin magnitude.
+    the minimum bin above 0.1x the mean bin magnitude.  Built once per
+    (seed, length) and shared, so read-only.
     """
     rng = np.random.default_rng(seed)
     root = 2 * int(rng.integers(0, length // 2)) + 1
@@ -142,7 +147,9 @@ def build_pilot_sequence(seed: int = DEFAULT_PILOT_SEED,
     n = np.arange(length)
     chirp = np.exp(-1j * np.pi * root * n * n / length)
     idx = np.round((np.angle(chirp) - np.pi / 4) / (np.pi / 2)).astype(int) % 4
-    return np.roll(idx, shift)
+    idx = np.roll(idx, shift)
+    idx.flags.writeable = False
+    return idx
 
 
 @dataclass(frozen=True)
@@ -193,13 +200,19 @@ def _as_indices(frame_or_indices) -> np.ndarray:
     return np.asarray(frame_or_indices, dtype=int)
 
 
-def synthesize_baseband(frame, constellation: Constellation, sps: int = 1,
+def synthesize_baseband(frame, constellation, sps: int = 1,
                         sample_rate: float | None = None) -> BasebandSignal:
-    """Rectangular-pulse baseband: each symbol value held for sps samples."""
+    """Rectangular-pulse baseband: each symbol value held for sps samples.
+
+    `constellation` is a Constellation or the four point values themselves,
+    which, unlike a Constellation's, may coincide (a surface with no active
+    cell radiates one value for every symbol)."""
     if sps < 1:
         raise ValueError("sps must be >= 1")
+    points = (constellation.points if isinstance(constellation, Constellation)
+              else np.asarray(constellation))
     idx = _as_indices(frame)
-    samples = np.repeat(constellation.points[idx], sps)
+    samples = np.repeat(points[idx], sps)
     rate = SYMBOL_RATE * sps if sample_rate is None else sample_rate
     return BasebandSignal(samples=samples, sample_rate=rate,
                           samples_per_symbol=sps)

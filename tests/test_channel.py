@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mslink.channel import (CFO_BLOCK, ChannelConfig, apply_channel,
-                            noise_variance)
+from mslink.channel import (CFO_BLOCK, NOISE_CHUNK, ChannelConfig,
+                            apply_channel, noise_variance)
 from mslink.txchain import BasebandSignal, FrameLayout
 
 
@@ -168,3 +168,21 @@ def test_channel_bit_exact_against_closed_form(cfo, gain, taps, offset,
     np.testing.assert_array_equal(y, _closed_form_channel(x_before, sps, cfg))
     np.testing.assert_array_equal(x, x_before)
     assert not np.shares_memory(y, x)
+
+
+@pytest.mark.parametrize("n", [
+    0, 100, 3 * NOISE_CHUNK + 1, 2 * NOISE_CHUNK + NOISE_CHUNK // 2,
+], ids=["empty", "below-one-chunk", "three-chunks-plus-one",
+        "imag-starts-inside-a-chunk"])
+def test_chunked_noise_equals_one_shot_draw(n):
+    # noise is drawn NOISE_CHUNK values at a time, all real parts first; the
+    # sum must be the one with a single (2, N) draw, byte for byte
+    x = np.exp(1j * np.linspace(0, 5, n))
+    cfg = ChannelConfig(snr_db=10.0, seed=4, ref_power=1.0)
+    y = apply_channel(_sig(x), cfg).samples
+    w = np.random.default_rng(4).normal(
+        scale=np.sqrt(noise_variance(10.0, 1.0) / 2.0), size=(2, n))
+    want = x.copy()
+    want.real += w[0]
+    want.imag += w[1]
+    assert y.tobytes() == want.tobytes()

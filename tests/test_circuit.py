@@ -174,6 +174,27 @@ def test_lut_determinism():
     assert np.array_equal(a.gammas, b.gammas)
 
 
+def test_default_lut_is_built_once_and_read_only():
+    lut = default_gamma_lut()
+    assert default_gamma_lut() is lut
+    assert lut.phases_deg is lut.phases_deg
+    for a in (lut.voltages, lut.gammas, lut.phases_deg):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
+def test_lut_leaves_the_callers_arrays_writeable():
+    v = np.array([1.0, 2.0])
+    g = np.array([0.5 + 0.5j, -0.5j])
+    lut = GammaLUT(4e9, v, g)
+    phases = lut.phases_deg.copy()
+    v[0] = 0.5
+    g[0] = 1.0
+    # the table keeps its own copies, so its cached phases stay true
+    assert lut.voltages[0] == 1.0 and lut.gammas[0] == 0.5 + 0.5j
+    np.testing.assert_array_equal(lut.phases_deg, phases)
+
+
 def test_lut_passivity_over_resistance_grid():
     for r in (0.0, 1.0, 6.0, 12.0, 50.0):
         lut = build_gamma_lut(VaractorModel(), CircuitParams(r_series=r),

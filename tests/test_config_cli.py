@@ -40,6 +40,15 @@ def test_parse_config_rejects_unknown_key(tmp_path):
     assert str(exc.value) == f"{path}:3: unknown key 'snr_lsit'"
 
 
+def test_parse_config_rejects_repeated_key(tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text("frames_per_point = 3\nmode = metasurface\n"
+                    "frames_per_point = 1\n")
+    with pytest.raises(ValueError) as exc:
+        parse_config(path)
+    assert str(exc.value) == f"{path}:3: repeated key 'frames_per_point'"
+
+
 def test_experiment_from_dict_rejects_unknown_key():
     with pytest.raises(ValueError, match="snr_lsit"):
         experiment_from_dict({"snr_lsit": "8"})

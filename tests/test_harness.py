@@ -9,10 +9,10 @@ from mslink.harness import (SEED_POINT_STRIDE, BerRecord, ExperimentConfig,
                             bits_from_file, bits_to_bytes, compare_architectures,
                             measure_link_snr, receive_file, run_ber_sweep,
                             run_frame, snr_at_ber, theoretical_qpsk_ber,
-                            transmit_file, write_ber_csv)
+                            transmit_file, transmit_frame, write_ber_csv)
 from mslink.iqfile import StreamHeader, read_iq, write_iq
-from mslink.surface import ArrayConfig
-from mslink.txchain import BasebandSignal
+from mslink.surface import ArrayConfig, aggregate_reflection
+from mslink.txchain import BasebandSignal, build_frame, synthesize_baseband
 
 
 def test_theoretical_qpsk_ber_limits():
@@ -169,7 +169,8 @@ def test_stream_header_rejects_missing_keys(tmp_path):
 @pytest.mark.parametrize("line, message", [
     ("gain = 2", "unknown key 'gain'"),
     ("frames 3", "expected 'key = value'"),
-], ids=["unknown-key", "no-equals"])
+    ("frames = 1", "repeated key 'frames'"),
+], ids=["unknown-key", "no-equals", "repeated-key"])
 def test_stream_header_rejects_malformed_lines(tmp_path, line, message):
     path = tmp_path / "bad.hdr"
     StreamHeader(1.25e6, 1, 3, 17, 1).write(path)
@@ -178,6 +179,59 @@ def test_stream_header_rejects_malformed_lines(tmp_path, line, message):
     with pytest.raises(ValueError) as err:
         StreamHeader.read(path)
     assert str(err.value) == f"{path}:6: {message}"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("samples_per_symbol", "0", "samples_per_symbol must be >= 1, got 0"),
+    ("frames", "-1", "frames must be >= 0, got -1"),
+    ("pad_bits", "-1", "pad_bits must be in 0..36863, got -1"),
+    ("pad_bits", "36864", "pad_bits must be in 0..36863, got 36864"),
+    ("sample_rate_hz", "0.0", "sample_rate_hz must be > 0, got 0.0"),
+    ("sample_rate_hz", "nan", "sample_rate_hz must be > 0, got nan"),
+    ("frames", "three", "frames = 'three' is not a valid int"),
+    ("sample_rate_hz", "fast", "sample_rate_hz = 'fast' is not a valid float"),
+], ids=["sps-zero", "frames-negative", "pad-negative", "pad-whole-frame",
+        "rate-zero", "rate-nan", "frames-not-a-number", "rate-not-a-number"])
+def test_stream_header_rejects_out_of_range_values(tmp_path, key, value,
+                                                   message):
+    path = tmp_path / "bad.hdr"
+    StreamHeader(1.25e6, 1, 3, 17, 1).write(path)
+    lines = [f"{key} = {value}" if line.startswith(key + " ") else line
+             for line in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        StreamHeader.read(path)
+    assert str(err.value) == f"header {path}: {message}"
+
+
+def test_receive_file_rejects_a_zero_sps_header(tmp_path):
+    src = tmp_path / "payload.bin"
+    src.write_bytes(bytes(100))
+    transmit_file(src, ExperimentConfig(), tmp_path / "s.iq",
+                  tmp_path / "s.hdr")
+    text = (tmp_path / "s.hdr").read_text()
+    (tmp_path / "s.hdr").write_text(
+        text.replace("samples_per_symbol = 1", "samples_per_symbol = 0"))
+    with pytest.raises(ValueError, match="samples_per_symbol must be >= 1"):
+        receive_file(tmp_path / "s.iq", tmp_path / "s.hdr",
+                     tmp_path / "out.bin")
+
+
+@pytest.mark.parametrize("mask", ["full", "left-half", "0" * 128],
+                         ids=["full", "left-half", "all-off"])
+@pytest.mark.parametrize("gamma_static", [0.0, 0.3 - 0.1j],
+                         ids=["static-0", "static-lossy"])
+def test_metasurface_samples_equal_per_sample_aggregation(mask, gamma_static):
+    # the array response is applied to the four constellation points; the
+    # samples must be those of applying it to every synthesized sample
+    cfg = ExperimentConfig(mode="metasurface", array=ArrayConfig(
+        mask=mask, gamma_static=gamma_static))
+    payload, sig = transmit_frame(cfg, 3)
+    raw = synthesize_baseband(build_frame(payload, cfg.pilot_seed),
+                              cfg.resolved_constellation(), 8)
+    want = aggregate_reflection(raw.samples, cfg.array)
+    assert sig.samples.tobytes() == want.tobytes()
+    assert (sig.sample_rate, sig.samples_per_symbol) == (raw.sample_rate, 8)
 
 
 # --- file transport -----------------------------------------------------------------

@@ -97,6 +97,17 @@ def test_correct_cfo_identities():
                                correct_cfo(x, 0.2), atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1000, 22500])
+def test_correct_cfo_prefix_does_not_depend_on_length(n):
+    # numpy evaluates `r * np.exp(...)` with its operands swapped once it
+    # reuses the temporary's buffer (above 256 KiB), and swapped complex
+    # products can round differently: the order must not follow the length
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=45000) + 1j * rng.normal(size=45000)
+    full = correct_cfo(x, 0.37)
+    assert correct_cfo(x[:n], 0.37).tobytes() == full[:n].tobytes()
+
+
 def test_cfo_estimate_rejects_short_input():
     with pytest.raises(ValueError):
         estimate_cfo_cp(np.ones(100))

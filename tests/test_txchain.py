@@ -82,6 +82,14 @@ def test_default_pilot_spectrum_guard():
     assert spectrum.min() >= 0.1 * spectrum.mean()
 
 
+@pytest.mark.parametrize("build", [build_sync_sequence, build_pilot_sequence])
+def test_sequences_are_built_once_and_read_only(build):
+    seq = build()
+    assert build() is seq
+    with pytest.raises(ValueError, match="read-only"):
+        seq[0] = 0
+
+
 # --- frame assembly ----------------------------------------------------------
 
 def test_frame_constants():
