@@ -16,9 +16,9 @@ import numpy as np
 from .txchain import BasebandSignal, FrameLayout
 
 CFO_BLOCK = FrameLayout.fft_len  # symbols per normalization block
-# Noise is drawn this many values at a time: a fixed chunk is reused from the
-# allocator on every call, where a frame-sized draw is handed back to the
-# kernel and faulted in again on the next frame.
+# Noise is drawn this many values at a time into one chunk that every draw
+# reuses, where a frame-sized draw is handed back to the kernel and faulted
+# in again on the next frame.
 NOISE_CHUNK = 8192
 
 
@@ -50,22 +50,35 @@ def noise_variance(snr_db: float, signal_power: float) -> float:
     return signal_power / 10.0 ** (snr_db / 10.0)
 
 
-def apply_channel(sig: BasebandSignal, cfg: ChannelConfig) -> BasebandSignal:
+def apply_channel(sig: BasebandSignal, cfg: ChannelConfig,
+                  out: np.ndarray | None = None) -> BasebandSignal:
     """y[n] = e^{j 2 pi eps (n-d)/(2048 sps)} g (h * x)[n-d] + w[n].
 
     Noise is sized so that Es/N0 holds per *symbol*: at sps > 1 the per-sample
     variance is sps times larger and the receiver's integrate-and-dump
     recovers the processing gain, keeping comparisons across sps fair.
+
+    y is written into `out` when it is given (complex, d + len(x) + len(h) - 1
+    samples, sharing no memory with x), else into a fresh array.
     """
     x = np.asarray(sig.samples)
     sps = sig.samples_per_symbol
     taps = np.asarray(cfg.fir_taps, dtype=complex)
     d = cfg.timing_offset
+    n = d + x.size + taps.size - 1
     # One output buffer at its final length; every stage that is an exact
     # identity (unit tap, zero CFO, unit gain) is skipped.
     # np.empty, not np.zeros: only the delay prefix needs zeroing, and the
     # zeroed allocation measured slower on the stream workload
-    y = np.empty(d + x.size + taps.size - 1, dtype=complex)
+    if out is None:
+        y = np.empty(n, dtype=complex)
+    elif out.shape != (n,) or out.dtype != complex:
+        raise ValueError(f"out must hold {n} complex128 samples, "
+                         f"got shape {out.shape} of {out.dtype}")
+    elif np.shares_memory(out, x):
+        raise ValueError("out must not share memory with the input samples")
+    else:
+        y = out
     y[:d] = 0.0
     body = y[d:]
     if taps.size == 1 and taps[0] == 1.0:
@@ -89,10 +102,16 @@ def apply_channel(sig: BasebandSignal, cfg: ChannelConfig) -> BasebandSignal:
         rng = np.random.default_rng(cfg.seed)
         scale = np.sqrt(var / 2.0)
         # all real parts, then all imaginary parts: the generator's stream
-        # in the order of the one-shot rng.normal(size=(2, y.size)) draw
+        # in the order of the one-shot rng.normal(size=(2, y.size)) draw.
+        # normal(scale=s) is 0 + s * standard_normal() value by value, so
+        # scaling a reused chunk of standard normals gives the same noise
+        w = np.empty(min(NOISE_CHUNK, n))
         for part in (y.real, y.imag):
             for i in range(0, part.size, NOISE_CHUNK):
                 chunk = part[i:i + NOISE_CHUNK]
-                chunk += rng.normal(scale=scale, size=chunk.size)
+                draw = w[:chunk.size]
+                rng.standard_normal(out=draw)
+                draw *= scale
+                chunk += draw
     return BasebandSignal(samples=y, sample_rate=sig.sample_rate,
                           samples_per_symbol=sps)

@@ -3,6 +3,7 @@ comparisons, file transport over the simulated link."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -72,6 +73,16 @@ class ExperimentConfig:
             return ideal_qpsk()
         return surface_constellation(default_gamma_lut(), DEFAULT_TARGET_PHASES)
 
+    @functools.cached_property
+    def _sample_buffers(self) -> tuple:
+        """run_frame's transmit and receive sample arrays, allocated on the
+        first frame and reused by every later frame of this config (not a
+        field: equality, repr and `replace` ignore it, and a replaced config
+        allocates its own)."""
+        n_tx = FrameLayout.frame_len * self.resolved_sps()
+        n_rx = n_tx + self.timing_offset + len(self.fir_taps) - 1
+        return np.empty(n_tx, dtype=complex), np.empty(n_rx, dtype=complex)
+
 
 def surface_constellation(lut: GammaLUT, target_phases) -> Constellation:
     """The surface driven at the LUT voltages nearest the four target phases.
@@ -101,7 +112,7 @@ def theoretical_qpsk_ber(ebn0_db: float) -> float:
 
 
 def _transmit_samples(frame, constellation, cfg: ExperimentConfig,
-                      sps: int) -> BasebandSignal:
+                      sps: int, out=None) -> BasebandSignal:
     from .txchain import synthesize_baseband
 
     points = constellation.points
@@ -110,17 +121,18 @@ def _transmit_samples(frame, constellation, cfg: ExperimentConfig,
         # points gives the very samples it would give applied to each
         # sample; with no active cell the four values coincide
         points = aggregate_reflection(points, cfg.array)
-    return synthesize_baseband(frame, points, sps)
+    return synthesize_baseband(frame, points, sps, out=out)
 
 
-def transmit_frame(cfg: ExperimentConfig, seed) -> tuple:
+def transmit_frame(cfg: ExperimentConfig, seed, out=None) -> tuple:
     """One frame of random payload, drawn from `default_rng(seed)` (a seed or
-    a Generator), as the transmitter emits it: returns (payload, signal)."""
+    a Generator), as the transmitter emits it: returns (payload, signal).
+    The samples are written into `out` when it is given."""
     payload = np.random.default_rng(seed).integers(
         0, 2, FrameLayout.payload_bits)
     frame = build_frame(payload, cfg.pilot_seed)
     sig = _transmit_samples(frame, cfg.resolved_constellation(), cfg,
-                            cfg.resolved_sps())
+                            cfg.resolved_sps(), out)
     return payload, sig
 
 
@@ -138,9 +150,13 @@ def _channel(cfg: ExperimentConfig, snr_db: float, seed: int) -> ChannelConfig:
 
 
 def run_frame(cfg: ExperimentConfig, snr_db: float, seed: int):
-    """One frame through the link; returns (payload, recovered|None, diag|None)."""
-    payload, sig = transmit_frame(cfg, seed)
-    rx = apply_channel(sig, _channel(cfg, snr_db, seed))
+    """One frame through the link; returns (payload, recovered|None, diag|None).
+
+    The samples pass through the config's reused buffers, which the results
+    never alias, so frames of one config must not run concurrently."""
+    tx_buf, rx_buf = cfg._sample_buffers
+    payload, sig = transmit_frame(cfg, seed, out=tx_buf)
+    rx = apply_channel(sig, _channel(cfg, snr_db, seed), out=rx_buf)
     window = (0, cfg.timing_offset
               + sig.samples_per_symbol * (len(cfg.fir_taps) + 2))
     try:

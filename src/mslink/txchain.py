@@ -201,20 +201,29 @@ def _as_indices(frame_or_indices) -> np.ndarray:
 
 
 def synthesize_baseband(frame, constellation, sps: int = 1,
-                        sample_rate: float | None = None) -> BasebandSignal:
+                        sample_rate: float | None = None,
+                        out: np.ndarray | None = None) -> BasebandSignal:
     """Rectangular-pulse baseband: each symbol value held for sps samples.
 
     `constellation` is a Constellation or the four point values themselves,
     which, unlike a Constellation's, may coincide (a surface with no active
-    cell radiates one value for every symbol)."""
+    cell radiates one value for every symbol).  The samples are written into
+    `out` when it is given (sps samples per symbol, of the points' dtype),
+    else into a fresh array."""
     if sps < 1:
         raise ValueError("sps must be >= 1")
     points = (constellation.points if isinstance(constellation, Constellation)
               else np.asarray(constellation))
-    idx = _as_indices(frame)
-    samples = np.repeat(points[idx], sps)
+    values = points[_as_indices(frame)]
+    if out is None:
+        out = np.repeat(values, sps)
+    elif out.shape != (values.size * sps,) or out.dtype != values.dtype:
+        raise ValueError(f"out must hold {values.size * sps} {values.dtype} "
+                         f"samples, got shape {out.shape} of {out.dtype}")
+    else:
+        out.reshape(-1, sps)[...] = values[:, None]
     rate = SYMBOL_RATE * sps if sample_rate is None else sample_rate
-    return BasebandSignal(samples=samples, sample_rate=rate,
+    return BasebandSignal(samples=out, sample_rate=rate,
                           samples_per_symbol=sps)
 
 

@@ -151,7 +151,8 @@ def _closed_form_channel(x, sps, cfg):
 @pytest.mark.parametrize("taps", [(1.0,), (0.7,), (1.0, 0.3 - 0.2j)])
 @pytest.mark.parametrize("gain", [1.0, 0.5 * np.exp(1j * np.pi / 4)])
 @pytest.mark.parametrize("cfo", [0.0, 0.2])
-def test_channel_bit_exact_against_closed_form(cfo, gain, taps, offset,
+@pytest.mark.parametrize("out", [None, "nan-buffer"])
+def test_channel_bit_exact_against_closed_form(out, cfo, gain, taps, offset,
                                                snr_db, sps):
     # 20000 samples: frame-sized arrays (above numpy's 256 KiB threshold for
     # reusing temporaries), where the oracle's `y * ramp` is evaluated as
@@ -164,10 +165,31 @@ def test_channel_bit_exact_against_closed_form(cfo, gain, taps, offset,
     cfg = ChannelConfig(snr_db=snr_db, cfo_normalized=cfo,
                         timing_offset=offset, complex_gain=gain,
                         fir_taps=taps, seed=4)
-    y = apply_channel(_sig(x, sps), cfg).samples
-    np.testing.assert_array_equal(y, _closed_form_channel(x_before, sps, cfg))
+    if out is not None:
+        # NaN shows any sample left unwritten, the delay prefix included
+        out = np.full(offset + x.size + len(taps) - 1, np.nan, dtype=complex)
+    y = apply_channel(_sig(x, sps), cfg, out=out).samples
+    want = _closed_form_channel(x_before, sps, cfg)
+    assert y.tobytes() == want.tobytes()
+    assert out is None or y is out
     np.testing.assert_array_equal(x, x_before)
     assert not np.shares_memory(y, x)
+
+
+def test_apply_channel_rejects_bad_out():
+    x = np.zeros(1000, dtype=complex)
+    cfg = ChannelConfig(timing_offset=5, fir_taps=(1.0, 0.5))
+    n = 1006
+    for bad in (np.empty(n - 1, dtype=complex), np.empty(n + 1, dtype=complex),
+                np.empty(n, dtype=np.complex64), np.empty(n)):
+        with pytest.raises(ValueError, match="out must hold 1006 complex128"):
+            apply_channel(_sig(x), cfg, out=bad)
+    # the channel reads x after it starts writing y, so they must not overlap
+    with pytest.raises(ValueError, match="share memory"):
+        apply_channel(_sig(x), ChannelConfig(), out=x)
+    big = np.zeros(2 * n, dtype=complex)
+    with pytest.raises(ValueError, match="share memory"):
+        apply_channel(_sig(big[:1000]), cfg, out=big[3:3 + n])
 
 
 @pytest.mark.parametrize("n", [

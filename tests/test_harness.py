@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +8,13 @@ import pytest
 from mslink.channel import ChannelConfig, apply_channel
 from mslink.errors import InterpolationError
 from mslink.harness import (SEED_POINT_STRIDE, BerRecord, ExperimentConfig,
-                            bits_from_file, bits_to_bytes, compare_architectures,
-                            measure_link_snr, receive_file, run_ber_sweep,
-                            run_frame, snr_at_ber, theoretical_qpsk_ber,
-                            transmit_file, transmit_frame, write_ber_csv)
+                            _channel, bits_from_file, bits_to_bytes,
+                            compare_architectures, measure_link_snr,
+                            receive_file, run_ber_sweep, run_frame, snr_at_ber,
+                            theoretical_qpsk_ber, transmit_file, transmit_frame,
+                            write_ber_csv)
 from mslink.iqfile import StreamHeader, read_iq, write_iq
+from mslink.rxchain import receive_frame
 from mslink.surface import ArrayConfig, aggregate_reflection
 from mslink.txchain import BasebandSignal, build_frame, synthesize_baseband
 
@@ -283,3 +287,83 @@ def test_run_frame_reports_diagnostics():
     assert diag.evm_percent > 0
     assert np.isfinite(diag.snr_estimate_db)
     assert diag.equalized_symbols.size == 9 * 2048
+
+
+# --- reused sample buffers ----------------------------------------------------------
+
+def test_run_frame_results_survive_later_frames_and_alias_no_buffer():
+    cfg = ExperimentConfig(mode="metasurface")
+    payload, bits, diag = run_frame(cfg, 12.0, 3)
+    first = (payload, bits, diag.equalized_symbols)
+    kept = [a.tobytes() for a in first]
+    run_frame(cfg, 12.0, 4)
+    assert [a.tobytes() for a in first] == kept
+    for a in first:
+        for buf in cfg._sample_buffers:
+            assert not np.shares_memory(a, buf)
+
+
+def test_each_config_gets_its_own_buffers():
+    a = ExperimentConfig(mode="metasurface")
+    b = ExperimentConfig(mode="metasurface")
+    same = dataclasses.replace(a)
+    offset = dataclasses.replace(a, timing_offset=37)
+    configs = (a, b, same, offset)
+    for cfg in configs:
+        run_frame(cfg, 12.0, 1)
+    # the buffers are not a field, so repr and `replace` do not see them
+    assert "_sample_buffers" not in {f.name for f in dataclasses.fields(a)}
+    assert repr(a) == repr(b) == repr(same)
+    bufs = [buf for cfg in configs for buf in cfg._sample_buffers]
+    for i, x in enumerate(bufs):
+        for y in bufs[i + 1:]:
+            assert not np.shares_memory(x, y)
+    assert [buf.size for buf in offset._sample_buffers] == [180_000, 180_037]
+
+
+def _unbuffered_frame(cfg, snr_db, seed):
+    """run_frame's recipe with every array freshly allocated."""
+    payload, sig = transmit_frame(cfg, seed)
+    rx = apply_channel(sig, _channel(cfg, snr_db, seed))
+    window = (0, cfg.timing_offset
+              + sig.samples_per_symbol * (len(cfg.fir_taps) + 2))
+    bits, diag = receive_frame(rx, cfg.pilot_seed, search_window=window,
+                               est_taps=cfg.resolved_est_taps())
+    return payload, bits, diag
+
+
+@pytest.mark.parametrize("channel", [
+    {}, {"cfo_normalized": 0.3}, {"fir_taps": (1.0, 0.3 - 0.2j, 0.1j)},
+    {"timing_offset": 37}, {"complex_gain": 0.5 + 0.5j},
+], ids=["clean", "cfo", "3-tap", "offset", "gain"])
+@pytest.mark.parametrize("mode", ["conventional", "metasurface"])
+def test_run_frame_equals_the_unbuffered_recipe(mode, channel):
+    cfg = ExperimentConfig(mode=mode, **channel)
+    for seed in (5, 6):  # the second frame runs in warm buffers
+        payload, bits, diag = run_frame(cfg, 12.0, seed)
+        want_payload, want_bits, want = _unbuffered_frame(cfg, 12.0, seed)
+        assert payload.tobytes() == want_payload.tobytes()
+        assert bits.tobytes() == want_bits.tobytes()
+        assert (diag.equalized_symbols.tobytes()
+                == want.equalized_symbols.tobytes())
+        assert ((diag.cfo_estimate, diag.evm_percent)
+                == (want.cfo_estimate, want.evm_percent))
+
+
+def test_warm_metasurface_frame_allocates_less_than_one_sample_array():
+    # numpy reports its allocations to tracemalloc, so the peak counts every
+    # array a frame allocates; a 180 000-sample array is 2.88 MB
+    cfg = ExperimentConfig(mode="metasurface")
+    run_frame(cfg, 14.0, 0)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        run_frame(cfg, 14.0, 1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 16 * 180_000

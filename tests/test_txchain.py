@@ -149,6 +149,35 @@ def test_baseband_symbol_hold():
     np.testing.assert_array_equal(blocks[:, 0], ideal_qpsk().points[idx])
 
 
+@pytest.mark.parametrize("sps", [1, 8])
+@pytest.mark.parametrize("points", [
+    ideal_qpsk(), np.full(4, 0.3 - 0.1j),
+], ids=["constellation", "coinciding-raw-points"])
+def test_baseband_into_out_equals_fresh_samples(points, sps):
+    # a NaN-filled buffer shows any sample the fill leaves unwritten
+    payload = np.random.default_rng(4).integers(0, 2, 36864)
+    frame = build_frame(payload)
+    fresh = synthesize_baseband(frame, points, sps)
+    out = np.full(FrameLayout.frame_len * sps, np.nan, dtype=complex)
+    sig = synthesize_baseband(frame, points, sps, out=out)
+    assert sig.samples is out
+    assert out.tobytes() == fresh.samples.tobytes()
+    assert ((sig.sample_rate, sig.samples_per_symbol)
+            == (fresh.sample_rate, fresh.samples_per_symbol))
+
+
+@pytest.mark.parametrize("out", [
+    np.empty(22500 * 8 - 1, dtype=complex),
+    np.empty(22500 * 8 + 8, dtype=complex),
+    np.empty(22500 * 8, dtype=np.complex64),
+    np.empty(2 * 22500 * 8),
+], ids=["short", "long", "complex64", "float64"])
+def test_baseband_rejects_bad_out(out):
+    frame = build_frame(np.zeros(36864, dtype=int))
+    with pytest.raises(ValueError, match="out must hold 180000 complex128"):
+        synthesize_baseband(frame, ideal_qpsk(), 8, out=out)
+
+
 def test_baseband_sps8_has_out_of_band_leakage():
     rng = np.random.default_rng(2)
     idx = rng.integers(0, 4, 4096)
