@@ -16,9 +16,9 @@ import numpy as np
 from .txchain import BasebandSignal, FrameLayout
 
 CFO_BLOCK = FrameLayout.fft_len  # symbols per normalization block
-# Noise is drawn this many values at a time into one chunk that every draw
-# reuses, where a frame-sized draw is handed back to the kernel and faulted
-# in again on the next frame.
+# Noise is drawn this many values at a time: a fixed chunk is reused from the
+# allocator on every call, where a frame-sized draw is handed back to the
+# kernel and faulted in again on the next frame.
 NOISE_CHUNK = 8192
 
 
@@ -102,16 +102,10 @@ def apply_channel(sig: BasebandSignal, cfg: ChannelConfig,
         rng = np.random.default_rng(cfg.seed)
         scale = np.sqrt(var / 2.0)
         # all real parts, then all imaginary parts: the generator's stream
-        # in the order of the one-shot rng.normal(size=(2, y.size)) draw.
-        # normal(scale=s) is 0 + s * standard_normal() value by value, so
-        # scaling a reused chunk of standard normals gives the same noise
-        w = np.empty(min(NOISE_CHUNK, n))
+        # in the order of the one-shot rng.normal(size=(2, y.size)) draw
         for part in (y.real, y.imag):
             for i in range(0, part.size, NOISE_CHUNK):
                 chunk = part[i:i + NOISE_CHUNK]
-                draw = w[:chunk.size]
-                rng.standard_normal(out=draw)
-                draw *= scale
-                chunk += draw
+                chunk += rng.normal(scale=scale, size=chunk.size)
     return BasebandSignal(samples=y, sample_rate=sig.sample_rate,
                           samples_per_symbol=sps)

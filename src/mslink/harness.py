@@ -78,7 +78,8 @@ class ExperimentConfig:
         """run_frame's transmit and receive sample arrays, allocated on the
         first frame and reused by every later frame of this config (not a
         field: equality, repr and `replace` ignore it, and a replaced config
-        allocates its own)."""
+        allocates its own; `copy.copy` copies the instance dict and so
+        shares them once allocated)."""
         n_tx = FrameLayout.frame_len * self.resolved_sps()
         n_rx = n_tx + self.timing_offset + len(self.fir_taps) - 1
         return np.empty(n_tx, dtype=complex), np.empty(n_rx, dtype=complex)
@@ -153,7 +154,8 @@ def run_frame(cfg: ExperimentConfig, snr_db: float, seed: int):
     """One frame through the link; returns (payload, recovered|None, diag|None).
 
     The samples pass through the config's reused buffers, which the results
-    never alias, so frames of one config must not run concurrently."""
+    never alias, so frames of one config (or of its `copy.copy` copies,
+    which share the buffers) must not run concurrently."""
     tx_buf, rx_buf = cfg._sample_buffers
     payload, sig = transmit_frame(cfg, seed, out=tx_buf)
     rx = apply_channel(sig, _channel(cfg, snr_db, seed), out=rx_buf)

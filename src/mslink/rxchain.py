@@ -10,7 +10,6 @@ impairment under study.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -266,15 +265,6 @@ def measure_snr(equalized, reference_indices,
     return 10.0 * math.log10(sig / err)
 
 
-@functools.cache
-def _pilot_spectrum(pilot_seed: int) -> np.ndarray:
-    """FFT of the pilot on ideal QPSK points: built once per seed and shared,
-    so read-only."""
-    x = np.fft.fft(ideal_qpsk().points[build_pilot_sequence(pilot_seed)])
-    x.flags.writeable = False
-    return x
-
-
 def receive_frame(rx: BasebandSignal, pilot_seed: int = DEFAULT_PILOT_SEED,
                   search_window=None, est_taps: int = 8):
     """Full receiver: sync -> CFO -> dump -> CP removal -> LS -> ZF -> demod.
@@ -296,7 +286,7 @@ def receive_frame(rx: BasebandSignal, pilot_seed: int = DEFAULT_PILOT_SEED,
     symbols = derotate_and_dump(frame, eps, sps)
 
     ideal = ideal_qpsk()
-    x_pilot = _pilot_spectrum(pilot_seed)
+    x_pilot = np.fft.fft(ideal.points[build_pilot_sequence(pilot_seed)])
     # the ten subframe bodies without their CPs, pilot first
     bodies = symbols[lay.sync_len:].reshape(
         lay.n_subframes, lay.subframe_len)[:, lay.cp_len:]

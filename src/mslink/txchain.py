@@ -216,12 +216,11 @@ def synthesize_baseband(frame, constellation, sps: int = 1,
               else np.asarray(constellation))
     values = points[_as_indices(frame)]
     if out is None:
-        out = np.repeat(values, sps)
+        out = np.empty(values.size * sps, dtype=values.dtype)
     elif out.shape != (values.size * sps,) or out.dtype != values.dtype:
         raise ValueError(f"out must hold {values.size * sps} {values.dtype} "
                          f"samples, got shape {out.shape} of {out.dtype}")
-    else:
-        out.reshape(-1, sps)[...] = values[:, None]
+    out.reshape(-1, sps)[...] = values[:, None]
     rate = SYMBOL_RATE * sps if sample_rate is None else sample_rate
     return BasebandSignal(samples=out, sample_rate=rate,
                           samples_per_symbol=sps)

@@ -154,14 +154,19 @@ def test_baseband_symbol_hold():
     ideal_qpsk(), np.full(4, 0.3 - 0.1j),
 ], ids=["constellation", "coinciding-raw-points"])
 def test_baseband_into_out_equals_fresh_samples(points, sps):
-    # a NaN-filled buffer shows any sample the fill leaves unwritten
+    # a NaN-filled buffer shows any sample the fill leaves unwritten;
+    # np.repeat of the symbol values is the oracle of both paths
     payload = np.random.default_rng(4).integers(0, 2, 36864)
     frame = build_frame(payload)
+    values = np.asarray(getattr(points, "points", points))[
+        frame.symbol_indices()]
+    expected = np.repeat(values, sps).tobytes()
     fresh = synthesize_baseband(frame, points, sps)
     out = np.full(FrameLayout.frame_len * sps, np.nan, dtype=complex)
     sig = synthesize_baseband(frame, points, sps, out=out)
     assert sig.samples is out
-    assert out.tobytes() == fresh.samples.tobytes()
+    assert out.tobytes() == expected
+    assert fresh.samples.tobytes() == expected
     assert ((sig.sample_rate, sig.samples_per_symbol)
             == (fresh.sample_rate, fresh.samples_per_symbol))
 
