@@ -6,6 +6,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -13,16 +14,25 @@ from .channel import ChannelConfig, apply_channel
 from .circuit import (DEFAULT_TARGET_PHASES, GammaLUT, default_gamma_lut,
                       select_control_voltages)
 from .errors import (InterpolationError, PartialReceiveError,
-                     SyncNotFoundError)
+                     SingularChannelError, SyncNotFoundError)
 from .iqfile import StreamHeader, read_iq, write_iq
-from .rxchain import receive_frame
+from .rxchain import ReceiveBuffers, receive_frame
 from .surface import ArrayConfig, aggregate_reflection
 from .txchain import (DEFAULT_PILOT_SEED, SYMBOL_RATE, BasebandSignal,
-                      Constellation, FrameLayout, build_frame, ideal_qpsk,
-                      metasurface_constellation)
+                      Constellation, FrameLayout, TransmitBuffers, build_frame,
+                      ideal_qpsk, metasurface_constellation)
 
 SEED_POINT_STRIDE = 2 ** 20   # per-SNR-point seed offset
 _NOISE_SEED_OFFSET = 2 ** 40  # decorrelates payload and noise streams
+
+
+class FrameBuffers(NamedTuple):
+    """Every array run_frame works in: the transmit chain's, the received
+    samples, and the receiver's symbol-rate arrays."""
+
+    transmit: TransmitBuffers
+    rx: np.ndarray
+    receive: ReceiveBuffers
 
 
 @dataclass(frozen=True)
@@ -74,15 +84,22 @@ class ExperimentConfig:
         return surface_constellation(default_gamma_lut(), DEFAULT_TARGET_PHASES)
 
     @functools.cached_property
+    def _buffers(self) -> FrameBuffers:
+        """Every array run_frame works in, allocated on the first frame and
+        reused by every later frame of this config (not a field: equality,
+        hash, repr and `replace` ignore it, and a replaced config allocates
+        its own; `copy.copy` copies the instance dict and so shares them
+        once allocated)."""
+        sps = self.resolved_sps()
+        n_rx = (FrameLayout.frame_len * sps + self.timing_offset
+                + len(self.fir_taps) - 1)
+        return FrameBuffers(TransmitBuffers(sps),
+                            np.empty(n_rx, dtype=complex), ReceiveBuffers())
+
+    @property
     def _sample_buffers(self) -> tuple:
-        """run_frame's transmit and receive sample arrays, allocated on the
-        first frame and reused by every later frame of this config (not a
-        field: equality, repr and `replace` ignore it, and a replaced config
-        allocates its own; `copy.copy` copies the instance dict and so
-        shares them once allocated)."""
-        n_tx = FrameLayout.frame_len * self.resolved_sps()
-        n_rx = n_tx + self.timing_offset + len(self.fir_taps) - 1
-        return np.empty(n_tx, dtype=complex), np.empty(n_rx, dtype=complex)
+        """run_frame's transmit and receive sample arrays."""
+        return self._buffers.transmit.samples, self._buffers.rx
 
 
 def surface_constellation(lut: GammaLUT, target_phases) -> Constellation:
@@ -96,6 +113,12 @@ def surface_constellation(lut: GammaLUT, target_phases) -> Constellation:
 
 @dataclass(frozen=True)
 class BerRecord:
+    """Errors counted over one SNR point.  `sync_failures` counts the frames
+    the receiver could not decode, each counted as fully errored: those
+    whose sync never cleared the detection threshold (SyncNotFoundError)
+    and those whose channel estimate has a zero bin (SingularChannelError),
+    as a noiseless surface with no active cell gives."""
+
     snr_db: float
     bits_simulated: int
     bit_errors: int
@@ -125,15 +148,22 @@ def _transmit_samples(frame, constellation, cfg: ExperimentConfig,
     return synthesize_baseband(frame, points, sps, out=out)
 
 
-def transmit_frame(cfg: ExperimentConfig, seed, out=None) -> tuple:
+def transmit_frame(cfg: ExperimentConfig, seed,
+                   buffers: TransmitBuffers | None = None) -> tuple:
     """One frame of random payload, drawn from `default_rng(seed)` (a seed or
     a Generator), as the transmitter emits it: returns (payload, signal).
-    The samples are written into `out` when it is given."""
+    The frame is built in `buffers` when they are given (the signal's
+    samples are then `buffers.samples`), else in fresh arrays; the payload
+    is always a fresh array."""
+    sps = cfg.resolved_sps()
+    if buffers is None:
+        buffers = TransmitBuffers(sps)
     payload = np.random.default_rng(seed).integers(
         0, 2, FrameLayout.payload_bits)
-    frame = build_frame(payload, cfg.pilot_seed)
-    sig = _transmit_samples(frame, cfg.resolved_constellation(), cfg,
-                            cfg.resolved_sps(), out)
+    frame = build_frame(payload, cfg.pilot_seed, out=buffers.data)
+    sig = _transmit_samples(frame.symbol_indices(out=buffers.indices),
+                            cfg.resolved_constellation(), cfg, sps,
+                            buffers.samples)
     return payload, sig
 
 
@@ -153,18 +183,21 @@ def _channel(cfg: ExperimentConfig, snr_db: float, seed: int) -> ChannelConfig:
 def run_frame(cfg: ExperimentConfig, snr_db: float, seed: int):
     """One frame through the link; returns (payload, recovered|None, diag|None).
 
-    The samples pass through the config's reused buffers, which the results
-    never alias, so frames of one config (or of its `copy.copy` copies,
-    which share the buffers) must not run concurrently."""
-    tx_buf, rx_buf = cfg._sample_buffers
-    payload, sig = transmit_frame(cfg, seed, out=tx_buf)
-    rx = apply_channel(sig, _channel(cfg, snr_db, seed), out=rx_buf)
+    recovered and diag are None when the receiver cannot decode the frame:
+    its sync fails, or its channel estimate has a zero bin.  The frame runs
+    in the config's reused buffers, which the results never alias, so
+    frames of one config (or of its `copy.copy` copies, which share the
+    buffers) must not run concurrently."""
+    buffers = cfg._buffers
+    payload, sig = transmit_frame(cfg, seed, buffers.transmit)
+    rx = apply_channel(sig, _channel(cfg, snr_db, seed), out=buffers.rx)
     window = (0, cfg.timing_offset
               + sig.samples_per_symbol * (len(cfg.fir_taps) + 2))
     try:
         bits, diag = receive_frame(rx, cfg.pilot_seed, search_window=window,
-                                   est_taps=cfg.resolved_est_taps())
-    except SyncNotFoundError:
+                                   est_taps=cfg.resolved_est_taps(),
+                                   buffers=buffers.receive)
+    except (SyncNotFoundError, SingularChannelError):
         return payload, None, None
     return payload, bits, diag
 
@@ -185,8 +218,8 @@ def measure_link_snr(cfg: ExperimentConfig, snr_db: float, seed: int) -> float:
 def run_ber_sweep(cfg: ExperimentConfig) -> list[BerRecord]:
     """Monte-Carlo BER per SNR point; deterministic for a fixed base_seed.
 
-    Frames whose sync never clears the detection threshold are counted as
-    fully errored and flagged in the record."""
+    Frames the receiver cannot decode (see BerRecord) are counted as fully
+    errored and flagged in the record."""
     records = []
     for p, snr in enumerate(cfg.snr_list):
         errors = 0
@@ -303,12 +336,13 @@ def receive_stream(sig: BasebandSignal, header: StreamHeader,
     except SyncNotFoundError as exc:
         raise PartialReceiveError(0, str(exc)) from exc
     out = []
+    buffers = ReceiveBuffers()
     for i in range(header.frames):
         expect = start + i * stride
         window = (max(0, expect - 2 * sps), expect + 2 * sps + 1)
         try:
             bits, _ = receive_frame(sig, header.pilot_seed,
-                                    search_window=window)
+                                    search_window=window, buffers=buffers)
         except SyncNotFoundError as exc:
             raise PartialReceiveError(i, str(exc)) from exc
         out.append(bits)

@@ -10,6 +10,7 @@ impairment under study.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -27,6 +28,9 @@ SYNC_THRESHOLD = 0.5  # fraction of the power-normalized ideal peak
 # (1 + max(|re|, |im|))^2, is decided by the distance argmin, because there
 # the rounded distances to the two neighbouring points may tie or swap.
 AXIS_TOLERANCE = 1e-9
+# The slicer decides this many symbols per pass, so its temporaries stay
+# ~32 KB however many symbols one call decides.
+SLICER_BLOCK = FrameLayout.fft_len
 
 _QPSK_POINTS = ideal_qpsk().points
 # ideal-QPSK index by quadrant code 2*(re < 0) + (im < 0)
@@ -46,6 +50,39 @@ class RxDiagnostics:
     evm_percent: float
     snr_estimate_db: float
     equalized_symbols: np.ndarray = field(repr=False)
+
+
+class ReceiveBuffers:
+    """The symbol-rate arrays receive_frame works in: the derotation ramp,
+    the dumped symbols, the final decisions, and the decision error and its
+    power for the EVM.  Reusing one set across frames spares allocating,
+    and page-faulting, them anew for every frame; nothing receive_frame
+    returns aliases them."""
+
+    __slots__ = ("ramp", "symbols", "decided", "error", "error_power")
+
+    def __init__(self):
+        lay = FrameLayout
+        n_data = lay.data_subframes * lay.fft_len
+        self.ramp = np.empty(lay.frame_len, dtype=complex)
+        self.symbols = np.empty(lay.frame_len, dtype=complex)
+        self.decided = np.empty(n_data, dtype=np.intp)
+        # the ramp is spent once the symbols are dumped, so the error,
+        # computed last, takes its memory
+        self.error = self.ramp[:n_data]
+        self.error_power = np.empty(n_data)
+
+
+def _out_array(out, shape: tuple, dtype) -> np.ndarray:
+    """`out`, checked to be a C-contiguous array of the given shape and
+    dtype, or a fresh array."""
+    if out is None:
+        return np.empty(shape, dtype=dtype)
+    if (out.shape != shape or out.dtype != dtype
+            or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a contiguous {np.dtype(dtype)} array "
+                         f"of shape {shape}, got {out.shape} of {out.dtype}")
+    return out
 
 
 def sync_replica(sync_chips, sps: int = 1) -> np.ndarray:
@@ -145,7 +182,18 @@ def integrate_and_dump(samples, sps: int) -> np.ndarray:
     return r.reshape(-1, sps).mean(axis=1)
 
 
-def derotate_and_dump(samples, eps: float, sps: int = 1) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _ramp_index(sps: int, n_symbols: int) -> np.ndarray:
+    """sps * arange(n_symbols), the first sample of each symbol.  Built once
+    per (sps, length) and shared, so read-only."""
+    n = sps * np.arange(n_symbols)
+    n.flags.writeable = False
+    return n
+
+
+def derotate_and_dump(samples, eps: float, sps: int = 1,
+                      out: np.ndarray | None = None,
+                      ramp: np.ndarray | None = None) -> np.ndarray:
     """integrate_and_dump(correct_cfo(samples, eps, sps), sps), with the ramp
     folded into the dump so that it is evaluated at the symbol rate:
 
@@ -153,18 +201,29 @@ def derotate_and_dump(samples, eps: float, sps: int = 1) -> np.ndarray:
         w = -2 pi eps / (CFO_BLOCK sps).
 
     That is len/sps + sps exponentials instead of len, and no corrected copy
-    at the sample rate.
+    at the sample rate.  The symbols are written into `out` and the ramp is
+    built in `ramp` when they are given (two complex arrays of len/sps that
+    share no memory with each other or the samples), else in fresh arrays.
     """
     r = np.asarray(samples)
     if r.size % sps:
         raise ValueError("sample count not divisible by sps")
-    n = sps * np.arange(r.size // sps)
-    ramp = np.exp(-2j * np.pi * eps * n / (CFO_BLOCK * sps))
+    n = _ramp_index(sps, r.size // sps)
+    out = _out_array(out, n.shape, complex)
+    ramp = _out_array(ramp, n.shape, complex)
+    # exp(-2j pi eps n / (CFO_BLOCK sps)), one ufunc at a time in the order
+    # the expression evaluates in
+    np.multiply(-2j * np.pi * eps, n, out=ramp)
+    ramp /= CFO_BLOCK * sps
+    np.exp(ramp, out=ramp)
+    # operands in the order of `ramp * r` and `(r @ dump) * ramp`: swapped
+    # complex products can round differently (see correct_cfo)
     if sps == 1:
-        return ramp * r
+        return np.multiply(ramp, r, out=out)
     m = np.arange(sps)
     dump = np.exp(-2j * np.pi * eps * m / (CFO_BLOCK * sps)) / sps
-    return (r.reshape(-1, sps) @ dump) * ramp
+    np.matmul(r.reshape(-1, sps), dump, out=out)
+    return np.multiply(out, ramp, out=out)
 
 
 def ls_channel_estimate(y_pilot_freq, x_pilot_freq) -> np.ndarray:
@@ -202,40 +261,57 @@ def ls_channel_estimate_taps(y_pilot_freq, x_pilot_freq,
     return np.fft.fft(taps, n)
 
 
-def zf_equalize(y_block, h) -> np.ndarray:
+def zf_equalize(y_block, h, out: np.ndarray | None = None) -> np.ndarray:
     """Zero-forcing SC-FDE: IFFT( FFT(y)/h ) along the last axis, so a stack
-    of blocks is equalized with one estimate.  CP must already be removed."""
+    of blocks is equalized with one estimate.  CP must already be removed.
+
+    Both transforms run in `out` when it is given (complex, the shape of
+    y_block), else in a fresh array."""
     h = np.asarray(h, dtype=complex)
     if np.any(np.abs(h) < 1e-12):
         raise SingularChannelError("channel estimate has a zero bin")
     y = np.asarray(y_block, dtype=complex)
     if y.shape[-1:] != h.shape:
         raise ValueError("block/estimate length mismatch")
-    return np.fft.ifft(np.fft.fft(y) / h)
+    out = _out_array(out, y.shape, complex)
+    np.fft.fft(y, out=out)
+    out /= h
+    return np.fft.ifft(out, out=out)
 
 
-def nearest_symbol_indices(symbols, constellation: Constellation | None = None
-                           ) -> np.ndarray:
+def nearest_symbol_indices(symbols, constellation: Constellation | None = None,
+                           out: np.ndarray | None = None) -> np.ndarray:
     """Minimum-distance decisions; ties go to the lower point index.
 
-    For the ideal QPSK points the decision is the quadrant, read from the
-    signs of re and im; symbols within AXIS_TOLERANCE of an axis (and any
-    non-finite ones) take the distance argmin, so the result is always the
-    argmin's, ties included.
+    For the ideal QPSK points (the default) the decision is the quadrant,
+    read from the signs of re and im, SLICER_BLOCK symbols at a time;
+    symbols within AXIS_TOLERANCE of an axis (and any non-finite ones) take
+    the distance argmin, so the result is always the argmin's, ties
+    included.  The decisions are written into `out` when it is given (an
+    intp array of the symbols' length), else into a fresh array.
     """
     s = np.asarray(symbols)
-    pts = _QPSK_POINTS if constellation is None else constellation.points
-    if not np.array_equal(pts, _QPSK_POINTS):
-        return _argmin_distance(s, pts)
+    out = _out_array(out, s.shape, np.intp)
+    if (constellation is not None
+            and not np.array_equal(constellation.points, _QPSK_POINTS)):
+        out[...] = _argmin_distance(s, constellation.points)
+        return out
+    flat, dec = s.reshape(-1), out.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, flat.size, SLICER_BLOCK):
+            _slice_quadrants(flat[i:i + SLICER_BLOCK],
+                             dec[i:i + SLICER_BLOCK])
+    return out
+
+
+def _slice_quadrants(s, out) -> None:
     re, im = s.real, s.imag
-    idx = _QUADRANT_INDEX[2 * (re < 0) + (im < 0)]
+    out[:] = _QUADRANT_INDEX[2 * (re < 0) + (im < 0)]
     a, b = np.abs(re), np.abs(im)
     scale = 1.0 + np.maximum(a, b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        near = ~(np.minimum(a, b) > AXIS_TOLERANCE * scale * scale)
+    near = ~(np.minimum(a, b) > AXIS_TOLERANCE * scale * scale)
     if near.any():
-        idx[near] = _argmin_distance(s[near], pts)
-    return idx
+        out[near] = _argmin_distance(s[near], _QPSK_POINTS)
 
 
 def _argmin_distance(symbols, pts) -> np.ndarray:
@@ -265,14 +341,28 @@ def measure_snr(equalized, reference_indices,
     return 10.0 * math.log10(sig / err)
 
 
+@functools.cache
+def _pilot_spectrum(pilot_seed: int) -> np.ndarray:
+    """FFT of the pilot on the ideal QPSK points.  Built once per seed and
+    shared, so read-only."""
+    x = np.fft.fft(_QPSK_POINTS[build_pilot_sequence(pilot_seed)])
+    x.flags.writeable = False
+    return x
+
+
 def receive_frame(rx: BasebandSignal, pilot_seed: int = DEFAULT_PILOT_SEED,
-                  search_window=None, est_taps: int = 8):
+                  search_window=None, est_taps: int = 8,
+                  buffers: ReceiveBuffers | None = None):
     """Full receiver: sync -> CFO -> dump -> CP removal -> LS -> ZF -> demod.
 
     Returns (payload_bits, RxDiagnostics).  The single pilot estimate is
     reused for all nine data subframes.  est_taps bounds the assumed channel
-    delay spread for the LS fit.
+    delay spread for the LS fit.  The symbol-rate work runs in `buffers`
+    when they are given, else in a fresh set; the bits and the equalized
+    symbols returned are always fresh arrays.
     """
+    if buffers is None:
+        buffers = ReceiveBuffers()
     sps = rx.samples_per_symbol
     lay = FrameLayout
     sync = frame_sync(rx, build_sync_sequence(), search_window)
@@ -283,32 +373,39 @@ def receive_frame(rx: BasebandSignal, pilot_seed: int = DEFAULT_PILOT_SEED,
     frame = np.asarray(rx.samples)[start : start + n_frame]
 
     eps = estimate_cfo_cp(frame, sps)
-    symbols = derotate_and_dump(frame, eps, sps)
+    symbols = derotate_and_dump(frame, eps, sps, out=buffers.symbols,
+                                ramp=buffers.ramp)
 
-    ideal = ideal_qpsk()
-    x_pilot = np.fft.fft(ideal.points[build_pilot_sequence(pilot_seed)])
     # the ten subframe bodies without their CPs, pilot first
     bodies = symbols[lay.sync_len:].reshape(
         lay.n_subframes, lay.subframe_len)[:, lay.cp_len:]
-    h = ls_channel_estimate_taps(np.fft.fft(bodies[0]), x_pilot, est_taps)
-    eq_blocks = zf_equalize(bodies[1:], h)
+    h = ls_channel_estimate_taps(np.fft.fft(bodies[0]),
+                                 _pilot_spectrum(pilot_seed), est_taps)
+    # returned in the diagnostics, so a fresh array, never a buffer
+    equalized = np.empty(lay.data_subframes * lay.fft_len, dtype=complex)
+    eq_blocks = zf_equalize(bodies[1:], h, out=equalized.reshape(
+        lay.data_subframes, lay.fft_len))
     for eq in eq_blocks:
         # decision-directed removal of the residual common phase left by
         # CFO-estimate jitter (grows with distance from the pilot subframe).
         # Iterated because a single pass under-corrects large rotations:
         # slicer errors near the decision boundary pull the estimate short.
         for _ in range(3):
-            dec = nearest_symbol_indices(eq, ideal)
-            rot = np.vdot(ideal.points[dec], eq)
+            dec = nearest_symbol_indices(eq)
+            rot = np.vdot(_QPSK_POINTS[dec], eq)
             if abs(rot) > 0:
                 eq *= np.conj(rot) / abs(rot)
-    equalized = eq_blocks.ravel()
 
-    decided = nearest_symbol_indices(equalized, ideal)
+    decided = nearest_symbol_indices(equalized, out=buffers.decided)
     bits = demap_symbols(decided)
-    err = equalized - ideal.points[decided]
-    evm = float(np.sqrt(np.mean(np.abs(err) ** 2) /
-                        np.mean(np.abs(ideal.points) ** 2)))
+    # err = equalized - points[decided], |err|^2 in place; the decisions lie
+    # in 0..3, so "wrap" takes as indexing would, without the copy of the
+    # output that mode "raise" makes
+    err = np.take(_QPSK_POINTS, decided, out=buffers.error, mode="wrap")
+    np.subtract(equalized, err, out=err)
+    power = np.abs(err, out=buffers.error_power)
+    np.square(power, out=power)
+    evm = float(np.sqrt(np.mean(power) / np.mean(np.abs(_QPSK_POINTS) ** 2)))
     snr_est = math.inf if evm == 0.0 else -20.0 * math.log10(evm)
     diag = RxDiagnostics(cfo_estimate=eps, evm_percent=100.0 * evm,
                          snr_estimate_db=snr_est, equalized_symbols=equalized)

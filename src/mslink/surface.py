@@ -37,6 +37,10 @@ def parse_mask(spec, rows: int = 8, cols: int = 16) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ArrayConfig:
+    """Array geometry and activation.  The mask is stored as a read-only
+    boolean array, and configs compare and hash by value, the mask by its
+    contents."""
+
     rows: int = 8
     cols: int = 16
     mask: np.ndarray = field(default=None, repr=False)
@@ -44,7 +48,20 @@ class ArrayConfig:
 
     def __post_init__(self):
         mask = self.mask if self.mask is not None else "full"
-        object.__setattr__(self, "mask", parse_mask(mask, self.rows, self.cols))
+        mask = parse_mask(mask, self.rows, self.cols)  # always a new array
+        mask.flags.writeable = False
+        object.__setattr__(self, "mask", mask)
+
+    def _key(self) -> tuple:
+        return self.rows, self.cols, self.gamma_static, self.mask.tobytes()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def n_total(self) -> int:

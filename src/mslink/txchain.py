@@ -18,8 +18,7 @@ from .errors import AliasingError, FramingError
 
 SYMBOL_RATE = 1.25e6  # symbols per second
 
-# bit pair -> constellation index, P1='00', P2='01', P3='11', P4='10'
-_PAIR_TO_INDEX = np.array([0, 1, 3, 2])  # indexed by 2*b0 + b1
+# constellation index -> bit pair, P1='00', P2='01', P3='11', P4='10'
 _INDEX_TO_BITS = np.array([[0, 0], [0, 1], [1, 1], [1, 0]])
 
 _BARKER = {
@@ -104,19 +103,34 @@ class FrameLayout:
     payload_bits = 2 * fft_len * data_subframes
 
 
-def map_bits_to_symbols(bits) -> np.ndarray:
-    """Bit pairs -> constellation indices (00->P1, 01->P2, 11->P3, 10->P4)."""
+def map_bits_to_symbols(bits, out: np.ndarray | None = None) -> np.ndarray:
+    """Bit pairs -> constellation indices (00->P1, 01->P2, 11->P3, 10->P4).
+
+    The indices are written into `out` when it is given (an int array of
+    any shape holding one element per bit pair, such as a block view),
+    else into a fresh array."""
     b = np.asarray(bits, dtype=int).ravel()
     if b.size % 2:
         raise FramingError(f"odd bit count {b.size}")
     if b.size and (b.min() < 0 or b.max() > 1):
         raise ValueError("bits must be 0/1")
-    return _PAIR_TO_INDEX[2 * b[0::2] + b[1::2]]
+    if out is None:
+        out = np.empty(b.size // 2, dtype=int)
+    elif out.size != b.size // 2 or out.dtype != int:
+        raise ValueError(f"out must hold {b.size // 2} {np.dtype(int)} "
+                         f"indices, got shape {out.shape} of {out.dtype}")
+    first, second = b[0::2].reshape(out.shape), b[1::2].reshape(out.shape)
+    # the Gray map in integer arithmetic: index = 2 b0 + (b0 xor b1)
+    np.bitwise_xor(first, second, out=out)
+    out += first
+    out += first
+    return out
 
 
 def demap_symbols(indices) -> np.ndarray:
     """Inverse of map_bits_to_symbols."""
-    return _INDEX_TO_BITS[np.asarray(indices, dtype=int)].ravel()
+    return np.take(_INDEX_TO_BITS, np.asarray(indices, dtype=int),
+                   axis=0).ravel()
 
 
 @functools.cache
@@ -161,30 +175,61 @@ class Frame:
     data: np.ndarray = field(repr=False)       # (9, 2048) symbol indices
     payload_bits: np.ndarray = field(repr=False)
 
-    def symbol_indices(self) -> np.ndarray:
-        """Serialize to 22500 symbol indices with per-subframe CP.
+    def symbol_indices(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Serialize to 22500 symbol indices with per-subframe CP, written
+        into `out` when it is given, else into a fresh array.
 
         Sync chips ride on the two 180-degree-apart points P1/P3
         (+1 -> P1, -1 -> P3)."""
-        bodies = np.vstack([self.pilot, self.data])
-        subframes = np.hstack([bodies[:, -FrameLayout.cp_len:], bodies])
-        return np.concatenate([np.where(self.sync > 0, 0, 2),
-                               subframes.ravel()])
+        lay = FrameLayout
+        if out is None:
+            out = np.empty(lay.frame_len, dtype=int)
+        elif out.shape != (lay.frame_len,) or out.dtype != int:
+            raise ValueError(f"out must hold {lay.frame_len} {np.dtype(int)} "
+                             f"indices, got shape {out.shape} of {out.dtype}")
+        out[:lay.sync_len] = np.where(self.sync > 0, 0, 2)
+        subframes = out[lay.sync_len:].reshape(lay.n_subframes,
+                                               lay.subframe_len)
+        bodies = subframes[:, lay.cp_len:]
+        bodies[0] = self.pilot
+        bodies[1:] = self.data
+        subframes[:, :lay.cp_len] = bodies[:, -lay.cp_len:]
+        return out
 
 
-def build_frame(payload_bits, pilot_seed: int = DEFAULT_PILOT_SEED) -> Frame:
+def build_frame(payload_bits, pilot_seed: int = DEFAULT_PILOT_SEED,
+                out: np.ndarray | None = None) -> Frame:
+    """The frame carrying `payload_bits`; its data symbol indices are
+    written into `out` when it is given (an int array of 9 x 2048), else
+    into a fresh array."""
     bits = np.asarray(payload_bits, dtype=int).ravel()
     if bits.size != FrameLayout.payload_bits:
         raise FramingError(f"payload must be exactly "
                            f"{FrameLayout.payload_bits} bits, got {bits.size}")
-    data = map_bits_to_symbols(bits).reshape(FrameLayout.data_subframes,
-                                             FrameLayout.fft_len)
+    data = map_bits_to_symbols(bits, out=out).reshape(
+        FrameLayout.data_subframes, FrameLayout.fft_len)
     return Frame(
         sync=build_sync_sequence(),
         pilot=build_pilot_sequence(pilot_seed),
         data=data,
         payload_bits=bits,
     )
+
+
+class TransmitBuffers:
+    """The arrays one frame is transmitted through: its data symbol indices
+    (build_frame), its serialized symbol indices (Frame.symbol_indices) and
+    its samples at `sps` samples per symbol (synthesize_baseband).  Reusing
+    one set across frames spares allocating, and page-faulting, them anew
+    for every frame."""
+
+    __slots__ = ("data", "indices", "samples")
+
+    def __init__(self, sps: int):
+        lay = FrameLayout
+        self.data = np.empty((lay.data_subframes, lay.fft_len), dtype=int)
+        self.indices = np.empty(lay.frame_len, dtype=int)
+        self.samples = np.empty(lay.frame_len * sps, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -214,13 +259,20 @@ def synthesize_baseband(frame, constellation, sps: int = 1,
         raise ValueError("sps must be >= 1")
     points = (constellation.points if isinstance(constellation, Constellation)
               else np.asarray(constellation))
-    values = points[_as_indices(frame)]
+    idx = _as_indices(frame)
+    n = points.size
+    if idx.size and not (-n <= idx.min() and idx.max() < n):
+        raise IndexError(f"symbol indices must lie in [{-n}, {n})")
     if out is None:
-        out = np.empty(values.size * sps, dtype=values.dtype)
-    elif out.shape != (values.size * sps,) or out.dtype != values.dtype:
-        raise ValueError(f"out must hold {values.size * sps} {values.dtype} "
+        out = np.empty(idx.size * sps, dtype=points.dtype)
+    elif out.shape != (idx.size * sps,) or out.dtype != points.dtype:
+        raise ValueError(f"out must hold {idx.size * sps} {points.dtype} "
                          f"samples, got shape {out.shape} of {out.dtype}")
-    out.reshape(-1, sps)[...] = values[:, None]
+    # each symbol's sps samples are one row of `held`, copied straight into
+    # out; mode "raise" would take into a copy of out, and with the indices
+    # checked above "wrap" resolves only the negative ones, as indexing does
+    held = np.repeat(points, sps).reshape(n, sps)
+    np.take(held, idx, axis=0, out=out.reshape(-1, sps), mode="wrap")
     rate = SYMBOL_RATE * sps if sample_rate is None else sample_rate
     return BasebandSignal(samples=out, sample_rate=rate,
                           samples_per_symbol=sps)

@@ -1,0 +1,22 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "frame_cost.py"
+
+
+def test_frame_cost_reports_both_modes():
+    out = subprocess.run([sys.executable, str(TOOL), "--frames", "2"],
+                         check=True, capture_output=True, text=True,
+                         timeout=120)
+    lines = out.stdout.strip().splitlines()
+    assert lines[0].startswith("per warm frame, 2 frames at 14 dB")
+    res = json.loads(lines[-1])
+    assert [r["mode"] for r in res["modes"]] == ["conventional",
+                                                  "metasurface"]
+    assert [r["sps"] for r in res["modes"]] == [1, 8]
+    for r in res["modes"]:
+        assert r["frames"] == 2
+        assert r["minor_faults"] >= 0 and r["sys_ms"] >= 0
+        assert 0 < r["alloc_peak_mb"] < 10 and r["wall_ms_p50"] > 0

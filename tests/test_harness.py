@@ -14,9 +14,10 @@ from mslink.harness import (SEED_POINT_STRIDE, BerRecord, ExperimentConfig,
                             theoretical_qpsk_ber, transmit_file, transmit_frame,
                             write_ber_csv)
 from mslink.iqfile import StreamHeader, read_iq, write_iq
-from mslink.rxchain import receive_frame
+from mslink.rxchain import ReceiveBuffers, receive_frame
 from mslink.surface import ArrayConfig, aggregate_reflection
-from mslink.txchain import BasebandSignal, build_frame, synthesize_baseband
+from mslink.txchain import (BasebandSignal, TransmitBuffers, build_frame,
+                            synthesize_baseband)
 
 
 def test_theoretical_qpsk_ber_limits():
@@ -115,6 +116,50 @@ def test_sync_failure_flagged_as_errored_frame():
     (rec,) = run_ber_sweep(cfg)
     assert rec.sync_failures == 1
     assert rec.bit_errors == rec.bits_simulated
+
+
+def test_undecodable_frames_count_as_failed_not_raised():
+    # a surface with no active cell radiates the static reflection, here 0:
+    # a noiseless frame then syncs on silence and its channel estimate is
+    # all zero bins, which the sweep must count as a failed frame
+    cfg = ExperimentConfig(mode="metasurface", snr_list=(math.inf,),
+                           frames_per_point=3,
+                           array=ArrayConfig(mask="0" * 128))
+    payload, bits, diag = run_frame(cfg, math.inf, 5)
+    assert payload.size == 36864 and bits is None and diag is None
+    (rec,) = run_ber_sweep(cfg)
+    assert rec.sync_failures == 3
+    assert rec.bit_errors == rec.bits_simulated == 3 * 36864
+
+
+def test_configs_compare_and_hash_by_value():
+    a = ExperimentConfig(mode="metasurface")
+    b = ExperimentConfig(mode="metasurface")
+    assert a == b and hash(a) == hash(b)
+    assert dataclasses.replace(a) == a
+    mask = np.zeros(128, dtype=bool)
+    mask[::3] = True
+    c = ExperimentConfig(mode="metasurface", array=ArrayConfig(mask=mask))
+    d = ExperimentConfig(mode="metasurface",
+                         array=ArrayConfig(mask=mask.reshape(8, 16)))
+    assert c == d and hash(c) == hash(d)
+    assert c != a
+    assert ExperimentConfig(array=ArrayConfig(mask="left-half")) != \
+        ExperimentConfig(array=ArrayConfig(mask="right-half"))
+    assert ArrayConfig() != ArrayConfig(gamma_static=0.1)
+    # the buffers of a config that has run a frame take no part
+    run_frame(a, 12.0, 1)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, dataclasses.replace(a)}) == 1
+
+
+def test_array_mask_is_read_only_and_owned():
+    mask = np.ones(128, dtype=bool)
+    cfg = ArrayConfig(mask=mask)
+    with pytest.raises(ValueError):
+        cfg.mask[0] = False
+    mask[0] = False   # the caller's array stays its own
+    assert cfg.n_active == 128
 
 
 def test_write_ber_csv_format(tmp_path):
@@ -291,16 +336,37 @@ def test_run_frame_reports_diagnostics():
 
 # --- reused sample buffers ----------------------------------------------------------
 
+def _all_buffers(cfg):
+    """Every array of the config's frame buffers, by name."""
+    b = cfg._buffers
+    arrays = {"rx": b.rx}
+    for part in (b.transmit, b.receive):
+        arrays.update({name: getattr(part, name)
+                       for name in type(part).__slots__})
+    return arrays
+
+
+def _poison(cfg):
+    """Fill every buffer with values no frame writes."""
+    for buf in _all_buffers(cfg).values():
+        buf.fill(np.nan if buf.dtype.kind in "fc" else -7)
+
+
 def test_run_frame_results_survive_later_frames_and_alias_no_buffer():
-    cfg = ExperimentConfig(mode="metasurface")
-    payload, bits, diag = run_frame(cfg, 12.0, 3)
-    first = (payload, bits, diag.equalized_symbols)
-    kept = [a.tobytes() for a in first]
-    run_frame(cfg, 12.0, 4)
-    assert [a.tobytes() for a in first] == kept
-    for a in first:
-        for buf in cfg._sample_buffers:
-            assert not np.shares_memory(a, buf)
+    for mode in ("conventional", "metasurface"):
+        cfg = ExperimentConfig(mode=mode)
+        payload, bits, diag = run_frame(cfg, 12.0, 3)
+        first = (payload, bits, diag.equalized_symbols)
+        kept = [a.tobytes() for a in first]
+        run_frame(cfg, 12.0, 4)
+        _poison(cfg)
+        assert [a.tobytes() for a in first] == kept
+        buffers = _all_buffers(cfg)
+        assert set(buffers) == {"rx", *TransmitBuffers.__slots__,
+                                *ReceiveBuffers.__slots__}
+        for a in first:
+            for name, buf in buffers.items():
+                assert not np.shares_memory(a, buf), (mode, name)
 
 
 def test_each_config_gets_its_own_buffers():
@@ -314,10 +380,11 @@ def test_each_config_gets_its_own_buffers():
     # the buffers are not a field, so repr and `replace` do not see them
     assert "_sample_buffers" not in {f.name for f in dataclasses.fields(a)}
     assert repr(a) == repr(b) == repr(same)
-    bufs = [buf for cfg in configs for buf in cfg._sample_buffers]
-    for i, x in enumerate(bufs):
-        for y in bufs[i + 1:]:
-            assert not np.shares_memory(x, y)
+    for i, x in enumerate(configs):
+        for y in configs[i + 1:]:
+            for p in _all_buffers(x).values():
+                for q in _all_buffers(y).values():
+                    assert not np.shares_memory(p, q)
     assert [buf.size for buf in offset._sample_buffers] == [180_000, 180_037]
 
 
@@ -335,11 +402,17 @@ def _unbuffered_frame(cfg, snr_db, seed):
 @pytest.mark.parametrize("channel", [
     {}, {"cfo_normalized": 0.3}, {"fir_taps": (1.0, 0.3 - 0.2j, 0.1j)},
     {"timing_offset": 37}, {"complex_gain": 0.5 + 0.5j},
-], ids=["clean", "cfo", "3-tap", "offset", "gain"])
+    {"sps": 4, "cfo_normalized": -0.2},
+], ids=["clean", "cfo", "3-tap", "offset", "gain", "sps4-cfo"])
 @pytest.mark.parametrize("mode", ["conventional", "metasurface"])
 def test_run_frame_equals_the_unbuffered_recipe(mode, channel):
+    # the recipe builds every array afresh; run_frame's second and third
+    # frames run in warm buffers, the third in buffers filled with values
+    # no frame writes, so any array read before it is written shows
     cfg = ExperimentConfig(mode=mode, **channel)
-    for seed in (5, 6):  # the second frame runs in warm buffers
+    for seed in (5, 6, 7):
+        if seed == 7:
+            _poison(cfg)
         payload, bits, diag = run_frame(cfg, 12.0, seed)
         want_payload, want_bits, want = _unbuffered_frame(cfg, 12.0, seed)
         assert payload.tobytes() == want_payload.tobytes()
@@ -350,10 +423,10 @@ def test_run_frame_equals_the_unbuffered_recipe(mode, channel):
                 == (want.cfo_estimate, want.evm_percent))
 
 
-def test_warm_metasurface_frame_allocates_less_than_one_sample_array():
-    # numpy reports its allocations to tracemalloc, so the peak counts every
-    # array a frame allocates; a 180 000-sample array is 2.88 MB
-    cfg = ExperimentConfig(mode="metasurface")
+def _warm_frame_peak(cfg) -> int:
+    """Allocation peak of a warm frame, in bytes: numpy reports its
+    allocations to tracemalloc, so the peak counts every array a frame
+    allocates."""
     run_frame(cfg, 14.0, 0)
     started = not tracemalloc.is_tracing()
     if started:
@@ -362,8 +435,21 @@ def test_warm_metasurface_frame_allocates_less_than_one_sample_array():
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         run_frame(cfg, 14.0, 1)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         if started:
             tracemalloc.stop()
+
+
+def test_warm_metasurface_frame_allocates_less_than_one_sample_array():
+    # a 180 000-sample array is 2.88 MB; the frame's fresh results (payload,
+    # bits and equalized symbols, 0.88 MB) stay below 1.2 MB
+    peak = _warm_frame_peak(ExperimentConfig(mode="metasurface"))
     assert peak < 16 * 180_000
+    assert peak < 1.2e6
+
+
+def test_warm_conventional_frame_allocates_little_beyond_its_results():
+    # the symbol-rate arrays run in buffers: what a warm frame allocates is
+    # its fresh results (0.88 MB) and small per-block temporaries
+    assert _warm_frame_peak(ExperimentConfig()) < 1.2e6

@@ -5,11 +5,13 @@ from hypothesis import given, settings, strategies as st
 from mslink.channel import ChannelConfig, apply_channel
 from mslink.errors import (DegeneratePilotError, SingularChannelError,
                            SyncNotFoundError)
-from mslink.rxchain import (correct_cfo, demodulate, derotate_and_dump,
-                            estimate_cfo_cp, frame_sync, integrate_and_dump,
-                            ls_channel_estimate, ls_channel_estimate_taps,
-                            measure_snr, nearest_symbol_indices,
-                            receive_frame, zf_equalize)
+from mslink.rxchain import (AXIS_TOLERANCE, SLICER_BLOCK, ReceiveBuffers,
+                            _argmin_distance, correct_cfo, demodulate,
+                            derotate_and_dump, estimate_cfo_cp, frame_sync,
+                            integrate_and_dump, ls_channel_estimate,
+                            ls_channel_estimate_taps, measure_snr,
+                            nearest_symbol_indices, receive_frame,
+                            zf_equalize)
 from mslink.txchain import (FrameLayout, build_frame, build_sync_sequence,
                             ideal_qpsk, impaired_qpsk, synthesize_baseband)
 
@@ -179,6 +181,20 @@ def test_zf_equalize_inverts_fir_exactly():
     np.testing.assert_array_equal(eq, [zf_equalize(row, h) for row in y])
 
 
+def test_zf_equalize_into_out_equals_fresh():
+    rng = np.random.default_rng(9)
+    y = rng.normal(size=(9, 2208)) + 1j * rng.normal(size=(9, 2208))
+    blocks = y[:, 160:]   # strided, as the receiver's CP-free bodies are
+    h = np.fft.fft(np.array([1.0, 0.3, -0.2j]), 2048)
+    out = np.full((9, 2048), np.nan, dtype=complex)
+    assert zf_equalize(blocks, h, out=out) is out
+    # bit for bit the expression the in-place transforms replace
+    assert out.tobytes() == np.fft.ifft(np.fft.fft(blocks) / h).tobytes()
+    assert zf_equalize(blocks, h).tobytes() == out.tobytes()
+    with pytest.raises(ValueError, match="out must be a contiguous"):
+        zf_equalize(blocks, h, out=np.empty((9, 2048), dtype=np.complex64))
+
+
 def test_zf_equalize_preserves_noise_variance_with_flat_channel():
     rng = np.random.default_rng(8)
     w = rng.normal(size=2048) + 1j * rng.normal(size=2048)
@@ -214,6 +230,28 @@ def test_derotate_and_dump_matches_correct_then_dump(eps, sps, n_symbols,
     want = integrate_and_dump(correct_cfo(x, eps, sps), sps)
     np.testing.assert_allclose(derotate_and_dump(x, eps, sps), want,
                                rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("sps", [1, 8])
+def test_derotate_and_dump_into_buffers_equals_fresh(sps):
+    rng = np.random.default_rng(sps)
+    x = rng.normal(size=22500 * sps) + 1j * rng.normal(size=22500 * sps)
+    out, ramp = (np.full(22500, np.nan, dtype=complex) for _ in range(2))
+    got = derotate_and_dump(x, 0.37, sps, out=out, ramp=ramp)
+    assert got is out
+    assert out.tobytes() == derotate_and_dump(x, 0.37, sps).tobytes()
+    # bit for bit the expressions the buffered ufuncs replace, operand
+    # order included
+    n = sps * np.arange(22500)
+    want_ramp = np.exp(-2j * np.pi * 0.37 * n / (2048 * sps))
+    if sps == 1:
+        want = want_ramp * x
+    else:
+        dump = np.exp(-2j * np.pi * 0.37 * np.arange(sps) / (2048 * sps))
+        want = (x.reshape(-1, sps) @ (dump / sps)) * want_ramp
+    assert out.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="out must be a contiguous"):
+        derotate_and_dump(x, 0.37, sps, out=np.empty(22499, dtype=complex))
 
 
 def test_derotate_and_dump_rejects_partial_symbol():
@@ -281,6 +319,29 @@ def test_quadrant_slicer_equals_argmin(symbols):
     s = np.array(symbols, dtype=complex)
     np.testing.assert_array_equal(nearest_symbol_indices(s),
                                   _argmin_slicer(s))
+
+
+def test_slicer_decides_a_frame_of_symbols_block_by_block():
+    # a frame's 18 432 data symbols are decided SLICER_BLOCK at a time; put
+    # symbols within AXIS_TOLERANCE of an axis on both sides of a block edge
+    # and at the very end, where a block's argmin fallback must land; the
+    # first three are decided otherwise by their quadrant
+    rng = np.random.default_rng(11)
+    n = 9 * 2048
+    s = 0.8 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    tiny = 0.5 * AXIS_TOLERANCE
+    for k, v in ((SLICER_BLOCK - 1, -1e-300 + 0.5j),
+                 (SLICER_BLOCK, 0.5 - 1e-300j), (n - 1, -0.5 - 1e-300j),
+                 (n - 2, -tiny - 0.4j)):
+        s[k] = v
+    pts = ideal_qpsk().points
+    want = _argmin_distance(s, pts)
+    np.testing.assert_array_equal(nearest_symbol_indices(s), want)
+    out = np.full(n, -1, dtype=np.intp)
+    assert nearest_symbol_indices(s, out=out) is out
+    np.testing.assert_array_equal(out, want)
+    with pytest.raises(ValueError, match="out must be a contiguous"):
+        nearest_symbol_indices(s, out=np.empty(n, dtype=np.int32))
 
 
 def test_slicer_keeps_argmin_for_other_constellations():
@@ -355,6 +416,36 @@ def test_receive_frame_noiseless_end_to_end_identity(eps, offset, taps, sps):
                                           fir_taps=taps))
     bits, _ = receive_frame(rx, search_window=(0, offset + 16))
     np.testing.assert_array_equal(bits, payload)
+
+
+@pytest.mark.parametrize("sps", [1, 8])
+def test_receive_frame_in_reused_buffers_equals_fresh(sps):
+    # buffers left full of another frame's values must not change a result
+    # or be returned
+    buffers = ReceiveBuffers()
+    for seed in (1, 2):
+        _, sig = _frame_signal(seed=seed, sps=sps)
+        rx = apply_channel(sig, ChannelConfig(
+            snr_db=12.0, cfo_normalized=0.2, seed=seed,
+            fir_taps=(1.0, 0.3 - 0.2j)))
+        bits, diag = receive_frame(rx, buffers=buffers)
+        want_bits, want = receive_frame(rx)
+        # the EVM as the expression its buffered ufuncs replace gives it
+        eq = diag.equalized_symbols
+        pts = ideal_qpsk().points
+        err = eq - pts[nearest_symbol_indices(eq)]
+        assert diag.evm_percent == 100.0 * float(np.sqrt(
+            np.mean(np.abs(err) ** 2) / np.mean(np.abs(pts) ** 2)))
+        assert bits.tobytes() == want_bits.tobytes()
+        assert (diag.equalized_symbols.tobytes()
+                == want.equalized_symbols.tobytes())
+        assert ((diag.cfo_estimate, diag.evm_percent, diag.snr_estimate_db)
+                == (want.cfo_estimate, want.evm_percent,
+                    want.snr_estimate_db))
+        for name in ReceiveBuffers.__slots__:
+            buf = getattr(buffers, name)
+            assert not np.shares_memory(bits, buf)
+            assert not np.shares_memory(diag.equalized_symbols, buf)
 
 
 def test_receive_frame_oversampled_loopback():

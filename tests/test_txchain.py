@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from mslink.circuit import (DEFAULT_TARGET_PHASES, GammaLUT, default_gamma_lut,
                             select_control_voltages)
 from mslink.errors import AliasingError, FramingError
-from mslink.txchain import (Constellation, FrameLayout, SYMBOL_RATE,
-                            build_frame, build_pilot_sequence,
+from mslink.txchain import (_INDEX_TO_BITS, Constellation, FrameLayout,
+                            SYMBOL_RATE, build_frame, build_pilot_sequence,
                             build_sync_sequence, demap_symbols, ideal_qpsk,
                             impaired_qpsk, map_bits_to_symbols,
                             metasurface_constellation, synthesize_baseband,
@@ -37,6 +37,40 @@ def test_bit_mapping_rejects_odd_length():
 @settings(max_examples=100, deadline=None)
 def test_map_demap_roundtrip(bits):
     assert list(demap_symbols(map_bits_to_symbols(bits))) == bits
+
+
+def test_gray_arithmetic_equals_the_pair_table():
+    # the mapping is written as 2 b0 + (b0 xor b1); the table it replaces
+    # indexes [0, 1, 3, 2] by 2 b0 + b1
+    bits = np.random.default_rng(5).integers(0, 2, 36864)
+    table = np.array([0, 1, 3, 2])[2 * bits[0::2] + bits[1::2]]
+    got = map_bits_to_symbols(bits)
+    assert got.dtype == table.dtype
+    assert got.tobytes() == table.tobytes()
+
+
+def test_bit_mapping_into_a_block_view():
+    bits = np.random.default_rng(6).integers(0, 2, 36864)
+    rows = np.full((9, 2208), -1)
+    view = rows[:, 160:]   # strided, like a frame's data bodies
+    assert map_bits_to_symbols(bits, out=view) is view
+    np.testing.assert_array_equal(view.ravel(), map_bits_to_symbols(bits))
+    assert (rows[:, :160] == -1).all()
+    with pytest.raises(ValueError, match="out must hold 18432"):
+        map_bits_to_symbols(bits, out=np.empty(18431, dtype=int))
+
+
+def test_demap_equals_fancy_indexing_and_raises_alike():
+    idx = np.array([0, 1, 2, 3, 3, 2, 1, 0, -1, -4])
+    got = demap_symbols(idx)
+    want = _INDEX_TO_BITS[idx].ravel()
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    for bad in (4, -5):
+        with pytest.raises(IndexError):
+            _INDEX_TO_BITS[np.array([0, bad])]
+        with pytest.raises(IndexError):
+            demap_symbols([0, bad])
 
 
 # --- sync sequence -----------------------------------------------------------
@@ -120,6 +154,25 @@ def test_frame_serialization_and_cp():
             idx[body0 + lay.fft_len - lay.cp_len:body0 + lay.fft_len])
 
 
+def test_frame_serializes_into_out():
+    payload = np.random.default_rng(2).integers(0, 2, 36864)
+    data = np.full((9, 2048), -1)
+    frame = build_frame(payload, out=data)
+    assert np.shares_memory(frame.data, data)
+    assert data.tobytes() == build_frame(payload).data.tobytes()
+    out = np.full(22500, -1)
+    assert frame.symbol_indices(out=out) is out
+    # the serialization the slice writes replace: sync on P1/P3, then each
+    # body after its CP
+    bodies = np.vstack([frame.pilot, frame.data])
+    want = np.concatenate([np.where(frame.sync > 0, 0, 2), np.hstack(
+        [bodies[:, -160:], bodies]).ravel()])
+    assert out.tobytes() == want.tobytes()
+    assert build_frame(payload).symbol_indices().tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="out must hold 22500"):
+        frame.symbol_indices(out=np.empty(22500, dtype=np.int32))
+
+
 def test_frame_throughput():
     lay = FrameLayout()
     duration = lay.frame_len / SYMBOL_RATE
@@ -169,6 +222,16 @@ def test_baseband_into_out_equals_fresh_samples(points, sps):
     assert fresh.samples.tobytes() == expected
     assert ((sig.sample_rate, sig.samples_per_symbol)
             == (fresh.sample_rate, fresh.samples_per_symbol))
+
+
+def test_baseband_indices_resolve_as_indexing_does():
+    pts = ideal_qpsk().points
+    idx = np.array([0, 3, -1, -4, 2])
+    sig = synthesize_baseband(idx, pts, 2)
+    assert sig.samples.tobytes() == np.repeat(pts[idx], 2).tobytes()
+    for bad in (4, -5):
+        with pytest.raises(IndexError):
+            synthesize_baseband(np.array([0, bad]), pts, 2)
 
 
 @pytest.mark.parametrize("out", [

@@ -1,0 +1,104 @@
+"""Cost of one warm `run_frame`, per mode: minor page faults, system time,
+allocation peak and median wall time.
+
+    python3 tools/frame_cost.py                  # 60 frames per mode at 14 dB
+    python3 tools/frame_cost.py --frames 150 --snr 14 --mode conventional
+
+BLAS threads are pinned to one, as the benchmark (linkbench/run.py) pins
+them: a threaded BLAS spends several times the CPU on the receiver's small
+matrix-vector products.  Each mode runs a few unmeasured frames first, so
+its reused buffers and memoized tables are in place.  Faults and system
+time come from `getrusage` over the timed frames; the allocation peak is
+the largest `tracemalloc` peak of a frame, taken in a second pass, since
+tracing slows every allocation.  The last line of output is one JSON object.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import resource
+import statistics
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+MODES = ("conventional", "metasurface")
+WARMUP = 3
+
+
+def parse_args(argv):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--frames", type=int, default=60,
+                    help="timed frames per mode (default 60)")
+    ap.add_argument("--snr", type=float, default=14.0,
+                    help="channel SNR in dB (default 14)")
+    ap.add_argument("--mode", choices=MODES + ("both",), default="both")
+    args = ap.parse_args(argv)
+    if args.frames < 1:
+        ap.error("--frames must be >= 1")
+    return args
+
+
+def frame_cost(mode: str, frames: int, snr_db: float) -> dict:
+    from mslink.harness import ExperimentConfig, run_frame
+
+    cfg = ExperimentConfig(mode=mode)
+    for seed in range(WARMUP):
+        run_frame(cfg, snr_db, seed)
+    seeds = range(WARMUP, WARMUP + frames)
+
+    walls = []
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    for seed in seeds:
+        t0 = time.perf_counter()
+        run_frame(cfg, snr_db, seed)
+        walls.append(time.perf_counter() - t0)
+    after = resource.getrusage(resource.RUSAGE_SELF)
+
+    peak = 0
+    tracemalloc.start()
+    try:
+        for seed in seeds:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run_frame(cfg, snr_db, seed)
+            peak = max(peak, tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+
+    return {
+        "mode": mode,
+        "sps": cfg.resolved_sps(),
+        "frames": frames,
+        "minor_faults": (after.ru_minflt - before.ru_minflt) / frames,
+        "sys_ms": 1e3 * (after.ru_stime - before.ru_stime) / frames,
+        "alloc_peak_mb": peak / 1e6,
+        "wall_ms_p50": 1e3 * statistics.median(walls),
+    }
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    for var in THREAD_VARS:   # before numpy loads its BLAS
+        os.environ[var] = "1"
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    modes = MODES if args.mode == "both" else (args.mode,)
+    rows = [frame_cost(mode, args.frames, args.snr) for mode in modes]
+    print(f"per warm frame, {args.frames} frames at {args.snr:g} dB, "
+          "BLAS threads pinned to 1")
+    print(f"{'mode':<13}{'faults':>8}{'sys ms':>8}{'peak MB':>9}"
+          f"{'p50 ms':>8}")
+    for r in rows:
+        print(f"{r['mode']:<13}{r['minor_faults']:>8.0f}{r['sys_ms']:>8.2f}"
+              f"{r['alloc_peak_mb']:>9.2f}{r['wall_ms_p50']:>8.2f}")
+    print(json.dumps({"snr_db": args.snr, "frames": args.frames,
+                      "modes": rows}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
