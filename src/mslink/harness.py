@@ -19,18 +19,18 @@ from .iqfile import StreamHeader, read_iq, write_iq
 from .rxchain import ReceiveBuffers, receive_frame
 from .surface import ArrayConfig, aggregate_reflection
 from .txchain import (DEFAULT_PILOT_SEED, SYMBOL_RATE, BasebandSignal,
-                      Constellation, FrameLayout, TransmitBuffers, build_frame,
-                      ideal_qpsk, metasurface_constellation)
+                      Constellation, FrameLayout, build_frame, ideal_qpsk,
+                      metasurface_constellation)
 
 SEED_POINT_STRIDE = 2 ** 20   # per-SNR-point seed offset
 _NOISE_SEED_OFFSET = 2 ** 40  # decorrelates payload and noise streams
 
 
 class FrameBuffers(NamedTuple):
-    """Every array run_frame works in: the transmit chain's, the received
+    """Every array run_frame works in: the transmitted samples, the received
     samples, and the receiver's symbol-rate arrays."""
 
-    transmit: TransmitBuffers
+    tx: np.ndarray
     rx: np.ndarray
     receive: ReceiveBuffers
 
@@ -90,16 +90,10 @@ class ExperimentConfig:
         hash, repr and `replace` ignore it, and a replaced config allocates
         its own; `copy.copy` copies the instance dict and so shares them
         once allocated)."""
-        sps = self.resolved_sps()
-        n_rx = (FrameLayout.frame_len * sps + self.timing_offset
-                + len(self.fir_taps) - 1)
-        return FrameBuffers(TransmitBuffers(sps),
+        n_tx = FrameLayout.frame_len * self.resolved_sps()
+        n_rx = n_tx + self.timing_offset + len(self.fir_taps) - 1
+        return FrameBuffers(np.empty(n_tx, dtype=complex),
                             np.empty(n_rx, dtype=complex), ReceiveBuffers())
-
-    @property
-    def _sample_buffers(self) -> tuple:
-        """run_frame's transmit and receive sample arrays."""
-        return self._buffers.transmit.samples, self._buffers.rx
 
 
 def surface_constellation(lut: GammaLUT, target_phases) -> Constellation:
@@ -135,35 +129,31 @@ def theoretical_qpsk_ber(ebn0_db: float) -> float:
     return 0.5 * math.erfc(math.sqrt(10.0 ** (ebn0_db / 10.0)))
 
 
-def _transmit_samples(frame, constellation, cfg: ExperimentConfig,
-                      sps: int, out=None) -> BasebandSignal:
+def _frame_samples(payload, cfg: ExperimentConfig,
+                   constellation: Constellation, out) -> BasebandSignal:
+    """The samples of the frame carrying `payload`, written into `out`, or
+    into a fresh array when `out` is None."""
     from .txchain import synthesize_baseband
 
+    indices = build_frame(payload, cfg.pilot_seed).symbol_indices()
     points = constellation.points
     if cfg.mode == "metasurface":
         # the array response is elementwise, so applying it to the four
         # points gives the very samples it would give applied to each
         # sample; with no active cell the four values coincide
         points = aggregate_reflection(points, cfg.array)
-    return synthesize_baseband(frame, points, sps, out=out)
+    return synthesize_baseband(indices, points, cfg.resolved_sps(), out=out)
 
 
-def transmit_frame(cfg: ExperimentConfig, seed,
-                   buffers: TransmitBuffers | None = None) -> tuple:
+def transmit_frame(cfg: ExperimentConfig, seed, out=None) -> tuple:
     """One frame of random payload, drawn from `default_rng(seed)` (a seed or
     a Generator), as the transmitter emits it: returns (payload, signal).
-    The frame is built in `buffers` when they are given (the signal's
-    samples are then `buffers.samples`), else in fresh arrays; the payload
-    is always a fresh array."""
-    sps = cfg.resolved_sps()
-    if buffers is None:
-        buffers = TransmitBuffers(sps)
+    The samples are written into `out` when it is given (frame_len * sps
+    complex samples), else into a fresh array; the payload is always a
+    fresh array."""
     payload = np.random.default_rng(seed).integers(
         0, 2, FrameLayout.payload_bits)
-    frame = build_frame(payload, cfg.pilot_seed, out=buffers.data)
-    sig = _transmit_samples(frame.symbol_indices(out=buffers.indices),
-                            cfg.resolved_constellation(), cfg, sps,
-                            buffers.samples)
+    sig = _frame_samples(payload, cfg, cfg.resolved_constellation(), out)
     return payload, sig
 
 
@@ -189,7 +179,7 @@ def run_frame(cfg: ExperimentConfig, snr_db: float, seed: int):
     frames of one config (or of its `copy.copy` copies, which share the
     buffers) must not run concurrently."""
     buffers = cfg._buffers
-    payload, sig = transmit_frame(cfg, seed, buffers.transmit)
+    payload, sig = transmit_frame(cfg, seed, buffers.tx)
     rx = apply_channel(sig, _channel(cfg, snr_db, seed), out=buffers.rx)
     window = (0, cfg.timing_offset
               + sig.samples_per_symbol * (len(cfg.fir_taps) + 2))
@@ -294,18 +284,16 @@ def transmit_file(path, cfg: ExperimentConfig, iq_path, header_path=None
     """Frame a file's bits (zero-padded tail) and write the IQ stream."""
     bits = bits_from_file(path)
     per_frame = FrameLayout.payload_bits
-    n_frames = max(1, -(-bits.size // per_frame)) if bits.size else 0
+    n_frames = -(-bits.size // per_frame)
     pad = n_frames * per_frame - bits.size
-    bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
+    payload = np.zeros((n_frames, per_frame), dtype=np.uint8)
+    payload.reshape(-1)[:bits.size] = bits
     sps = cfg.resolved_sps()
     constellation = cfg.resolved_constellation()
-    chunks = []
-    for i in range(n_frames):
-        frame = build_frame(bits[i * per_frame:(i + 1) * per_frame],
-                            cfg.pilot_seed)
-        chunks.append(_transmit_samples(frame, constellation, cfg, sps).samples)
-    samples = np.concatenate(chunks) if chunks else np.zeros(0, dtype=complex)
-    write_iq(iq_path, samples)
+    samples = np.empty((n_frames, FrameLayout.frame_len * sps), dtype=complex)
+    for frame_bits, out in zip(payload, samples):
+        _frame_samples(frame_bits, cfg, constellation, out)
+    write_iq(iq_path, samples.reshape(-1))
     header = StreamHeader(sample_rate_hz=SYMBOL_RATE * sps,
                           samples_per_symbol=sps, frames=n_frames,
                           pad_bits=pad, pilot_seed=cfg.pilot_seed)
@@ -314,13 +302,13 @@ def transmit_file(path, cfg: ExperimentConfig, iq_path, header_path=None
     return header
 
 
-def receive_stream(sig: BasebandSignal, header: StreamHeader,
-                   search_span: int | None = None) -> np.ndarray:
+def receive_stream(sig: BasebandSignal, header: StreamHeader) -> np.ndarray:
     """Recover the concatenated payload bits of a multi-frame stream.
 
-    The first frame is searched over [0, search_span); later frames are
-    expected at a fixed stride from it (the channel model has no clock
-    drift), with a small window to absorb correlation-peak jitter."""
+    The first frame is searched over the first frame length of start
+    positions (fewer when the stream is shorter than two frames); later
+    frames are expected at a fixed stride from it (the channel model has no
+    clock drift), with a small window to absorb correlation-peak jitter."""
     from .rxchain import frame_sync
     from .txchain import build_sync_sequence
 
@@ -328,8 +316,7 @@ def receive_stream(sig: BasebandSignal, header: StreamHeader,
     stride = FrameLayout.frame_len * sps
     if header.frames == 0:
         return np.zeros(0, dtype=int)
-    if search_span is None:
-        search_span = min(stride, max(1, sig.samples.size - stride + 1))
+    search_span = min(stride, max(1, sig.samples.size - stride + 1))
     try:
         start = frame_sync(sig, build_sync_sequence(),
                            (0, search_span)).frame_start

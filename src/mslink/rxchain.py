@@ -261,20 +261,18 @@ def ls_channel_estimate_taps(y_pilot_freq, x_pilot_freq,
     return np.fft.fft(taps, n)
 
 
-def zf_equalize(y_block, h, out: np.ndarray | None = None) -> np.ndarray:
+def zf_equalize(y_block, h) -> np.ndarray:
     """Zero-forcing SC-FDE: IFFT( FFT(y)/h ) along the last axis, so a stack
     of blocks is equalized with one estimate.  CP must already be removed.
-
-    Both transforms run in `out` when it is given (complex, the shape of
-    y_block), else in a fresh array."""
+    Both the division and the inverse transform run in place in the array
+    the forward transform returns."""
     h = np.asarray(h, dtype=complex)
     if np.any(np.abs(h) < 1e-12):
         raise SingularChannelError("channel estimate has a zero bin")
     y = np.asarray(y_block, dtype=complex)
     if y.shape[-1:] != h.shape:
         raise ValueError("block/estimate length mismatch")
-    out = _out_array(out, y.shape, complex)
-    np.fft.fft(y, out=out)
+    out = np.fft.fft(y)
     out /= h
     return np.fft.ifft(out, out=out)
 
@@ -381,10 +379,10 @@ def receive_frame(rx: BasebandSignal, pilot_seed: int = DEFAULT_PILOT_SEED,
         lay.n_subframes, lay.subframe_len)[:, lay.cp_len:]
     h = ls_channel_estimate_taps(np.fft.fft(bodies[0]),
                                  _pilot_spectrum(pilot_seed), est_taps)
-    # returned in the diagnostics, so a fresh array, never a buffer
-    equalized = np.empty(lay.data_subframes * lay.fft_len, dtype=complex)
-    eq_blocks = zf_equalize(bodies[1:], h, out=equalized.reshape(
-        lay.data_subframes, lay.fft_len))
+    # fresh, never a buffer: the equalized symbols are returned in the
+    # diagnostics
+    eq_blocks = zf_equalize(bodies[1:], h)
+    equalized = eq_blocks.reshape(-1)
     for eq in eq_blocks:
         # decision-directed removal of the residual common phase left by
         # CFO-estimate jitter (grows with distance from the pilot subframe).

@@ -33,17 +33,28 @@ DEFAULT_PILOT_SEED = 1
 
 @dataclass(frozen=True)
 class Constellation:
-    """Four complex symbol points; index k carries the bits of P(k+1)."""
+    """Four complex symbol points; index k carries the bits of P(k+1).  The
+    points are stored as a read-only copy, and constellations compare and
+    hash by value, the points by their contents."""
 
     points: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=complex)
+        pts = np.array(self.points, dtype=complex)   # always a new array
         if pts.shape != (4,):
             raise ValueError("constellation needs exactly four points")
         if len({complex(p) for p in pts}) != 4:
             raise ValueError("constellation points must be distinct")
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.points.tobytes() == other.points.tobytes()
+
+    def __hash__(self):
+        return hash(self.points.tobytes())
 
     @property
     def mean_power(self) -> float:
@@ -103,25 +114,16 @@ class FrameLayout:
     payload_bits = 2 * fft_len * data_subframes
 
 
-def map_bits_to_symbols(bits, out: np.ndarray | None = None) -> np.ndarray:
-    """Bit pairs -> constellation indices (00->P1, 01->P2, 11->P3, 10->P4).
-
-    The indices are written into `out` when it is given (an int array of
-    any shape holding one element per bit pair, such as a block view),
-    else into a fresh array."""
+def map_bits_to_symbols(bits) -> np.ndarray:
+    """Bit pairs -> constellation indices (00->P1, 01->P2, 11->P3, 10->P4)."""
     b = np.asarray(bits, dtype=int).ravel()
     if b.size % 2:
         raise FramingError(f"odd bit count {b.size}")
     if b.size and (b.min() < 0 or b.max() > 1):
         raise ValueError("bits must be 0/1")
-    if out is None:
-        out = np.empty(b.size // 2, dtype=int)
-    elif out.size != b.size // 2 or out.dtype != int:
-        raise ValueError(f"out must hold {b.size // 2} {np.dtype(int)} "
-                         f"indices, got shape {out.shape} of {out.dtype}")
-    first, second = b[0::2].reshape(out.shape), b[1::2].reshape(out.shape)
+    first = b[0::2]
     # the Gray map in integer arithmetic: index = 2 b0 + (b0 xor b1)
-    np.bitwise_xor(first, second, out=out)
+    out = np.bitwise_xor(first, b[1::2])
     out += first
     out += first
     return out
@@ -175,18 +177,13 @@ class Frame:
     data: np.ndarray = field(repr=False)       # (9, 2048) symbol indices
     payload_bits: np.ndarray = field(repr=False)
 
-    def symbol_indices(self, out: np.ndarray | None = None) -> np.ndarray:
-        """Serialize to 22500 symbol indices with per-subframe CP, written
-        into `out` when it is given, else into a fresh array.
+    def symbol_indices(self) -> np.ndarray:
+        """Serialize to 22500 symbol indices with per-subframe CP.
 
         Sync chips ride on the two 180-degree-apart points P1/P3
         (+1 -> P1, -1 -> P3)."""
         lay = FrameLayout
-        if out is None:
-            out = np.empty(lay.frame_len, dtype=int)
-        elif out.shape != (lay.frame_len,) or out.dtype != int:
-            raise ValueError(f"out must hold {lay.frame_len} {np.dtype(int)} "
-                             f"indices, got shape {out.shape} of {out.dtype}")
+        out = np.empty(lay.frame_len, dtype=int)
         out[:lay.sync_len] = np.where(self.sync > 0, 0, 2)
         subframes = out[lay.sync_len:].reshape(lay.n_subframes,
                                                lay.subframe_len)
@@ -197,16 +194,12 @@ class Frame:
         return out
 
 
-def build_frame(payload_bits, pilot_seed: int = DEFAULT_PILOT_SEED,
-                out: np.ndarray | None = None) -> Frame:
-    """The frame carrying `payload_bits`; its data symbol indices are
-    written into `out` when it is given (an int array of 9 x 2048), else
-    into a fresh array."""
+def build_frame(payload_bits, pilot_seed: int = DEFAULT_PILOT_SEED) -> Frame:
     bits = np.asarray(payload_bits, dtype=int).ravel()
     if bits.size != FrameLayout.payload_bits:
         raise FramingError(f"payload must be exactly "
                            f"{FrameLayout.payload_bits} bits, got {bits.size}")
-    data = map_bits_to_symbols(bits, out=out).reshape(
+    data = map_bits_to_symbols(bits).reshape(
         FrameLayout.data_subframes, FrameLayout.fft_len)
     return Frame(
         sync=build_sync_sequence(),
@@ -214,22 +207,6 @@ def build_frame(payload_bits, pilot_seed: int = DEFAULT_PILOT_SEED,
         data=data,
         payload_bits=bits,
     )
-
-
-class TransmitBuffers:
-    """The arrays one frame is transmitted through: its data symbol indices
-    (build_frame), its serialized symbol indices (Frame.symbol_indices) and
-    its samples at `sps` samples per symbol (synthesize_baseband).  Reusing
-    one set across frames spares allocating, and page-faulting, them anew
-    for every frame."""
-
-    __slots__ = ("data", "indices", "samples")
-
-    def __init__(self, sps: int):
-        lay = FrameLayout
-        self.data = np.empty((lay.data_subframes, lay.fft_len), dtype=int)
-        self.indices = np.empty(lay.frame_len, dtype=int)
-        self.samples = np.empty(lay.frame_len * sps, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -246,7 +223,6 @@ def _as_indices(frame_or_indices) -> np.ndarray:
 
 
 def synthesize_baseband(frame, constellation, sps: int = 1,
-                        sample_rate: float | None = None,
                         out: np.ndarray | None = None) -> BasebandSignal:
     """Rectangular-pulse baseband: each symbol value held for sps samples.
 
@@ -273,8 +249,7 @@ def synthesize_baseband(frame, constellation, sps: int = 1,
     # checked above "wrap" resolves only the negative ones, as indexing does
     held = np.repeat(points, sps).reshape(n, sps)
     np.take(held, idx, axis=0, out=out.reshape(-1, sps), mode="wrap")
-    rate = SYMBOL_RATE * sps if sample_rate is None else sample_rate
-    return BasebandSignal(samples=out, sample_rate=rate,
+    return BasebandSignal(samples=out, sample_rate=SYMBOL_RATE * sps,
                           samples_per_symbol=sps)
 
 

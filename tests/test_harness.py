@@ -8,16 +8,16 @@ import pytest
 from mslink.channel import ChannelConfig, apply_channel
 from mslink.errors import InterpolationError
 from mslink.harness import (SEED_POINT_STRIDE, BerRecord, ExperimentConfig,
-                            _channel, bits_from_file, bits_to_bytes,
-                            compare_architectures, measure_link_snr,
-                            receive_file, run_ber_sweep, run_frame, snr_at_ber,
-                            theoretical_qpsk_ber, transmit_file, transmit_frame,
-                            write_ber_csv)
+                            FrameBuffers, _channel, bits_from_file,
+                            bits_to_bytes, compare_architectures,
+                            measure_link_snr, receive_file, run_ber_sweep,
+                            run_frame, snr_at_ber, theoretical_qpsk_ber,
+                            transmit_file, transmit_frame, write_ber_csv)
 from mslink.iqfile import StreamHeader, read_iq, write_iq
 from mslink.rxchain import ReceiveBuffers, receive_frame
 from mslink.surface import ArrayConfig, aggregate_reflection
-from mslink.txchain import (BasebandSignal, TransmitBuffers, build_frame,
-                            synthesize_baseband)
+from mslink.txchain import (BasebandSignal, build_frame, ideal_qpsk,
+                            impaired_qpsk, synthesize_baseband)
 
 
 def test_theoretical_qpsk_ber_limits():
@@ -153,6 +153,15 @@ def test_configs_compare_and_hash_by_value():
     assert len({a, b, dataclasses.replace(a)}) == 1
 
 
+def test_configs_with_a_constellation_compare_and_hash_by_value():
+    a = ExperimentConfig(constellation=ideal_qpsk())
+    b = ExperimentConfig(constellation=ideal_qpsk())
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, dataclasses.replace(a)}) == 1
+    assert a != ExperimentConfig(constellation=impaired_qpsk(262.7))
+    assert a != ExperimentConfig()
+
+
 def test_array_mask_is_read_only_and_owned():
     mask = np.ones(128, dtype=bool)
     cfg = ArrayConfig(mask=mask)
@@ -285,6 +294,32 @@ def test_metasurface_samples_equal_per_sample_aggregation(mask, gamma_static):
 
 # --- file transport -----------------------------------------------------------------
 
+@pytest.mark.parametrize("mode", ["conventional", "metasurface"])
+def test_transmit_file_equals_the_per_frame_recipe(tmp_path, mode):
+    # 2.5 frames of file bits: the stream must be the float32 of each
+    # frame's samples one after another, the tail frame zero-padded; half
+    # the array is active, so the aggregation changes the points
+    cfg = ExperimentConfig(mode=mode, pilot_seed=4, array=ArrayConfig(
+        mask="left-half", gamma_static=0.3 - 0.1j))
+    src = tmp_path / "payload.bin"
+    src.write_bytes(np.random.default_rng(8).integers(
+        0, 256, 5 * 36864 // 16, dtype=np.uint8).tobytes())
+    hdr = transmit_file(src, cfg, tmp_path / "s.iq")
+    assert (hdr.frames, hdr.pad_bits) == (3, 36864 // 2)
+    bits = np.concatenate([np.unpackbits(np.fromfile(src, dtype=np.uint8)),
+                           np.zeros(hdr.pad_bits, dtype=np.uint8)])
+    points = cfg.resolved_constellation().points
+    if mode == "metasurface":
+        points = aggregate_reflection(points, cfg.array)
+    samples = np.concatenate([
+        synthesize_baseband(build_frame(chunk, cfg.pilot_seed), points,
+                            cfg.resolved_sps()).samples
+        for chunk in bits.reshape(3, 36864)])
+    want = np.empty(2 * samples.size, dtype="<f4")
+    want[0::2], want[1::2] = samples.real, samples.imag
+    assert (tmp_path / "s.iq").read_bytes() == want.tobytes()
+
+
 def test_transmit_exact_frame(tmp_path):
     src = tmp_path / "exact.bin"
     src.write_bytes(bytes(4608))  # exactly 36864 bits
@@ -339,10 +374,9 @@ def test_run_frame_reports_diagnostics():
 def _all_buffers(cfg):
     """Every array of the config's frame buffers, by name."""
     b = cfg._buffers
-    arrays = {"rx": b.rx}
-    for part in (b.transmit, b.receive):
-        arrays.update({name: getattr(part, name)
-                       for name in type(part).__slots__})
+    arrays = {"tx": b.tx, "rx": b.rx}
+    arrays.update({name: getattr(b.receive, name)
+                   for name in ReceiveBuffers.__slots__})
     return arrays
 
 
@@ -362,8 +396,8 @@ def test_run_frame_results_survive_later_frames_and_alias_no_buffer():
         _poison(cfg)
         assert [a.tobytes() for a in first] == kept
         buffers = _all_buffers(cfg)
-        assert set(buffers) == {"rx", *TransmitBuffers.__slots__,
-                                *ReceiveBuffers.__slots__}
+        assert FrameBuffers._fields == ("tx", "rx", "receive")
+        assert set(buffers) == {"tx", "rx", *ReceiveBuffers.__slots__}
         for a in first:
             for name, buf in buffers.items():
                 assert not np.shares_memory(a, buf), (mode, name)
@@ -378,14 +412,15 @@ def test_each_config_gets_its_own_buffers():
     for cfg in configs:
         run_frame(cfg, 12.0, 1)
     # the buffers are not a field, so repr and `replace` do not see them
-    assert "_sample_buffers" not in {f.name for f in dataclasses.fields(a)}
+    assert "_buffers" not in {f.name for f in dataclasses.fields(a)}
     assert repr(a) == repr(b) == repr(same)
     for i, x in enumerate(configs):
         for y in configs[i + 1:]:
             for p in _all_buffers(x).values():
                 for q in _all_buffers(y).values():
                     assert not np.shares_memory(p, q)
-    assert [buf.size for buf in offset._sample_buffers] == [180_000, 180_037]
+    tx, rx, _ = offset._buffers
+    assert (tx.size, rx.size) == (180_000, 180_037)
 
 
 def _unbuffered_frame(cfg, snr_db, seed):

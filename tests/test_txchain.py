@@ -49,17 +49,6 @@ def test_gray_arithmetic_equals_the_pair_table():
     assert got.tobytes() == table.tobytes()
 
 
-def test_bit_mapping_into_a_block_view():
-    bits = np.random.default_rng(6).integers(0, 2, 36864)
-    rows = np.full((9, 2208), -1)
-    view = rows[:, 160:]   # strided, like a frame's data bodies
-    assert map_bits_to_symbols(bits, out=view) is view
-    np.testing.assert_array_equal(view.ravel(), map_bits_to_symbols(bits))
-    assert (rows[:, :160] == -1).all()
-    with pytest.raises(ValueError, match="out must hold 18432"):
-        map_bits_to_symbols(bits, out=np.empty(18431, dtype=int))
-
-
 def test_demap_equals_fancy_indexing_and_raises_alike():
     idx = np.array([0, 1, 2, 3, 3, 2, 1, 0, -1, -4])
     got = demap_symbols(idx)
@@ -156,21 +145,13 @@ def test_frame_serialization_and_cp():
 
 def test_frame_serializes_into_out():
     payload = np.random.default_rng(2).integers(0, 2, 36864)
-    data = np.full((9, 2048), -1)
-    frame = build_frame(payload, out=data)
-    assert np.shares_memory(frame.data, data)
-    assert data.tobytes() == build_frame(payload).data.tobytes()
-    out = np.full(22500, -1)
-    assert frame.symbol_indices(out=out) is out
+    frame = build_frame(payload)
     # the serialization the slice writes replace: sync on P1/P3, then each
     # body after its CP
     bodies = np.vstack([frame.pilot, frame.data])
     want = np.concatenate([np.where(frame.sync > 0, 0, 2), np.hstack(
         [bodies[:, -160:], bodies]).ravel()])
-    assert out.tobytes() == want.tobytes()
-    assert build_frame(payload).symbol_indices().tobytes() == want.tobytes()
-    with pytest.raises(ValueError, match="out must hold 22500"):
-        frame.symbol_indices(out=np.empty(22500, dtype=np.int32))
+    assert frame.symbol_indices().tobytes() == want.tobytes()
 
 
 def test_frame_throughput():
@@ -309,6 +290,20 @@ def test_ideal_qpsk_geometry():
     np.testing.assert_allclose(np.abs(pts), 1.0)
     np.testing.assert_allclose(np.degrees(np.angle(pts)),
                                [45.0, 135.0, -135.0, -45.0], atol=1e-12)
+
+
+def test_constellation_owns_read_only_points_and_compares_by_value():
+    p = ideal_qpsk().points.copy()
+    c = Constellation(p)
+    assert not np.shares_memory(c.points, p)
+    with pytest.raises(ValueError):
+        c.points[0] = 0
+    p[0] = 2.0   # the caller's array stays its own
+    assert c == ideal_qpsk() and hash(c) == hash(ideal_qpsk())
+    assert len({c, ideal_qpsk(), Constellation(list(c.points))}) == 1
+    assert c != impaired_qpsk(270.0)
+    assert c != Constellation(c.points[::-1])
+    assert c != Constellation(np.append(c.points[:3], 2.0))
 
 
 def test_constellation_rejects_duplicates():
