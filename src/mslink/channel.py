@@ -8,6 +8,8 @@ normalized to cycles per FFT-length block of the fixed frame format
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -33,14 +35,21 @@ class ChannelConfig:
     ref_power: float | None = None    # noise reference; None = measure input
 
     def __post_init__(self):
-        if abs(self.cfo_normalized) >= 0.5:
-            raise ValueError("|cfo_normalized| must be < 0.5")
+        if not abs(self.cfo_normalized) < 0.5:   # NaN fails too
+            raise ValueError("|cfo_normalized| must be finite and < 0.5")
+        if not cmath.isfinite(self.complex_gain):
+            raise ValueError("complex_gain must be finite")
         if self.timing_offset < 0:
             raise ValueError("timing_offset must be >= 0")
         if len(self.fir_taps) == 0:
             raise ValueError("fir_taps must be non-empty")
+        if not all(cmath.isfinite(t) for t in self.fir_taps):
+            raise ValueError("fir_taps must be finite")
         if not (math.isfinite(self.snr_db) or self.snr_db == math.inf):
             raise ValueError("snr_db must be finite or +inf")
+        if self.ref_power is not None and not (
+                math.isfinite(self.ref_power) and self.ref_power > 0):
+            raise ValueError("ref_power must be finite and > 0")
 
 
 def noise_variance(snr_db: float, signal_power: float) -> float:
@@ -48,6 +57,17 @@ def noise_variance(snr_db: float, signal_power: float) -> float:
     if snr_db == math.inf:
         return 0.0
     return signal_power / 10.0 ** (snr_db / 10.0)
+
+
+@functools.lru_cache(maxsize=2)
+def _cfo_ramp(eps: float, sps: int, n: int) -> np.ndarray:
+    """e^{j 2 pi eps m / (2048 sps)} for m < n.  Built once per (eps, sps,
+    length) and shared, so read-only; one entry holds 16 bytes per sample,
+    so only the last two are kept."""
+    m = np.arange(n)
+    ramp = np.exp(2j * np.pi * eps * m / (CFO_BLOCK * sps))
+    ramp.flags.writeable = False
+    return ramp
 
 
 def apply_channel(sig: BasebandSignal, cfg: ChannelConfig,
@@ -86,8 +106,7 @@ def apply_channel(sig: BasebandSignal, cfg: ChannelConfig,
     else:
         body[:] = np.convolve(x, taps)
     if cfg.cfo_normalized != 0.0:
-        m = np.arange(body.size)
-        ramp = np.exp(2j * np.pi * cfg.cfo_normalized * m / (CFO_BLOCK * sps))
+        ramp = _cfo_ramp(cfg.cfo_normalized, sps, body.size)
         # ramp first: complex products round differently with the operands
         # swapped, and this is the order numpy evaluates `y * ramp` in when
         # it reuses the ramp's buffer, as it does at frame sizes

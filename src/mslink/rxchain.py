@@ -27,14 +27,29 @@ SYNC_THRESHOLD = 0.5  # fraction of the power-normalized ideal peak
 # Quadrant slicer: a symbol this close to an axis, relative to
 # (1 + max(|re|, |im|))^2, is decided by the distance argmin, because there
 # the rounded distances to the two neighbouring points may tie or swap.
+# The slicer first screens a whole block against the bound at the block's
+# largest coordinate, which no symbol's own bound exceeds, and applies the
+# per-symbol test only to a block that fails the screen.
 AXIS_TOLERANCE = 1e-9
 # The slicer decides this many symbols per pass, so its temporaries stay
 # ~32 KB however many symbols one call decides.
 SLICER_BLOCK = FrameLayout.fft_len
 
 _QPSK_POINTS = ideal_qpsk().points
-# ideal-QPSK index by quadrant code 2*(re < 0) + (im < 0)
-_QUADRANT_INDEX = np.array([0, 3, 1, 2], dtype=np.intp)
+
+
+def _sign_quadrant_table() -> np.ndarray:
+    """Ideal-QPSK index by the sign bits of (re, im) read as one uint16,
+    the code a complex128 symbol's float64 pair gives under np.signbit."""
+    signs = np.array([[False, False], [False, True], [True, False],
+                      [True, True]])
+    codes = signs.view(np.uint16).ravel()   # byte order of this host
+    table = np.zeros(codes.max() + 1, dtype=np.intp)
+    table[codes] = [0, 3, 1, 2]
+    return table
+
+
+_SIGN_QUADRANT = _sign_quadrant_table()
 
 
 @dataclass(frozen=True)
@@ -282,7 +297,7 @@ def nearest_symbol_indices(symbols, constellation: Constellation | None = None,
     """Minimum-distance decisions; ties go to the lower point index.
 
     For the ideal QPSK points (the default) the decision is the quadrant,
-    read from the signs of re and im, SLICER_BLOCK symbols at a time;
+    read from the sign bits of re and im, SLICER_BLOCK symbols at a time;
     symbols within AXIS_TOLERANCE of an axis (and any non-finite ones) take
     the distance argmin, so the result is always the argmin's, ties
     included.  The decisions are written into `out` when it is given (an
@@ -303,13 +318,20 @@ def nearest_symbol_indices(symbols, constellation: Constellation | None = None,
 
 
 def _slice_quadrants(s, out) -> None:
-    re, im = s.real, s.imag
-    out[:] = _QUADRANT_INDEX[2 * (re < 0) + (im < 0)]
-    a, b = np.abs(re), np.abs(im)
-    scale = 1.0 + np.maximum(a, b)
-    near = ~(np.minimum(a, b) > AXIS_TOLERANCE * scale * scale)
-    if near.any():
-        out[near] = _argmin_distance(s[near], _QPSK_POINTS)
+    s = np.ascontiguousarray(s, dtype=complex)
+    v = s.view(np.float64)            # re, im interleaved
+    # the sign bits of each (re, im) pair, read as one uint16 code; -0.0 and
+    # a negative NaN set a sign bit without being below zero, but -0.0 lies
+    # on an axis and a NaN fails the bound, so both are decided again below
+    codes = np.signbit(v).view(np.uint16)
+    np.take(_SIGN_QUADRANT, codes, out=out, mode="clip")
+    a = np.abs(v)
+    if a.min() > AXIS_TOLERANCE * (1.0 + a.max()) ** 2:   # False with a NaN
+        return
+    re, im = a[0::2], a[1::2]
+    scale = 1.0 + np.maximum(re, im)
+    near = ~(np.minimum(re, im) > AXIS_TOLERANCE * scale * scale)
+    out[near] = _argmin_distance(s[near], _QPSK_POINTS)
 
 
 def _argmin_distance(symbols, pts) -> np.ndarray:

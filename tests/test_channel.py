@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mslink.channel import (CFO_BLOCK, NOISE_CHUNK, ChannelConfig,
-                            apply_channel, noise_variance)
+                            _cfo_ramp, apply_channel, noise_variance)
 from mslink.txchain import BasebandSignal, FrameLayout
 
 
@@ -121,6 +121,23 @@ def test_config_validation():
         ChannelConfig(fir_taps=())
     with pytest.raises(ValueError):
         ChannelConfig(snr_db=-math.inf)
+    # a NaN or infinite parameter would turn every sample into NaN
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="cfo_normalized"):
+            ChannelConfig(cfo_normalized=bad)
+        with pytest.raises(ValueError, match="complex_gain"):
+            ChannelConfig(complex_gain=complex(bad, 0.0))
+        with pytest.raises(ValueError, match="complex_gain"):
+            ChannelConfig(complex_gain=complex(1.0, bad))
+        with pytest.raises(ValueError, match="fir_taps"):
+            ChannelConfig(fir_taps=(1.0, complex(0.0, bad)))
+        with pytest.raises(ValueError, match="ref_power"):
+            ChannelConfig(ref_power=bad)
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="ref_power"):
+            ChannelConfig(ref_power=bad)
+    ChannelConfig(ref_power=1e-30, cfo_normalized=-0.499, complex_gain=0.0,
+                  fir_taps=(0.0, 1.0))
 
 
 def _closed_form_channel(x, sps, cfg):
@@ -208,3 +225,74 @@ def test_chunked_noise_equals_one_shot_draw(n):
     want.real += w[0]
     want.imag += w[1]
     assert y.tobytes() == want.tobytes()
+
+
+def _cfo_config(cfo, **kw):
+    return ChannelConfig(snr_db=10.0, cfo_normalized=cfo, timing_offset=11,
+                         fir_taps=(1.0, 0.3 - 0.2j), seed=9, **kw)
+
+
+def _frame_sized(n, sps):
+    # above numpy's 256 KiB threshold for reusing temporaries, as in
+    # test_channel_bit_exact_against_closed_form
+    rng = np.random.default_rng(n)
+    return np.repeat(np.exp(2j * np.pi * rng.uniform(size=n // sps)), sps)
+
+
+@pytest.mark.parametrize("out", [None, "nan-buffer"])
+def test_memoized_cfo_ramp_repeats_the_closed_form(out):
+    _cfo_ramp.cache_clear()
+    x = _frame_sized(20000, 8)
+    cfg = _cfo_config(0.2)
+    want = _closed_form_channel(x, 8, cfg)
+    for _ in range(3):   # the first call builds the ramp, the rest reuse it
+        buf = None if out is None else np.full(want.size, np.nan, complex)
+        y = apply_channel(_sig(x, 8), cfg, out=buf).samples
+        assert y.tobytes() == want.tobytes()
+    info = _cfo_ramp.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_memoized_cfo_ramp_is_read_only_and_never_aliased():
+    _cfo_ramp.cache_clear()
+    x = _frame_sized(20000, 1)
+    cfg = _cfo_config(-0.2)
+    y = apply_channel(_sig(x), cfg).samples
+    out = np.empty_like(y)
+    assert apply_channel(_sig(x), cfg, out=out).samples is out
+    ramp = _cfo_ramp(-0.2, 1, x.size + 1)
+    assert _cfo_ramp.cache_info().misses == 1    # the ramp both calls used
+    assert not ramp.flags.writeable
+    with pytest.raises(ValueError):
+        ramp[0] = 0.0
+    assert not np.shares_memory(ramp, y)
+    assert not np.shares_memory(ramp, out)
+    np.testing.assert_array_equal(
+        ramp, np.exp(2j * np.pi * -0.2 * np.arange(ramp.size) / CFO_BLOCK))
+
+
+def test_each_eps_sps_and_length_gets_its_own_ramp():
+    _cfo_ramp.cache_clear()
+    x = _frame_sized(20000, 8)
+    apply_channel(_sig(x, 8), _cfo_config(0.2))
+    # a ramp taken from the wrong cache entry fails the closed form
+    for cfo, sps, n in ((0.3, 8, x.size), (0.2, 4, x.size),
+                        (0.2, 8, x.size - 8)):
+        xs = x[:n]
+        cfg = _cfo_config(cfo)
+        y = apply_channel(_sig(xs, sps), cfg).samples
+        assert y.tobytes() == _closed_form_channel(xs, sps, cfg).tobytes()
+    assert _cfo_ramp.cache_info().misses == 4
+
+
+def test_cfo_ramp_cache_stays_small():
+    # one ramp holds 16 B per sample: 1.4 MB for the 3.5-frame stream at
+    # sps 1, 2.9 MB for one metasurface frame
+    _cfo_ramp.cache_clear()
+    for eps in (0.1, 0.2, 0.3, 0.4):
+        _cfo_ramp(eps, 8, 1000)
+    info = _cfo_ramp.cache_info()
+    assert info.maxsize <= 2 and info.currsize == info.maxsize
+    # zero CFO bypasses the memo
+    apply_channel(_sig(np.ones(100)), ChannelConfig(timing_offset=3))
+    assert _cfo_ramp.cache_info().misses == 4

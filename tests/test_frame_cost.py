@@ -20,3 +20,18 @@ def test_frame_cost_reports_both_modes():
         assert r["frames"] == 2
         assert r["minor_faults"] >= 0 and r["sys_ms"] >= 0
         assert 0 < r["alloc_peak_mb"] < 10 and r["wall_ms_p50"] > 0
+
+
+def test_frame_cost_stream_mode_reports_round_trips():
+    out = subprocess.run([sys.executable, str(TOOL), "--mode", "stream",
+                          "--frames", "2"],
+                         check=True, capture_output=True, text=True,
+                         timeout=120)
+    lines = out.stdout.strip().splitlines()
+    assert lines[0].startswith("per warm stream round trip, 2 round trips")
+    res = json.loads(lines[-1])
+    assert res["frames"] == 2 and "snr_db" not in res
+    (r,) = res["modes"]
+    assert (r["mode"], r["sps"], r["frames"]) == ("stream", 1, 2)
+    assert r["minor_faults"] >= 0 and r["sys_ms"] >= 0
+    assert 0 < r["alloc_peak_mb"] < 50 and r["wall_ms_p50"] > 0

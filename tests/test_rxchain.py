@@ -317,6 +317,38 @@ def test_quadrant_slicer_equals_argmin(symbols):
                                   _argmin_slicer(s))
 
 
+def test_quadrant_slicer_equals_argmin_on_signed_zero_nan_and_inf():
+    # the quadrant is read from the sign bits, which -0.0 and a negative NaN
+    # set although neither is below zero; such symbols, and infinite ones,
+    # must still get the argmin's decision
+    specials = [0.0, -0.0, 5e-324, -5e-324, 0.7, -0.7, np.inf, -np.inf,
+                np.nan, -np.nan]
+    grid = np.empty((len(specials), len(specials)), dtype=complex)
+    grid.real, grid.imag = np.c_[specials], np.r_[specials]
+    grid = grid.ravel()
+    for s in (grid, np.concatenate([grid, 0.3 - 0.2j * np.ones(3000)])):
+        np.testing.assert_array_equal(nearest_symbol_indices(s),
+                                      _argmin_slicer(s))
+    # one non-finite symbol must not change the decisions of its block-mates
+    rng = np.random.default_rng(4)
+    s = rng.normal(size=3000) + 1j * rng.normal(size=3000)
+    s[[5, 2100]] = [complex(np.nan, 1.0), complex(-np.inf, -0.0)]
+    np.testing.assert_array_equal(nearest_symbol_indices(s),
+                                  _argmin_slicer(s))
+
+
+def test_quadrant_slicer_on_non_contiguous_input():
+    rng = np.random.default_rng(8)
+    base = rng.normal(size=(3, 5000)) + 1j * rng.normal(size=(3, 5000))
+    base[0, 10] = -0.0 + 0.4j
+    for s in (base[0, ::2], base[:, ::3], base.T, base[::-1, 1:],
+              base.real, base.astype(np.complex64)):
+        want = _argmin_slicer(np.asarray(s, dtype=complex).ravel())
+        got = nearest_symbol_indices(s)
+        assert got.shape == s.shape
+        np.testing.assert_array_equal(got.ravel(), want)
+
+
 def test_slicer_decides_a_frame_of_symbols_block_by_block():
     # a frame's 18 432 data symbols are decided SLICER_BLOCK at a time; put
     # symbols within AXIS_TOLERANCE of an axis on both sides of a block edge

@@ -3,6 +3,13 @@ allocation peak and median wall time.
 
     python3 tools/frame_cost.py                  # 60 frames per mode at 14 dB
     python3 tools/frame_cost.py --frames 150 --snr 14 --mode conventional
+    python3 tools/frame_cost.py --mode stream --frames 60
+
+`--mode stream` measures file round trips instead: each operation is one
+`Stream.op` of the benchmark's `stream_impaired` workload
+(linkbench/workloads.py; `transmit_file`, `read_iq`, `apply_channel` on the
+whole stream, `write_iq`, `receive_file`), run in a temporary directory, and
+`--frames` counts round trips.  `--snr` does not apply to it.
 
 BLAS threads are pinned to one, as the benchmark (linkbench/run.py) pins
 them: a threaded BLAS spends several times the CPU on the receiver's small
@@ -21,6 +28,7 @@ import os
 import resource
 import statistics
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -28,6 +36,7 @@ from pathlib import Path
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 MODES = ("conventional", "metasurface")
 WARMUP = 3
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def parse_args(argv):
@@ -36,67 +45,96 @@ def parse_args(argv):
                     help="timed frames per mode (default 60)")
     ap.add_argument("--snr", type=float, default=14.0,
                     help="channel SNR in dB (default 14)")
-    ap.add_argument("--mode", choices=MODES + ("both",), default="both")
+    ap.add_argument("--mode", choices=MODES + ("both", "stream"),
+                    default="both")
     args = ap.parse_args(argv)
     if args.frames < 1:
         ap.error("--frames must be >= 1")
     return args
 
 
-def frame_cost(mode: str, frames: int, snr_db: float) -> dict:
-    from mslink.harness import ExperimentConfig, run_frame
-
-    cfg = ExperimentConfig(mode=mode)
-    for seed in range(WARMUP):
-        run_frame(cfg, snr_db, seed)
-    seeds = range(WARMUP, WARMUP + frames)
+def measure(op, n: int) -> dict:
+    """Faults, system time, allocation peak and p50 of op(i) for the n
+    operations after WARMUP unmeasured ones."""
+    for i in range(WARMUP):
+        op(i)
+    ops = range(WARMUP, WARMUP + n)
 
     walls = []
     before = resource.getrusage(resource.RUSAGE_SELF)
-    for seed in seeds:
+    for i in ops:
         t0 = time.perf_counter()
-        run_frame(cfg, snr_db, seed)
+        op(i)
         walls.append(time.perf_counter() - t0)
     after = resource.getrusage(resource.RUSAGE_SELF)
 
     peak = 0
     tracemalloc.start()
     try:
-        for seed in seeds:
+        for i in ops:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            run_frame(cfg, snr_db, seed)
+            op(i)
             peak = max(peak, tracemalloc.get_traced_memory()[1] - base)
     finally:
         tracemalloc.stop()
 
     return {
-        "mode": mode,
-        "sps": cfg.resolved_sps(),
-        "frames": frames,
-        "minor_faults": (after.ru_minflt - before.ru_minflt) / frames,
-        "sys_ms": 1e3 * (after.ru_stime - before.ru_stime) / frames,
+        "minor_faults": (after.ru_minflt - before.ru_minflt) / n,
+        "sys_ms": 1e3 * (after.ru_stime - before.ru_stime) / n,
         "alloc_peak_mb": peak / 1e6,
         "wall_ms_p50": 1e3 * statistics.median(walls),
     }
+
+
+def frame_cost(mode: str, frames: int, snr_db: float) -> dict:
+    from mslink.harness import ExperimentConfig, run_frame
+
+    cfg = ExperimentConfig(mode=mode)
+    cost = measure(lambda seed: run_frame(cfg, snr_db, seed), frames)
+    return {"mode": mode, "sps": cfg.resolved_sps(), "frames": frames,
+            **cost}
+
+
+def stream_cost(round_trips: int) -> dict:
+    sys.path.insert(0, str(ROOT / "linkbench"))
+    import workloads
+
+    with tempfile.TemporaryDirectory() as tmp:
+        stream = workloads.Stream(0, Path(tmp))
+
+        def op(i):
+            if not stream.op(i).ok:
+                raise RuntimeError(f"stream round trip {i} failed")
+
+        cost = measure(op, round_trips)
+    return {"mode": "stream", "sps": stream.params["sps"],
+            "frames": round_trips, **cost}
 
 
 def main(argv=None):
     args = parse_args(argv)
     for var in THREAD_VARS:   # before numpy loads its BLAS
         os.environ[var] = "1"
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-    modes = MODES if args.mode == "both" else (args.mode,)
-    rows = [frame_cost(mode, args.frames, args.snr) for mode in modes]
-    print(f"per warm frame, {args.frames} frames at {args.snr:g} dB, "
-          "BLAS threads pinned to 1")
+    sys.path.insert(0, str(ROOT / "src"))
+    if args.mode == "stream":
+        rows = [stream_cost(args.frames)]
+        print(f"per warm stream round trip, {args.frames} round trips, "
+              "BLAS threads pinned to 1")
+    else:
+        modes = MODES if args.mode == "both" else (args.mode,)
+        rows = [frame_cost(mode, args.frames, args.snr) for mode in modes]
+        print(f"per warm frame, {args.frames} frames at {args.snr:g} dB, "
+              "BLAS threads pinned to 1")
     print(f"{'mode':<13}{'faults':>8}{'sys ms':>8}{'peak MB':>9}"
           f"{'p50 ms':>8}")
     for r in rows:
         print(f"{r['mode']:<13}{r['minor_faults']:>8.0f}{r['sys_ms']:>8.2f}"
               f"{r['alloc_peak_mb']:>9.2f}{r['wall_ms_p50']:>8.2f}")
-    print(json.dumps({"snr_db": args.snr, "frames": args.frames,
-                      "modes": rows}))
+    summary = {"frames": args.frames, "modes": rows}
+    if args.mode != "stream":
+        summary = {"snr_db": args.snr, **summary}
+    print(json.dumps(summary))
     return 0
 
 
