@@ -103,22 +103,6 @@ class GammaLUT:
                 fh.write(f"{v!r},{g.real!r},{g.imag!r},{abs(g)!r},"
                          f"{reflection_phase(g)!r}\n")
 
-    @classmethod
-    def from_csv(cls, path, frequency: float) -> "GammaLUT":
-        volts, gammas = [], []
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != "voltage_v,re_gamma,im_gamma,mag,phase_deg":
-                raise ValueError(f"unexpected gamma CSV header: {header}")
-            for line in fh:
-                if not line.strip():
-                    continue
-                v, re, im, _mag, _ph = line.split(",")
-                volts.append(float(v))
-                gammas.append(complex(float(re), float(im)))
-        return cls(frequency=frequency, voltages=np.array(volts),
-                   gammas=np.array(gammas))
-
 
 def varactor_capacitance(v: float, model: VaractorModel) -> float:
     """Junction capacitance in farads at bias voltage v >= 0."""
@@ -167,14 +151,13 @@ def build_gamma_lut(
     params: CircuitParams,
     f: float,
     voltages,
-    zero_reference: bool = True,
 ) -> GammaLUT:
     """Compose C(v) -> Z_l -> Gamma over a voltage grid.
 
-    With zero_reference the whole table is rotated so the first point sits at
-    phase 0 (choice of measurement reference plane); the curve then reads
-    directly as phase shift relative to zero bias, matching how the tuning
-    curve is usually plotted.
+    The whole table is rotated so the first point sits at phase 0 (choice of
+    measurement reference plane); the curve then reads directly as phase
+    shift relative to zero bias, matching how the tuning curve is usually
+    plotted.
     """
     v = np.asarray(voltages, dtype=float)
     if v.size == 0 or np.any(np.diff(v) <= 0):
@@ -186,8 +169,7 @@ def build_gamma_lut(
         )
         for vi in v
     ])
-    if zero_reference:
-        gammas = gammas * np.exp(-1j * np.angle(gammas[0]))
+    gammas = gammas * np.exp(-1j * np.angle(gammas[0]))
     return GammaLUT(frequency=f, voltages=v, gammas=gammas)
 
 
@@ -224,13 +206,13 @@ DEFAULT_TARGET_PHASES = (0.0, 85.0, 170.0, 255.0)
 
 
 @functools.cache
-def default_gamma_lut(r_series: float = 12.0) -> GammaLUT:
+def default_gamma_lut() -> GammaLUT:
     """Tuning table of the stock cell at 4 GHz (phase travel ~263 deg).
 
-    Built once per r_series and shared by every caller."""
+    Built once and shared by every caller."""
     return build_gamma_lut(
         VaractorModel(),
-        CircuitParams(r_series=r_series),
+        CircuitParams(),
         DEFAULT_FREQUENCY,
         DEFAULT_VOLTAGE_GRID,
     )

@@ -19,8 +19,7 @@ from .iqfile import StreamHeader, read_iq, write_iq
 from .rxchain import ReceiveBuffers, receive_frame
 from .surface import ArrayConfig, aggregate_reflection
 from .txchain import (DEFAULT_PILOT_SEED, SYMBOL_RATE, BasebandSignal,
-                      Constellation, FrameLayout, build_frame, ideal_qpsk,
-                      metasurface_constellation)
+                      Constellation, FrameLayout, build_frame, ideal_qpsk)
 
 SEED_POINT_STRIDE = 2 ** 20   # per-SNR-point seed offset
 _NOISE_SEED_OFFSET = 2 ** 40  # decorrelates payload and noise streams
@@ -62,6 +61,11 @@ class ExperimentConfig:
             # noise seeds of frame f - SEED_POINT_STRIDE of point p + 1
             raise ValueError(
                 f"frames_per_point must be in 1..{SEED_POINT_STRIDE}")
+        if self.resolved_sps() < 1:
+            raise ValueError("sps must be >= 1")
+        _channel(self, math.inf, 0)   # the channel fields' own checks
+        if not 1 <= self.resolved_est_taps() <= FrameLayout.fft_len:
+            raise ValueError(f"est_taps must be in 1..{FrameLayout.fft_len}")
 
     def resolved_sps(self) -> int:
         if self.sps is not None:
@@ -99,10 +103,11 @@ class ExperimentConfig:
 def surface_constellation(lut: GammaLUT, target_phases) -> Constellation:
     """The surface driven at the LUT voltages nearest the four target phases.
 
-    The points are the raw reflection values: ohmic loss is charged against
-    the fixed incident-power budget the SNR axis is referenced to."""
-    volts, _ = select_control_voltages(lut, target_phases)
-    return metasurface_constellation(lut, volts, normalize=False)
+    The points are the table's raw reflection values at those voltages:
+    ohmic loss is charged against the fixed incident-power budget the SNR
+    axis is referenced to."""
+    _, gammas = select_control_voltages(lut, target_phases)
+    return Constellation(gammas)
 
 
 @dataclass(frozen=True)
@@ -135,7 +140,7 @@ def _frame_samples(payload, cfg: ExperimentConfig,
     into a fresh array when `out` is None."""
     from .txchain import synthesize_baseband
 
-    indices = build_frame(payload, cfg.pilot_seed).symbol_indices()
+    indices = build_frame(payload, cfg.pilot_seed)
     points = constellation.points
     if cfg.mode == "metasurface":
         # the array response is elementwise, so applying it to the four

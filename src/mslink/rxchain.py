@@ -11,6 +11,7 @@ impairment under study.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -19,8 +20,8 @@ import numpy as np
 from .channel import CFO_BLOCK
 from .errors import (DegeneratePilotError, SingularChannelError,
                      SyncNotFoundError)
-from .txchain import (DEFAULT_PILOT_SEED, BasebandSignal, Constellation,
-                      FrameLayout, build_pilot_sequence, build_sync_sequence,
+from .txchain import (DEFAULT_PILOT_SEED, BasebandSignal, FrameLayout,
+                      build_pilot_sequence, build_sync_sequence,
                       demap_symbols, ideal_qpsk)
 
 SYNC_THRESHOLD = 0.5  # fraction of the power-normalized ideal peak
@@ -56,7 +57,6 @@ _SIGN_QUADRANT = _sign_quadrant_table()
 class SyncResult:
     frame_start: int
     peak_metric: float
-    threshold_passed: bool
 
 
 @dataclass(frozen=True)
@@ -135,14 +135,12 @@ def frame_sync(rx: BasebandSignal, sync_ref, search_window=None) -> SyncResult:
     peak = float(corr[k])
     p_hat = float(np.mean(np.abs(seg) ** 2))
     ideal_peak = math.sqrt(L * p_hat) * float(np.linalg.norm(rep))
-    passed = peak >= SYNC_THRESHOLD * ideal_peak
-    if not passed:
+    if peak < SYNC_THRESHOLD * ideal_peak:
         raise SyncNotFoundError(
             f"correlation peak {peak:.3g} below threshold "
             f"{SYNC_THRESHOLD * ideal_peak:.3g}"
         )
-    return SyncResult(frame_start=w0 + k, peak_metric=peak,
-                      threshold_passed=passed)
+    return SyncResult(frame_start=w0 + k, peak_metric=peak)
 
 
 def estimate_cfo_cp(samples, sps: int = 1) -> float:
@@ -156,24 +154,19 @@ def estimate_cfo_cp(samples, sps: int = 1) -> float:
     r = np.asarray(samples)
     lay = FrameLayout
     N = lay.fft_len * sps
-    acc = 0.0 + 0.0j
-    frame = 0
-    found = False
-    while True:
-        base = frame * lay.frame_len * sps
-        any_this_frame = False
-        for j in range(lay.n_subframes):
-            cp0 = base + (lay.sync_len + j * lay.subframe_len) * sps
-            cp1 = cp0 + lay.cp_len * sps
-            if cp1 + N > r.size:
-                continue
-            acc += np.vdot(r[cp0:cp1], r[cp0 + N : cp1 + N])
-            any_this_frame = found = True
-        if not any_this_frame:
-            break
-        frame += 1
-    if not found:
+    cp = lay.cp_len * sps
+    if lay.sync_len * sps + cp + N > r.size:
         raise ValueError("input too short: no complete subframe")
+    # the CP starts increase through the subframes of one frame and on into
+    # the next, so the first incomplete subframe ends the sum
+    starts = ((f * lay.frame_len + lay.sync_len + j * lay.subframe_len) * sps
+              for f in itertools.count() for j in range(lay.n_subframes))
+    acc = 0.0 + 0.0j
+    for cp0 in starts:
+        cp1 = cp0 + cp
+        if cp1 + N > r.size:
+            break
+        acc += np.vdot(r[cp0:cp1], r[cp0 + N : cp1 + N])
     # acc = sum conj(r[n]) r[n+N] carries phase +2 pi eps
     return float(np.angle(acc) / (2.0 * np.pi))
 
@@ -292,23 +285,20 @@ def zf_equalize(y_block, h) -> np.ndarray:
     return np.fft.ifft(out, out=out)
 
 
-def nearest_symbol_indices(symbols, constellation: Constellation | None = None,
-                           out: np.ndarray | None = None) -> np.ndarray:
-    """Minimum-distance decisions; ties go to the lower point index.
+def nearest_symbol_indices(symbols, out: np.ndarray | None = None
+                           ) -> np.ndarray:
+    """Minimum-distance ideal-QPSK decisions; ties go to the lower point
+    index.
 
-    For the ideal QPSK points (the default) the decision is the quadrant,
-    read from the sign bits of re and im, SLICER_BLOCK symbols at a time;
-    symbols within AXIS_TOLERANCE of an axis (and any non-finite ones) take
-    the distance argmin, so the result is always the argmin's, ties
-    included.  The decisions are written into `out` when it is given (an
-    intp array of the symbols' length), else into a fresh array.
+    The decision is the quadrant, read from the sign bits of re and im,
+    SLICER_BLOCK symbols at a time; symbols within AXIS_TOLERANCE of an axis
+    (and any non-finite ones) take the distance argmin, so the result is
+    always the argmin's, ties included.  The decisions are written into
+    `out` when it is given (an intp array of the symbols' length), else into
+    a fresh array.
     """
     s = np.asarray(symbols)
     out = _out_array(out, s.shape, np.intp)
-    if (constellation is not None
-            and not np.array_equal(constellation.points, _QPSK_POINTS)):
-        out[...] = _argmin_distance(s, constellation.points)
-        return out
     flat, dec = s.reshape(-1), out.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, flat.size, SLICER_BLOCK):
@@ -337,28 +327,6 @@ def _slice_quadrants(s, out) -> None:
 def _argmin_distance(symbols, pts) -> np.ndarray:
     d = np.abs(symbols[:, None] - pts[None, :])
     return np.argmin(d, axis=1)
-
-
-def demodulate(symbols, constellation: Constellation | None = None
-               ) -> np.ndarray:
-    """Hard QPSK decisions -> recovered bits."""
-    return demap_symbols(nearest_symbol_indices(symbols, constellation))
-
-
-def measure_snr(equalized, reference_indices,
-                constellation: Constellation | None = None) -> float:
-    """10 log10( mean|ref|^2 / mean|equalized - ref|^2 ), +inf when exact."""
-    eq = np.asarray(equalized)
-    if eq.size == 0:
-        raise ValueError("empty input")
-    ref = (constellation or ideal_qpsk()).points[np.asarray(reference_indices)]
-    if ref.shape != eq.shape:
-        raise ValueError("length mismatch")
-    err = float(np.mean(np.abs(eq - ref) ** 2))
-    sig = float(np.mean(np.abs(ref) ** 2))
-    if err == 0.0:
-        return math.inf
-    return 10.0 * math.log10(sig / err)
 
 
 @functools.cache

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import GammaLUT
 from .errors import AliasingError, FramingError
 
 SYMBOL_RATE = 1.25e6  # symbols per second
@@ -74,29 +73,6 @@ def impaired_qpsk(phase_span_deg: float, magnitudes=None) -> Constellation:
     phases = np.radians(phase_span_deg * np.arange(4) / 3.0)
     mags = np.ones(4) if magnitudes is None else np.asarray(magnitudes, float)
     return Constellation(mags * np.exp(1j * phases))
-
-
-def metasurface_constellation(lut: GammaLUT, voltages,
-                              normalize: bool = True) -> Constellation:
-    """Constellation realized by driving the surface at four bias voltages,
-    normalized to unit mean power by default.
-
-    With normalize=False the points are the raw reflection coefficients:
-    their sub-unity magnitudes carry the cell's ohmic loss, so against a
-    fixed incident-power budget the surface radiates less than an ideal
-    modulator would (the convention the experiment harness uses)."""
-    v = np.asarray(voltages, dtype=float)
-    if v.size != 4:
-        raise ValueError("exactly four voltages expected")
-    lo, hi = lut.voltages[0], lut.voltages[-1]
-    if np.any(v < lo) or np.any(v > hi):
-        raise ValueError(f"voltage outside LUT range [{lo}, {hi}]")
-    pts = np.interp(v, lut.voltages, lut.gammas.real) + 1j * np.interp(
-        v, lut.voltages, lut.gammas.imag
-    )
-    if normalize:
-        pts = pts / np.sqrt(np.mean(np.abs(pts) ** 2))
-    return Constellation(pts)
 
 
 class FrameLayout:
@@ -168,45 +144,28 @@ def build_pilot_sequence(seed: int = DEFAULT_PILOT_SEED,
     return idx
 
 
-@dataclass(frozen=True)
-class Frame:
-    """One physical frame before cyclic-prefix insertion."""
+def build_frame(payload_bits, pilot_seed: int = DEFAULT_PILOT_SEED
+                ) -> np.ndarray:
+    """The 22500 symbol indices of the frame carrying `payload_bits`: the
+    sync chips, then the pilot and the nine data subframes, each with its
+    cyclic prefix.
 
-    sync: np.ndarray = field(repr=False)       # 420 chips in {+1, -1}
-    pilot: np.ndarray = field(repr=False)      # 2048 symbol indices
-    data: np.ndarray = field(repr=False)       # (9, 2048) symbol indices
-    payload_bits: np.ndarray = field(repr=False)
-
-    def symbol_indices(self) -> np.ndarray:
-        """Serialize to 22500 symbol indices with per-subframe CP.
-
-        Sync chips ride on the two 180-degree-apart points P1/P3
-        (+1 -> P1, -1 -> P3)."""
-        lay = FrameLayout
-        out = np.empty(lay.frame_len, dtype=int)
-        out[:lay.sync_len] = np.where(self.sync > 0, 0, 2)
-        subframes = out[lay.sync_len:].reshape(lay.n_subframes,
-                                               lay.subframe_len)
-        bodies = subframes[:, lay.cp_len:]
-        bodies[0] = self.pilot
-        bodies[1:] = self.data
-        subframes[:, :lay.cp_len] = bodies[:, -lay.cp_len:]
-        return out
-
-
-def build_frame(payload_bits, pilot_seed: int = DEFAULT_PILOT_SEED) -> Frame:
+    Sync chips ride on the two 180-degree-apart points P1/P3
+    (+1 -> P1, -1 -> P3)."""
+    lay = FrameLayout
     bits = np.asarray(payload_bits, dtype=int).ravel()
-    if bits.size != FrameLayout.payload_bits:
+    if bits.size != lay.payload_bits:
         raise FramingError(f"payload must be exactly "
-                           f"{FrameLayout.payload_bits} bits, got {bits.size}")
-    data = map_bits_to_symbols(bits).reshape(
-        FrameLayout.data_subframes, FrameLayout.fft_len)
-    return Frame(
-        sync=build_sync_sequence(),
-        pilot=build_pilot_sequence(pilot_seed),
-        data=data,
-        payload_bits=bits,
-    )
+                           f"{lay.payload_bits} bits, got {bits.size}")
+    out = np.empty(lay.frame_len, dtype=int)
+    out[:lay.sync_len] = np.where(build_sync_sequence() > 0, 0, 2)
+    subframes = out[lay.sync_len:].reshape(lay.n_subframes, lay.subframe_len)
+    bodies = subframes[:, lay.cp_len:]
+    bodies[0] = build_pilot_sequence(pilot_seed)
+    bodies[1:] = map_bits_to_symbols(bits).reshape(lay.data_subframes,
+                                                   lay.fft_len)
+    subframes[:, :lay.cp_len] = bodies[:, -lay.cp_len:]
+    return out
 
 
 @dataclass(frozen=True)
@@ -216,13 +175,7 @@ class BasebandSignal:
     samples_per_symbol: int = 1
 
 
-def _as_indices(frame_or_indices) -> np.ndarray:
-    if isinstance(frame_or_indices, Frame):
-        return frame_or_indices.symbol_indices()
-    return np.asarray(frame_or_indices, dtype=int)
-
-
-def synthesize_baseband(frame, constellation, sps: int = 1,
+def synthesize_baseband(indices, constellation, sps: int = 1,
                         out: np.ndarray | None = None) -> BasebandSignal:
     """Rectangular-pulse baseband: each symbol value held for sps samples.
 
@@ -235,7 +188,7 @@ def synthesize_baseband(frame, constellation, sps: int = 1,
         raise ValueError("sps must be >= 1")
     points = (constellation.points if isinstance(constellation, Constellation)
               else np.asarray(constellation))
-    idx = _as_indices(frame)
+    idx = np.asarray(indices, dtype=int)
     n = points.size
     if idx.size and not (-n <= idx.min() and idx.max() < n):
         raise IndexError(f"symbol indices must lie in [{-n}, {n})")
@@ -253,7 +206,7 @@ def synthesize_baseband(frame, constellation, sps: int = 1,
                           samples_per_symbol=sps)
 
 
-def synthesize_passband(frame, constellation: Constellation,
+def synthesize_passband(indices, constellation: Constellation,
                         carrier_freq: float, sample_rate: float,
                         sps: int = 1, amplitude: float = 1.0,
                         phase0: float = 0.0) -> np.ndarray:
@@ -265,7 +218,7 @@ def synthesize_passband(frame, constellation: Constellation,
         raise AliasingError(
             f"need sample_rate > 4*carrier ({sample_rate:g} <= {4 * carrier_freq:g})"
         )
-    bb = synthesize_baseband(frame, constellation, sps).samples
+    bb = synthesize_baseband(indices, constellation, sps).samples
     n = np.arange(bb.size)
     carrier = amplitude * np.exp(
         1j * (2.0 * np.pi * carrier_freq * n / sample_rate + phase0)

@@ -31,7 +31,7 @@ def _line(name, ok, detail):
 def test_frame_constant_reproduction():
     lay = FrameLayout()
     payload = np.random.default_rng(0).integers(0, 2, lay.payload_bits)
-    n_symbols = build_frame(payload).symbol_indices().size
+    n_symbols = build_frame(payload).size
     rate = lay.payload_bits * SYMBOL_RATE / lay.frame_len
     ok = (n_symbols == 22500 and lay.payload_bits == 36864
           and rate == 2.048e6)

@@ -54,6 +54,23 @@ def test_experiment_from_dict_rejects_unknown_key():
         experiment_from_dict({"snr_lsit": "8"})
 
 
+# values that parse, but that no frame can run with: the config must not build
+@pytest.mark.parametrize("mode", ["conventional", "metasurface"])
+@pytest.mark.parametrize("key, text", [
+    ("cfo_normalized", "0.7"), ("cfo_normalized", "nan"), ("sps", "0"),
+    ("est_taps", "0"), ("est_taps", "5000"), ("timing_offset", "-1"),
+    ("fir_taps", ""), ("fir_taps", "1, nan"), ("complex_gain", "nan"),
+])
+def test_bad_channel_and_receiver_values_fail_at_load(tmp_path, mode, key,
+                                                      text):
+    with pytest.raises(ValueError, match=key):
+        experiment_from_dict({"mode": mode, key: text})
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"mode = {mode}\n{key} = {text}\n")
+    with pytest.raises(ValueError, match=key):
+        experiment_from_dict(parse_config(path))
+
+
 # one non-default value per accepted key: text, and the value it must become
 EVERY_KEY = {
     "mode": ("metasurface", "metasurface"),

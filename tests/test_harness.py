@@ -5,18 +5,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mslink.channel import ChannelConfig, apply_channel
+from mslink.channel import apply_channel
+from mslink.circuit import (DEFAULT_TARGET_PHASES, GammaLUT, default_gamma_lut,
+                            select_control_voltages)
+from mslink.config import gamma_lut_from_dict
 from mslink.errors import InterpolationError
 from mslink.harness import (SEED_POINT_STRIDE, BerRecord, ExperimentConfig,
                             FrameBuffers, _channel, bits_from_file,
                             bits_to_bytes, compare_architectures,
                             measure_link_snr, receive_file, run_ber_sweep,
-                            run_frame, snr_at_ber, theoretical_qpsk_ber,
-                            transmit_file, transmit_frame, write_ber_csv)
+                            run_frame, snr_at_ber, surface_constellation,
+                            theoretical_qpsk_ber, transmit_file,
+                            transmit_frame, write_ber_csv)
 from mslink.iqfile import StreamHeader, read_iq, write_iq
 from mslink.rxchain import ReceiveBuffers, receive_frame
 from mslink.surface import ArrayConfig, aggregate_reflection
-from mslink.txchain import (BasebandSignal, build_frame, ideal_qpsk,
+from mslink.txchain import (FrameLayout, build_frame, ideal_qpsk,
                             impaired_qpsk, synthesize_baseband)
 
 
@@ -33,6 +37,13 @@ def test_experiment_config_validation():
         ExperimentConfig(snr_list=())
     with pytest.raises(ValueError):
         ExperimentConfig(frames_per_point=0)
+    # the bounds of sps and est_taps (tests/test_config_cli.py runs every
+    # bad channel value through a config)
+    ExperimentConfig(mode="metasurface", sps=1, est_taps=FrameLayout.fft_len)
+    for bad in ({"sps": 0}, {"mode": "metasurface", "sps": -8},
+                {"est_taps": 0}, {"est_taps": FrameLayout.fft_len + 1}):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
 
 
 def test_frames_per_point_stays_within_the_seed_stride():
@@ -50,6 +61,41 @@ def test_resolved_defaults():
     assert meta.resolved_sps() == 8
     assert np.allclose(np.abs(conv.resolved_constellation().points), 1.0)
     assert meta.resolved_constellation().mean_power < 1.0
+
+
+# --- surface constellation ----------------------------------------------------
+
+def test_surface_constellation_from_ideal_lut():
+    volts = np.array([0.0, 1.0, 2.0, 3.0])
+    gammas = np.exp(1j * np.radians([45.0, 135.0, 225.0, 315.0]))
+    lut = GammaLUT(frequency=4e9, voltages=volts, gammas=gammas)
+    pts = surface_constellation(lut, lut.phases_deg).points
+    np.testing.assert_allclose(pts, ideal_qpsk().points, atol=1e-12)
+
+
+def test_surface_constellation_default_targets_distorted():
+    c = surface_constellation(default_gamma_lut(), DEFAULT_TARGET_PHASES)
+    pts = c.points
+    mags = np.abs(pts)
+    assert np.ptp(mags) > 0.05            # unequal magnitudes
+    angles = np.sort(np.degrees(np.angle(pts)) % 360.0)
+    gaps = np.diff(np.concatenate([angles, [angles[0] + 360.0]]))
+    assert np.ptp(gaps) > 5.0             # not a square constellation
+    assert c.mean_power < 1.0  # raw: a lossy cell reflects less than incident
+
+
+@pytest.mark.parametrize("targets", [DEFAULT_TARGET_PHASES,
+                                     (10.0, 60.0, 150.0, 240.0)])
+@pytest.mark.parametrize("lut", [default_gamma_lut,
+                                 lambda: gamma_lut_from_dict({"r_series": "3"})],
+                         ids=["default", "r_series-3"])
+def test_surface_constellation_points_are_the_lut_gammas(lut, targets):
+    lut = lut()
+    volts, _ = select_control_voltages(lut, targets)
+    k = np.searchsorted(lut.voltages, volts)
+    assert lut.voltages[k].tobytes() == volts.tobytes()
+    assert (surface_constellation(lut, targets).points.tobytes()
+            == lut.gammas[k].tobytes())
 
 
 def test_noiseless_sweep_has_zero_errors():

@@ -6,14 +6,13 @@ from mslink.channel import ChannelConfig, apply_channel
 from mslink.errors import (DegeneratePilotError, SingularChannelError,
                            SyncNotFoundError)
 from mslink.rxchain import (AXIS_TOLERANCE, SLICER_BLOCK, ReceiveBuffers,
-                            _argmin_distance, correct_cfo, demodulate,
+                            _argmin_distance, correct_cfo,
                             derotate_and_dump, estimate_cfo_cp, frame_sync,
                             integrate_and_dump, ls_channel_estimate,
-                            ls_channel_estimate_taps, measure_snr,
-                            nearest_symbol_indices, receive_frame,
-                            zf_equalize)
+                            ls_channel_estimate_taps, nearest_symbol_indices,
+                            receive_frame, zf_equalize)
 from mslink.txchain import (FrameLayout, build_frame, build_sync_sequence,
-                            ideal_qpsk, impaired_qpsk, synthesize_baseband)
+                            demap_symbols, ideal_qpsk, synthesize_baseband)
 
 
 def _frame_signal(seed=0, sps=1, pilot_seed=None):
@@ -29,7 +28,8 @@ def test_frame_sync_noiseless_at_zero():
     _, sig = _frame_signal()
     res = frame_sync(sig, build_sync_sequence())
     assert res.frame_start == 0
-    assert res.threshold_passed
+    # unit-power symbols: the peak is the ideal one, the replica's energy
+    assert res.peak_metric == pytest.approx(420.0)
 
 
 def test_frame_sync_finds_timing_offset():
@@ -113,6 +113,35 @@ def test_correct_cfo_prefix_does_not_depend_on_length(n):
 def test_cfo_estimate_rejects_short_input():
     with pytest.raises(ValueError):
         estimate_cfo_cp(np.ones(100))
+    lay = FrameLayout
+    for sps in (1, 8):
+        # one sample short of the first complete subframe
+        n = (lay.sync_len + lay.cp_len + lay.fft_len) * sps
+        estimate_cfo_cp(np.ones(n), sps)
+        with pytest.raises(ValueError, match="no complete subframe"):
+            estimate_cfo_cp(np.ones(n - 1), sps)
+
+
+def _cfo_sum_oracle(r, sps):
+    # every complete subframe of every frame, in order, summed from 0j
+    lay = FrameLayout
+    N, cp = lay.fft_len * sps, lay.cp_len * sps
+    acc = 0.0 + 0.0j
+    for f in range(r.size // (lay.frame_len * sps) + 1):
+        for j in range(lay.n_subframes):
+            cp0 = (f * lay.frame_len + lay.sync_len + j * lay.subframe_len) * sps
+            if cp0 + cp + N <= r.size:
+                acc += np.vdot(r[cp0:cp0 + cp], r[cp0 + N:cp0 + cp + N])
+    return float(np.angle(acc) / (2.0 * np.pi))
+
+
+@pytest.mark.parametrize("sps", [1, 8])
+@pytest.mark.parametrize("frames", [0.3, 1.0, 1.05, 1.9, 2.0])
+def test_cfo_estimate_sums_every_complete_subframe(sps, frames):
+    rng = np.random.default_rng(sps)
+    n = int(frames * FrameLayout.frame_len * sps)
+    r = rng.normal(size=n) + 1j * rng.normal(size=n)
+    assert estimate_cfo_cp(r, sps) == _cfo_sum_oracle(r, sps)
 
 
 # --- channel estimation / equalization ------------------------------------------
@@ -259,12 +288,13 @@ def test_derotate_and_dump_rejects_partial_symbol():
 
 def test_demodulate_exact_points():
     pts = ideal_qpsk().points
-    bits = demodulate(pts)
+    bits = demap_symbols(nearest_symbol_indices(pts))
     assert list(bits) == [0, 0, 0, 1, 1, 1, 1, 0]
 
 
 def test_demodulate_scaled_point():
-    assert list(demodulate([1.1 * ideal_qpsk().points[1]])) == [0, 1]
+    s = np.array([1.1 * ideal_qpsk().points[1]])
+    assert list(demap_symbols(nearest_symbol_indices(s))) == [0, 1]
 
 
 @given(st.lists(st.complex_numbers(max_magnitude=5, allow_nan=False,
@@ -370,35 +400,6 @@ def test_slicer_decides_a_frame_of_symbols_block_by_block():
     np.testing.assert_array_equal(out, want)
     with pytest.raises(ValueError, match="out must be a contiguous"):
         nearest_symbol_indices(s, out=np.empty(n, dtype=np.int32))
-
-
-def test_slicer_keeps_argmin_for_other_constellations():
-    pts = impaired_qpsk(200.0, [1.0, 0.9, 0.8, 0.7])
-    rng = np.random.default_rng(3)
-    s = rng.normal(size=500) + 1j * rng.normal(size=500)
-    want = np.argmin(np.abs(s[:, None] - pts.points[None, :]), axis=1)
-    np.testing.assert_array_equal(nearest_symbol_indices(s, pts), want)
-
-
-# --- SNR measurement -------------------------------------------------------------
-
-def test_measure_snr_exact_is_infinite():
-    idx = np.array([0, 1, 2, 3])
-    assert measure_snr(ideal_qpsk().points[idx], idx) == np.inf
-
-
-def test_measure_snr_known_noise():
-    rng = np.random.default_rng(9)
-    idx = rng.integers(0, 4, 100_000)
-    ref = ideal_qpsk().points[idx]
-    noise = rng.normal(scale=np.sqrt(0.05), size=(2, idx.size))
-    eq = ref + noise[0] + 1j * noise[1]
-    assert measure_snr(eq, idx) == pytest.approx(10.0, abs=0.2)
-
-
-def test_measure_snr_rejects_empty():
-    with pytest.raises(ValueError):
-        measure_snr(np.array([]), np.array([], dtype=int))
 
 
 # --- full receiver ---------------------------------------------------------------

@@ -2,15 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mslink.circuit import (DEFAULT_TARGET_PHASES, GammaLUT, default_gamma_lut,
-                            select_control_voltages)
 from mslink.errors import AliasingError, FramingError
 from mslink.txchain import (_INDEX_TO_BITS, Constellation, FrameLayout,
                             SYMBOL_RATE, build_frame, build_pilot_sequence,
                             build_sync_sequence, demap_symbols, ideal_qpsk,
                             impaired_qpsk, map_bits_to_symbols,
-                            metasurface_constellation, synthesize_baseband,
-                            synthesize_passband)
+                            synthesize_baseband, synthesize_passband)
 
 BARKER7 = np.array([1, 1, 1, -1, -1, 1, -1])
 
@@ -129,9 +126,8 @@ def test_frame_constants():
 def test_frame_serialization_and_cp():
     lay = FrameLayout()
     payload = np.random.default_rng(0).integers(0, 2, lay.payload_bits)
-    frame = build_frame(payload)
-    idx = frame.symbol_indices()
-    assert idx.size == 22500
+    idx = build_frame(payload)
+    assert idx.shape == (22500,)
     # first CP copies the pilot tail
     np.testing.assert_array_equal(idx[420:580], idx[420 + 2048:420 + 2208])
     # every subframe's CP equals its body tail
@@ -143,15 +139,18 @@ def test_frame_serialization_and_cp():
             idx[body0 + lay.fft_len - lay.cp_len:body0 + lay.fft_len])
 
 
-def test_frame_serializes_into_out():
+def test_frame_is_sync_then_pilot_and_data_subframes():
     payload = np.random.default_rng(2).integers(0, 2, 36864)
-    frame = build_frame(payload)
     # the serialization the slice writes replace: sync on P1/P3, then each
-    # body after its CP
-    bodies = np.vstack([frame.pilot, frame.data])
-    want = np.concatenate([np.where(frame.sync > 0, 0, 2), np.hstack(
-        [bodies[:, -160:], bodies]).ravel()])
-    assert frame.symbol_indices().tobytes() == want.tobytes()
+    # body after its CP, the pilot first
+    bodies = np.vstack([build_pilot_sequence(1),
+                        map_bits_to_symbols(payload).reshape(9, 2048)])
+    want = np.concatenate([np.where(build_sync_sequence() > 0, 0, 2),
+                           np.hstack([bodies[:, -160:], bodies]).ravel()])
+    assert build_frame(payload).tobytes() == want.tobytes()
+    bodies[0] = build_pilot_sequence(5)
+    want[420:] = np.hstack([bodies[:, -160:], bodies]).ravel()
+    assert build_frame(payload, pilot_seed=5).tobytes() == want.tobytes()
 
 
 def test_frame_throughput():
@@ -192,8 +191,7 @@ def test_baseband_into_out_equals_fresh_samples(points, sps):
     # np.repeat of the symbol values is the oracle of both paths
     payload = np.random.default_rng(4).integers(0, 2, 36864)
     frame = build_frame(payload)
-    values = np.asarray(getattr(points, "points", points))[
-        frame.symbol_indices()]
+    values = np.asarray(getattr(points, "points", points))[frame]
     expected = np.repeat(values, sps).tobytes()
     fresh = synthesize_baseband(frame, points, sps)
     out = np.full(FrameLayout.frame_len * sps, np.nan, dtype=complex)
@@ -309,40 +307,6 @@ def test_constellation_owns_read_only_points_and_compares_by_value():
 def test_constellation_rejects_duplicates():
     with pytest.raises(ValueError):
         Constellation(np.array([1, 1, -1, -1j]))
-
-
-def test_metasurface_constellation_from_ideal_lut():
-    volts = np.array([0.0, 1.0, 2.0, 3.0])
-    gammas = np.exp(1j * np.radians([45.0, 135.0, 225.0, 315.0]))
-    lut = GammaLUT(frequency=4e9, voltages=volts, gammas=gammas)
-    pts = metasurface_constellation(lut, volts).points
-    np.testing.assert_allclose(pts, ideal_qpsk().points, atol=1e-12)
-
-
-def test_metasurface_constellation_default_targets_distorted():
-    lut = default_gamma_lut()
-    volts, _ = select_control_voltages(lut, DEFAULT_TARGET_PHASES)
-    pts = metasurface_constellation(lut, volts).points
-    mags = np.abs(pts)
-    assert np.ptp(mags) > 0.05            # unequal magnitudes
-    angles = np.sort(np.degrees(np.angle(pts)) % 360.0)
-    gaps = np.diff(np.concatenate([angles, [angles[0] + 360.0]]))
-    assert np.ptp(gaps) > 5.0             # not a square constellation
-
-
-def test_metasurface_constellation_normalization():
-    lut = default_gamma_lut()
-    volts, _ = select_control_voltages(lut, DEFAULT_TARGET_PHASES)
-    unit = metasurface_constellation(lut, volts)
-    raw = metasurface_constellation(lut, volts, normalize=False)
-    assert unit.mean_power == pytest.approx(1.0, abs=1e-12)
-    assert raw.mean_power < 1.0  # lossy cell reflects less than incident
-
-
-def test_metasurface_constellation_rejects_out_of_range_voltage():
-    lut = default_gamma_lut()
-    with pytest.raises(ValueError):
-        metasurface_constellation(lut, [0.0, 1.0, 2.0, 99.0])
 
 
 def test_impaired_qpsk_full_span_is_rotated_ideal():

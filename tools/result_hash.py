@@ -1,0 +1,157 @@
+"""One SHA-256 over the link's fixed-seed results, so that a change which
+should leave them bit-identical can be checked with one line of output.
+
+    python3 tools/result_hash.py                        # the full grid
+    python3 tools/result_hash.py --seeds 1 --snr inf    # a reduced grid
+
+The hash covers, in this order:
+
+- every `run_frame` output (payload, recovered bits, equalized symbols, and
+  the CFO, EVM and SNR estimates) for both modes x nine channel and array
+  configs x the SNR points x the seeds (default SNR 8, 16 and inf dB, seeds
+  0 and 1);
+- the IQ file and the header file `transmit_file` writes for a 2.5-frame
+  file, in both modes;
+- the points of `surface_constellation` for the default LUT and targets.
+
+Run it on two checkouts (copy the tool into the older one if it lacks it)
+and compare the printed digests.  BLAS threads are pinned to one, as the
+benchmark pins them; the results do not depend on it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import math
+import os
+import struct
+import sys
+import tempfile
+from pathlib import Path
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+MODES = ("conventional", "metasurface")
+ROOT = Path(__file__).resolve().parent.parent
+FILE_FRAMES = 2.5
+
+
+def parse_args(argv):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seeds", type=int, default=2,
+                    help="frame seeds 0..N-1 per grid point (default 2)")
+    ap.add_argument("--snr", type=float, nargs="+",
+                    default=[8.0, 16.0, math.inf],
+                    help="SNR points in dB (default 8 16 inf)")
+    args = ap.parse_args(argv)
+    if args.seeds < 1:
+        ap.error("--seeds must be >= 1")
+    return args
+
+
+def channel_configs() -> dict:
+    """Config fields per named case; every case runs in both modes."""
+    from mslink.surface import ArrayConfig
+
+    taps = (1.0 + 0.0j, 0.3 - 0.2j, 0.1j)
+    return {
+        "clean": {},
+        "cfo+0.3": {"cfo_normalized": 0.3},
+        "cfo-0.3": {"cfo_normalized": -0.3},
+        "3-tap": {"fir_taps": taps},
+        "offset37": {"timing_offset": 37},
+        "gain": {"complex_gain": 0.6 * complex(math.cos(1.1),
+                                                math.sin(1.1))},
+        "combined": {"cfo_normalized": 0.2, "fir_taps": taps,
+                     "timing_offset": 37, "complex_gain": 0.8 - 0.4j},
+        "left-half-lossy": {"array": ArrayConfig(mask="left-half",
+                                                 gamma_static=0.3 - 0.1j)},
+        "sps4": {"sps": 4},
+    }
+
+
+class Digest:
+    def __init__(self):
+        self._h = hashlib.sha256()
+
+    def tag(self, text: str) -> None:
+        self._h.update(text.encode() + b"\0")
+
+    def array(self, a) -> None:
+        self.tag(f"{a.dtype.str}{a.shape}")
+        self._h.update(a.tobytes())
+
+    def floats(self, *values) -> None:
+        self._h.update(struct.pack(f"<{len(values)}d", *values))
+
+    def data(self, raw: bytes) -> None:
+        self.tag(str(len(raw)))
+        self._h.update(raw)
+
+    def hexdigest(self) -> str:
+        return self._h.hexdigest()
+
+
+def hash_frames(d: Digest, seeds: int, snrs) -> None:
+    from mslink.harness import ExperimentConfig, run_frame
+
+    for mode in MODES:
+        for name, fields in channel_configs().items():
+            cfg = ExperimentConfig(mode=mode, **fields)
+            for snr in snrs:
+                for seed in range(seeds):
+                    d.tag(f"frame {mode} {name} {snr!r} {seed}")
+                    payload, bits, diag = run_frame(cfg, snr, seed)
+                    d.array(payload)
+                    if bits is None:
+                        d.tag("undecoded")
+                        continue
+                    d.array(bits)
+                    d.array(diag.equalized_symbols)
+                    d.floats(diag.cfo_estimate, diag.evm_percent,
+                             diag.snr_estimate_db)
+
+
+def hash_files(d: Digest) -> None:
+    import numpy as np
+    from mslink.harness import ExperimentConfig, transmit_file
+    from mslink.txchain import FrameLayout
+
+    n_bytes = int(FILE_FRAMES * FrameLayout.payload_bits) // 8
+    content = np.random.default_rng(0).integers(
+        0, 256, n_bytes, dtype=np.uint8).tobytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "payload.bin"
+        src.write_bytes(content)
+        for mode in MODES:
+            iq, hdr = Path(tmp) / f"{mode}.iq", Path(tmp) / f"{mode}.hdr"
+            transmit_file(src, ExperimentConfig(mode=mode), iq, hdr)
+            d.tag(f"file {mode}")
+            d.data(iq.read_bytes())
+            d.data(hdr.read_bytes())
+
+
+def hash_constellation(d: Digest) -> None:
+    from mslink.circuit import DEFAULT_TARGET_PHASES, default_gamma_lut
+    from mslink.harness import surface_constellation
+
+    d.tag("surface constellation")
+    d.array(surface_constellation(default_gamma_lut(),
+                                  DEFAULT_TARGET_PHASES).points)
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    for var in THREAD_VARS:   # before numpy loads its BLAS
+        os.environ[var] = "1"
+    sys.path.insert(0, str(ROOT / "src"))
+    d = Digest()
+    hash_frames(d, args.seeds, args.snr)
+    hash_files(d)
+    hash_constellation(d)
+    print(d.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
