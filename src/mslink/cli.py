@@ -1,8 +1,10 @@
 """Command line front end.
 
 Subcommands: ber-sweep, compare, transmit, receive, gamma-curve,
-constellation, sync-check.  A `key = value` config file provides defaults;
-command line flags override it.
+constellation, sync-check.  Each takes only the flags it reads (SUBCOMMANDS
+lists them), so a flag it would ignore is a usage error.  A `key = value`
+config file (`--config`) provides defaults; flags override it.  `receive`
+takes no config: the stream header says all it needs.
 """
 
 from __future__ import annotations
@@ -20,36 +22,37 @@ from .harness import (_channel, compare_architectures, receive_file,
                       run_ber_sweep, run_frame, transmit_file, transmit_frame,
                       write_ber_csv)
 from .rxchain import dump_symbols_csv, frame_sync
-from .txchain import build_sync_sequence
 
-
-def _common_flags(p):
-    p.add_argument("--config", help="key = value config file")
-    p.add_argument("--out", help="output path")
-    p.add_argument("--seed", type=int, help="base random seed")
-    p.add_argument("--snr", help="comma-separated SNR list in dB")
-    p.add_argument("--frames", type=int, help="frames per SNR point")
-    p.add_argument("--mode", choices=["conventional", "metasurface"])
-    p.add_argument("--mask", help="full | left-half | right-half | bitstring")
+# every flag, declared once; a subcommand adds the ones it names
+FLAGS = {
+    "--config": dict(help="key = value config file"),
+    "--out": dict(help="output path"),
+    "--seed": dict(type=int, help="base random seed"),
+    "--snr": dict(help="comma-separated SNR list in dB"),
+    "--frames": dict(type=int, help="frames per SNR point"),
+    "--mode": dict(choices=["conventional", "metasurface"]),
+    "--mask": dict(help="full | left-half | right-half | bitstring"),
+    "--header": dict(help="stream header path"),
+    "input": dict(help="input file path"),
+}
+# the ExperimentConfig field each experiment flag sets
+_FIELDS = {"seed": "base_seed", "snr": "snr_list",
+           "frames": "frames_per_point", "mode": "mode", "mask": "mask"}
 
 
 def _load(args) -> dict:
     return parse_config(args.config) if args.config else {}
 
 
-def _experiment(args):
-    return experiment_from_dict(
-        _load(args),
-        base_seed=args.seed,
-        snr_list=args.snr,
-        frames_per_point=args.frames,
-        mode=args.mode,
-        mask=args.mask,
-    )
+def _experiment(args, base, **fixed):
+    """The experiment of the config text `base` under the subcommand's
+    flags; `fixed` sets fields the subcommand gives no flag for."""
+    flags = {name: getattr(args, flag, None) for flag, name in _FIELDS.items()}
+    return experiment_from_dict(base, **{**flags, **fixed})
 
 
 def cmd_ber_sweep(args) -> int:
-    cfg = _experiment(args)
+    cfg = _experiment(args, _load(args))
     records = run_ber_sweep(cfg)
     for r in records:
         flag = f"  sync_failures={r.sync_failures}" if r.sync_failures else ""
@@ -61,13 +64,8 @@ def cmd_ber_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     base = _load(args)
-    cfg_conv = experiment_from_dict(base, mode="conventional",
-                                    base_seed=args.seed, snr_list=args.snr,
-                                    frames_per_point=args.frames)
-    cfg_meta = experiment_from_dict(base, mode="metasurface",
-                                    base_seed=args.seed, snr_list=args.snr,
-                                    frames_per_point=args.frames,
-                                    mask=args.mask)
+    cfg_conv = _experiment(args, base, mode="conventional")
+    cfg_meta = _experiment(args, base, mode="metasurface")
     target = float(base.get("target_ber", 1e-4))
     rec_a, rec_b, gap = compare_architectures(cfg_conv, cfg_meta, target)
     stem = args.out or "compare"
@@ -79,7 +77,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_transmit(args) -> int:
-    cfg = _experiment(args)
+    cfg = _experiment(args, _load(args))
     out = args.out or (args.input + ".iq")
     header = transmit_file(args.input, cfg, out, out + ".hdr")
     print(f"wrote {out} ({header.frames} frames, pad_bits={header.pad_bits})")
@@ -103,11 +101,12 @@ def cmd_gamma_curve(args) -> int:
 
 
 def cmd_constellation(args) -> int:
-    cfg = _experiment(args)
+    cfg = _experiment(args, _load(args))
     snr = cfg.snr_list[0]
     _, bits, diag = run_frame(cfg, snr, cfg.base_seed)
     if bits is None:
-        print("sync failed; no symbols to dump", file=sys.stderr)
+        print("frame not decodable (no sync, or a zero bin in the channel "
+              "estimate); no symbols to dump", file=sys.stderr)
         return 1
     out = args.out or "constellation.csv"
     dump_symbols_csv(diag.equalized_symbols, out)
@@ -117,7 +116,7 @@ def cmd_constellation(args) -> int:
 
 
 def cmd_sync_check(args) -> int:
-    cfg = _experiment(args)
+    cfg = _experiment(args, _load(args))
     snr = cfg.snr_list[0]
     trials = cfg.frames_per_point
     sps = cfg.resolved_sps()
@@ -131,7 +130,7 @@ def cmd_sync_check(args) -> int:
                      timing_offset=offset)
         rx = apply_channel(sig, ch)
         try:
-            res = frame_sync(rx, build_sync_sequence(), window)
+            res = frame_sync(rx, window)
             hits += res.frame_start == offset
         except SyncNotFoundError:
             pass
@@ -140,28 +139,39 @@ def cmd_sync_check(args) -> int:
     return 0
 
 
+# name -> (handler, help, the flags it reads)
+SUBCOMMANDS = {
+    "ber-sweep": (cmd_ber_sweep, "Monte-Carlo BER sweep",
+                  ("--config", "--out", "--seed", "--snr", "--frames",
+                   "--mode", "--mask")),
+    "compare": (cmd_compare, "conventional vs metasurface BER curves",
+                ("--config", "--out", "--seed", "--snr", "--frames",
+                 "--mask")),
+    "transmit": (cmd_transmit, "frame a file into an IQ stream",
+                 ("--config", "--out", "--mode", "--mask", "input")),
+    "receive": (cmd_receive, "recover a file from an IQ stream",
+                ("--out", "--header", "input")),
+    "gamma-curve": (cmd_gamma_curve, "voltage -> reflection table CSV",
+                    ("--config", "--out")),
+    "constellation": (cmd_constellation, "equalized-symbol dump",
+                      ("--config", "--out", "--seed", "--snr", "--mode",
+                       "--mask")),
+    "sync-check": (cmd_sync_check, "frame-sync detection statistics",
+                   ("--config", "--seed", "--snr", "--frames", "--mode",
+                    "--mask")),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="mslink",
         description="Metasurface QPSK link simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    specs = [
-        ("ber-sweep", cmd_ber_sweep, "Monte-Carlo BER sweep"),
-        ("compare", cmd_compare, "conventional vs metasurface BER curves"),
-        ("transmit", cmd_transmit, "frame a file into an IQ stream"),
-        ("receive", cmd_receive, "recover a file from an IQ stream"),
-        ("gamma-curve", cmd_gamma_curve, "voltage -> reflection table CSV"),
-        ("constellation", cmd_constellation, "equalized-symbol dump"),
-        ("sync-check", cmd_sync_check, "frame-sync detection statistics"),
-    ]
-    for name, fn, help_text in specs:
+    for name, (fn, help_text, flags) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        _common_flags(p)
-        if name in ("transmit", "receive"):
-            p.add_argument("input", help="input file path")
-        if name == "receive":
-            p.add_argument("--header", help="stream header path")
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
         p.set_defaults(fn=fn)
 
     args = parser.parse_args(argv)

@@ -23,6 +23,7 @@ def _tuple_of(convert):
     def parse(value):
         items = value.split(",") if isinstance(value, str) else value
         return tuple(convert(v) for v in items if str(v).strip())
+    parse.__name__ = f"list of {convert.__name__}"
     return parse
 
 
@@ -36,7 +37,6 @@ _BY_NAME = {"snr_list": _tuple_of(float), "fir_taps": _tuple_of(complex),
             "target_phases": _tuple_of(float)}
 _ALIASES = {"snr": "snr_list", "frames": "frames_per_point",
             "seed": "base_seed"}
-_EXTRA = ("frequency", "target_phases", "target_ber")
 
 
 def _parsers(cls) -> dict:
@@ -50,7 +50,39 @@ def _parsers(cls) -> dict:
 
 _PARSERS = {cls: _parsers(cls) for cls in
             (ExperimentConfig, ArrayConfig, CircuitParams, VaractorModel)}
-KEYS = frozenset().union(*_PARSERS.values(), _ALIASES, _EXTRA)
+# every key's parser: the fields', their aliases' and the extra keys'
+_KEY_PARSERS = {k: p for ps in _PARSERS.values() for k, p in ps.items()}
+_KEY_PARSERS.update((alias, _KEY_PARSERS[name])
+                    for alias, name in _ALIASES.items())
+_KEY_PARSERS.update(frequency=float, target_phases=_BY_NAME["target_phases"],
+                    target_ber=float)
+KEYS = frozenset(_KEY_PARSERS)
+
+
+class ConfigText(dict):
+    """A config file's text by key, with the file's `path` and each key's
+    line in `lines`, so that errors about its values can name them."""
+
+    def __init__(self, values: dict, path, lines: dict):
+        super().__init__(values)
+        self.path = path
+        self.lines = lines
+
+
+def _in_file(exc: ValueError, d, given=()) -> ValueError:
+    """exc naming the config file that d was read from, and the line of the
+    key exc's message opens with when the file set that key (a field's own
+    name wins over its alias); exc itself for text not read from a file, and
+    when an override in `given` set the key."""
+    field = str(exc).split(" ", 1)[0].strip("|")
+    if (not isinstance(d, ConfigText)
+            or any(_ALIASES.get(k, k) == field for k in given)):
+        return exc
+    keys = [k for k in d.lines if _ALIASES.get(k, k) == field]
+    if keys:
+        key = field if field in keys else keys[0]
+        return ValueError(f"{d.path}:{d.lines[key]}: {exc}")
+    return ValueError(f"{d.path}: {exc}")
 
 
 def _build(cls, d: dict, **extra):
@@ -59,10 +91,19 @@ def _build(cls, d: dict, **extra):
     return cls(**given, **extra)
 
 
-def parse_config(path) -> dict:
+def parse_config(path) -> ConfigText:
     """Read `key = value` lines; '#' starts a comment; keys lower_snake_case.
-    A key outside KEYS is an error naming its file and line."""
-    return read_key_values(path, KEYS)
+    A key outside KEYS, and a value that does not parse as its key's type,
+    is an error naming its file and line."""
+    values, lines = read_key_values(path, KEYS)
+    for key, text in values.items():
+        parse = _KEY_PARSERS[key]
+        try:
+            parse(text)
+        except ValueError:
+            raise ValueError(f"{path}:{lines[key]}: {key} = {text!r} is not "
+                             f"a valid {parse.__name__}") from None
+    return ConfigText(values, path, lines)
 
 
 def circuit_from_dict(d: dict) -> tuple[CircuitParams, VaractorModel]:
@@ -70,18 +111,25 @@ def circuit_from_dict(d: dict) -> tuple[CircuitParams, VaractorModel]:
 
 
 def gamma_lut_from_dict(d: dict) -> GammaLUT:
-    """Tuning table of the cell the circuit keys and `frequency` describe."""
-    params, model = circuit_from_dict(d)
-    return build_gamma_lut(model, params,
-                           float(d.get("frequency", DEFAULT_FREQUENCY)),
-                           DEFAULT_VOLTAGE_GRID)
+    """Tuning table of the cell the circuit keys and `frequency` describe.
+    A value the circuit rejects is an error naming the file of config text
+    read by parse_config."""
+    try:
+        params, model = circuit_from_dict(d)
+        return build_gamma_lut(model, params,
+                               float(d.get("frequency", DEFAULT_FREQUENCY)),
+                               DEFAULT_VOLTAGE_GRID)
+    except ValueError as exc:
+        raise _in_file(exc, d) from None
 
 
 def experiment_from_dict(d: dict, **overrides) -> ExperimentConfig:
     """Build an ExperimentConfig from parsed config text plus CLI overrides
-    (overrides win, and a field's own name wins over its alias)."""
-    merged = dict(d)
-    merged.update((k, v) for k, v in overrides.items() if v is not None)
+    (overrides win, and a field's own name wins over its alias).  A value
+    that a dataclass rejects is an error naming the file of config text
+    read by parse_config, and its line when the error opens with its key."""
+    given = {k: v for k, v in overrides.items() if v is not None}
+    merged = {**d, **given}
     for alias, name in _ALIASES.items():
         if alias in merged:
             merged.setdefault(name, merged.pop(alias))
@@ -89,10 +137,14 @@ def experiment_from_dict(d: dict, **overrides) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r}")
 
-    cfg = _build(ExperimentConfig, merged, array=_build(ArrayConfig, merged))
-    if cfg.mode == "metasurface":
-        targets = _BY_NAME["target_phases"](
-            merged.get("target_phases", DEFAULT_TARGET_PHASES))
-        cfg = replace(cfg, constellation=surface_constellation(
-            gamma_lut_from_dict(merged), targets))
+    try:
+        cfg = _build(ExperimentConfig, merged,
+                     array=_build(ArrayConfig, merged))
+        if cfg.mode == "metasurface":
+            targets = _BY_NAME["target_phases"](
+                merged.get("target_phases", DEFAULT_TARGET_PHASES))
+            cfg = replace(cfg, constellation=surface_constellation(
+                gamma_lut_from_dict(merged), targets))
+    except ValueError as exc:
+        raise _in_file(exc, d, given) from None
     return cfg

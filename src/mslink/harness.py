@@ -315,7 +315,6 @@ def receive_stream(sig: BasebandSignal, header: StreamHeader) -> np.ndarray:
     frames are expected at a fixed stride from it (the channel model has no
     clock drift), with a small window to absorb correlation-peak jitter."""
     from .rxchain import frame_sync
-    from .txchain import build_sync_sequence
 
     sps = header.samples_per_symbol
     stride = FrameLayout.frame_len * sps
@@ -323,8 +322,7 @@ def receive_stream(sig: BasebandSignal, header: StreamHeader) -> np.ndarray:
         return np.zeros(0, dtype=int)
     search_span = min(stride, max(1, sig.samples.size - stride + 1))
     try:
-        start = frame_sync(sig, build_sync_sequence(),
-                           (0, search_span)).frame_start
+        start = frame_sync(sig, (0, search_span)).frame_start
     except SyncNotFoundError as exc:
         raise PartialReceiveError(0, str(exc)) from exc
     out = []

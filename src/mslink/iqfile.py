@@ -8,16 +8,17 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .txchain import FrameLayout
+from .txchain import SYMBOL_RATE, FrameLayout
 
 _HEADER_TYPES = {"float": float, "int": int}  # by field annotation
 
 
-def read_key_values(path, keys) -> dict:
-    """Read `key = value` lines; '#' starts a comment.  A line without '=',
-    with a key outside `keys` or with a key already read is an error naming
-    its file and line."""
-    out = {}
+def read_key_values(path, keys) -> tuple[dict, dict]:
+    """Read `key = value` lines; '#' starts a comment.  Returns the value
+    text by key and the line of each key.  A line without '=', with a key
+    outside `keys` or with a key already read is an error naming its file
+    and line."""
+    out, lines = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -32,7 +33,8 @@ def read_key_values(path, keys) -> dict:
             if key in out:
                 raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
             out[key] = val.strip()
-    return out
+            lines[key] = lineno
+    return out, lines
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,7 @@ class StreamHeader:
     """Sidecar header: one `field = value` line per field.  It comes from
     outside the program, so reading it is strict: every field must be
     present, once, as a number in its field's range, and no other key may
-    appear."""
+    appear.  The sample rate is the symbol rate times samples_per_symbol."""
 
     sample_rate_hz: float
     samples_per_symbol: int
@@ -55,6 +57,11 @@ class StreamHeader:
         if self.samples_per_symbol < 1:
             raise ValueError(f"samples_per_symbol must be >= 1, "
                              f"got {self.samples_per_symbol}")
+        rate = SYMBOL_RATE * self.samples_per_symbol
+        if self.sample_rate_hz != rate:
+            raise ValueError(f"sample_rate_hz must be {rate} at "
+                             f"samples_per_symbol {self.samples_per_symbol}, "
+                             f"got {self.sample_rate_hz}")
         if self.frames < 0:
             raise ValueError(f"frames must be >= 0, got {self.frames}")
         if not 0 <= self.pad_bits < FrameLayout.payload_bits:
@@ -71,7 +78,7 @@ class StreamHeader:
     @classmethod
     def read(cls, path) -> "StreamHeader":
         types = {f.name: _HEADER_TYPES[f.type] for f in fields(cls)}
-        vals = read_key_values(path, types)
+        vals, _ = read_key_values(path, types)
         missing = [k for k in types if k not in vals]
         if missing:
             raise ValueError(f"header {path} missing keys: {missing}")

@@ -100,22 +100,18 @@ def _out_array(out, shape: tuple, dtype) -> np.ndarray:
     return out
 
 
-def sync_replica(sync_chips, sps: int = 1) -> np.ndarray:
-    """Modulated sync waveform: chips ride on ideal-QPSK P1/P3 (180 degrees
-    apart)."""
-    sym = np.where(np.asarray(sync_chips) > 0, _QPSK_POINTS[0], _QPSK_POINTS[2])
-    return np.repeat(sym, sps)
-
-
-def frame_sync(rx: BasebandSignal, sync_ref, search_window=None) -> SyncResult:
-    """Locate the frame start by cross-correlating against the sync replica.
+def frame_sync(rx: BasebandSignal, search_window=None) -> SyncResult:
+    """Locate the frame start by cross-correlating against the sync replica:
+    the sync chips on ideal-QPSK P1/P3 (180 degrees apart), held for
+    `rx.samples_per_symbol` samples each.
 
     search_window is a (start, stop) range of candidate frame-start indices;
     default is every feasible start.  Raises SyncNotFoundError when no peak
     reaches the detection threshold.
     """
     samples = np.asarray(rx.samples)
-    rep = sync_replica(sync_ref, sps=rx.samples_per_symbol)
+    rep = np.repeat(np.where(build_sync_sequence() > 0, _QPSK_POINTS[0],
+                             _QPSK_POINTS[2]), rx.samples_per_symbol)
     L = rep.size
     max_start = samples.size - L
     if max_start < 0:
@@ -353,7 +349,7 @@ def receive_frame(rx: BasebandSignal, pilot_seed: int = DEFAULT_PILOT_SEED,
         buffers = ReceiveBuffers()
     sps = rx.samples_per_symbol
     lay = FrameLayout
-    sync = frame_sync(rx, build_sync_sequence(), search_window)
+    sync = frame_sync(rx, search_window)
     n_frame = lay.frame_len * sps
     start = sync.frame_start
     if start + n_frame > rx.samples.size:

@@ -123,16 +123,16 @@ def build_sync_sequence() -> np.ndarray:
 
 
 @functools.cache
-def build_pilot_sequence(seed: int = DEFAULT_PILOT_SEED,
-                         length: int = FrameLayout.fft_len) -> np.ndarray:
-    """Deterministic pilot symbol indices for a seed.
+def build_pilot_sequence(seed: int = DEFAULT_PILOT_SEED) -> np.ndarray:
+    """Deterministic pilot symbol indices for a seed, one subframe body long.
 
     A seeded quadratic-phase (chirp) sequence quantized to the four QPSK
     states: near-flat magnitude spectrum, so every FFT bin stays well away
     from zero and the per-bin LS/ZF division is safe.  The default seed keeps
-    the minimum bin above 0.1x the mean bin magnitude.  Built once per
-    (seed, length) and shared, so read-only.
+    the minimum bin above 0.1x the mean bin magnitude.  Built once per seed
+    and shared, so read-only.
     """
+    length = FrameLayout.fft_len
     rng = np.random.default_rng(seed)
     root = 2 * int(rng.integers(0, length // 2)) + 1
     shift = int(rng.integers(0, length))

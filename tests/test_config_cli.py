@@ -63,12 +63,59 @@ def test_experiment_from_dict_rejects_unknown_key():
 ])
 def test_bad_channel_and_receiver_values_fail_at_load(tmp_path, mode, key,
                                                       text):
-    with pytest.raises(ValueError, match=key):
+    with pytest.raises(ValueError, match=key) as plain:
         experiment_from_dict({"mode": mode, key: text})
+    # read from a file, the error names the file and the key's line
     path = tmp_path / "bad.cfg"
     path.write_text(f"mode = {mode}\n{key} = {text}\n")
-    with pytest.raises(ValueError, match=key):
+    want = f"{path}:2: {plain.value}"
+    with pytest.raises(ValueError) as exc:
         experiment_from_dict(parse_config(path))
+    assert str(exc.value) == want
+    with pytest.raises(ValueError) as exc:
+        main(["ber-sweep", "--config", str(path)])
+    assert str(exc.value) == want
+
+
+@pytest.mark.parametrize("line, message", [
+    ("complex_gain = abc", "complex_gain = 'abc' is not a valid complex"),
+    ("frames = two", "frames = 'two' is not a valid int"),
+    ("snr_list = 4, x", "snr_list = '4, x' is not a valid list of float"),
+    ("target_ber = low", "target_ber = 'low' is not a valid float"),
+])
+def test_config_value_that_does_not_parse_names_its_line(tmp_path, line,
+                                                         message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"mode = metasurface\n{line}\n")
+    want = f"{path}:2: {message}"
+    with pytest.raises(ValueError) as exc:
+        parse_config(path)
+    assert str(exc.value) == want
+    with pytest.raises(ValueError) as exc:
+        main(["compare", "--config", str(path)])
+    assert str(exc.value) == want
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    # the message names no key: the file alone
+    ("mode = qam\n", ["ber-sweep"], "{path}: unknown mode 'qam'"),
+    # an alias's line stands for its field
+    ("seed = 1\nframes = 0\n", ["sync-check"],
+     "{path}:2: frames_per_point must be in 1..1048576"),
+    # a flag set the value, not the file
+    ("frames = 3\n", ["ber-sweep", "--frames", "0"],
+     "frames_per_point must be in 1..1048576"),
+    # the circuit keys, through the tuning table
+    ("r_series = -1\n", ["gamma-curve"], "{path}:1: r_series must be >= 0"),
+    ("mode = metasurface\nr_series = -1\n", ["constellation"],
+     "{path}:2: r_series must be >= 0"),
+], ids=["no-key", "alias", "flag", "gamma-curve", "metasurface"])
+def test_cli_config_rejection_names_the_file(tmp_path, text, argv, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        main(argv + ["--config", str(path)])
+    assert str(exc.value) == message.format(path=path)
 
 
 # one non-default value per accepted key: text, and the value it must become
@@ -215,6 +262,18 @@ def test_cli_constellation_dump(tmp_path):
     assert len(lines) == 1 + 9 * 2048
 
 
+def test_cli_constellation_names_an_undecodable_frame(tmp_path, capsys):
+    # no active cell at infinite SNR: sync passes on the static reflection,
+    # and the channel estimate has a zero bin
+    out = tmp_path / "points.csv"
+    assert main(["constellation", "--mode", "metasurface", "--snr", "inf",
+                 "--mask", "0" * 128, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "frame not decodable (no sync, or a zero bin in the channel "
+        "estimate); no symbols to dump\n")
+    assert not out.exists()
+
+
 def test_cli_sync_check_reports_rate(tmp_path, capsys):
     assert main(["sync-check", "--snr", "5", "--frames", "5"]) == 0
     assert "5/5" in capsys.readouterr().out
@@ -259,3 +318,54 @@ def test_cli_config_file(tmp_path):
     rows = out.read_text().splitlines()
     assert rows[1].split(",")[0] == "8.0"
     assert rows[1].split(",")[1] == "36864"
+
+
+# the flags each subcommand reads
+FLAG_TABLE = {
+    "ber-sweep": "config out seed snr frames mode mask",
+    "compare": "config out seed snr frames mask",
+    "transmit": "config out mode mask input",
+    "receive": "out header input",
+    "gamma-curve": "config out",
+    "constellation": "config out seed snr mode mask",
+    "sync-check": "config seed snr frames mode mask",
+}
+
+
+@pytest.mark.parametrize("command", FLAG_TABLE)
+def test_cli_help_lists_exactly_the_flags_the_subcommand_reads(command,
+                                                              capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0].split()[3:]
+    got = ({t.lstrip("[-") for t in usage if t.startswith("[--")}
+           | {t for t in usage if t.isalpha()})
+    assert got == set(FLAG_TABLE[command].split())
+
+
+FLAG_VALUES = {"--config": "link.cfg", "--out": "out.csv", "--seed": "4",
+               "--snr": "-40", "--frames": "0", "--mode": "metasurface",
+               "--mask": "left-half"}
+REMOVED_FLAGS = [("compare", "--mode"),
+                 *(("transmit", f) for f in ("--seed", "--snr", "--frames")),
+                 *(("receive", f) for f in ("--config", "--seed", "--snr",
+                                            "--frames", "--mode", "--mask")),
+                 *(("gamma-curve", f) for f in ("--seed", "--snr",
+                                                "--frames", "--mode",
+                                                "--mask")),
+                 ("constellation", "--frames"), ("sync-check", "--out")]
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS)
+def test_cli_rejects_a_flag_the_subcommand_does_not_read(tmp_path, capsys,
+                                                         command, flag):
+    # the missing file is never opened when parsing rejects the flag
+    missing = str(tmp_path / "missing")
+    tail = ([missing] if command in ("transmit", "receive")
+            else ["--config", missing])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *tail, flag, FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    assert (f"unrecognized arguments: {flag} {FLAG_VALUES[flag]}"
+            in capsys.readouterr().err)

@@ -292,10 +292,13 @@ def test_stream_header_rejects_malformed_lines(tmp_path, line, message):
     ("pad_bits", "36864", "pad_bits must be in 0..36863, got 36864"),
     ("sample_rate_hz", "0.0", "sample_rate_hz must be > 0, got 0.0"),
     ("sample_rate_hz", "nan", "sample_rate_hz must be > 0, got nan"),
+    ("sample_rate_hz", "5.0",
+     "sample_rate_hz must be 1250000.0 at samples_per_symbol 1, got 5.0"),
     ("frames", "three", "frames = 'three' is not a valid int"),
     ("sample_rate_hz", "fast", "sample_rate_hz = 'fast' is not a valid float"),
 ], ids=["sps-zero", "frames-negative", "pad-negative", "pad-whole-frame",
-        "rate-zero", "rate-nan", "frames-not-a-number", "rate-not-a-number"])
+        "rate-zero", "rate-nan", "rate-not-symbol-rate-times-sps",
+        "frames-not-a-number", "rate-not-a-number"])
 def test_stream_header_rejects_out_of_range_values(tmp_path, key, value,
                                                    message):
     path = tmp_path / "bad.hdr"

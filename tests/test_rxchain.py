@@ -11,8 +11,8 @@ from mslink.rxchain import (AXIS_TOLERANCE, SLICER_BLOCK, ReceiveBuffers,
                             integrate_and_dump, ls_channel_estimate,
                             ls_channel_estimate_taps, nearest_symbol_indices,
                             receive_frame, zf_equalize)
-from mslink.txchain import (FrameLayout, build_frame, build_sync_sequence,
-                            demap_symbols, ideal_qpsk, synthesize_baseband)
+from mslink.txchain import (FrameLayout, build_frame, demap_symbols,
+                            ideal_qpsk, synthesize_baseband)
 
 
 def _frame_signal(seed=0, sps=1, pilot_seed=None):
@@ -26,7 +26,7 @@ def _frame_signal(seed=0, sps=1, pilot_seed=None):
 
 def test_frame_sync_noiseless_at_zero():
     _, sig = _frame_signal()
-    res = frame_sync(sig, build_sync_sequence())
+    res = frame_sync(sig)
     assert res.frame_start == 0
     # unit-power symbols: the peak is the ideal one, the replica's energy
     assert res.peak_metric == pytest.approx(420.0)
@@ -35,7 +35,7 @@ def test_frame_sync_noiseless_at_zero():
 def test_frame_sync_finds_timing_offset():
     _, sig = _frame_signal()
     rx = apply_channel(sig, ChannelConfig(timing_offset=137))
-    res = frame_sync(rx, build_sync_sequence(), search_window=(0, 400))
+    res = frame_sync(rx, search_window=(0, 400))
     assert res.frame_start == 137
 
 
@@ -44,7 +44,7 @@ def test_frame_sync_raises_on_noise_only():
     sig = type(_frame_signal()[1])(samples=noise[0] + 1j * noise[1],
                                    sample_rate=1.25e6, samples_per_symbol=1)
     with pytest.raises(SyncNotFoundError):
-        frame_sync(sig, build_sync_sequence())
+        frame_sync(sig)
 
 
 def test_frame_sync_detection_rate_at_zero_db():
@@ -58,7 +58,7 @@ def test_frame_sync_detection_rate_at_zero_db():
                                               timing_offset=offset,
                                               seed=t, ref_power=1.0))
         try:
-            res = frame_sync(rx, build_sync_sequence(), (0, 600))
+            res = frame_sync(rx, (0, 600))
             hits += res.frame_start == offset
         except SyncNotFoundError:
             pass
