@@ -70,6 +70,16 @@ def _cfo_ramp(eps: float, sps: int, n: int) -> np.ndarray:
     return ramp
 
 
+def _is_body_of(x: np.ndarray, out: np.ndarray, d: int) -> bool:
+    """Whether x is exactly out[d:d + x.size]: the same memory, element for
+    element, as the transmitter writes when it synthesizes into the receive
+    buffer at the channel delay."""
+    body = out[d:d + x.size]
+    return (x.dtype == body.dtype and x.shape == body.shape
+            and x.strides == body.strides
+            and x.ctypes.data == body.ctypes.data)
+
+
 def apply_channel(sig: BasebandSignal, cfg: ChannelConfig,
                   out: np.ndarray | None = None) -> BasebandSignal:
     """y[n] = e^{j 2 pi eps (n-d)/(2048 sps)} g (h * x)[n-d] + w[n].
@@ -79,7 +89,9 @@ def apply_channel(sig: BasebandSignal, cfg: ChannelConfig,
     recovers the processing gain, keeping comparisons across sps fair.
 
     y is written into `out` when it is given (complex, d + len(x) + len(h) - 1
-    samples, sharing no memory with x), else into a fresh array.
+    samples), else into a fresh array.  `out` may hold x itself exactly at
+    the delay, x being out[d:d + len(x)], and the channel then runs in
+    place; any other overlap of `out` and x is an error.
     """
     x = np.asarray(sig.samples)
     sps = sig.samples_per_symbol
@@ -92,18 +104,28 @@ def apply_channel(sig: BasebandSignal, cfg: ChannelConfig,
     # zeroed allocation measured slower on the stream workload
     if out is None:
         y = np.empty(n, dtype=complex)
+        in_place = False
     elif out.shape != (n,) or out.dtype != complex:
         raise ValueError(f"out must hold {n} complex128 samples, "
                          f"got shape {out.shape} of {out.dtype}")
-    elif np.shares_memory(out, x):
-        raise ValueError("out must not share memory with the input samples")
     else:
         y = out
+        in_place = np.shares_memory(out, x)
+        if in_place and not _is_body_of(x, out, d):
+            raise ValueError("out must not share memory with the input "
+                             "samples, except as out[d:d + len(x)]")
+    # the noise reference is read before the stages below overwrite x
+    p_ref = cfg.ref_power
+    if p_ref is None and cfg.snr_db != math.inf:
+        p_ref = float(np.mean(np.abs(x) ** 2)) if x.size else 0.0
     y[:d] = 0.0
     body = y[d:]
     if taps.size == 1 and taps[0] == 1.0:
-        body[:] = x
+        if not in_place:
+            body[:] = x
     else:
+        # np.convolve reads all of x into a fresh array before body is
+        # written, so x may be body's prefix
         body[:] = np.convolve(x, taps)
     if cfg.cfo_normalized != 0.0:
         ramp = _cfo_ramp(cfg.cfo_normalized, sps, body.size)
@@ -114,17 +136,21 @@ def apply_channel(sig: BasebandSignal, cfg: ChannelConfig,
     if cfg.complex_gain != 1.0:
         body *= cfg.complex_gain
     if cfg.snr_db != math.inf:
-        p_ref = cfg.ref_power
-        if p_ref is None:
-            p_ref = float(np.mean(np.abs(x) ** 2)) if x.size else 0.0
         var = sps * noise_variance(cfg.snr_db, p_ref)
         rng = np.random.default_rng(cfg.seed)
         scale = np.sqrt(var / 2.0)
         # all real parts, then all imaginary parts: the generator's stream
-        # in the order of the one-shot rng.normal(size=(2, y.size)) draw
+        # in the order of the one-shot rng.normal(size=(2, y.size)) draw.
+        # Each chunk is drawn into one array allocated per call, not per
+        # module, so calls on separate threads share nothing; a scaled
+        # standard draw is rng.normal's own arithmetic, so the sums match
+        draw = np.empty(min(NOISE_CHUNK, y.size))
         for part in (y.real, y.imag):
             for i in range(0, part.size, NOISE_CHUNK):
                 chunk = part[i:i + NOISE_CHUNK]
-                chunk += rng.normal(scale=scale, size=chunk.size)
+                w = draw[:chunk.size]
+                rng.standard_normal(out=w)
+                w *= scale
+                chunk += w
     return BasebandSignal(samples=y, sample_rate=sig.sample_rate,
                           samples_per_symbol=sps)

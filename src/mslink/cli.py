@@ -5,6 +5,11 @@ constellation, sync-check.  Each takes only the flags it reads (SUBCOMMANDS
 lists them), so a flag it would ignore is a usage error.  A `key = value`
 config file (`--config`) provides defaults; flags override it.  `receive`
 takes no config: the stream header says all it needs.
+
+A usage error exits with status 2.  Bad input that gets past the parser (a
+config value, a missing file, an undecodable stream, a BER curve that
+misses its target) is one `mslink: error: <message>` line on stderr and
+exit status 1.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .channel import apply_channel
 from .config import experiment_from_dict, gamma_lut_from_dict, parse_config
-from .errors import SyncNotFoundError
+from .errors import InterpolationError, PartialReceiveError, SyncNotFoundError
 from .harness import (_channel, compare_architectures, receive_file,
                       run_ber_sweep, run_frame, transmit_file, transmit_frame,
                       write_ber_csv)
@@ -175,7 +180,12 @@ def main(argv=None) -> int:
         p.set_defaults(fn=fn)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError, InterpolationError,
+            PartialReceiveError) as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -140,6 +140,8 @@ def experiment_from_dict(d: dict, **overrides) -> ExperimentConfig:
     try:
         cfg = _build(ExperimentConfig, merged,
                      array=_build(ArrayConfig, merged))
+        # the circuit keys' own checks hold in either mode
+        circuit_from_dict(merged)
         if cfg.mode == "metasurface":
             targets = _BY_NAME["target_phases"](
                 merged.get("target_phases", DEFAULT_TARGET_PHASES))

@@ -26,10 +26,10 @@ _NOISE_SEED_OFFSET = 2 ** 40  # decorrelates payload and noise streams
 
 
 class FrameBuffers(NamedTuple):
-    """Every array run_frame works in: the transmitted samples, the received
-    samples, and the receiver's symbol-rate arrays."""
+    """Every array run_frame works in: the received samples, which the
+    transmitter writes its frame into at the channel delay, and the
+    receiver's symbol-rate arrays."""
 
-    tx: np.ndarray
     rx: np.ndarray
     receive: ReceiveBuffers
 
@@ -93,11 +93,11 @@ class ExperimentConfig:
         reused by every later frame of this config (not a field: equality,
         hash, repr and `replace` ignore it, and a replaced config allocates
         its own; `copy.copy` copies the instance dict and so shares them
-        once allocated)."""
-        n_tx = FrameLayout.frame_len * self.resolved_sps()
-        n_rx = n_tx + self.timing_offset + len(self.fir_taps) - 1
-        return FrameBuffers(np.empty(n_tx, dtype=complex),
-                            np.empty(n_rx, dtype=complex), ReceiveBuffers())
+        once allocated).  One sample-rate array: the received frame, long
+        enough for the channel's delay and FIR tail."""
+        n_rx = (FrameLayout.frame_len * self.resolved_sps()
+                + self.timing_offset + len(self.fir_taps) - 1)
+        return FrameBuffers(np.empty(n_rx, dtype=complex), ReceiveBuffers())
 
 
 def surface_constellation(lut: GammaLUT, target_phases) -> Constellation:
@@ -182,12 +182,15 @@ def run_frame(cfg: ExperimentConfig, snr_db: float, seed: int):
     its sync fails, or its channel estimate has a zero bin.  The frame runs
     in the config's reused buffers, which the results never alias, so
     frames of one config (or of its `copy.copy` copies, which share the
-    buffers) must not run concurrently."""
+    buffers) must not run concurrently.  The transmitter writes the frame
+    straight into the received-samples buffer at the channel delay, and
+    the channel runs in place there."""
     buffers = cfg._buffers
-    payload, sig = transmit_frame(cfg, seed, buffers.tx)
+    d = cfg.timing_offset
+    n_tx = FrameLayout.frame_len * cfg.resolved_sps()
+    payload, sig = transmit_frame(cfg, seed, buffers.rx[d:d + n_tx])
     rx = apply_channel(sig, _channel(cfg, snr_db, seed), out=buffers.rx)
-    window = (0, cfg.timing_offset
-              + sig.samples_per_symbol * (len(cfg.fir_taps) + 2))
+    window = (0, d + sig.samples_per_symbol * (len(cfg.fir_taps) + 2))
     try:
         bits, diag = receive_frame(rx, cfg.pilot_seed, search_window=window,
                                    est_taps=cfg.resolved_est_taps(),
@@ -313,7 +316,9 @@ def receive_stream(sig: BasebandSignal, header: StreamHeader) -> np.ndarray:
     The first frame is searched over the first frame length of start
     positions (fewer when the stream is shorter than two frames); later
     frames are expected at a fixed stride from it (the channel model has no
-    clock drift), with a small window to absorb correlation-peak jitter."""
+    clock drift), with a small window to absorb correlation-peak jitter.
+    A frame that fails sync, or whose channel estimate has a zero bin (as
+    an all-zero stream gives), raises PartialReceiveError naming it."""
     from .rxchain import frame_sync
 
     sps = header.samples_per_symbol
@@ -333,7 +338,7 @@ def receive_stream(sig: BasebandSignal, header: StreamHeader) -> np.ndarray:
         try:
             bits, _ = receive_frame(sig, header.pilot_seed,
                                     search_window=window, buffers=buffers)
-        except SyncNotFoundError as exc:
+        except (SyncNotFoundError, SingularChannelError) as exc:
             raise PartialReceiveError(i, str(exc)) from exc
         out.append(bits)
     return np.concatenate(out)

@@ -201,12 +201,52 @@ def test_apply_channel_rejects_bad_out():
                 np.empty(n, dtype=np.complex64), np.empty(n)):
         with pytest.raises(ValueError, match="out must hold 1006 complex128"):
             apply_channel(_sig(x), cfg, out=bad)
-    # the channel reads x after it starts writing y, so they must not overlap
-    with pytest.raises(ValueError, match="share memory"):
-        apply_channel(_sig(x), ChannelConfig(), out=x)
-    big = np.zeros(2 * n, dtype=complex)
-    with pytest.raises(ValueError, match="share memory"):
-        apply_channel(_sig(big[:1000]), cfg, out=big[3:3 + n])
+
+
+@pytest.mark.parametrize("sps", [1, 8])
+@pytest.mark.parametrize("offset", [0, 37])
+@pytest.mark.parametrize("taps", [(1.0,), (1.0, 0.3 - 0.2j, 0.1j)],
+                         ids=["unit-tap", "3-tap"])
+@pytest.mark.parametrize("gain", [1.0, 0.5 * np.exp(1j * np.pi / 4)])
+@pytest.mark.parametrize("cfo", [0.0, 0.3, -0.3])
+@pytest.mark.parametrize("ref_power", [1.0, None])
+def test_channel_in_place_at_the_delay_equals_closed_form(
+        ref_power, cfo, gain, taps, offset, sps):
+    # the input written into out at the delay, as run_frame's transmitter
+    # writes it (at offset 0 with one tap, out is exactly the input's
+    # memory); NaN elsewhere shows any sample left unwritten.  With no
+    # ref_power the noise is referenced to the input's power, which must be
+    # read before the channel overwrites the input
+    rng = np.random.default_rng(22)
+    sym = np.exp(1j * np.pi / 2 * rng.integers(0, 4, 20000 // sps)
+                 + 1j * np.pi / 4)
+    x = np.repeat(sym * rng.uniform(0.5, 1.0, sym.size), sps)
+    cfg = ChannelConfig(snr_db=10.0, cfo_normalized=cfo,
+                        timing_offset=offset, complex_gain=gain,
+                        fir_taps=taps, seed=4, ref_power=ref_power)
+    out = np.full(offset + x.size + len(taps) - 1, np.nan, dtype=complex)
+    out[offset:offset + x.size] = x
+    y = apply_channel(_sig(out[offset:offset + x.size], sps), cfg,
+                      out=out).samples
+    assert y is out
+    assert y.tobytes() == _closed_form_channel(x, sps, cfg).tobytes()
+
+
+def test_apply_channel_rejects_every_other_overlap():
+    # the channel reads x after it starts writing y, so x may sit in out
+    # only exactly at the delay
+    d, m = 5, 1000
+    cfg = ChannelConfig(timing_offset=d, fir_taps=(1.0, 0.5))
+    n = d + m + 1
+    base = np.zeros(3 * n, dtype=complex)
+    out = base[:n]
+    for x in (base[n - 3:n - 3 + m],         # partly inside out
+              out[d - 1:d - 1 + m],          # one sample early
+              out[d + 1:d + 1 + m],          # one sample late
+              base[d:d + 2 * m:2],           # strided from out[d]
+              out.view(float)[2 * d:2 * d + m]):  # a float view at out[d]
+        with pytest.raises(ValueError, match="share memory"):
+            apply_channel(BasebandSignal(samples=x), cfg, out=out)
 
 
 @pytest.mark.parametrize("n", [

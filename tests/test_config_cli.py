@@ -61,8 +61,8 @@ def test_experiment_from_dict_rejects_unknown_key():
     ("est_taps", "0"), ("est_taps", "5000"), ("timing_offset", "-1"),
     ("fir_taps", ""), ("fir_taps", "1, nan"), ("complex_gain", "nan"),
 ])
-def test_bad_channel_and_receiver_values_fail_at_load(tmp_path, mode, key,
-                                                      text):
+def test_bad_channel_and_receiver_values_fail_at_load(tmp_path, capsys, mode,
+                                                      key, text):
     with pytest.raises(ValueError, match=key) as plain:
         experiment_from_dict({"mode": mode, key: text})
     # read from a file, the error names the file and the key's line
@@ -72,9 +72,8 @@ def test_bad_channel_and_receiver_values_fail_at_load(tmp_path, mode, key,
     with pytest.raises(ValueError) as exc:
         experiment_from_dict(parse_config(path))
     assert str(exc.value) == want
-    with pytest.raises(ValueError) as exc:
-        main(["ber-sweep", "--config", str(path)])
-    assert str(exc.value) == want
+    assert main(["ber-sweep", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"mslink: error: {want}\n"
 
 
 @pytest.mark.parametrize("line, message", [
@@ -83,17 +82,16 @@ def test_bad_channel_and_receiver_values_fail_at_load(tmp_path, mode, key,
     ("snr_list = 4, x", "snr_list = '4, x' is not a valid list of float"),
     ("target_ber = low", "target_ber = 'low' is not a valid float"),
 ])
-def test_config_value_that_does_not_parse_names_its_line(tmp_path, line,
-                                                         message):
+def test_config_value_that_does_not_parse_names_its_line(tmp_path, capsys,
+                                                         line, message):
     path = tmp_path / "bad.cfg"
     path.write_text(f"mode = metasurface\n{line}\n")
     want = f"{path}:2: {message}"
     with pytest.raises(ValueError) as exc:
         parse_config(path)
     assert str(exc.value) == want
-    with pytest.raises(ValueError) as exc:
-        main(["compare", "--config", str(path)])
-    assert str(exc.value) == want
+    assert main(["compare", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"mslink: error: {want}\n"
 
 
 @pytest.mark.parametrize("text, argv, message", [
@@ -110,12 +108,70 @@ def test_config_value_that_does_not_parse_names_its_line(tmp_path, line,
     ("mode = metasurface\nr_series = -1\n", ["constellation"],
      "{path}:2: r_series must be >= 0"),
 ], ids=["no-key", "alias", "flag", "gamma-curve", "metasurface"])
-def test_cli_config_rejection_names_the_file(tmp_path, text, argv, message):
+def test_cli_config_rejection_names_the_file(tmp_path, capsys, text, argv,
+                                             message):
     path = tmp_path / "bad.cfg"
     path.write_text(text)
+    assert main(argv + ["--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"mslink: error: {message.format(path=path)}\n")
+
+
+@pytest.mark.parametrize("mode", ["conventional", "metasurface"])
+@pytest.mark.parametrize("line, message", [
+    ("r_series = -1", "{path}:2: r_series must be >= 0"),
+    ("z_air = 0", "{path}: inductances and z_air must be > 0"),
+    ("c_zero = -5", "{path}: need c_zero > c_min > 0"),
+])
+def test_bad_circuit_values_fail_at_load_in_either_mode(tmp_path, capsys,
+                                                        mode, line, message):
+    # a conventional link never builds the surface, but a circuit value no
+    # cell can have is still an error, not a key silently ignored
+    key, text = (part.strip() for part in line.split("="))
+    with pytest.raises(ValueError):
+        experiment_from_dict({"mode": mode, key: text})
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"mode = {mode}\n{line}\n")
+    want = message.format(path=path)
     with pytest.raises(ValueError) as exc:
-        main(argv + ["--config", str(path)])
-    assert str(exc.value) == message.format(path=path)
+        experiment_from_dict(parse_config(path))
+    assert str(exc.value) == want
+    assert main(["ber-sweep", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"mslink: error: {want}\n"
+
+
+def test_cli_input_errors_are_one_line_and_exit_1(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert main(["ber-sweep", "--config", str(missing)]) == 1
+    assert capsys.readouterr().err == (
+        f"mslink: error: [Errno 2] No such file or directory: "
+        f"'{missing}'\n")
+    # a curve that never reaches the target BER
+    assert main(["compare", "--snr", "8,10", "--frames", "2", "--mask",
+                 "left-half", "--out", str(tmp_path / "cmp")]) == 1
+    assert capsys.readouterr().err == (
+        "mslink: error: target BER 0.0001 not bracketed by measured curve\n")
+    # streams with no frame in them: noise fails sync, and all zeros passes
+    # it but leaves nothing to estimate the channel from
+    src = tmp_path / "msg.bin"
+    src.write_bytes(bytes(range(200)))
+    iq = tmp_path / "msg.iq"
+    assert main(["transmit", str(src), "--out", str(iq)]) == 0
+    capsys.readouterr()
+    size = len(iq.read_bytes())
+    noise = np.random.default_rng(3).standard_normal(size // 4)
+    for samples, message in (
+            (noise.astype(np.float32).tobytes(), "correlation peak "),
+            (bytes(size), "channel estimate has a zero bin")):
+        iq.write_bytes(samples)
+        assert main(["receive", str(iq), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"mslink: error: frame 0: {message}")
+        assert err.count("\n") == 1
+    # a usage error is still argparse's, with status 2
+    with pytest.raises(SystemExit) as exc:
+        main(["ber-sweep", "--frames", "two"])
+    assert exc.value.code == 2
 
 
 # one non-default value per accepted key: text, and the value it must become

@@ -20,6 +20,10 @@ def test_frame_cost_reports_both_modes():
         assert r["frames"] == 2
         assert r["minor_faults"] >= 0 and r["sys_ms"] >= 0
         assert 0 < r["alloc_peak_mb"] < 10 and r["wall_ms_p50"] > 0
+    # one received frame at sps 1 and 8, plus the symbol-rate arrays
+    receive = 16 * 22_500 * 2 + 8 * 18_432 * 2
+    assert [r["buffers_mb"] for r in res["modes"]] == [
+        (16 * 22_500 + receive) / 1e6, (16 * 180_000 + receive) / 1e6]
 
 
 def test_frame_cost_stream_mode_reports_round_trips():
@@ -33,5 +37,6 @@ def test_frame_cost_stream_mode_reports_round_trips():
     assert res["frames"] == 2 and "snr_db" not in res
     (r,) = res["modes"]
     assert (r["mode"], r["sps"], r["frames"]) == ("stream", 1, 2)
+    assert r["buffers_mb"] == 0.0
     assert r["minor_faults"] >= 0 and r["sys_ms"] >= 0
     assert 0 < r["alloc_peak_mb"] < 50 and r["wall_ms_p50"] > 0

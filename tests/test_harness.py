@@ -423,7 +423,7 @@ def test_run_frame_reports_diagnostics():
 def _all_buffers(cfg):
     """Every array of the config's frame buffers, by name."""
     b = cfg._buffers
-    arrays = {"tx": b.tx, "rx": b.rx}
+    arrays = {"rx": b.rx}
     arrays.update({name: getattr(b.receive, name)
                    for name in ReceiveBuffers.__slots__})
     return arrays
@@ -445,8 +445,8 @@ def test_run_frame_results_survive_later_frames_and_alias_no_buffer():
         _poison(cfg)
         assert [a.tobytes() for a in first] == kept
         buffers = _all_buffers(cfg)
-        assert FrameBuffers._fields == ("tx", "rx", "receive")
-        assert set(buffers) == {"tx", "rx", *ReceiveBuffers.__slots__}
+        assert FrameBuffers._fields == ("rx", "receive")
+        assert set(buffers) == {"rx", *ReceiveBuffers.__slots__}
         for a in first:
             for name, buf in buffers.items():
                 assert not np.shares_memory(a, buf), (mode, name)
@@ -468,8 +468,28 @@ def test_each_config_gets_its_own_buffers():
             for p in _all_buffers(x).values():
                 for q in _all_buffers(y).values():
                     assert not np.shares_memory(p, q)
-    tx, rx, _ = offset._buffers
-    assert (tx.size, rx.size) == (180_000, 180_037)
+    rx, _ = offset._buffers
+    assert rx.size == 180_037
+
+
+@pytest.mark.parametrize("channel", [
+    {}, {"timing_offset": 37}, {"fir_taps": (1.0, 0.3 - 0.2j, 0.1j)},
+    {"timing_offset": 37, "fir_taps": (1.0, 0.3 - 0.2j, 0.1j)},
+], ids=["clean", "offset", "3-tap", "offset-3-tap"])
+def test_warm_metasurface_config_holds_one_sample_rate_array(channel):
+    # the transmitter writes into the received-samples buffer at the delay,
+    # so a config holds one 180 000-sample frame plus the channel's delay
+    # and FIR tail, and the receiver's symbol-rate arrays: the derotation
+    # ramp (the decision error is a view of it), the dumped symbols, the
+    # decisions and the error power
+    cfg = ExperimentConfig(mode="metasurface", **channel)
+    run_frame(cfg, 14.0, 0)
+    run_frame(cfg, 14.0, 1)
+    d, taps = cfg.timing_offset, len(cfg.fir_taps)
+    receive = 16 * 22_500 + 16 * 22_500 + 8 * 18_432 + 8 * 18_432
+    owned = [a for a in _all_buffers(cfg).values() if a.base is None]
+    assert sum(a.nbytes for a in owned) == (
+        16 * (180_000 + d + taps - 1) + receive)
 
 
 def _unbuffered_frame(cfg, snr_db, seed):

@@ -1,5 +1,5 @@
 """Cost of one warm `run_frame`, per mode: minor page faults, system time,
-allocation peak and median wall time.
+allocation peak, resident buffers and median wall time.
 
     python3 tools/frame_cost.py                  # 60 frames per mode at 14 dB
     python3 tools/frame_cost.py --frames 150 --snr 14 --mode conventional
@@ -17,7 +17,9 @@ matrix-vector products.  Each mode runs a few unmeasured frames first, so
 its reused buffers and memoized tables are in place.  Faults and system
 time come from `getrusage` over the timed frames; the allocation peak is
 the largest `tracemalloc` peak of a frame, taken in a second pass, since
-tracing slows every allocation.  The last line of output is one JSON object.
+tracing slows every allocation.  The resident buffers are the arrays the
+config keeps between frames (`ExperimentConfig._buffers`); a stream round
+trip keeps none.  The last line of output is one JSON object.
 """
 
 from __future__ import annotations
@@ -87,13 +89,23 @@ def measure(op, n: int) -> dict:
     }
 
 
+def buffers_mb(cfg) -> float:
+    """MB held by the config's reused frame buffers; a view of another
+    buffer holds nothing of its own."""
+    from mslink.rxchain import ReceiveBuffers
+
+    b = cfg._buffers
+    arrays = [b.rx] + [getattr(b.receive, n) for n in ReceiveBuffers.__slots__]
+    return sum(a.nbytes for a in arrays if a.base is None) / 1e6
+
+
 def frame_cost(mode: str, frames: int, snr_db: float) -> dict:
     from mslink.harness import ExperimentConfig, run_frame
 
     cfg = ExperimentConfig(mode=mode)
     cost = measure(lambda seed: run_frame(cfg, snr_db, seed), frames)
     return {"mode": mode, "sps": cfg.resolved_sps(), "frames": frames,
-            **cost}
+            **cost, "buffers_mb": buffers_mb(cfg)}
 
 
 def stream_cost(round_trips: int) -> dict:
@@ -109,7 +121,7 @@ def stream_cost(round_trips: int) -> dict:
 
         cost = measure(op, round_trips)
     return {"mode": "stream", "sps": stream.params["sps"],
-            "frames": round_trips, **cost}
+            "frames": round_trips, **cost, "buffers_mb": 0.0}
 
 
 def main(argv=None):
@@ -127,10 +139,11 @@ def main(argv=None):
         print(f"per warm frame, {args.frames} frames at {args.snr:g} dB, "
               "BLAS threads pinned to 1")
     print(f"{'mode':<13}{'faults':>8}{'sys ms':>8}{'peak MB':>9}"
-          f"{'p50 ms':>8}")
+          f"{'buf MB':>8}{'p50 ms':>8}")
     for r in rows:
         print(f"{r['mode']:<13}{r['minor_faults']:>8.0f}{r['sys_ms']:>8.2f}"
-              f"{r['alloc_peak_mb']:>9.2f}{r['wall_ms_p50']:>8.2f}")
+              f"{r['alloc_peak_mb']:>9.2f}{r['buffers_mb']:>8.2f}"
+              f"{r['wall_ms_p50']:>8.2f}")
     summary = {"frames": args.frames, "modes": rows}
     if args.mode != "stream":
         summary = {"snr_db": args.snr, **summary}
