@@ -33,8 +33,7 @@ def main():
         BasebandSignal(samples=clean, sample_rate=hdr.sample_rate_hz,
                        samples_per_symbol=hdr.samples_per_symbol),
         ChannelConfig(snr_db=30.0, cfo_normalized=0.05, timing_offset=500,
-                      fir_taps=(1.0, 0.3 - 0.2j, 0.1 + 0.05j), seed=1,
-                      ref_power=1.0))
+                      fir_taps=(1.0, 0.3 - 0.2j, 0.1 + 0.05j), seed=1))
     write_iq(work / "rx.iq", rx.samples)
     print("channel: SNR 30 dB, CFO 0.05, offset 500 samples, 3 taps")
 

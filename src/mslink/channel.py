@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +27,17 @@ NOISE_CHUNK = 8192
 
 @dataclass(frozen=True)
 class ChannelConfig:
+    """snr_db is the Es/N0 of a transmitter of incident power ref_power: the
+    noise is charged against that fixed budget, never against the power of
+    the samples sent, so a metasurface's reflection loss costs SNR."""
+
     snr_db: float = math.inf          # Es/N0 referenced to 1 sps
     cfo_normalized: float = 0.0       # cycles per 2048-symbol block, |eps|<0.5
     timing_offset: int = 0            # integer sample delay
     complex_gain: complex = 1.0 + 0.0j
     fir_taps: tuple = (1.0 + 0.0j,)
     seed: int = 0
-    ref_power: float | None = None    # noise reference; None = measure input
+    ref_power: float = 1.0            # incident power the SNR refers to
 
     def __post_init__(self):
         if not abs(self.cfo_normalized) < 0.5:   # NaN fails too
@@ -47,8 +52,8 @@ class ChannelConfig:
             raise ValueError("fir_taps must be finite")
         if not (math.isfinite(self.snr_db) or self.snr_db == math.inf):
             raise ValueError("snr_db must be finite or +inf")
-        if self.ref_power is not None and not (
-                math.isfinite(self.ref_power) and self.ref_power > 0):
+        if not (isinstance(self.ref_power, numbers.Real)
+                and math.isfinite(self.ref_power) and self.ref_power > 0):
             raise ValueError("ref_power must be finite and > 0")
 
 
@@ -84,9 +89,11 @@ def apply_channel(sig: BasebandSignal, cfg: ChannelConfig,
                   out: np.ndarray | None = None) -> BasebandSignal:
     """y[n] = e^{j 2 pi eps (n-d)/(2048 sps)} g (h * x)[n-d] + w[n].
 
-    Noise is sized so that Es/N0 holds per *symbol*: at sps > 1 the per-sample
-    variance is sps times larger and the receiver's integrate-and-dump
-    recovers the processing gain, keeping comparisons across sps fair.
+    w has variance sps * ref_power / 10^(snr_db / 10) per sample, whatever
+    the power of x (see ChannelConfig).  Es/N0 thus holds per *symbol*: at
+    sps > 1 the per-sample variance is sps times larger and the receiver's
+    integrate-and-dump recovers the processing gain, keeping comparisons
+    across sps fair.
 
     y is written into `out` when it is given (complex, d + len(x) + len(h) - 1
     samples), else into a fresh array.  `out` may hold x itself exactly at
@@ -114,10 +121,6 @@ def apply_channel(sig: BasebandSignal, cfg: ChannelConfig,
         if in_place and not _is_body_of(x, out, d):
             raise ValueError("out must not share memory with the input "
                              "samples, except as out[d:d + len(x)]")
-    # the noise reference is read before the stages below overwrite x
-    p_ref = cfg.ref_power
-    if p_ref is None and cfg.snr_db != math.inf:
-        p_ref = float(np.mean(np.abs(x) ** 2)) if x.size else 0.0
     y[:d] = 0.0
     body = y[d:]
     if taps.size == 1 and taps[0] == 1.0:
@@ -136,7 +139,7 @@ def apply_channel(sig: BasebandSignal, cfg: ChannelConfig,
     if cfg.complex_gain != 1.0:
         body *= cfg.complex_gain
     if cfg.snr_db != math.inf:
-        var = sps * noise_variance(cfg.snr_db, p_ref)
+        var = sps * noise_variance(cfg.snr_db, cfg.ref_power)
         rng = np.random.default_rng(cfg.seed)
         scale = np.sqrt(var / 2.0)
         # all real parts, then all imaginary parts: the generator's stream

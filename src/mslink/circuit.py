@@ -63,7 +63,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GammaLUT:
-    """Voltage -> reflection coefficient table at a single frequency."""
+    """Voltage -> reflection coefficient table at a single frequency.  The
+    arrays are stored as read-only copies, and tables compare and hash by
+    value, the arrays by their contents."""
 
     frequency: float
     voltages: np.ndarray = field(repr=False)
@@ -81,6 +83,18 @@ class GammaLUT:
             raise ValueError("voltages must be strictly increasing")
         object.__setattr__(self, "voltages", _read_only(v))
         object.__setattr__(self, "gammas", _read_only(g))
+
+    def _key(self) -> tuple:
+        return (self.frequency, self.voltages.tobytes(),
+                self.gammas.tobytes())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @functools.cached_property
     def phases_deg(self) -> np.ndarray:

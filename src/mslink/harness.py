@@ -170,8 +170,6 @@ def _channel(cfg: ExperimentConfig, snr_db: float, seed: int) -> ChannelConfig:
         complex_gain=cfg.complex_gain,
         fir_taps=cfg.fir_taps,
         seed=seed + _NOISE_SEED_OFFSET,
-        ref_power=1.0,  # SNR referenced to unit incident power (a fixed
-                        # transmit budget), so reflection loss costs SNR
     )
 
 
@@ -203,7 +201,9 @@ def run_frame(cfg: ExperimentConfig, snr_db: float, seed: int):
 def measure_link_snr(cfg: ExperimentConfig, snr_db: float, seed: int) -> float:
     """Received SNR in dB: signal power over noise power at the receiver
     input, measured on one frame by differencing paired noisy/noiseless
-    channel passes (identical channel, identical seed)."""
+    channel passes (identical channel, identical seed).  The noise is
+    charged against a unit-power transmitter, so a frame that arrives with
+    less power (reflection loss, inactive cells) reads below snr_db."""
     _, sig = transmit_frame(cfg, seed)
     noisy = apply_channel(sig, _channel(cfg, snr_db, seed))
     clean = apply_channel(sig, _channel(cfg, math.inf, seed))
@@ -317,8 +317,8 @@ def receive_stream(sig: BasebandSignal, header: StreamHeader) -> np.ndarray:
     positions (fewer when the stream is shorter than two frames); later
     frames are expected at a fixed stride from it (the channel model has no
     clock drift), with a small window to absorb correlation-peak jitter.
-    A frame that fails sync, or whose channel estimate has a zero bin (as
-    an all-zero stream gives), raises PartialReceiveError naming it."""
+    A frame that fails sync (as an all-zero stream does), or whose channel
+    estimate has a zero bin, raises PartialReceiveError naming it."""
     from .rxchain import frame_sync
 
     sps = header.samples_per_symbol

@@ -104,7 +104,17 @@ def write_iq(path, samples) -> None:
 
 
 def read_iq(path) -> np.ndarray:
+    """The complex samples of an IQ file.  The file comes from outside the
+    program, so an odd float count or a sample that is not finite is an
+    error naming the file (and the sample)."""
     raw = np.fromfile(path, dtype="<f4")
     if raw.size % 2:
         raise ValueError(f"{path}: odd float count, not an I/Q stream")
+    # a float64 sum of float32 values cannot overflow, so it is finite
+    # exactly when every value is.  Past this check I + 1j * Q is exact: an
+    # infinite Q would have made it NaN + inf j
+    if not np.isfinite(raw.sum(dtype=np.float64)):
+        k = int(np.flatnonzero(~np.isfinite(raw))[0]) // 2
+        raise ValueError(f"{path}: sample {k} is not finite: "
+                         f"I = {raw[2 * k]}, Q = {raw[2 * k + 1]}")
     return raw[0::2].astype(np.float64) + 1j * raw[1::2].astype(np.float64)

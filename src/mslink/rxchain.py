@@ -107,7 +107,7 @@ def frame_sync(rx: BasebandSignal, search_window=None) -> SyncResult:
 
     search_window is a (start, stop) range of candidate frame-start indices;
     default is every feasible start.  Raises SyncNotFoundError when no peak
-    reaches the detection threshold.
+    reaches the detection threshold, and on a silent or non-finite segment.
     """
     samples = np.asarray(rx.samples)
     rep = np.repeat(np.where(build_sync_sequence() > 0, _QPSK_POINTS[0],
@@ -131,7 +131,8 @@ def frame_sync(rx: BasebandSignal, search_window=None) -> SyncResult:
     peak = float(corr[k])
     p_hat = float(np.mean(np.abs(seg) ** 2))
     ideal_peak = math.sqrt(L * p_hat) * float(np.linalg.norm(rep))
-    if peak < SYNC_THRESHOLD * ideal_peak:
+    # silence has a zero peak and a zero threshold, and NaN compares false
+    if not (peak > 0.0 and peak >= SYNC_THRESHOLD * ideal_peak):
         raise SyncNotFoundError(
             f"correlation peak {peak:.3g} below threshold "
             f"{SYNC_THRESHOLD * ideal_peak:.3g}"

@@ -112,6 +112,18 @@ def test_sps_scales_per_sample_noise():
     assert v[8] / v[1] == pytest.approx(8.0, rel=0.02)
 
 
+def test_default_noise_reference_is_unit_incident_power():
+    assert ChannelConfig().ref_power == 1.0
+    # the noise is charged against the unit budget, not the input's power:
+    # a 0.5-amplitude input (power 0.25) at 10 dB gets noise power 0.1 per
+    # symbol, not 0.025
+    x = np.full(1_000_000, 0.5, dtype=complex)
+    for sps, want in ((1, 0.1), (8, 0.8)):
+        y = apply_channel(_sig(x, sps), ChannelConfig(snr_db=10.0, seed=6))
+        noise = y.samples - x
+        assert np.mean(np.abs(noise) ** 2) == pytest.approx(want, rel=0.01)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ChannelConfig(cfo_normalized=0.5)
@@ -133,7 +145,7 @@ def test_config_validation():
             ChannelConfig(fir_taps=(1.0, complex(0.0, bad)))
         with pytest.raises(ValueError, match="ref_power"):
             ChannelConfig(ref_power=bad)
-    for bad in (0.0, -1.0):
+    for bad in (0.0, -1.0, None):
         with pytest.raises(ValueError, match="ref_power"):
             ChannelConfig(ref_power=bad)
     ChannelConfig(ref_power=1e-30, cfo_normalized=-0.499, complex_gain=0.0,
@@ -152,10 +164,7 @@ def _closed_form_channel(x, sps, cfg):
                    / (CFO_BLOCK * sps))
     y = y * cfg.complex_gain
     if cfg.snr_db != math.inf:
-        p_ref = cfg.ref_power
-        if p_ref is None:
-            p_ref = float(np.mean(np.abs(x) ** 2)) if x.size else 0.0
-        var = sps * noise_variance(cfg.snr_db, p_ref)
+        var = sps * noise_variance(cfg.snr_db, cfg.ref_power)
         rng = np.random.default_rng(cfg.seed)
         w = rng.normal(scale=np.sqrt(var / 2.0), size=(2, y.size))
         y = y + w[0] + 1j * w[1]
@@ -209,21 +218,18 @@ def test_apply_channel_rejects_bad_out():
                          ids=["unit-tap", "3-tap"])
 @pytest.mark.parametrize("gain", [1.0, 0.5 * np.exp(1j * np.pi / 4)])
 @pytest.mark.parametrize("cfo", [0.0, 0.3, -0.3])
-@pytest.mark.parametrize("ref_power", [1.0, None])
 def test_channel_in_place_at_the_delay_equals_closed_form(
-        ref_power, cfo, gain, taps, offset, sps):
+        cfo, gain, taps, offset, sps):
     # the input written into out at the delay, as run_frame's transmitter
     # writes it (at offset 0 with one tap, out is exactly the input's
-    # memory); NaN elsewhere shows any sample left unwritten.  With no
-    # ref_power the noise is referenced to the input's power, which must be
-    # read before the channel overwrites the input
+    # memory); NaN elsewhere shows any sample left unwritten
     rng = np.random.default_rng(22)
     sym = np.exp(1j * np.pi / 2 * rng.integers(0, 4, 20000 // sps)
                  + 1j * np.pi / 4)
     x = np.repeat(sym * rng.uniform(0.5, 1.0, sym.size), sps)
     cfg = ChannelConfig(snr_db=10.0, cfo_normalized=cfo,
                         timing_offset=offset, complex_gain=gain,
-                        fir_taps=taps, seed=4, ref_power=ref_power)
+                        fir_taps=taps, seed=4)
     out = np.full(offset + x.size + len(taps) - 1, np.nan, dtype=complex)
     out[offset:offset + x.size] = x
     y = apply_channel(_sig(out[offset:offset + x.size], sps), cfg,

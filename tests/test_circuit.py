@@ -174,6 +174,22 @@ def test_lut_determinism():
     assert np.array_equal(a.gammas, b.gammas)
 
 
+def test_lut_compares_and_hashes_by_value():
+    lut = default_gamma_lut()
+    same = build_gamma_lut(VaractorModel(), CircuitParams(), DEFAULT_FREQUENCY,
+                           DEFAULT_VOLTAGE_GRID)
+    assert same is not lut
+    assert same == lut and hash(same) == hash(lut)
+    assert len({lut, same}) == 1
+    v = np.array([1.0, 2.0])
+    g = np.array([0.5 + 0.5j, -0.5j])
+    base = GammaLUT(4e9, v, g)
+    for other in (GammaLUT(5e9, v, g), GammaLUT(4e9, v + [0.0, 1.0], g),
+                  GammaLUT(4e9, v, g * 1j)):
+        assert other != base
+    assert base != (4e9, v, g)
+
+
 def test_default_lut_is_built_once_and_read_only():
     lut = default_gamma_lut()
     assert default_gamma_lut() is lut

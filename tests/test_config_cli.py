@@ -151,8 +151,8 @@ def test_cli_input_errors_are_one_line_and_exit_1(tmp_path, capsys):
                  "left-half", "--out", str(tmp_path / "cmp")]) == 1
     assert capsys.readouterr().err == (
         "mslink: error: target BER 0.0001 not bracketed by measured curve\n")
-    # streams with no frame in them: noise fails sync, and all zeros passes
-    # it but leaves nothing to estimate the channel from
+    # streams with no frame in them fail sync: noise falls below the
+    # threshold, and all zeros has no correlation peak at all
     src = tmp_path / "msg.bin"
     src.write_bytes(bytes(range(200)))
     iq = tmp_path / "msg.iq"
@@ -162,7 +162,7 @@ def test_cli_input_errors_are_one_line_and_exit_1(tmp_path, capsys):
     noise = np.random.default_rng(3).standard_normal(size // 4)
     for samples, message in (
             (noise.astype(np.float32).tobytes(), "correlation peak "),
-            (bytes(size), "channel estimate has a zero bin")):
+            (bytes(size), "correlation peak 0 ")):
         iq.write_bytes(samples)
         assert main(["receive", str(iq), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
@@ -319,8 +319,8 @@ def test_cli_constellation_dump(tmp_path):
 
 
 def test_cli_constellation_names_an_undecodable_frame(tmp_path, capsys):
-    # no active cell at infinite SNR: sync passes on the static reflection,
-    # and the channel estimate has a zero bin
+    # no active cell at infinite SNR: the static reflection, here 0, is
+    # silence, which fails sync
     out = tmp_path / "points.csv"
     assert main(["constellation", "--mode", "metasurface", "--snr", "inf",
                  "--mask", "0" * 128, "--out", str(out)]) == 1

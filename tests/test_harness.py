@@ -1,20 +1,22 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from mslink.channel import apply_channel
+from mslink.channel import ChannelConfig, apply_channel
 from mslink.circuit import (DEFAULT_TARGET_PHASES, GammaLUT, default_gamma_lut,
                             select_control_voltages)
 from mslink.config import gamma_lut_from_dict
 from mslink.errors import InterpolationError
-from mslink.harness import (SEED_POINT_STRIDE, BerRecord, ExperimentConfig,
-                            FrameBuffers, _channel, bits_from_file,
-                            bits_to_bytes, compare_architectures,
-                            measure_link_snr, receive_file, run_ber_sweep,
-                            run_frame, snr_at_ber, surface_constellation,
+from mslink.harness import (_NOISE_SEED_OFFSET, SEED_POINT_STRIDE, BerRecord,
+                            ExperimentConfig, FrameBuffers, _channel,
+                            bits_from_file, bits_to_bytes,
+                            compare_architectures, measure_link_snr,
+                            receive_file, run_ber_sweep, run_frame,
+                            snr_at_ber, surface_constellation,
                             theoretical_qpsk_ber, transmit_file,
                             transmit_frame, write_ber_csv)
 from mslink.iqfile import StreamHeader, read_iq, write_iq
@@ -166,8 +168,8 @@ def test_sync_failure_flagged_as_errored_frame():
 
 def test_undecodable_frames_count_as_failed_not_raised():
     # a surface with no active cell radiates the static reflection, here 0:
-    # a noiseless frame then syncs on silence and its channel estimate is
-    # all zero bins, which the sweep must count as a failed frame
+    # a noiseless frame is then silence, which fails sync, and the sweep
+    # must count it as a failed frame
     cfg = ExperimentConfig(mode="metasurface", snr_list=(math.inf,),
                            frames_per_point=3,
                            array=ArrayConfig(mask="0" * 128))
@@ -249,6 +251,20 @@ def test_iq_file_roundtrip(tmp_path):
     # interleaved little-endian float32 layout
     raw = np.fromfile(path, dtype="<f4")
     np.testing.assert_allclose(raw, [1, 2, 0, -0.5, 3.25, 0])
+
+
+@pytest.mark.parametrize("i,q", [(1.0, np.inf), (np.nan, 0.0),
+                                 (-np.inf, np.nan)])
+def test_read_iq_rejects_a_sample_that_is_not_finite(tmp_path, i, q):
+    # it names the file, the sample and its true I and Q: complex arithmetic
+    # on an infinite Q (I + 1j * Q) would turn a finite I into NaN
+    path = tmp_path / "s.iq"
+    raw = np.ones(2 * 100, dtype="<f4")
+    raw[2 * 37:2 * 37 + 2] = i, q
+    raw.tofile(path)
+    want = f"{path}: sample 37 is not finite: I = {i}, Q = {q}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        read_iq(path)
 
 
 def test_stream_header_roundtrip(tmp_path):
@@ -490,6 +506,28 @@ def test_warm_metasurface_config_holds_one_sample_rate_array(channel):
     owned = [a for a in _all_buffers(cfg).values() if a.base is None]
     assert sum(a.nbytes for a in owned) == (
         16 * (180_000 + d + taps - 1) + receive)
+
+
+def test_run_frame_channel_is_the_default_noise_reference():
+    # run_frame's noise is charged against ChannelConfig's default reference,
+    # the unit incident-power budget, so a metasurface frame, which reflects
+    # less power than lights it, arrives below the configured SNR
+    taps = (1.0 + 0.0j, 0.3 - 0.2j)
+    cfg = ExperimentConfig(mode="metasurface", cfo_normalized=0.2,
+                           timing_offset=37, complex_gain=0.8 - 0.4j,
+                           fir_taps=taps)
+    ch = _channel(cfg, 10.0, 3)
+    default = ChannelConfig(snr_db=10.0, cfo_normalized=0.2, timing_offset=37,
+                            complex_gain=0.8 - 0.4j, fir_taps=taps,
+                            seed=3 + _NOISE_SEED_OFFSET)
+    assert ch == default and ch.ref_power == 1.0
+    _, sig = transmit_frame(cfg, 3)
+    assert np.mean(np.abs(sig.samples) ** 2) < 0.9
+    y = apply_channel(sig, ch).samples
+    assert y.tobytes() == apply_channel(sig, default).samples.tobytes()
+    clean = apply_channel(sig, dataclasses.replace(ch, snr_db=math.inf))
+    noise = np.mean(np.abs(y - clean.samples) ** 2)
+    assert noise == pytest.approx(8 * 0.1, rel=0.02)
 
 
 def _unbuffered_frame(cfg, snr_db, seed):

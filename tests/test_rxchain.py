@@ -47,6 +47,24 @@ def test_frame_sync_raises_on_noise_only():
         frame_sync(sig)
 
 
+@pytest.mark.parametrize("sps", [1, 8])
+def test_frame_sync_raises_on_silence_and_nan(sps):
+    # silence has a zero peak against a zero threshold; one NaN sample makes
+    # every correlation lag NaN
+    _, sig = _frame_signal(sps=sps)
+    silent = type(sig)(samples=np.zeros_like(sig.samples),
+                       sample_rate=sig.sample_rate, samples_per_symbol=sps)
+    with pytest.raises(SyncNotFoundError, match="correlation peak 0 "):
+        frame_sync(silent)
+    samples = sig.samples.copy()
+    samples[1000] = complex(np.nan, 0.0)
+    nan = type(sig)(samples=samples, sample_rate=sig.sample_rate,
+                    samples_per_symbol=sps)
+    with pytest.raises(SyncNotFoundError, match="correlation peak nan "):
+        frame_sync(nan)
+    assert frame_sync(sig).frame_start == 0
+
+
 def test_frame_sync_detection_rate_at_zero_db():
     _, sig = _frame_signal(seed=1)
     rng = np.random.default_rng(123)

@@ -11,7 +11,8 @@ The hash covers, in this order:
   configs x the SNR points x the seeds (default SNR 8, 16 and inf dB, seeds
   0 and 1);
 - the IQ file and the header file `transmit_file` writes for a 2.5-frame
-  file, in both modes;
+  file, in both modes, and the samples `read_iq` reads back from that IQ
+  file and the bytes `receive_file` recovers from it;
 - the points of `surface_constellation` for the default LUT and targets.
 
 Run it on two checkouts (copy the tool into the older one if it lacks it)
@@ -114,7 +115,8 @@ def hash_frames(d: Digest, seeds: int, snrs) -> None:
 
 def hash_files(d: Digest) -> None:
     import numpy as np
-    from mslink.harness import ExperimentConfig, transmit_file
+    from mslink.harness import ExperimentConfig, receive_file, transmit_file
+    from mslink.iqfile import read_iq
     from mslink.txchain import FrameLayout
 
     n_bytes = int(FILE_FRAMES * FrameLayout.payload_bits) // 8
@@ -129,6 +131,10 @@ def hash_files(d: Digest) -> None:
             d.tag(f"file {mode}")
             d.data(iq.read_bytes())
             d.data(hdr.read_bytes())
+            d.array(read_iq(iq))
+            out = Path(tmp) / f"{mode}.out"
+            receive_file(iq, hdr, out)
+            d.data(out.read_bytes())
 
 
 def hash_constellation(d: Digest) -> None:
