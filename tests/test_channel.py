@@ -218,18 +218,20 @@ def test_apply_channel_rejects_bad_out():
                          ids=["unit-tap", "3-tap"])
 @pytest.mark.parametrize("gain", [1.0, 0.5 * np.exp(1j * np.pi / 4)])
 @pytest.mark.parametrize("cfo", [0.0, 0.3, -0.3])
+@pytest.mark.parametrize("ref_power", [1.0, 0.25])
 def test_channel_in_place_at_the_delay_equals_closed_form(
-        cfo, gain, taps, offset, sps):
+        ref_power, cfo, gain, taps, offset, sps):
     # the input written into out at the delay, as run_frame's transmitter
     # writes it (at offset 0 with one tap, out is exactly the input's
-    # memory); NaN elsewhere shows any sample left unwritten
+    # memory); NaN elsewhere shows any sample left unwritten.  A budget
+    # other than the unit default must scale the noise by ref_power alone
     rng = np.random.default_rng(22)
     sym = np.exp(1j * np.pi / 2 * rng.integers(0, 4, 20000 // sps)
                  + 1j * np.pi / 4)
     x = np.repeat(sym * rng.uniform(0.5, 1.0, sym.size), sps)
     cfg = ChannelConfig(snr_db=10.0, cfo_normalized=cfo,
                         timing_offset=offset, complex_gain=gain,
-                        fir_taps=taps, seed=4)
+                        fir_taps=taps, seed=4, ref_power=ref_power)
     out = np.full(offset + x.size + len(taps) - 1, np.nan, dtype=complex)
     out[offset:offset + x.size] = x
     y = apply_channel(_sig(out[offset:offset + x.size], sps), cfg,
