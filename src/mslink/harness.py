@@ -314,23 +314,27 @@ def receive_stream(sig: BasebandSignal, header: StreamHeader) -> np.ndarray:
     """Recover the concatenated payload bits of a multi-frame stream.
 
     The first frame is searched over the first frame length of start
-    positions (fewer when the stream is shorter than two frames); later
-    frames are expected at a fixed stride from it (the channel model has no
-    clock drift), with a small window to absorb correlation-peak jitter.
-    A frame that fails sync (as an all-zero stream does), or whose channel
-    estimate has a zero bin, raises PartialReceiveError naming it."""
+    positions (fewer when the stream is shorter than two frames), which
+    frame_sync correlates in FFT blocks of bounded size; later frames are
+    expected at a fixed stride from it (the channel model has no clock
+    drift), with a small window to absorb correlation-peak jitter.  The
+    frames share one set of receive buffers, and each frame's bits go
+    straight into the one int array returned.  A frame that fails sync (as
+    an all-zero stream does), or whose channel estimate has a zero bin,
+    raises PartialReceiveError naming it."""
     from .rxchain import frame_sync
 
     sps = header.samples_per_symbol
     stride = FrameLayout.frame_len * sps
+    per_frame = FrameLayout.payload_bits
+    out = np.empty(header.frames * per_frame, dtype=int)
     if header.frames == 0:
-        return np.zeros(0, dtype=int)
+        return out
     search_span = min(stride, max(1, sig.samples.size - stride + 1))
     try:
         start = frame_sync(sig, (0, search_span)).frame_start
     except SyncNotFoundError as exc:
         raise PartialReceiveError(0, str(exc)) from exc
-    out = []
     buffers = ReceiveBuffers()
     for i in range(header.frames):
         expect = start + i * stride
@@ -340,8 +344,8 @@ def receive_stream(sig: BasebandSignal, header: StreamHeader) -> np.ndarray:
                                     search_window=window, buffers=buffers)
         except (SyncNotFoundError, SingularChannelError) as exc:
             raise PartialReceiveError(i, str(exc)) from exc
-        out.append(bits)
-    return np.concatenate(out)
+        out[i * per_frame:(i + 1) * per_frame] = bits
+    return out
 
 
 def receive_file(iq_path, header, out_path) -> int:
@@ -353,8 +357,8 @@ def receive_file(iq_path, header, out_path) -> int:
     expected = (header.frames * FrameLayout.frame_len
                 * header.samples_per_symbol)
     if samples.size < expected:
-        raise ValueError(
-            f"stream has {samples.size} samples, header implies >= {expected}")
+        raise ValueError(f"{iq_path}: stream has {samples.size} samples, "
+                         f"header implies >= {expected}")
     sig = BasebandSignal(samples=samples,
                          sample_rate=header.sample_rate_hz,
                          samples_per_symbol=header.samples_per_symbol)

@@ -106,15 +106,20 @@ def write_iq(path, samples) -> None:
 def read_iq(path) -> np.ndarray:
     """The complex samples of an IQ file.  The file comes from outside the
     program, so an odd float count or a sample that is not finite is an
-    error naming the file (and the sample)."""
+    error naming the file (and the sample).
+
+    The floats are read once and widened to complex128 in one cast, so the
+    call holds the raw file (8 B per sample) and its result (16 B), and no
+    other sample-rate array.  The cast keeps every value as stored, the
+    sign of a zero included: the sum I + 1j * Q it replaces read a -0.0 Q,
+    and a -0.0 I beside a positive Q, as +0.0."""
     raw = np.fromfile(path, dtype="<f4")
     if raw.size % 2:
         raise ValueError(f"{path}: odd float count, not an I/Q stream")
     # a float64 sum of float32 values cannot overflow, so it is finite
-    # exactly when every value is.  Past this check I + 1j * Q is exact: an
-    # infinite Q would have made it NaN + inf j
+    # exactly when every value is
     if not np.isfinite(raw.sum(dtype=np.float64)):
         k = int(np.flatnonzero(~np.isfinite(raw))[0]) // 2
         raise ValueError(f"{path}: sample {k} is not finite: "
                          f"I = {raw[2 * k]}, Q = {raw[2 * k + 1]}")
-    return raw[0::2].astype(np.float64) + 1j * raw[1::2].astype(np.float64)
+    return raw.view("<c8").astype(complex)

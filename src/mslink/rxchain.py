@@ -25,6 +25,10 @@ from .txchain import (DEFAULT_PILOT_SEED, BasebandSignal, FrameLayout,
                       demap_symbols, ideal_qpsk)
 
 SYNC_THRESHOLD = 0.5  # fraction of the power-normalized ideal peak
+# frame_sync's FFT block is the next power of two at or above this many
+# sync-replica lengths: 4096 points at sps 1, 32768 at sps 8, of which at
+# least 7/8 are new lags (the rest overlap the next block)
+SYNC_BLOCK_REPLICAS = 8
 # Quadrant slicer: a symbol this close to an axis, relative to
 # (1 + max(|re|, |im|))^2, is decided by the distance argmin, because there
 # the rounded distances to the two neighbouring points may tie or swap.
@@ -106,7 +110,10 @@ def frame_sync(rx: BasebandSignal, search_window=None) -> SyncResult:
     `rx.samples_per_symbol` samples each.
 
     search_window is a (start, stop) range of candidate frame-start indices;
-    default is every feasible start.  Raises SyncNotFoundError when no peak
+    default is every feasible start.  The correlation runs in overlap-save
+    FFT blocks of at most next_pow2(SYNC_BLOCK_REPLICAS * L) points, L the
+    replica's length, so its temporaries stay bounded however wide the
+    window (see _correlation_blocks).  Raises SyncNotFoundError when no peak
     reaches the detection threshold, and on a silent or non-finite segment.
     """
     samples = np.asarray(rx.samples)
@@ -122,13 +129,16 @@ def frame_sync(rx: BasebandSignal, search_window=None) -> SyncResult:
     if w1 <= w0:
         raise SyncNotFoundError("empty search window")
     seg = samples[w0 : w1 - 1 + L]
-    # circular cross-correlation over a power-of-two length >= the segment:
-    # the first w1 - w0 lags never wrap, so they are the linear ones
-    nfft = 1 << (seg.size - 1).bit_length()
-    spec = np.fft.fft(seg, nfft) * np.conj(np.fft.fft(rep, nfft))
-    corr = np.abs(np.fft.ifft(spec)[: w1 - w0])
-    k = int(np.argmax(corr))
-    peak = float(corr[k])
+    # the first largest |correlation| of each block, then the first largest
+    # of those: np.argmax's pick (the first maximum, or the first NaN) over
+    # the whole window
+    starts, peaks = [], []
+    for lag, corr in _correlation_blocks(seg, rep, w1 - w0):
+        i = int(np.argmax(corr))
+        starts.append(lag + i)
+        peaks.append(corr[i])
+    b = int(np.argmax(peaks))
+    k, peak = starts[b], float(peaks[b])
     p_hat = float(np.mean(np.abs(seg) ** 2))
     ideal_peak = math.sqrt(L * p_hat) * float(np.linalg.norm(rep))
     # silence has a zero peak and a zero threshold, and NaN compares false
@@ -138,6 +148,29 @@ def frame_sync(rx: BasebandSignal, search_window=None) -> SyncResult:
             f"{SYNC_THRESHOLD * ideal_peak:.3g}"
         )
     return SyncResult(frame_start=w0 + k, peak_metric=peak)
+
+
+def _correlation_blocks(seg, rep, n_lags):
+    """|linear cross-correlation| of seg against rep at lags 0..n_lags-1
+    (seg holds n_lags + len(rep) - 1 samples), as (first lag, magnitudes)
+    blocks in lag order.
+
+    Overlap-save (Oppenheim & Schafer, Discrete-Time Signal Processing,
+    3rd ed., 8.7.3): a block is the circular correlation of nfft samples
+    from its first lag on, whose first nfft - len(rep) + 1 lags never wrap,
+    so they are the linear ones.  nfft is next_pow2(SYNC_BLOCK_REPLICAS *
+    len(rep)), or next_pow2(len(seg)) when that is smaller: then the
+    segment fits one block, and the single FFT is the whole correlation.
+    """
+    L = rep.size
+    nfft = 1 << (min(SYNC_BLOCK_REPLICAS * L, seg.size) - 1).bit_length()
+    step = nfft - L + 1
+    ref = np.conj(np.fft.fft(rep, nfft))
+    for lag in range(0, n_lags, step):
+        spec = np.fft.fft(seg[lag : lag + nfft], nfft)
+        spec *= ref
+        corr = np.fft.ifft(spec, out=spec)[: min(step, n_lags - lag)]
+        yield lag, np.abs(corr)
 
 
 def estimate_cfo_cp(samples, sps: int = 1) -> float:

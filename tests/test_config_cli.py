@@ -168,6 +168,12 @@ def test_cli_input_errors_are_one_line_and_exit_1(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"mslink: error: frame 0: {message}")
         assert err.count("\n") == 1
+    # a stream cut short of its header's frames names the IQ file
+    iq.write_bytes(bytes(size)[:size // 2])
+    assert main(["receive", str(iq), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"mslink: error: {iq}: stream has {size // 16} samples, "
+        f"header implies >= {size // 8}\n")
     # a usage error is still argparse's, with status 2
     with pytest.raises(SystemExit) as exc:
         main(["ber-sweep", "--frames", "two"])

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,6 +266,38 @@ def test_read_iq_rejects_a_sample_that_is_not_finite(tmp_path, i, q):
         read_iq(path)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_read_iq_equals_the_sum_of_i_and_j_q(tmp_path, seed):
+    # the oracle is I + 1j * Q of the two float64 halves; read_iq widens
+    # the float32 pairs in one cast instead.  The cast keeps every bit,
+    # the sign of zero included: a -0.0 Q, or a -0.0 I beside a positive Q,
+    # stays -0.0 where the sum gives +0.0 (assert_array_equal takes the two
+    # zeros as equal, the bytes do not)
+    rng = np.random.default_rng(seed)
+    raw = (rng.standard_normal(2 * 5000)
+           * 10.0 ** rng.integers(-30, 30, 2 * 5000)).astype("<f4")
+    raw[rng.integers(0, raw.size, 50)] = -0.0
+    raw[rng.integers(0, raw.size, 50)] = 0.0
+    raw[:4] = -0.0, 1.0, 1.0, -0.0
+    path = tmp_path / "s.iq"
+    raw.tofile(path)
+    got = read_iq(path)
+    assert got.dtype == complex
+    np.testing.assert_array_equal(
+        got, raw[0::2].astype(np.float64) + 1j * raw[1::2].astype(np.float64))
+    assert got.view(np.float64).tobytes() == raw.astype(np.float64).tobytes()
+
+
+def test_read_iq_allocates_the_raw_floats_and_the_result_only(
+        tmp_path, allocation_peak):
+    # 8 bytes per sample of float32 pairs read once, 16 of complex128
+    # result, and no sample-rate temporary besides
+    n = 90_000
+    path = tmp_path / "s.iq"
+    np.random.default_rng(0).standard_normal(2 * n).astype("<f4").tofile(path)
+    assert allocation_peak(lambda: read_iq(path)) <= 24 * n + 64 * 1024
+
+
 def test_stream_header_roundtrip(tmp_path):
     path = tmp_path / "s.hdr"
     # numpy scalars are written as plain numbers too
@@ -426,6 +457,21 @@ def test_receive_file_rejects_inconsistent_header(tmp_path):
         receive_file(tmp_path / "s.iq", bad, tmp_path / "out.bin")
 
 
+def test_receive_file_rejects_a_truncated_stream(tmp_path):
+    # a stream shorter than its header's frames fails before any frame is
+    # decoded, naming the IQ file
+    src = tmp_path / "payload.bin"
+    src.write_bytes(bytes(100))
+    transmit_file(src, ExperimentConfig(), tmp_path / "s.iq",
+                  tmp_path / "s.hdr")
+    iq = tmp_path / "s.iq"
+    iq.write_bytes(iq.read_bytes()[:8 * 20_000])
+    want = f"{iq}: stream has 20000 samples, header implies >= 22500"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        receive_file(iq, tmp_path / "s.hdr", tmp_path / "out.bin")
+    assert not (tmp_path / "out.bin").exists()
+
+
 def test_run_frame_reports_diagnostics():
     payload, bits, diag = run_frame(ExperimentConfig(), 15.0, seed=1)
     assert bits is not None
@@ -565,33 +611,24 @@ def test_run_frame_equals_the_unbuffered_recipe(mode, channel):
                 == (want.cfo_estimate, want.evm_percent))
 
 
-def _warm_frame_peak(cfg) -> int:
-    """Allocation peak of a warm frame, in bytes: numpy reports its
-    allocations to tracemalloc, so the peak counts every array a frame
-    allocates."""
+def _warm_frame_peak(cfg, allocation_peak) -> int:
+    """Allocation peak of a warm frame, in bytes."""
     run_frame(cfg, 14.0, 0)
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        run_frame(cfg, 14.0, 1)
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if started:
-            tracemalloc.stop()
+    return allocation_peak(lambda: run_frame(cfg, 14.0, 1))
 
 
-def test_warm_metasurface_frame_allocates_less_than_one_sample_array():
+def test_warm_metasurface_frame_allocates_less_than_one_sample_array(
+        allocation_peak):
     # a 180 000-sample array is 2.88 MB; the frame's fresh results (payload,
     # bits and equalized symbols, 0.88 MB) stay below 1.2 MB
-    peak = _warm_frame_peak(ExperimentConfig(mode="metasurface"))
+    peak = _warm_frame_peak(ExperimentConfig(mode="metasurface"),
+                            allocation_peak)
     assert peak < 16 * 180_000
     assert peak < 1.2e6
 
 
-def test_warm_conventional_frame_allocates_little_beyond_its_results():
+def test_warm_conventional_frame_allocates_little_beyond_its_results(
+        allocation_peak):
     # the symbol-rate arrays run in buffers: what a warm frame allocates is
     # its fresh results (0.88 MB) and small per-block temporaries
-    assert _warm_frame_peak(ExperimentConfig()) < 1.2e6
+    assert _warm_frame_peak(ExperimentConfig(), allocation_peak) < 1.2e6

@@ -1,3 +1,6 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,14 +8,15 @@ from hypothesis import given, settings, strategies as st
 from mslink.channel import ChannelConfig, apply_channel
 from mslink.errors import (DegeneratePilotError, SingularChannelError,
                            SyncNotFoundError)
-from mslink.rxchain import (AXIS_TOLERANCE, SLICER_BLOCK, ReceiveBuffers,
-                            _argmin_distance, correct_cfo,
+from mslink.rxchain import (AXIS_TOLERANCE, SLICER_BLOCK, SYNC_BLOCK_REPLICAS,
+                            SYNC_THRESHOLD, ReceiveBuffers, _QPSK_POINTS,
+                            _argmin_distance, _correlation_blocks, correct_cfo,
                             derotate_and_dump, estimate_cfo_cp, frame_sync,
                             integrate_and_dump, ls_channel_estimate,
                             ls_channel_estimate_taps, nearest_symbol_indices,
                             receive_frame, zf_equalize)
-from mslink.txchain import (FrameLayout, build_frame, demap_symbols,
-                            ideal_qpsk, synthesize_baseband)
+from mslink.txchain import (FrameLayout, build_frame, build_sync_sequence,
+                            demap_symbols, ideal_qpsk, synthesize_baseband)
 
 
 def _frame_signal(seed=0, sps=1, pilot_seed=None):
@@ -81,6 +85,123 @@ def test_frame_sync_detection_rate_at_zero_db():
         except SyncNotFoundError:
             pass
     assert hits >= 0.99 * trials
+
+
+# --- blockwise frame sync against the single FFT -------------------------------
+
+def _sync_replica(sps):
+    return np.repeat(np.where(build_sync_sequence() > 0, _QPSK_POINTS[0],
+                              _QPSK_POINTS[2]), sps)
+
+
+def _oracle_correlation(seg, rep, n_lags):
+    """|cross-correlation| at lags 0..n_lags-1 from one circular FFT over a
+    power-of-two length >= the segment: the reference the blocks must
+    reproduce."""
+    nfft = 1 << (seg.size - 1).bit_length()
+    spec = np.fft.fft(seg, nfft) * np.conj(np.fft.fft(rep, nfft))
+    return np.abs(np.fft.ifft(spec)[:n_lags])
+
+
+def _oracle_sync(rx, w0, w1):
+    """frame_sync's result for the window (w0, w1) from the single-FFT
+    correlation: (frame_start, peak), or None where it finds no sync."""
+    rep = _sync_replica(rx.samples_per_symbol)
+    seg = rx.samples[w0:w1 - 1 + rep.size]
+    corr = _oracle_correlation(seg, rep, w1 - w0)
+    k = int(np.argmax(corr))
+    peak = float(corr[k])
+    ideal = (math.sqrt(rep.size * float(np.mean(np.abs(seg) ** 2)))
+             * float(np.linalg.norm(rep)))
+    if not (peak > 0.0 and peak >= SYNC_THRESHOLD * ideal):
+        return None
+    return w0 + k, peak
+
+
+def _sync_step(sps):
+    """New lags per full correlation block."""
+    L = FrameLayout.sync_len * sps
+    return (1 << (SYNC_BLOCK_REPLICAS * L - 1).bit_length()) - L + 1
+
+
+@functools.cache
+def _sync_frame(sps):
+    return _frame_signal(seed=4, sps=sps)[1]
+
+
+W0 = 100   # the search window's first start
+
+
+@pytest.mark.parametrize("sps", [1, 2, 8])
+@pytest.mark.parametrize("snr_db", [-5.0, 0.0, 20.0, math.inf])
+@pytest.mark.parametrize("blocks", ["one", "two", "two-and-a-part"])
+@pytest.mark.parametrize("seam", [-1, 0, 1])
+def test_frame_sync_blocks_equal_the_single_fft(sps, snr_db, blocks, seam):
+    # the frame starts a lag before, on, or after the first block seam (the
+    # last three lags of a one-block window); windows of one block, exactly
+    # two, and two and a third
+    step = _sync_step(sps)
+    n_lags = {"one": step, "two": 2 * step,
+              "two-and-a-part": 2 * step + step // 3}[blocks]
+    lag = step + seam - (2 if blocks == "one" else 0)
+    rx = apply_channel(_sync_frame(sps), ChannelConfig(
+        snr_db=snr_db, timing_offset=W0 + lag, seed=sps))
+    want = _oracle_sync(rx, W0, W0 + n_lags)
+    if want is None:
+        with pytest.raises(SyncNotFoundError):
+            frame_sync(rx, (W0, W0 + n_lags))
+        return
+    got = frame_sync(rx, (W0, W0 + n_lags))
+    assert got.frame_start == want[0]
+    assert got.peak_metric == pytest.approx(want[1], rel=1e-12, abs=0)
+    if snr_db >= 0.0:
+        assert got.frame_start == W0 + lag
+
+
+@pytest.mark.parametrize("sps", [1, 2, 8])
+@pytest.mark.parametrize("n_lags", [1, 500, "step", "step+1", "2step",
+                                    "3step-7"])
+def test_correlation_blocks_tile_the_window(sps, n_lags):
+    # the blocks cover every lag once, in order; a window of one block is
+    # the single FFT to the byte, and a wider one agrees with it to rounding
+    step = _sync_step(sps)
+    n_lags = {"step": step, "step+1": step + 1, "2step": 2 * step,
+              "3step-7": 3 * step - 7}.get(n_lags, n_lags)
+    rep = _sync_replica(sps)
+    rng = np.random.default_rng(sps)
+    re, im = rng.normal(size=(2, n_lags + rep.size - 1))
+    seg = re + 1j * im
+    blocks = list(_correlation_blocks(seg, rep, n_lags))
+    assert [lag for lag, _ in blocks] == list(range(0, n_lags, step))
+    got = np.concatenate([corr for _, corr in blocks])
+    want = _oracle_correlation(seg, rep, n_lags)
+    if n_lags <= step:
+        assert len(blocks) == 1
+        assert got.tobytes() == want.tobytes()
+    else:
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * want.max())
+
+
+def test_a_stream_first_search_takes_seven_blocks():
+    # blocks of 4096 points at sps 1 and 32768 at sps 8 (the replica is 420
+    # and 3360 samples long); a frame length of starts, the first search of
+    # a stream, takes seven of them at either rate
+    assert (_sync_step(1), _sync_step(8)) == (4096 - 419, 32768 - 3359)
+    for sps in (1, 8):
+        rep = _sync_replica(sps)
+        n = FrameLayout.frame_len * sps
+        seg = np.ones(n + rep.size - 1, dtype=complex)
+        assert len(list(_correlation_blocks(seg, rep, n))) == 7
+
+
+def test_frame_sync_over_a_wide_window_allocates_a_few_blocks(
+        allocation_peak):
+    # 180 000 starts at sps 8: one FFT over the window would take 262 144
+    # points (4.2 MB per complex array); the blocks take 32 768
+    rx = apply_channel(_sync_frame(8), ChannelConfig(timing_offset=5000))
+    assert frame_sync(rx, (0, 180_000)).frame_start == 5000
+    assert allocation_peak(lambda: frame_sync(rx, (0, 180_000))) < 5e6
 
 
 # --- CFO estimation ------------------------------------------------------------
