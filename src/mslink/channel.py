@@ -19,9 +19,9 @@ import numpy as np
 from .txchain import BasebandSignal, FrameLayout
 
 CFO_BLOCK = FrameLayout.fft_len  # symbols per normalization block
-# Noise is drawn this many values at a time: a fixed chunk is reused from the
-# allocator on every call, where a frame-sized draw is handed back to the
-# kernel and faulted in again on the next frame.
+# Noise and the FIR output are made this many values at a time: a fixed
+# chunk is reused from the allocator on every call, where a frame-sized
+# temporary is handed back to the kernel and faulted in again later.
 NOISE_CHUNK = 8192
 
 
@@ -127,9 +127,12 @@ def apply_channel(sig: BasebandSignal, cfg: ChannelConfig,
         if not in_place:
             body[:] = x
     else:
-        # np.convolve reads all of x into a fresh array before body is
-        # written, so x may be body's prefix
-        body[:] = np.convolve(x, taps)
+        # last block first, so x may be body's prefix: each block reads only
+        # inputs below the blocks written before it
+        k = taps.size - 1
+        for s in reversed(range(0, body.size, NOISE_CHUNK)):
+            a, e = max(0, s - k), s + NOISE_CHUNK
+            body[s:e] = np.convolve(x[a:e], taps)[s - a:e - a]
     if cfg.cfo_normalized != 0.0:
         ramp = _cfo_ramp(cfg.cfo_normalized, sps, body.size)
         # ramp first: complex products round differently with the operands

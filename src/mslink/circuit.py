@@ -25,18 +25,17 @@ _SINGULARITY_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class CircuitParams:
-    """Lumped equivalent of one unit cell."""
+    """Lumped equivalent of one unit cell, terminated against Z_AIR."""
 
     r_series: float = 12.0       # ohms, series loss of the varactor branch
     l_top: float = 0.5e-9        # henries, top-patch inductance
     l_bottom: float = 5.0e-9     # henries, bottom/feed inductance
-    z_air: float = Z_AIR         # ohms
 
     def __post_init__(self):
         if self.r_series < 0:
             raise ValueError("r_series must be >= 0")
-        if self.l_top <= 0 or self.l_bottom <= 0 or self.z_air <= 0:
-            raise ValueError("inductances and z_air must be > 0")
+        if self.l_top <= 0 or self.l_bottom <= 0:
+            raise ValueError("inductances must be > 0")
 
 
 @dataclass(frozen=True)
@@ -166,7 +165,7 @@ def build_gamma_lut(
     f: float,
     voltages,
 ) -> GammaLUT:
-    """Compose C(v) -> Z_l -> Gamma over a voltage grid.
+    """Compose C(v) -> Z_l -> Gamma (against Z_AIR) over a voltage grid.
 
     The whole table is rotated so the first point sits at phase 0 (choice of
     measurement reference plane); the curve then reads directly as phase
@@ -179,8 +178,7 @@ def build_gamma_lut(
     gammas = np.array([
         reflection_coefficient(
             load_impedance(varactor_capacitance(float(vi), model), params, f),
-            params.z_air,
-        )
+            Z_AIR)
         for vi in v
     ])
     gammas = gammas * np.exp(-1j * np.angle(gammas[0]))

@@ -18,8 +18,8 @@ from .errors import (InterpolationError, PartialReceiveError,
 from .iqfile import StreamHeader, read_iq, write_iq
 from .rxchain import ReceiveBuffers, receive_frame
 from .surface import ArrayConfig, aggregate_reflection
-from .txchain import (DEFAULT_PILOT_SEED, SYMBOL_RATE, BasebandSignal,
-                      Constellation, FrameLayout, build_frame, ideal_qpsk)
+from .txchain import (SYMBOL_RATE, BasebandSignal, Constellation,
+                      FrameLayout, build_frame, ideal_qpsk)
 
 SEED_POINT_STRIDE = 2 ** 20   # per-SNR-point seed offset
 _NOISE_SEED_OFFSET = 2 ** 40  # decorrelates payload and noise streams
@@ -47,7 +47,6 @@ class ExperimentConfig:
     timing_offset: int = 0
     complex_gain: complex = 1.0 + 0.0j
     fir_taps: tuple = (1.0 + 0.0j,)
-    pilot_seed: int = DEFAULT_PILOT_SEED
     est_taps: int | None = None           # None: match the simulated channel
     layout = FrameLayout                  # the fixed frame format; not a field
 
@@ -64,6 +63,11 @@ class ExperimentConfig:
         if self.resolved_sps() < 1:
             raise ValueError("sps must be >= 1")
         _channel(self, math.inf, 0)   # the channel fields' own checks
+        for snr in self.snr_list:
+            try:
+                _channel(self, snr, 0)
+            except ValueError as exc:
+                raise ValueError(f"snr_list value {snr!r}: {exc}") from None
         if not 1 <= self.resolved_est_taps() <= FrameLayout.fft_len:
             raise ValueError(f"est_taps must be in 1..{FrameLayout.fft_len}")
 
@@ -140,7 +144,7 @@ def _frame_samples(payload, cfg: ExperimentConfig,
     into a fresh array when `out` is None."""
     from .txchain import synthesize_baseband
 
-    indices = build_frame(payload, cfg.pilot_seed)
+    indices = build_frame(payload)
     points = constellation.points
     if cfg.mode == "metasurface":
         # the array response is elementwise, so applying it to the four
@@ -190,7 +194,7 @@ def run_frame(cfg: ExperimentConfig, snr_db: float, seed: int):
     rx = apply_channel(sig, _channel(cfg, snr_db, seed), out=buffers.rx)
     window = (0, d + sig.samples_per_symbol * (len(cfg.fir_taps) + 2))
     try:
-        bits, diag = receive_frame(rx, cfg.pilot_seed, search_window=window,
+        bits, diag = receive_frame(rx, search_window=window,
                                    est_taps=cfg.resolved_est_taps(),
                                    buffers=buffers.receive)
     except (SyncNotFoundError, SingularChannelError):
@@ -302,9 +306,7 @@ def transmit_file(path, cfg: ExperimentConfig, iq_path, header_path=None
     for frame_bits, out in zip(payload, samples):
         _frame_samples(frame_bits, cfg, constellation, out)
     write_iq(iq_path, samples.reshape(-1))
-    header = StreamHeader(sample_rate_hz=SYMBOL_RATE * sps,
-                          samples_per_symbol=sps, frames=n_frames,
-                          pad_bits=pad, pilot_seed=cfg.pilot_seed)
+    header = StreamHeader(SYMBOL_RATE * sps, sps, n_frames, pad)
     if header_path is not None:
         header.write(header_path)
     return header
@@ -340,8 +342,7 @@ def receive_stream(sig: BasebandSignal, header: StreamHeader) -> np.ndarray:
         expect = start + i * stride
         window = (max(0, expect - 2 * sps), expect + 2 * sps + 1)
         try:
-            bits, _ = receive_frame(sig, header.pilot_seed,
-                                    search_window=window, buffers=buffers)
+            bits, _ = receive_frame(sig, search_window=window, buffers=buffers)
         except (SyncNotFoundError, SingularChannelError) as exc:
             raise PartialReceiveError(i, str(exc)) from exc
         out[i * per_frame:(i + 1) * per_frame] = bits

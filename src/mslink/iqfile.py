@@ -42,13 +42,14 @@ class StreamHeader:
     """Sidecar header: one `field = value` line per field.  It comes from
     outside the program, so reading it is strict: every field must be
     present, once, as a number in its field's range, and no other key may
-    appear.  The sample rate is the symbol rate times samples_per_symbol."""
+    appear.  The sample rate is the symbol rate times samples_per_symbol,
+    and a stream of no frames has no padding.  The frame format, the pilot
+    included, is fixed, so the header does not describe it."""
 
     sample_rate_hz: float
     samples_per_symbol: int
     frames: int
     pad_bits: int
-    pilot_seed: int
 
     def __post_init__(self):
         if not self.sample_rate_hz > 0:
@@ -67,6 +68,9 @@ class StreamHeader:
         if not 0 <= self.pad_bits < FrameLayout.payload_bits:
             raise ValueError(f"pad_bits must be in "
                              f"0..{FrameLayout.payload_bits - 1}, "
+                             f"got {self.pad_bits}")
+        if self.frames == 0 and self.pad_bits:
+            raise ValueError(f"pad_bits must be 0 when frames is 0, "
                              f"got {self.pad_bits}")
 
     def write(self, path) -> None:

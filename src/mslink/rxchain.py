@@ -20,9 +20,8 @@ import numpy as np
 from .channel import CFO_BLOCK
 from .errors import (DegeneratePilotError, SingularChannelError,
                      SyncNotFoundError)
-from .txchain import (DEFAULT_PILOT_SEED, BasebandSignal, FrameLayout,
-                      build_pilot_sequence, build_sync_sequence,
-                      demap_symbols, ideal_qpsk)
+from .txchain import (BasebandSignal, FrameLayout, build_pilot_sequence,
+                      build_sync_sequence, demap_symbols, ideal_qpsk)
 
 SYNC_THRESHOLD = 0.5  # fraction of the power-normalized ideal peak
 # frame_sync's FFT block is the next power of two at or above this many
@@ -360,24 +359,24 @@ def _argmin_distance(symbols, pts) -> np.ndarray:
 
 
 @functools.cache
-def _pilot_spectrum(pilot_seed: int) -> np.ndarray:
-    """FFT of the pilot on the ideal QPSK points.  Built once per seed and
-    shared, so read-only."""
-    x = np.fft.fft(_QPSK_POINTS[build_pilot_sequence(pilot_seed)])
+def _pilot_spectrum() -> np.ndarray:
+    """FFT of the pilot on the ideal QPSK points.  Built once and shared,
+    so read-only."""
+    x = np.fft.fft(_QPSK_POINTS[build_pilot_sequence()])
     x.flags.writeable = False
     return x
 
 
-def receive_frame(rx: BasebandSignal, pilot_seed: int = DEFAULT_PILOT_SEED,
-                  search_window=None, est_taps: int = 8,
+def receive_frame(rx: BasebandSignal, search_window=None, est_taps: int = 8,
                   buffers: ReceiveBuffers | None = None):
     """Full receiver: sync -> CFO -> dump -> CP removal -> LS -> ZF -> demod.
 
-    Returns (payload_bits, RxDiagnostics).  The single pilot estimate is
-    reused for all nine data subframes.  est_taps bounds the assumed channel
-    delay spread for the LS fit.  The symbol-rate work runs in `buffers`
-    when they are given, else in a fresh set; the bits and the equalized
-    symbols returned are always fresh arrays.
+    Returns (payload_bits, RxDiagnostics).  The channel is estimated once,
+    from the frame's fixed pilot (build_pilot_sequence), and that estimate
+    is reused for all nine data subframes.  est_taps bounds the assumed
+    channel delay spread for the LS fit.  The symbol-rate work runs in
+    `buffers` when they are given, else in a fresh set; the bits and the
+    equalized symbols returned are always fresh arrays.
     """
     if buffers is None:
         buffers = ReceiveBuffers()
@@ -398,7 +397,7 @@ def receive_frame(rx: BasebandSignal, pilot_seed: int = DEFAULT_PILOT_SEED,
     bodies = symbols[lay.sync_len:].reshape(
         lay.n_subframes, lay.subframe_len)[:, lay.cp_len:]
     h = ls_channel_estimate_taps(np.fft.fft(bodies[0]),
-                                 _pilot_spectrum(pilot_seed), est_taps)
+                                 _pilot_spectrum(), est_taps)
     # fresh, never a buffer: the equalized symbols are returned in the
     # diagnostics
     eq_blocks = zf_equalize(bodies[1:], h)

@@ -11,24 +11,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+ROWS, COLS = 8, 16   # the prototype's cell array
 
-def parse_mask(spec, rows: int = 8, cols: int = 16) -> np.ndarray:
+
+def parse_mask(spec) -> np.ndarray:
     """Activation mask from 'full', 'left-half', 'right-half' or a row-major
-    bit string of length rows*cols."""
-    n = rows * cols
+    bit string of length ROWS*COLS."""
+    n = ROWS * COLS
     if isinstance(spec, np.ndarray):
         m = spec.astype(bool).ravel()
         if m.size != n:
-            raise ValueError(f"mask length {m.size} != {rows}x{cols}")
+            raise ValueError(f"mask length {m.size} != {ROWS}x{COLS}")
         return m
     if spec == "full":
         return np.ones(n, dtype=bool)
     if spec in ("left-half", "right-half"):
-        m = np.zeros((rows, cols), dtype=bool)
+        m = np.zeros((ROWS, COLS), dtype=bool)
         if spec == "left-half":
-            m[:, : cols // 2] = True
+            m[:, : COLS // 2] = True
         else:
-            m[:, cols - cols // 2:] = True
+            m[:, COLS - COLS // 2:] = True
         return m.ravel()
     if set(spec) <= {"0", "1"} and len(spec) == n:
         return np.array([ch == "1" for ch in spec])
@@ -37,23 +39,22 @@ def parse_mask(spec, rows: int = 8, cols: int = 16) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ArrayConfig:
-    """Array geometry and activation.  The mask is stored as a read-only
-    boolean array, and configs compare and hash by value, the mask by its
-    contents."""
+    """Activation of the fixed ROWS x COLS array, and the reflection of its
+    inactive cells.  The mask is stored as a read-only boolean array, and
+    configs compare and hash by value, the mask by its contents."""
 
-    rows: int = 8
-    cols: int = 16
     mask: np.ndarray = field(default=None, repr=False)
     gamma_static: complex = 0.0 + 0.0j
+    n_total = ROWS * COLS                 # the cell count; not a field
 
     def __post_init__(self):
         mask = self.mask if self.mask is not None else "full"
-        mask = parse_mask(mask, self.rows, self.cols)  # always a new array
+        mask = parse_mask(mask)           # always a new array
         mask.flags.writeable = False
         object.__setattr__(self, "mask", mask)
 
     def _key(self) -> tuple:
-        return self.rows, self.cols, self.gamma_static, self.mask.tobytes()
+        return self.gamma_static, self.mask.tobytes()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -62,10 +63,6 @@ class ArrayConfig:
 
     def __hash__(self):
         return hash(self._key())
-
-    @property
-    def n_total(self) -> int:
-        return self.rows * self.cols
 
     @property
     def n_active(self) -> int:
@@ -86,8 +83,6 @@ def aggregate_reflection(gamma_mod, cfg: ArrayConfig):
 
 def modulated_power_ratio_db(cfg_a: ArrayConfig, cfg_b: ArrayConfig) -> float:
     """Modulated-power advantage of cfg_a over cfg_b in dB."""
-    if (cfg_a.rows, cfg_a.cols) != (cfg_b.rows, cfg_b.cols):
-        raise ValueError("array dimensions differ")
     if cfg_b.n_active == 0:
         raise ValueError("denominator config has no active cells")
     return 20.0 * np.log10(cfg_a.n_active / cfg_b.n_active)

@@ -27,7 +27,7 @@ _BARKER = {
     7: np.array([1, 1, 1, -1, -1, 1, -1]),
 }
 
-DEFAULT_PILOT_SEED = 1
+_PILOT_SEED = 1  # draws the pilot chirp's root and shift
 
 
 @dataclass(frozen=True)
@@ -123,17 +123,17 @@ def build_sync_sequence() -> np.ndarray:
 
 
 @functools.cache
-def build_pilot_sequence(seed: int = DEFAULT_PILOT_SEED) -> np.ndarray:
-    """Deterministic pilot symbol indices for a seed, one subframe body long.
+def build_pilot_sequence() -> np.ndarray:
+    """The frame's pilot symbol indices, one subframe body long.
 
-    A seeded quadratic-phase (chirp) sequence quantized to the four QPSK
-    states: near-flat magnitude spectrum, so every FFT bin stays well away
-    from zero and the per-bin LS/ZF division is safe.  The default seed keeps
-    the minimum bin above 0.1x the mean bin magnitude.  Built once per seed
-    and shared, so read-only.
+    A quadratic-phase (chirp) sequence quantized to the four QPSK states,
+    its root and cyclic shift drawn from a fixed seed: near-flat magnitude
+    spectrum, so every FFT bin stays well away from zero and the per-bin
+    LS/ZF division is safe (the minimum bin is above 0.1x the mean bin
+    magnitude).  Built once and shared, so read-only.
     """
     length = FrameLayout.fft_len
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_PILOT_SEED)
     root = 2 * int(rng.integers(0, length // 2)) + 1
     shift = int(rng.integers(0, length))
     n = np.arange(length)
@@ -144,11 +144,10 @@ def build_pilot_sequence(seed: int = DEFAULT_PILOT_SEED) -> np.ndarray:
     return idx
 
 
-def build_frame(payload_bits, pilot_seed: int = DEFAULT_PILOT_SEED
-                ) -> np.ndarray:
+def build_frame(payload_bits) -> np.ndarray:
     """The 22500 symbol indices of the frame carrying `payload_bits`: the
-    sync chips, then the pilot and the nine data subframes, each with its
-    cyclic prefix.
+    sync chips, then the pilot (build_pilot_sequence) and the nine data
+    subframes, each with its cyclic prefix.
 
     Sync chips ride on the two 180-degree-apart points P1/P3
     (+1 -> P1, -1 -> P3)."""
@@ -161,7 +160,7 @@ def build_frame(payload_bits, pilot_seed: int = DEFAULT_PILOT_SEED
     out[:lay.sync_len] = np.where(build_sync_sequence() > 0, 0, 2)
     subframes = out[lay.sync_len:].reshape(lay.n_subframes, lay.subframe_len)
     bodies = subframes[:, lay.cp_len:]
-    bodies[0] = build_pilot_sequence(pilot_seed)
+    bodies[0] = build_pilot_sequence()
     bodies[1:] = map_bits_to_symbols(bits).reshape(lay.data_subframes,
                                                    lay.fft_len)
     subframes[:, :lay.cp_len] = bodies[:, -lay.cp_len:]

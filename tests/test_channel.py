@@ -202,6 +202,17 @@ def test_channel_bit_exact_against_closed_form(out, cfo, gain, taps, offset,
     assert not np.shares_memory(y, x)
 
 
+def test_fir_channel_holds_no_second_sample_array(allocation_peak):
+    # the FIR runs NOISE_CHUNK outputs at a time, so a stream-sized pass
+    # allocates its output and block-sized temporaries only
+    x = np.ones(90_000, dtype=complex)
+    cfg = ChannelConfig(snr_db=30.0, timing_offset=500,
+                        fir_taps=(1.0, 0.3 - 0.2j, 0.1 + 0.05j))
+    n = 500 + x.size + 2
+    assert allocation_peak(lambda: apply_channel(_sig(x), cfg)) <= (
+        16 * n + 256 * 1024)
+
+
 def test_apply_channel_rejects_bad_out():
     x = np.zeros(1000, dtype=complex)
     cfg = ChannelConfig(timing_offset=5, fir_taps=(1.0, 0.5))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mslink.circuit import (CircuitParams, GammaLUT, VaractorModel,
+from mslink.circuit import (CircuitParams, GammaLUT, VaractorModel, Z_AIR,
                             DEFAULT_FREQUENCY, DEFAULT_TARGET_PHASES,
                             DEFAULT_VOLTAGE_GRID, build_gamma_lut,
                             default_gamma_lut, load_impedance,
@@ -149,6 +149,17 @@ def test_single_voltage_lut_is_consistent():
     assert v == 5.0
     assert lut.magnitudes[0] == pytest.approx(abs(g))
     assert lut.phases_deg[0] == pytest.approx(reflection_phase(g))
+
+
+def test_lut_terminates_the_cell_against_free_space():
+    # the air impedance is a constant of the model, not a cell parameter
+    with pytest.raises(TypeError):
+        CircuitParams(z_air=370.0)
+    model, params = VaractorModel(), CircuitParams()
+    z = load_impedance(varactor_capacitance(5.0, model), params, 4e9)
+    (g,) = build_gamma_lut(model, params, 4e9, [5.0]).gammas
+    # one entry, rotated onto phase 0
+    assert g == pytest.approx(abs(reflection_coefficient(z, Z_AIR)))
 
 
 def test_default_lut_phase_span_at_least_255():

@@ -302,11 +302,11 @@ def test_stream_header_roundtrip(tmp_path):
     path = tmp_path / "s.hdr"
     # numpy scalars are written as plain numbers too
     for real, num in ((float, int), (np.float64, np.int64)):
-        hdr = StreamHeader(real(1.25e6), num(1), num(3), num(17), num(1))
+        hdr = StreamHeader(real(1.25e6), num(1), num(3), num(17))
         hdr.write(path)
         assert path.read_text() == ("sample_rate_hz = 1250000.0\n"
                                     "samples_per_symbol = 1\nframes = 3\n"
-                                    "pad_bits = 17\npilot_seed = 1\n")
+                                    "pad_bits = 17\n")
         assert StreamHeader.read(path) == hdr
 
 
@@ -321,15 +321,17 @@ def test_stream_header_rejects_missing_keys(tmp_path):
     ("gain = 2", "unknown key 'gain'"),
     ("frames 3", "expected 'key = value'"),
     ("frames = 1", "repeated key 'frames'"),
-], ids=["unknown-key", "no-equals", "repeated-key"])
+    # the pilot is fixed: an older header's last line must be deleted
+    ("pilot_seed = 1", "unknown key 'pilot_seed'"),
+], ids=["unknown-key", "no-equals", "repeated-key", "pilot-seed-line"])
 def test_stream_header_rejects_malformed_lines(tmp_path, line, message):
     path = tmp_path / "bad.hdr"
-    StreamHeader(1.25e6, 1, 3, 17, 1).write(path)
+    StreamHeader(1.25e6, 1, 3, 17).write(path)
     with open(path, "a") as fh:
         fh.write(line + "\n")
     with pytest.raises(ValueError) as err:
         StreamHeader.read(path)
-    assert str(err.value) == f"{path}:6: {message}"
+    assert str(err.value) == f"{path}:5: {message}"
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -343,13 +345,14 @@ def test_stream_header_rejects_malformed_lines(tmp_path, line, message):
      "sample_rate_hz must be 1250000.0 at samples_per_symbol 1, got 5.0"),
     ("frames", "three", "frames = 'three' is not a valid int"),
     ("sample_rate_hz", "fast", "sample_rate_hz = 'fast' is not a valid float"),
+    ("frames", "0", "pad_bits must be 0 when frames is 0, got 17"),
 ], ids=["sps-zero", "frames-negative", "pad-negative", "pad-whole-frame",
         "rate-zero", "rate-nan", "rate-not-symbol-rate-times-sps",
-        "frames-not-a-number", "rate-not-a-number"])
+        "frames-not-a-number", "rate-not-a-number", "pad-without-frames"])
 def test_stream_header_rejects_out_of_range_values(tmp_path, key, value,
                                                    message):
     path = tmp_path / "bad.hdr"
-    StreamHeader(1.25e6, 1, 3, 17, 1).write(path)
+    StreamHeader(1.25e6, 1, 3, 17).write(path)
     lines = [f"{key} = {value}" if line.startswith(key + " ") else line
              for line in path.read_text().splitlines()]
     path.write_text("\n".join(lines) + "\n")
@@ -381,7 +384,7 @@ def test_metasurface_samples_equal_per_sample_aggregation(mask, gamma_static):
     cfg = ExperimentConfig(mode="metasurface", array=ArrayConfig(
         mask=mask, gamma_static=gamma_static))
     payload, sig = transmit_frame(cfg, 3)
-    raw = synthesize_baseband(build_frame(payload, cfg.pilot_seed),
+    raw = synthesize_baseband(build_frame(payload),
                               cfg.resolved_constellation(), 8)
     want = aggregate_reflection(raw.samples, cfg.array)
     assert sig.samples.tobytes() == want.tobytes()
@@ -395,7 +398,7 @@ def test_transmit_file_equals_the_per_frame_recipe(tmp_path, mode):
     # 2.5 frames of file bits: the stream must be the float32 of each
     # frame's samples one after another, the tail frame zero-padded; half
     # the array is active, so the aggregation changes the points
-    cfg = ExperimentConfig(mode=mode, pilot_seed=4, array=ArrayConfig(
+    cfg = ExperimentConfig(mode=mode, array=ArrayConfig(
         mask="left-half", gamma_static=0.3 - 0.1j))
     src = tmp_path / "payload.bin"
     src.write_bytes(np.random.default_rng(8).integers(
@@ -408,7 +411,7 @@ def test_transmit_file_equals_the_per_frame_recipe(tmp_path, mode):
     if mode == "metasurface":
         points = aggregate_reflection(points, cfg.array)
     samples = np.concatenate([
-        synthesize_baseband(build_frame(chunk, cfg.pilot_seed), points,
+        synthesize_baseband(build_frame(chunk), points,
                             cfg.resolved_sps()).samples
         for chunk in bits.reshape(3, 36864)])
     want = np.empty(2 * samples.size, dtype="<f4")
@@ -452,7 +455,7 @@ def test_receive_file_rejects_inconsistent_header(tmp_path):
     hdr = transmit_file(src, ExperimentConfig(), tmp_path / "s.iq",
                         tmp_path / "s.hdr")
     bad = StreamHeader(hdr.sample_rate_hz, hdr.samples_per_symbol,
-                       hdr.frames + 1, hdr.pad_bits, hdr.pilot_seed)
+                       hdr.frames + 1, hdr.pad_bits)
     with pytest.raises(ValueError):
         receive_file(tmp_path / "s.iq", bad, tmp_path / "out.bin")
 
@@ -582,7 +585,7 @@ def _unbuffered_frame(cfg, snr_db, seed):
     rx = apply_channel(sig, _channel(cfg, snr_db, seed))
     window = (0, cfg.timing_offset
               + sig.samples_per_symbol * (len(cfg.fir_taps) + 2))
-    bits, diag = receive_frame(rx, cfg.pilot_seed, search_window=window,
+    bits, diag = receive_frame(rx, search_window=window,
                                est_taps=cfg.resolved_est_taps())
     return payload, bits, diag
 

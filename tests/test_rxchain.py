@@ -19,10 +19,9 @@ from mslink.txchain import (FrameLayout, build_frame, build_sync_sequence,
                             demap_symbols, ideal_qpsk, synthesize_baseband)
 
 
-def _frame_signal(seed=0, sps=1, pilot_seed=None):
+def _frame_signal(seed=0, sps=1):
     payload = np.random.default_rng(seed).integers(0, 2, 36864)
-    kwargs = {} if pilot_seed is None else {"pilot_seed": pilot_seed}
-    frame = build_frame(payload, **kwargs)
+    frame = build_frame(payload)
     return payload, synthesize_baseband(frame, ideal_qpsk(), sps)
 
 
@@ -619,10 +618,4 @@ def test_receive_frame_in_reused_buffers_equals_fresh(sps):
 def test_receive_frame_oversampled_loopback():
     payload, sig = _frame_signal(seed=13, sps=8)
     bits, _ = receive_frame(sig)
-    np.testing.assert_array_equal(bits, payload)
-
-
-def test_receive_frame_custom_pilot_seed():
-    payload, sig = _frame_signal(seed=14, pilot_seed=77)
-    bits, _ = receive_frame(sig, pilot_seed=77)
     np.testing.assert_array_equal(bits, payload)

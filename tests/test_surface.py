@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mslink.surface import (ArrayConfig, aggregate_reflection,
+from mslink.surface import (COLS, ROWS, ArrayConfig, aggregate_reflection,
                             modulated_power_ratio_db, parse_mask)
 
 
@@ -25,6 +25,16 @@ def test_parse_mask_rejects_garbage():
         parse_mask("semi-full")
     with pytest.raises(ValueError):
         parse_mask("101")  # wrong length
+
+
+def test_array_shape_is_fixed():
+    # the prototype's 8 x 16 cells are not a setting: a shape argument is an
+    # error (rows=0 would make every reflection NaN)
+    assert (ROWS, COLS) == (8, 16)
+    assert ArrayConfig().n_total == 128
+    for shape in ({"rows": 0}, {"cols": 8}):
+        with pytest.raises(TypeError):
+            ArrayConfig(**shape)
 
 
 def test_full_activation_is_identity():
@@ -93,9 +103,3 @@ def test_power_ratio_values():
 def test_power_ratio_rejects_empty_denominator():
     with pytest.raises(ValueError):
         modulated_power_ratio_db(ArrayConfig(), ArrayConfig(mask="0" * 128))
-
-
-def test_power_ratio_rejects_mismatched_dimensions():
-    with pytest.raises(ValueError):
-        modulated_power_ratio_db(ArrayConfig(), ArrayConfig(rows=4, cols=16,
-                                                            mask="1" * 64))
