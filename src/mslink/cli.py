@@ -71,7 +71,7 @@ def cmd_compare(args) -> int:
     base = _load(args)
     cfg_conv = _experiment(args, base, mode="conventional")
     cfg_meta = _experiment(args, base, mode="metasurface")
-    target = float(base.get("target_ber", 1e-4))
+    target = base.get("target_ber", 1e-4)
     rec_a, rec_b, gap = compare_architectures(cfg_conv, cfg_meta, target)
     stem = args.out or "compare"
     write_ber_csv(rec_a, f"{stem}_conventional.csv")

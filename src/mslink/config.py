@@ -1,9 +1,9 @@
 """Line-oriented `key = value` config files and experiment construction.
 
 The accepted keys are the fields of ExperimentConfig, ArrayConfig,
-CircuitParams and VaractorModel that text can set, the aliases `snr`,
-`frames` and `seed`, and `frequency`, `target_phases` and `target_ber`.  A key
-that is not set keeps its dataclass default.
+CircuitParams and VaractorModel that text can set, and `frequency`,
+`target_phases` and `target_ber`.  A key that is not set keeps its dataclass
+default.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ _BY_ANNOTATION = {
 }
 _BY_NAME = {"snr_list": _tuple_of(float), "fir_taps": _tuple_of(complex),
             "target_phases": _tuple_of(float)}
-_ALIASES = {"snr": "snr_list", "frames": "frames_per_point",
-            "seed": "base_seed"}
 
 
 def _parsers(cls) -> dict:
@@ -50,18 +48,17 @@ def _parsers(cls) -> dict:
 
 _PARSERS = {cls: _parsers(cls) for cls in
             (ExperimentConfig, ArrayConfig, CircuitParams, VaractorModel)}
-# every key's parser: the fields', their aliases' and the extra keys'
+# every key's parser: the fields' and the extra keys'; each takes text or an
+# already parsed value
 _KEY_PARSERS = {k: p for ps in _PARSERS.values() for k, p in ps.items()}
-_KEY_PARSERS.update((alias, _KEY_PARSERS[name])
-                    for alias, name in _ALIASES.items())
 _KEY_PARSERS.update(frequency=float, target_phases=_BY_NAME["target_phases"],
                     target_ber=float)
 KEYS = frozenset(_KEY_PARSERS)
 
 
 class ConfigText(dict):
-    """A config file's text by key, with the file's `path` and each key's
-    line in `lines`, so that errors about its values can name them."""
+    """A config file's parsed values by key, with the file's `path` and each
+    key's line in `lines`, so that errors about its values can name them."""
 
     def __init__(self, values: dict, path, lines: dict):
         super().__init__(values)
@@ -71,16 +68,13 @@ class ConfigText(dict):
 
 def _in_file(exc: ValueError, d, given=()) -> ValueError:
     """exc naming the config file that d was read from, and the line of the
-    key exc's message opens with when the file set that key (a field's own
-    name wins over its alias); exc itself for text not read from a file, and
-    when an override in `given` set the key."""
-    field = str(exc).split(" ", 1)[0].strip("|")
-    if (not isinstance(d, ConfigText)
-            or any(_ALIASES.get(k, k) == field for k in given)):
+    key exc's message opens with when the file set that key; exc itself for
+    values not read from a file, and when an override in `given` set the
+    key."""
+    key = str(exc).split(" ", 1)[0].strip("|")
+    if not isinstance(d, ConfigText) or key in given:
         return exc
-    keys = [k for k in d.lines if _ALIASES.get(k, k) == field]
-    if keys:
-        key = field if field in keys else keys[0]
+    if key in d.lines:
         return ValueError(f"{d.path}:{d.lines[key]}: {exc}")
     return ValueError(f"{d.path}: {exc}")
 
@@ -93,16 +87,9 @@ def _build(cls, d: dict, **extra):
 
 def parse_config(path) -> ConfigText:
     """Read `key = value` lines; '#' starts a comment; keys lower_snake_case.
-    A key outside KEYS, and a value that does not parse as its key's type,
-    is an error naming its file and line."""
-    values, lines = read_key_values(path, KEYS)
-    for key, text in values.items():
-        parse = _KEY_PARSERS[key]
-        try:
-            parse(text)
-        except ValueError:
-            raise ValueError(f"{path}:{lines[key]}: {key} = {text!r} is not "
-                             f"a valid {parse.__name__}") from None
+    Each value is parsed as its key's type.  A key outside KEYS, and a value
+    that does not parse, is an error naming its file and line."""
+    values, lines = read_key_values(path, _KEY_PARSERS)
     return ConfigText(values, path, lines)
 
 
@@ -112,7 +99,7 @@ def circuit_from_dict(d: dict) -> tuple[CircuitParams, VaractorModel]:
 
 def gamma_lut_from_dict(d: dict) -> GammaLUT:
     """Tuning table of the cell the circuit keys and `frequency` describe.
-    A value the circuit rejects is an error naming the file of config text
+    A value the circuit rejects is an error naming the file of config values
     read by parse_config."""
     try:
         params, model = circuit_from_dict(d)
@@ -124,15 +111,12 @@ def gamma_lut_from_dict(d: dict) -> GammaLUT:
 
 
 def experiment_from_dict(d: dict, **overrides) -> ExperimentConfig:
-    """Build an ExperimentConfig from parsed config text plus CLI overrides
-    (overrides win, and a field's own name wins over its alias).  A value
-    that a dataclass rejects is an error naming the file of config text
-    read by parse_config, and its line when the error opens with its key."""
+    """Build an ExperimentConfig from config values plus CLI overrides
+    (overrides win).  A value that a dataclass rejects is an error naming
+    the file of config values read by parse_config, and its line when the
+    error opens with its key."""
     given = {k: v for k, v in overrides.items() if v is not None}
     merged = {**d, **given}
-    for alias, name in _ALIASES.items():
-        if alias in merged:
-            merged.setdefault(name, merged.pop(alias))
     unknown = sorted(merged.keys() - KEYS)
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r}")

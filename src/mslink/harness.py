@@ -47,7 +47,6 @@ class ExperimentConfig:
     timing_offset: int = 0
     complex_gain: complex = 1.0 + 0.0j
     fir_taps: tuple = (1.0 + 0.0j,)
-    est_taps: int | None = None           # None: match the simulated channel
     layout = FrameLayout                  # the fixed frame format; not a field
 
     def __post_init__(self):
@@ -63,13 +62,22 @@ class ExperimentConfig:
         if self.resolved_sps() < 1:
             raise ValueError("sps must be >= 1")
         _channel(self, math.inf, 0)   # the channel fields' own checks
+        # a bare channel may pass nothing; a link that does decodes nothing
+        if self.complex_gain == 0:
+            raise ValueError("complex_gain must be nonzero")
+        if not any(self.fir_taps):
+            raise ValueError("fir_taps must not all be zero")
         for snr in self.snr_list:
             try:
                 _channel(self, snr, 0)
             except ValueError as exc:
                 raise ValueError(f"snr_list value {snr!r}: {exc}") from None
-        if not 1 <= self.resolved_est_taps() <= FrameLayout.fft_len:
-            raise ValueError(f"est_taps must be in 1..{FrameLayout.fft_len}")
+        if self.resolved_est_taps() > FrameLayout.fft_len:
+            sps = self.resolved_sps()
+            raise ValueError(
+                f"fir_taps must span at most {FrameLayout.fft_len} symbols "
+                f"({(FrameLayout.fft_len - 1) * sps + 1} taps at sps {sps}), "
+                f"got {len(self.fir_taps)} taps")
 
     def resolved_sps(self) -> int:
         if self.sps is not None:
@@ -78,9 +86,7 @@ class ExperimentConfig:
 
     def resolved_est_taps(self) -> int:
         """LS estimator length: the simulated channel's symbol-spaced delay
-        spread unless explicitly overridden."""
-        if self.est_taps is not None:
-            return self.est_taps
+        spread."""
         sps = self.resolved_sps()
         return max(1, -(-(len(self.fir_taps) - 1) // sps) + 1)
 

@@ -13,26 +13,32 @@ from .txchain import SYMBOL_RATE, FrameLayout
 _HEADER_TYPES = {"float": float, "int": int}  # by field annotation
 
 
-def read_key_values(path, keys) -> tuple[dict, dict]:
-    """Read `key = value` lines; '#' starts a comment.  Returns the value
-    text by key and the line of each key.  A line without '=', with a key
-    outside `keys` or with a key already read is an error naming its file
-    and line."""
+def read_key_values(path, parsers) -> tuple[dict, dict]:
+    """Read `key = value` lines; '#' starts a comment.  Returns the value by
+    key, parsed by that key's entry in `parsers`, and the line of each key.
+    A line without '=', with a key outside `parsers`, with a key already read
+    or with a value its parser rejects is an error naming its file and
+    line."""
     out, lines = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, sep, val = line.partition("=")
+            key, sep, text = line.partition("=")
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key = key.strip()
-            if key not in keys:
+            key, text = key.strip(), text.strip()
+            if key not in parsers:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             if key in out:
                 raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
-            out[key] = val.strip()
+            parse = parsers[key]
+            try:
+                out[key] = parse(text)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} = {text!r} "
+                                 f"is not a valid {parse.__name__}") from None
             lines[key] = lineno
     return out, lines
 
@@ -81,20 +87,13 @@ class StreamHeader:
 
     @classmethod
     def read(cls, path) -> "StreamHeader":
-        types = {f.name: _HEADER_TYPES[f.type] for f in fields(cls)}
-        vals, _ = read_key_values(path, types)
-        missing = [k for k in types if k not in vals]
+        parsers = {f.name: _HEADER_TYPES[f.type] for f in fields(cls)}
+        vals, _ = read_key_values(path, parsers)
+        missing = [k for k in parsers if k not in vals]
         if missing:
             raise ValueError(f"header {path} missing keys: {missing}")
-        args = {}
-        for k, v in vals.items():
-            try:
-                args[k] = types[k](v)
-            except ValueError:
-                raise ValueError(f"header {path}: {k} = {v!r} is not a valid "
-                                 f"{types[k].__name__}") from None
         try:
-            return cls(**args)
+            return cls(**vals)
         except ValueError as exc:
             raise ValueError(f"header {path}: {exc}") from None
 

@@ -7,6 +7,7 @@ cells contribute the modulated gamma, inactive cells a frozen static gamma.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,14 +41,21 @@ def parse_mask(spec) -> np.ndarray:
 @dataclass(frozen=True)
 class ArrayConfig:
     """Activation of the fixed ROWS x COLS array, and the reflection of its
-    inactive cells.  The mask is stored as a read-only boolean array, and
-    configs compare and hash by value, the mask by its contents."""
+    inactive cells, which are passive: |gamma_static| <= 1.  The mask is
+    stored as a read-only boolean array, and configs compare and hash by
+    value, the mask by its contents."""
 
     mask: np.ndarray = field(default=None, repr=False)
     gamma_static: complex = 0.0 + 0.0j
     n_total = ROWS * COLS                 # the cell count; not a field
 
     def __post_init__(self):
+        g = complex(self.gamma_static)
+        # hypot, unlike abs, gives inf rather than an error near the float
+        # limit; NaN fails too
+        if not math.hypot(g.real, g.imag) <= 1:
+            raise ValueError(f"gamma_static must be finite with magnitude "
+                             f"<= 1, got {self.gamma_static!r}")
         mask = self.mask if self.mask is not None else "full"
         mask = parse_mask(mask)           # always a new array
         mask.flags.writeable = False

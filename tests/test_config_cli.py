@@ -1,4 +1,6 @@
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from mslink.config import (KEYS, circuit_from_dict, experiment_from_dict,
                            parse_config)
 from mslink.harness import ExperimentConfig, surface_constellation
 from mslink.surface import ArrayConfig, parse_mask
+from mslink.txchain import FrameLayout
 
 
 def test_parse_config(tmp_path):
@@ -21,8 +24,8 @@ snr_list = 4, 6, 8   # trailing comment
 frames_per_point = 3
 """)
     d = parse_config(path)
-    assert d == {"mode": "metasurface", "snr_list": "4, 6, 8",
-                 "frames_per_point": "3"}
+    assert d == {"mode": "metasurface", "snr_list": (4.0, 6.0, 8.0),
+                 "frames_per_point": 3}
 
 
 def test_parse_config_rejects_bad_line(tmp_path):
@@ -50,6 +53,19 @@ def test_parse_config_rejects_the_fixed_prototype_settings(tmp_path, key):
     assert str(exc.value) == f"{path}:2: unknown key {key!r}"
 
 
+@pytest.mark.parametrize("key, text", [
+    ("snr", "6, 9"), ("frames", "5"), ("seed", "13")])
+def test_parse_config_rejects_the_old_aliases(tmp_path, key, text):
+    # each setting has one name: snr_list, frames_per_point, base_seed
+    path = tmp_path / "old.cfg"
+    path.write_text(f"mode = metasurface\n{key} = {text}\n")
+    with pytest.raises(ValueError) as exc:
+        parse_config(path)
+    assert str(exc.value) == f"{path}:2: unknown key {key!r}"
+    with pytest.raises(ValueError, match=f"unknown key {key!r}"):
+        experiment_from_dict({key: text})
+
+
 def test_parse_config_rejects_repeated_key(tmp_path):
     path = tmp_path / "twice.cfg"
     path.write_text("frames_per_point = 3\nmode = metasurface\n"
@@ -68,8 +84,12 @@ def test_experiment_from_dict_rejects_unknown_key():
 @pytest.mark.parametrize("mode", ["conventional", "metasurface"])
 @pytest.mark.parametrize("key, text", [
     ("cfo_normalized", "0.7"), ("cfo_normalized", "nan"), ("sps", "0"),
-    ("est_taps", "0"), ("est_taps", "5000"), ("timing_offset", "-1"),
-    ("fir_taps", ""), ("fir_taps", "1, nan"), ("complex_gain", "nan"),
+    ("timing_offset", "-1"), ("fir_taps", ""), ("fir_taps", "1, nan"),
+    ("complex_gain", "nan"),
+    # a link that passes no signal, and a surface that is not passive
+    ("complex_gain", "0"), ("fir_taps", "0"), ("fir_taps", "0, -0j"),
+    ("gamma_static", "nan"), ("gamma_static", "1e300"),
+    ("gamma_static", "1.5"),
 ])
 def test_bad_channel_and_receiver_values_fail_at_load(tmp_path, capsys, mode,
                                                       key, text):
@@ -86,6 +106,28 @@ def test_bad_channel_and_receiver_values_fail_at_load(tmp_path, capsys, mode,
     assert capsys.readouterr().err == f"mslink: error: {want}\n"
 
 
+@pytest.mark.parametrize("mode, sps", [("conventional", 1),
+                                       ("metasurface", 8)])
+def test_fir_taps_longer_than_one_block_fail_at_load(tmp_path, mode, sps):
+    # the LS estimator spans the channel's symbol-spaced delay spread, at
+    # most one FFT block: 2048 taps at sps 1
+    longest = (FrameLayout.fft_len - 1) * sps + 1
+    cfg = ExperimentConfig(mode=mode, fir_taps=(1.0,) * longest)
+    assert cfg.resolved_est_taps() == FrameLayout.fft_len
+    with pytest.raises(ValueError) as plain:
+        ExperimentConfig(mode=mode, fir_taps=(1.0,) * (longest + 1))
+    assert str(plain.value) == (
+        f"fir_taps must span at most 2048 symbols ({longest} taps at sps "
+        f"{sps}), got {longest + 1} taps")
+    # read from a file, the error names the fir_taps line, not the sps line
+    path = tmp_path / "long.cfg"
+    path.write_text(f"mode = {mode}\nsps = {sps}\n"
+                    f"fir_taps = {', '.join(['1'] * (longest + 1))}\n")
+    with pytest.raises(ValueError) as exc:
+        experiment_from_dict(parse_config(path))
+    assert str(exc.value) == f"{path}:3: {plain.value}"
+
+
 @pytest.mark.parametrize("bad", ["nan", "-inf"])
 def test_bad_snr_fails_at_load_before_any_frame(tmp_path, capsys, bad):
     with pytest.raises(ValueError) as plain:
@@ -95,7 +137,7 @@ def test_bad_snr_fails_at_load_before_any_frame(tmp_path, capsys, bad):
     # read from a file, the error names the file and the snr line, and no
     # frame runs: nothing is printed and no CSV is written
     path = tmp_path / "bad.cfg"
-    path.write_text(f"frames = 1\nsnr = 10, {bad}\n")
+    path.write_text(f"frames_per_point = 1\nsnr_list = 10, {bad}\n")
     out = tmp_path / "ber.csv"
     assert main(["ber-sweep", "--config", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr() == ("", f"mslink: error: {path}:2: "
@@ -105,7 +147,8 @@ def test_bad_snr_fails_at_load_before_any_frame(tmp_path, capsys, bad):
 
 @pytest.mark.parametrize("line, message", [
     ("complex_gain = abc", "complex_gain = 'abc' is not a valid complex"),
-    ("frames = two", "frames = 'two' is not a valid int"),
+    ("frames_per_point = two",
+     "frames_per_point = 'two' is not a valid int"),
     ("snr_list = 4, x", "snr_list = '4, x' is not a valid list of float"),
     ("target_ber = low", "target_ber = 'low' is not a valid float"),
 ])
@@ -124,17 +167,14 @@ def test_config_value_that_does_not_parse_names_its_line(tmp_path, capsys,
 @pytest.mark.parametrize("text, argv, message", [
     # the message names no key: the file alone
     ("mode = qam\n", ["ber-sweep"], "{path}: unknown mode 'qam'"),
-    # an alias's line stands for its field
-    ("seed = 1\nframes = 0\n", ["sync-check"],
-     "{path}:2: frames_per_point must be in 1..1048576"),
     # a flag set the value, not the file
-    ("frames = 3\n", ["ber-sweep", "--frames", "0"],
+    ("frames_per_point = 3\n", ["ber-sweep", "--frames", "0"],
      "frames_per_point must be in 1..1048576"),
     # the circuit keys, through the tuning table
     ("r_series = -1\n", ["gamma-curve"], "{path}:1: r_series must be >= 0"),
     ("mode = metasurface\nr_series = -1\n", ["constellation"],
      "{path}:2: r_series must be >= 0"),
-], ids=["no-key", "alias", "flag", "gamma-curve", "metasurface"])
+], ids=["no-key", "flag", "gamma-curve", "metasurface"])
 def test_cli_config_rejection_names_the_file(tmp_path, capsys, text, argv,
                                              message):
     path = tmp_path / "bad.cfg"
@@ -217,7 +257,6 @@ EVERY_KEY = {
     "timing_offset": ("3", 3),
     "complex_gain": ("0.5+0.5j", 0.5 + 0.5j),
     "fir_taps": ("1, 0.2-0.1j", (1.0 + 0j, 0.2 - 0.1j)),
-    "est_taps": ("2", 2),
     "mask": ("left-half", "left-half"),
     "gamma_static": ("0.1+0.2j", 0.1 + 0.2j),
     "r_series": ("10.0", 10.0),
@@ -231,13 +270,10 @@ EVERY_KEY = {
     "target_phases": ("0, 70, 140, 210", (0.0, 70.0, 140.0, 210.0)),
     "target_ber": ("1e-3", 1e-3),
 }
-ALIASES = {"snr": ("6, 9", "snr_list", (6.0, 9.0)),
-           "frames": ("5", "frames_per_point", 5),
-           "seed": ("13", "base_seed", 13)}
 
 
 def test_every_accepted_key_lands_in_its_field(tmp_path):
-    assert KEYS == EVERY_KEY.keys() | ALIASES.keys()
+    assert KEYS == EVERY_KEY.keys()
     path = tmp_path / "all.cfg"
     path.write_text("".join(f"{k} = {text}\n"
                             for k, (text, _) in EVERY_KEY.items()))
@@ -262,18 +298,16 @@ def test_every_accepted_key_lands_in_its_field(tmp_path):
     np.testing.assert_array_equal(
         cfg.constellation.points,
         surface_constellation(lut, want["target_phases"]).points)
-    assert float(d["target_ber"]) == want["target_ber"]
+    assert d["target_ber"] == want["target_ber"]
 
 
-@pytest.mark.parametrize("alias", sorted(ALIASES))
-def test_alias_lands_in_its_field(alias, tmp_path):
-    text, name, value = ALIASES[alias]
-    path = tmp_path / "alias.cfg"
-    path.write_text(f"{alias} = {text}\n")
-    assert getattr(experiment_from_dict(parse_config(path)), name) == value
-    # the field's own name wins over its alias
-    named = experiment_from_dict({alias: text, name: EVERY_KEY[name][0]})
-    assert getattr(named, name) == EVERY_KEY[name][1]
+def test_readme_lists_exactly_the_config_keys():
+    # the bullets under "Config files" name every accepted key, once
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Config files\n", 1)[1]
+    bullets = next(p for p in section.split("\n\n") if p.startswith("- "))
+    listed = re.findall(r"`([a-z][a-z0-9]*(?:_[a-z0-9]+)*)`", bullets)
+    assert sorted(listed) == sorted(KEYS)
 
 
 def test_empty_dict_gives_the_dataclass_defaults():
@@ -296,7 +330,8 @@ def test_config_metasurface_constellation_is_the_default_one(extra):
 
 
 def test_experiment_from_dict_overrides_win():
-    cfg = experiment_from_dict({"mode": "metasurface", "frames": "7"},
+    cfg = experiment_from_dict({"mode": "metasurface",
+                                "frames_per_point": "7"},
                                mode="conventional", snr_list="2,4")
     assert cfg.mode == "conventional"
     assert cfg.snr_list == (2.0, 4.0)

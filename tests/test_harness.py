@@ -38,13 +38,32 @@ def test_experiment_config_validation():
         ExperimentConfig(snr_list=())
     with pytest.raises(ValueError):
         ExperimentConfig(frames_per_point=0)
-    # the bounds of sps and est_taps (tests/test_config_cli.py runs every
-    # bad channel value through a config)
-    ExperimentConfig(mode="metasurface", sps=1, est_taps=FrameLayout.fft_len)
+    # the bounds of sps and of the LS estimator's span, which fir_taps sets
+    # (tests/test_config_cli.py runs every bad channel value through a
+    # config)
+    longest = (1.0,) * FrameLayout.fft_len
+    assert ExperimentConfig(mode="metasurface", sps=1,
+                            fir_taps=longest).resolved_est_taps() == 2048
     for bad in ({"sps": 0}, {"mode": "metasurface", "sps": -8},
-                {"est_taps": 0}, {"est_taps": FrameLayout.fft_len + 1}):
+                {"mode": "metasurface", "sps": 1,
+                 "fir_taps": longest + (1.0,)}):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
+
+
+@pytest.mark.parametrize("channel, message", [
+    ({"complex_gain": 0}, "complex_gain must be nonzero"),
+    ({"complex_gain": -0.0j}, "complex_gain must be nonzero"),
+    ({"fir_taps": (0.0,)}, "fir_taps must not all be zero"),
+    ({"fir_taps": (0j, -0.0, 0.0)}, "fir_taps must not all be zero"),
+])
+def test_a_link_that_passes_no_signal_fails_at_build(channel, message):
+    # every frame of such a link would be a silent sync failure; a bare
+    # ChannelConfig may still pass nothing (tests/test_channel.py)
+    with pytest.raises(ValueError) as exc:
+        ExperimentConfig(**channel)
+    assert str(exc.value) == message
+    ExperimentConfig(complex_gain=1e-30, fir_taps=(0.0, 1e-30))
 
 
 def test_frames_per_point_stays_within_the_seed_stride():
@@ -334,18 +353,23 @@ def test_stream_header_rejects_malformed_lines(tmp_path, line, message):
     assert str(err.value) == f"{path}:5: {message}"
 
 
+H = "header {path}: "   # a value out of range names the file
+
+
 @pytest.mark.parametrize("key, value, message", [
-    ("samples_per_symbol", "0", "samples_per_symbol must be >= 1, got 0"),
-    ("frames", "-1", "frames must be >= 0, got -1"),
-    ("pad_bits", "-1", "pad_bits must be in 0..36863, got -1"),
-    ("pad_bits", "36864", "pad_bits must be in 0..36863, got 36864"),
-    ("sample_rate_hz", "0.0", "sample_rate_hz must be > 0, got 0.0"),
-    ("sample_rate_hz", "nan", "sample_rate_hz must be > 0, got nan"),
-    ("sample_rate_hz", "5.0",
-     "sample_rate_hz must be 1250000.0 at samples_per_symbol 1, got 5.0"),
-    ("frames", "three", "frames = 'three' is not a valid int"),
-    ("sample_rate_hz", "fast", "sample_rate_hz = 'fast' is not a valid float"),
-    ("frames", "0", "pad_bits must be 0 when frames is 0, got 17"),
+    ("samples_per_symbol", "0", H + "samples_per_symbol must be >= 1, got 0"),
+    ("frames", "-1", H + "frames must be >= 0, got -1"),
+    ("pad_bits", "-1", H + "pad_bits must be in 0..36863, got -1"),
+    ("pad_bits", "36864", H + "pad_bits must be in 0..36863, got 36864"),
+    ("sample_rate_hz", "0.0", H + "sample_rate_hz must be > 0, got 0.0"),
+    ("sample_rate_hz", "nan", H + "sample_rate_hz must be > 0, got nan"),
+    ("sample_rate_hz", "5.0", H + "sample_rate_hz must be 1250000.0 at "
+     "samples_per_symbol 1, got 5.0"),
+    # a value that does not parse names its line, as in a config file
+    ("frames", "three", "{path}:3: frames = 'three' is not a valid int"),
+    ("sample_rate_hz", "fast",
+     "{path}:1: sample_rate_hz = 'fast' is not a valid float"),
+    ("frames", "0", H + "pad_bits must be 0 when frames is 0, got 17"),
 ], ids=["sps-zero", "frames-negative", "pad-negative", "pad-whole-frame",
         "rate-zero", "rate-nan", "rate-not-symbol-rate-times-sps",
         "frames-not-a-number", "rate-not-a-number", "pad-without-frames"])
@@ -358,7 +382,7 @@ def test_stream_header_rejects_out_of_range_values(tmp_path, key, value,
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError) as err:
         StreamHeader.read(path)
-    assert str(err.value) == f"header {path}: {message}"
+    assert str(err.value) == message.format(path=path)
 
 
 def test_receive_file_rejects_a_zero_sps_header(tmp_path):

@@ -103,3 +103,19 @@ def test_power_ratio_values():
 def test_power_ratio_rejects_empty_denominator():
     with pytest.raises(ValueError):
         modulated_power_ratio_db(ArrayConfig(), ArrayConfig(mask="0" * 128))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "1e300", "1.5", "0.8+0.8j",
+                                 "1.7e308+1.7e308j"])
+def test_gamma_static_must_be_finite_and_passive(bad):
+    # a cell is passive, |gamma| <= 1; NaN and 1e300 built silent links
+    # whose every frame failed sync
+    with pytest.raises(ValueError) as exc:
+        ArrayConfig(mask="left-half", gamma_static=complex(bad))
+    assert str(exc.value) == (f"gamma_static must be finite with magnitude "
+                              f"<= 1, got {complex(bad)!r}")
+
+
+def test_gamma_static_may_reflect_fully():
+    for g in (1.0, -1j, 0.6 + 0.8j, 0):
+        assert ArrayConfig(gamma_static=g).gamma_static == g
