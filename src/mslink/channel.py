@@ -68,9 +68,12 @@ def noise_variance(snr_db: float, signal_power: float) -> float:
 def _cfo_ramp(eps: float, sps: int, n: int) -> np.ndarray:
     """e^{j 2 pi eps m / (2048 sps)} for m < n.  Built once per (eps, sps,
     length) and shared, so read-only; one entry holds 16 bytes per sample,
-    so only the last two are kept."""
-    m = np.arange(n)
-    ramp = np.exp(2j * np.pi * eps * m / (CFO_BLOCK * sps))
+    so only the last two are kept.  It is built in place, one ufunc at a
+    time in the order `np.exp(2j * np.pi * eps * m / (CFO_BLOCK * sps))`
+    evaluates in, so building it holds one ramp-sized array, not three."""
+    ramp = np.multiply(2j * np.pi * eps, np.arange(n), dtype=complex)
+    ramp /= CFO_BLOCK * sps
+    np.exp(ramp, out=ramp)
     ramp.flags.writeable = False
     return ramp
 

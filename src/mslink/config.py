@@ -14,7 +14,7 @@ from .circuit import (CircuitParams, GammaLUT, VaractorModel, build_gamma_lut,
                       DEFAULT_FREQUENCY, DEFAULT_TARGET_PHASES,
                       DEFAULT_VOLTAGE_GRID)
 from .harness import ExperimentConfig, surface_constellation
-from .iqfile import read_key_values
+from .iqfile import in_file, read_key_values
 from .surface import ArrayConfig
 
 
@@ -71,12 +71,9 @@ def _in_file(exc: ValueError, d, given=()) -> ValueError:
     key exc's message opens with when the file set that key; exc itself for
     values not read from a file, and when an override in `given` set the
     key."""
-    key = str(exc).split(" ", 1)[0].strip("|")
-    if not isinstance(d, ConfigText) or key in given:
+    if not isinstance(d, ConfigText):
         return exc
-    if key in d.lines:
-        return ValueError(f"{d.path}:{d.lines[key]}: {exc}")
-    return ValueError(f"{d.path}: {exc}")
+    return in_file(exc, d.path, d.lines, given)
 
 
 def _build(cls, d: dict, **extra):

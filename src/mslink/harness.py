@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -299,43 +300,58 @@ def bits_to_bytes(bits) -> bytes:
 
 def transmit_file(path, cfg: ExperimentConfig, iq_path, header_path=None
                   ) -> StreamHeader:
-    """Frame a file's bits (zero-padded tail) and write the IQ stream."""
-    bits = bits_from_file(path)
+    """Frame a file's bits (zero-padded tail) and write the IQ stream.
+
+    The file is read and unpacked one frame of bytes at a time into one
+    reused payload row, and each frame is synthesized straight into its
+    slice of one stream array, so the call holds the stream (16 B per
+    sample) and one frame's working arrays."""
     per_frame = FrameLayout.payload_bits
-    n_frames = -(-bits.size // per_frame)
-    pad = n_frames * per_frame - bits.size
-    payload = np.zeros((n_frames, per_frame), dtype=np.uint8)
-    payload.reshape(-1)[:bits.size] = bits
     sps = cfg.resolved_sps()
     constellation = cfg.resolved_constellation()
-    samples = np.empty((n_frames, FrameLayout.frame_len * sps), dtype=complex)
-    for frame_bits, out in zip(payload, samples):
-        _frame_samples(frame_bits, cfg, constellation, out)
-    write_iq(iq_path, samples.reshape(-1))
-    header = StreamHeader(SYMBOL_RATE * sps, sps, n_frames, pad)
+    n_tx = FrameLayout.frame_len * sps
+    with open(path, "rb") as fh:
+        n_bytes = os.fstat(fh.fileno()).st_size
+        n_frames = -(-8 * n_bytes // per_frame)
+        samples = np.empty(n_frames * n_tx, dtype=complex)
+        data = np.empty(per_frame // 8, dtype=np.uint8)
+        payload = np.empty(per_frame, dtype=np.uint8)
+        for i in range(n_frames):
+            k = min(data.size, n_bytes - i * data.size)
+            if fh.readinto(data[:k]) != k:
+                raise ValueError(f"{path}: changed size while being read")
+            payload[:8 * k] = np.unpackbits(data[:k])
+            payload[8 * k:] = 0
+            _frame_samples(payload, cfg, constellation,
+                           samples[i * n_tx:(i + 1) * n_tx])
+    write_iq(iq_path, samples)
+    header = StreamHeader(SYMBOL_RATE * sps, sps, n_frames,
+                          n_frames * per_frame - 8 * n_bytes)
     if header_path is not None:
         header.write(header_path)
     return header
 
 
 def receive_stream(sig: BasebandSignal, header: StreamHeader) -> np.ndarray:
-    """Recover the concatenated payload bits of a multi-frame stream.
+    """Recover the concatenated payload bits of a multi-frame stream, as one
+    uint8 array of 0s and 1s.
 
     The first frame is searched over the first frame length of start
     positions (fewer when the stream is shorter than two frames), which
     frame_sync correlates in FFT blocks of bounded size; later frames are
     expected at a fixed stride from it (the channel model has no clock
     drift), with a small window to absorb correlation-peak jitter.  The
-    frames share one set of receive buffers, and each frame's bits go
-    straight into the one int array returned.  A frame that fails sync (as
-    an all-zero stream does), or whose channel estimate has a zero bin,
-    raises PartialReceiveError naming it."""
+    frames share one set of receive buffers, each frame's bits go straight
+    into the array returned, and its diagnostics are dropped before the
+    next frame is decoded.  A frame that fails sync (as an all-zero stream
+    does), or whose channel estimate has a zero bin, raises
+    PartialReceiveError naming it."""
     from .rxchain import frame_sync
 
     sps = header.samples_per_symbol
     stride = FrameLayout.frame_len * sps
     per_frame = FrameLayout.payload_bits
-    out = np.empty(header.frames * per_frame, dtype=int)
+    out = np.empty(header.frames * per_frame, dtype=np.uint8)
     if header.frames == 0:
         return out
     search_span = min(stride, max(1, sig.samples.size - stride + 1))
@@ -348,10 +364,10 @@ def receive_stream(sig: BasebandSignal, header: StreamHeader) -> np.ndarray:
         expect = start + i * stride
         window = (max(0, expect - 2 * sps), expect + 2 * sps + 1)
         try:
-            bits, _ = receive_frame(sig, search_window=window, buffers=buffers)
+            out[i * per_frame:(i + 1) * per_frame] = receive_frame(
+                sig, search_window=window, buffers=buffers)[0]
         except (SyncNotFoundError, SingularChannelError) as exc:
             raise PartialReceiveError(i, str(exc)) from exc
-        out[i * per_frame:(i + 1) * per_frame] = bits
     return out
 
 

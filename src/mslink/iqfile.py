@@ -4,6 +4,7 @@ the header and config files share."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -11,6 +12,9 @@ import numpy as np
 from .txchain import SYMBOL_RATE, FrameLayout
 
 _HEADER_TYPES = {"float": float, "int": int}  # by field annotation
+# Samples converted per step by write_iq and read_iq: each holds one float32
+# buffer of this many I,Q pairs (512 KiB), however long the stream.
+IQ_CHUNK = 65536
 
 
 def read_key_values(path, parsers) -> tuple[dict, dict]:
@@ -41,6 +45,18 @@ def read_key_values(path, parsers) -> tuple[dict, dict]:
                                  f"is not a valid {parse.__name__}") from None
             lines[key] = lineno
     return out, lines
+
+
+def in_file(exc: ValueError, path, lines: dict, given=()) -> ValueError:
+    """exc naming the file `path`, and the line of the key exc's message
+    opens with when `lines` (line by key, as read_key_values returns them)
+    holds that key; exc itself when `given`, the keys set from outside the
+    file, holds it."""
+    key = str(exc).split(" ", 1)[0].strip("|")
+    if key in given:
+        return exc
+    where = f"{path}:{lines[key]}" if key in lines else path
+    return ValueError(f"{where}: {exc}")
 
 
 @dataclass(frozen=True)
@@ -88,41 +104,62 @@ class StreamHeader:
     @classmethod
     def read(cls, path) -> "StreamHeader":
         parsers = {f.name: _HEADER_TYPES[f.type] for f in fields(cls)}
-        vals, _ = read_key_values(path, parsers)
+        vals, lines = read_key_values(path, parsers)
         missing = [k for k in parsers if k not in vals]
         if missing:
             raise ValueError(f"header {path} missing keys: {missing}")
         try:
             return cls(**vals)
         except ValueError as exc:
-            raise ValueError(f"header {path}: {exc}") from None
+            raise in_file(exc, path, lines) from None
 
 
 def write_iq(path, samples) -> None:
-    s = np.asarray(samples)
-    out = np.empty(2 * s.size, dtype="<f4")
-    out[0::2] = s.real
-    out[1::2] = s.imag
-    out.tofile(path)
+    """Write the samples as interleaved float32 I,Q, IQ_CHUNK samples at a
+    time through one reused buffer."""
+    s = np.asarray(samples).reshape(-1)
+    buf = np.empty(2 * min(IQ_CHUNK, s.size), dtype="<f4")
+    with open(path, "wb") as fh:
+        for i in range(0, s.size, IQ_CHUNK):
+            chunk = s[i:i + IQ_CHUNK]
+            out = buf[:2 * chunk.size]
+            out[0::2] = chunk.real
+            out[1::2] = chunk.imag
+            fh.write(out)
 
 
 def read_iq(path) -> np.ndarray:
     """The complex samples of an IQ file.  The file comes from outside the
     program, so an odd float count or a sample that is not finite is an
-    error naming the file (and the sample).
+    error naming the file (and the first such sample); bytes past the last
+    whole float are ignored.
 
-    The floats are read once and widened to complex128 in one cast, so the
-    call holds the raw file (8 B per sample) and its result (16 B), and no
-    other sample-rate array.  The cast keeps every value as stored, the
-    sign of a zero included: the sum I + 1j * Q it replaces read a -0.0 Q,
-    and a -0.0 I beside a positive Q, as +0.0."""
-    raw = np.fromfile(path, dtype="<f4")
-    if raw.size % 2:
-        raise ValueError(f"{path}: odd float count, not an I/Q stream")
-    # a float64 sum of float32 values cannot overflow, so it is finite
-    # exactly when every value is
-    if not np.isfinite(raw.sum(dtype=np.float64)):
-        k = int(np.flatnonzero(~np.isfinite(raw))[0]) // 2
-        raise ValueError(f"{path}: sample {k} is not finite: "
-                         f"I = {raw[2 * k]}, Q = {raw[2 * k + 1]}")
-    return raw.view("<c8").astype(complex)
+    The floats are read IQ_CHUNK samples at a time into one reused float32
+    buffer and widened into the complex128 result, so the call holds its
+    result (16 B per sample) and one chunk, and no other sample-rate array.
+    The widening keeps every value as stored, the sign of a zero included:
+    the sum I + 1j * Q it replaces read a -0.0 Q, and a -0.0 I beside a
+    positive Q, as +0.0."""
+    # unbuffered: each chunk is read straight into the float32 buffer, and a
+    # regular file gives every byte asked for before its end
+    with open(path, "rb", buffering=0) as fh:
+        n_floats = os.fstat(fh.fileno()).st_size // 4
+        if n_floats % 2:
+            raise ValueError(f"{path}: odd float count, not an I/Q stream")
+        samples = np.empty(n_floats // 2, dtype=complex)
+        flat = samples.view(np.float64)
+        buf = np.empty(min(2 * IQ_CHUNK, n_floats), dtype="<f4")
+        for i in range(0, n_floats, 2 * IQ_CHUNK):
+            raw = buf[:min(2 * IQ_CHUNK, n_floats - i)]
+            if fh.readinto(raw) != raw.nbytes:
+                raise ValueError(f"{path}: changed size while being read")
+            wide = flat[i:i + raw.size]
+            wide[:] = raw
+            # a float64 sum of float32 values cannot overflow, so it is
+            # finite exactly when every value is
+            if not np.isfinite(wide.sum()):
+                k = int(np.flatnonzero(~np.isfinite(raw))[0]) // 2
+                raise ValueError(
+                    f"{path}: sample {i // 2 + k} is not finite: "
+                    f"I = {raw[2 * k]}, Q = {raw[2 * k + 1]}")
+    return samples

@@ -355,3 +355,26 @@ def test_cfo_ramp_cache_stays_small():
     # zero CFO bypasses the memo
     apply_channel(_sig(np.ones(100)), ChannelConfig(timing_offset=3))
     assert _cfo_ramp.cache_info().misses == 4
+
+
+@pytest.mark.parametrize("n", [1000, 40_000], ids=["small", "large"])
+@pytest.mark.parametrize("sps", [1, 8])
+@pytest.mark.parametrize("eps", [0.2, -0.37])
+def test_cfo_ramp_built_in_place_equals_the_expression(eps, sps, n):
+    # 40 000 samples put the expression's complex temporaries above numpy's
+    # 256 KiB threshold for reusing them, 1 000 keep them below it; the
+    # ramp built in place must equal the expression either way
+    _cfo_ramp.cache_clear()
+    ramp = _cfo_ramp(eps, sps, n)
+    want = np.exp(2j * np.pi * eps * np.arange(n) / (CFO_BLOCK * sps))
+    assert ramp.tobytes() == want.tobytes()
+    assert not ramp.flags.writeable
+
+
+def test_cfo_ramp_build_holds_one_ramp_sized_array(allocation_peak):
+    # the ramp (16 B per sample), the sample index it is built from (8 B)
+    # and the ufunc's fixed-size cast buffer, and no complex temporary
+    _cfo_ramp.cache_clear()
+    n = 90_000
+    assert allocation_peak(lambda: _cfo_ramp(0.2, 1, n)) <= (
+        24 * n + 256 * 1024)

@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import os
 import re
+import types
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from mslink.harness import (_NOISE_SEED_OFFSET, SEED_POINT_STRIDE, BerRecord,
                             snr_at_ber, surface_constellation,
                             theoretical_qpsk_ber, transmit_file,
                             transmit_frame, write_ber_csv)
-from mslink.iqfile import StreamHeader, read_iq, write_iq
+from mslink.iqfile import IQ_CHUNK, StreamHeader, read_iq, write_iq
 from mslink.rxchain import ReceiveBuffers, receive_frame
 from mslink.surface import ArrayConfig, aggregate_reflection
 from mslink.txchain import (FrameLayout, build_frame, ideal_qpsk,
@@ -309,12 +311,58 @@ def test_read_iq_equals_the_sum_of_i_and_j_q(tmp_path, seed):
 
 def test_read_iq_allocates_the_raw_floats_and_the_result_only(
         tmp_path, allocation_peak):
-    # 8 bytes per sample of float32 pairs read once, 16 of complex128
-    # result, and no sample-rate temporary besides
-    n = 90_000
+    # 16 bytes per sample of complex128 result, one chunk of float32 pairs
+    # and a few small Python objects (array views, the open file), and no
+    # sample-rate temporary besides
+    n = 3 * IQ_CHUNK + 90_000
     path = tmp_path / "s.iq"
     np.random.default_rng(0).standard_normal(2 * n).astype("<f4").tofile(path)
-    assert allocation_peak(lambda: read_iq(path)) <= 24 * n + 64 * 1024
+    assert allocation_peak(lambda: read_iq(path)) <= (
+        16 * n + 8 * IQ_CHUNK + 4096)
+
+
+@pytest.mark.parametrize("n", [0, 1, IQ_CHUNK, IQ_CHUNK + 1,
+                               3 * IQ_CHUNK - 5],
+                         ids=["empty", "one", "one-chunk", "chunk-plus-one",
+                              "several-chunks"])
+def test_chunked_iq_io_equals_the_whole_stream_oracle(tmp_path, n):
+    # write_iq's bytes are the interleaved float32 of the whole stream, and
+    # read_iq gives back the float32 values widened, whatever the length
+    # against the chunk
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    want = np.empty(2 * n, dtype="<f4")
+    want[0::2], want[1::2] = x.real, x.imag
+    path = tmp_path / "s.iq"
+    write_iq(path, x)
+    assert path.read_bytes() == want.tobytes()
+    got = read_iq(path)
+    assert got.dtype == complex and got.size == n
+    assert got.view(np.float64).tobytes() == want.astype(np.float64).tobytes()
+
+
+@pytest.mark.parametrize("k", [IQ_CHUNK, 2 * IQ_CHUNK + 17])
+def test_read_iq_names_a_bad_sample_past_the_first_chunk(tmp_path, k):
+    # the first sample that is not finite, by its index in the stream, with
+    # its own I and Q, not a later one in its chunk or in the last chunk
+    path = tmp_path / "s.iq"
+    raw = np.ones(2 * (3 * IQ_CHUNK), dtype="<f4")
+    raw[2 * k:2 * k + 2] = 0.5, np.inf
+    raw[2 * k + 2] = np.nan
+    raw[-1] = np.nan
+    raw.tofile(path)
+    want = f"{path}: sample {k} is not finite: I = 0.5, Q = inf"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        read_iq(path)
+
+
+@pytest.mark.parametrize("n_floats", [1, 2 * IQ_CHUNK + 1])
+def test_read_iq_rejects_an_odd_float_count(tmp_path, n_floats):
+    path = tmp_path / "s.iq"
+    np.ones(n_floats, dtype="<f4").tofile(path)
+    want = f"{path}: odd float count, not an I/Q stream"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        read_iq(path)
 
 
 def test_stream_header_roundtrip(tmp_path):
@@ -353,23 +401,25 @@ def test_stream_header_rejects_malformed_lines(tmp_path, line, message):
     assert str(err.value) == f"{path}:5: {message}"
 
 
-H = "header {path}: "   # a value out of range names the file
-
-
 @pytest.mark.parametrize("key, value, message", [
-    ("samples_per_symbol", "0", H + "samples_per_symbol must be >= 1, got 0"),
-    ("frames", "-1", H + "frames must be >= 0, got -1"),
-    ("pad_bits", "-1", H + "pad_bits must be in 0..36863, got -1"),
-    ("pad_bits", "36864", H + "pad_bits must be in 0..36863, got 36864"),
-    ("sample_rate_hz", "0.0", H + "sample_rate_hz must be > 0, got 0.0"),
-    ("sample_rate_hz", "nan", H + "sample_rate_hz must be > 0, got nan"),
-    ("sample_rate_hz", "5.0", H + "sample_rate_hz must be 1250000.0 at "
+    # a value out of range names the line of the key its message opens
+    # with, as in a config file
+    ("samples_per_symbol", "0",
+     "{path}:2: samples_per_symbol must be >= 1, got 0"),
+    ("frames", "-1", "{path}:3: frames must be >= 0, got -1"),
+    ("pad_bits", "-1", "{path}:4: pad_bits must be in 0..36863, got -1"),
+    ("pad_bits", "36864",
+     "{path}:4: pad_bits must be in 0..36863, got 36864"),
+    ("sample_rate_hz", "0.0", "{path}:1: sample_rate_hz must be > 0, got 0.0"),
+    ("sample_rate_hz", "nan", "{path}:1: sample_rate_hz must be > 0, got nan"),
+    ("sample_rate_hz", "5.0", "{path}:1: sample_rate_hz must be 1250000.0 at "
      "samples_per_symbol 1, got 5.0"),
-    # a value that does not parse names its line, as in a config file
+    # a value that does not parse names its line too
     ("frames", "three", "{path}:3: frames = 'three' is not a valid int"),
     ("sample_rate_hz", "fast",
      "{path}:1: sample_rate_hz = 'fast' is not a valid float"),
-    ("frames", "0", H + "pad_bits must be 0 when frames is 0, got 17"),
+    # the message opens with pad_bits, so it names pad_bits' line
+    ("frames", "0", "{path}:4: pad_bits must be 0 when frames is 0, got 17"),
 ], ids=["sps-zero", "frames-negative", "pad-negative", "pad-whole-frame",
         "rate-zero", "rate-nan", "rate-not-symbol-rate-times-sps",
         "frames-not-a-number", "rate-not-a-number", "pad-without-frames"])
@@ -471,6 +521,50 @@ def test_file_loopback_roundtrip(tmp_path):
                      tmp_path / "out.bin")
     assert n == 10_000
     assert (tmp_path / "out.bin").read_bytes() == src.read_bytes()
+
+
+@pytest.mark.parametrize("reader", ["read_iq", "transmit_file"])
+def test_a_file_that_shrinks_while_read_is_an_error(tmp_path, monkeypatch,
+                                                    reader):
+    # both size their arrays from the file's size before reading it; a file
+    # that then ends early must not leave a buffer's stale bytes in place
+    path = tmp_path / "f.bin"
+    np.ones(2 * 1000, dtype="<f4").tofile(path)
+    size = path.stat().st_size
+    monkeypatch.setattr(os, "fstat",
+                        lambda fd: types.SimpleNamespace(st_size=size + 8))
+    want = f"{path}: changed size while being read"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        if reader == "read_iq":
+            read_iq(path)
+        else:
+            transmit_file(path, ExperimentConfig(), tmp_path / "s.iq")
+
+
+# one frame's working arrays, which are symbol-rate in both modes, and one
+# IQ chunk: what file transport may allocate beyond its stream-sized arrays
+FRAME_MARGIN = 3 * 2 ** 20
+
+
+@pytest.mark.parametrize("mode, frames", [("conventional", 20),
+                                          ("metasurface", 4)])
+def test_file_transport_holds_one_stream_copy(tmp_path, allocation_peak,
+                                              mode, frames):
+    # transmit_file holds the stream (16 B per sample) and one frame of
+    # working arrays; receive_file holds the samples read, one byte per
+    # payload bit and one frame of working arrays
+    cfg = ExperimentConfig(mode=mode)
+    src = tmp_path / "payload.bin"
+    n_bytes = frames * FrameLayout.payload_bits // 8 - 100
+    src.write_bytes(np.random.default_rng(frames).integers(
+        0, 256, n_bytes, dtype=np.uint8).tobytes())
+    n = frames * FrameLayout.frame_len * cfg.resolved_sps()
+    iq, hdr, out = tmp_path / "s.iq", tmp_path / "s.hdr", tmp_path / "o.bin"
+    assert allocation_peak(lambda: transmit_file(src, cfg, iq, hdr)) <= (
+        16 * n + FRAME_MARGIN)
+    assert allocation_peak(lambda: receive_file(iq, hdr, out)) <= (
+        16 * n + frames * FrameLayout.payload_bits + FRAME_MARGIN)
+    assert out.read_bytes() == src.read_bytes()
 
 
 def test_receive_file_rejects_inconsistent_header(tmp_path):

@@ -18,8 +18,11 @@ its reused buffers and memoized tables are in place.  Faults and system
 time come from `getrusage` over the timed frames; the allocation peak is
 the largest `tracemalloc` peak of a frame, taken in a second pass, since
 tracing slows every allocation.  The resident buffers are the arrays the
-config keeps between frames (`ExperimentConfig._buffers`); a stream round
-trip keeps none.  The last line of output is one JSON object.
+config keeps between frames (`ExperimentConfig._buffers`).  A stream round
+trip keeps no frame buffers, so its `buf MB` reads 0, but it is not free of
+resident arrays: the channel's CFO ramp cache (`mslink.channel._cfo_ramp`,
+16 B per sample of the stream, 1.4 MB for this one) stays resident between round
+trips.  The last line of output is one JSON object.
 """
 
 from __future__ import annotations
