@@ -34,8 +34,10 @@ class CircuitParams:
     def __post_init__(self):
         if self.r_series < 0:
             raise ValueError("r_series must be >= 0")
-        if self.l_top <= 0 or self.l_bottom <= 0:
-            raise ValueError("inductances must be > 0")
+        if self.l_top <= 0:
+            raise ValueError(f"l_top must be > 0, got {self.l_top}")
+        if self.l_bottom <= 0:
+            raise ValueError(f"l_bottom must be > 0, got {self.l_bottom}")
 
 
 @dataclass(frozen=True)
@@ -49,10 +51,14 @@ class VaractorModel:
     c_min: float = 0.2e-12       # farads, saturation floor
 
     def __post_init__(self):
-        if not (self.c_zero > self.c_min > 0):
-            raise ValueError("need c_zero > c_min > 0")
-        if self.v_junction <= 0 or self.exponent <= 0:
-            raise ValueError("v_junction and exponent must be > 0")
+        if not self.c_min > 0:
+            raise ValueError(f"c_min must be > 0, got {self.c_min}")
+        if not self.c_zero > self.c_min:
+            raise ValueError(f"c_zero must be > c_min, got {self.c_zero}")
+        if self.v_junction <= 0:
+            raise ValueError(f"v_junction must be > 0, got {self.v_junction}")
+        if self.exponent <= 0:
+            raise ValueError(f"exponent must be > 0, got {self.exponent}")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -194,13 +200,12 @@ def select_control_voltages(lut: GammaLUT, target_phases_deg):
     """
     targets = np.asarray(target_phases_deg, dtype=float)
     if targets.size != 4:
-        raise ValueError("exactly four target phases expected")
+        raise ValueError(f"target_phases must be 4 values, got {targets.size}")
     spread = float(targets.max() - targets.min())
     span = lut.phase_span_deg()
     if spread > span:
-        raise InfeasibleError(
-            f"target spread {spread:.1f} deg exceeds LUT span {span:.1f} deg"
-        )
+        raise InfeasibleError(f"target_phases spread {spread:.1f} deg "
+                              f"exceeds LUT span {span:.1f} deg")
     phases = lut.phases_deg
     volts = np.empty(4)
     gammas = np.empty(4, dtype=complex)

@@ -3,11 +3,10 @@ comparisons, file transport over the simulated link."""
 
 from __future__ import annotations
 
-import functools
 import math
 import os
+import threading
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -17,22 +16,14 @@ from .circuit import (DEFAULT_TARGET_PHASES, GammaLUT, default_gamma_lut,
 from .errors import (InterpolationError, PartialReceiveError,
                      SingularChannelError, SyncNotFoundError)
 from .iqfile import StreamHeader, read_iq, write_iq
-from .rxchain import ReceiveBuffers, receive_frame
+from .rxchain import receive_frame
 from .surface import ArrayConfig, aggregate_reflection
 from .txchain import (SYMBOL_RATE, BasebandSignal, Constellation,
                       FrameLayout, build_frame, ideal_qpsk)
 
 SEED_POINT_STRIDE = 2 ** 20   # per-SNR-point seed offset
 _NOISE_SEED_OFFSET = 2 ** 40  # decorrelates payload and noise streams
-
-
-class FrameBuffers(NamedTuple):
-    """Every array run_frame works in: the received samples, which the
-    transmitter writes its frame into at the channel delay, and the
-    receiver's symbol-rate arrays."""
-
-    rx: np.ndarray
-    receive: ReceiveBuffers
+_SCRATCH = threading.local()  # `rx`: this thread's received-samples array
 
 
 @dataclass(frozen=True)
@@ -52,9 +43,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.mode not in ("conventional", "metasurface"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ValueError(f"mode must be 'conventional' or 'metasurface', "
+                             f"got {self.mode!r}")
         if len(self.snr_list) == 0:
-            raise ValueError("SNR list must be non-empty")
+            raise ValueError("snr_list must be non-empty")
         if not 1 <= self.frames_per_point <= SEED_POINT_STRIDE:
             # above the stride, frame f of point p reuses the payload and
             # noise seeds of frame f - SEED_POINT_STRIDE of point p + 1
@@ -97,18 +89,6 @@ class ExperimentConfig:
         if self.mode == "conventional":
             return ideal_qpsk()
         return surface_constellation(default_gamma_lut(), DEFAULT_TARGET_PHASES)
-
-    @functools.cached_property
-    def _buffers(self) -> FrameBuffers:
-        """Every array run_frame works in, allocated on the first frame and
-        reused by every later frame of this config (not a field: equality,
-        hash, repr and `replace` ignore it, and a replaced config allocates
-        its own; `copy.copy` copies the instance dict and so shares them
-        once allocated).  One sample-rate array: the received frame, long
-        enough for the channel's delay and FIR tail."""
-        n_rx = (FrameLayout.frame_len * self.resolved_sps()
-                + self.timing_offset + len(self.fir_taps) - 1)
-        return FrameBuffers(np.empty(n_rx, dtype=complex), ReceiveBuffers())
 
 
 def surface_constellation(lut: GammaLUT, target_phases) -> Constellation:
@@ -184,26 +164,34 @@ def _channel(cfg: ExperimentConfig, snr_db: float, seed: int) -> ChannelConfig:
     )
 
 
+def _rx_scratch(n: int) -> np.ndarray:
+    """This thread's received-samples array, n samples long: reused while
+    the thread's frames keep that length, reallocated when it changes."""
+    rx = getattr(_SCRATCH, "rx", None)
+    if rx is None or rx.size != n:
+        _SCRATCH.rx = rx = None   # free the old length before the new
+        rx = _SCRATCH.rx = np.empty(n, dtype=complex)
+    return rx
+
+
 def run_frame(cfg: ExperimentConfig, snr_db: float, seed: int):
     """One frame through the link; returns (payload, recovered|None, diag|None).
 
     recovered and diag are None when the receiver cannot decode the frame:
     its sync fails, or its channel estimate has a zero bin.  The frame runs
-    in the config's reused buffers, which the results never alias, so
-    frames of one config (or of its `copy.copy` copies, which share the
-    buffers) must not run concurrently.  The transmitter writes the frame
-    straight into the received-samples buffer at the channel delay, and
-    the channel runs in place there."""
-    buffers = cfg._buffers
+    in its thread's reused arrays, which the results never alias, so any
+    threads may run frames, of one config or of several, at once.  The
+    transmitter writes the frame straight into the thread's received-samples
+    array at the channel delay, and the channel runs in place there."""
     d = cfg.timing_offset
     n_tx = FrameLayout.frame_len * cfg.resolved_sps()
-    payload, sig = transmit_frame(cfg, seed, buffers.rx[d:d + n_tx])
-    rx = apply_channel(sig, _channel(cfg, snr_db, seed), out=buffers.rx)
+    buf = _rx_scratch(n_tx + d + len(cfg.fir_taps) - 1)
+    payload, sig = transmit_frame(cfg, seed, buf[d:d + n_tx])
+    rx = apply_channel(sig, _channel(cfg, snr_db, seed), out=buf)
     window = (0, d + sig.samples_per_symbol * (len(cfg.fir_taps) + 2))
     try:
         bits, diag = receive_frame(rx, search_window=window,
-                                   est_taps=cfg.resolved_est_taps(),
-                                   buffers=buffers.receive)
+                                   est_taps=cfg.resolved_est_taps())
     except (SyncNotFoundError, SingularChannelError):
         return payload, None, None
     return payload, bits, diag
@@ -285,19 +273,6 @@ def write_ber_csv(records: list[BerRecord], path) -> None:
                 fh.write(f"# sync_failures={r.sync_failures} at snr_db={r.snr_db!r}\n")
 
 
-def bits_from_file(path) -> np.ndarray:
-    """File bytes -> bit array, most significant bit first."""
-    data = np.fromfile(path, dtype=np.uint8)
-    return np.unpackbits(data)
-
-
-def bits_to_bytes(bits) -> bytes:
-    b = np.asarray(bits, dtype=np.uint8)
-    if b.size % 8:
-        raise ValueError("bit count not a multiple of 8")
-    return np.packbits(b).tobytes()
-
-
 def transmit_file(path, cfg: ExperimentConfig, iq_path, header_path=None
                   ) -> StreamHeader:
     """Frame a file's bits (zero-padded tail) and write the IQ stream.
@@ -333,24 +308,29 @@ def transmit_file(path, cfg: ExperimentConfig, iq_path, header_path=None
 
 
 def receive_stream(sig: BasebandSignal, header: StreamHeader) -> np.ndarray:
-    """Recover the concatenated payload bits of a multi-frame stream, as one
-    uint8 array of 0s and 1s.
+    """Recover the payload bytes of a multi-frame stream, as one uint8 array
+    without the header's pad bits.
 
     The first frame is searched over the first frame length of start
     positions (fewer when the stream is shorter than two frames), which
     frame_sync correlates in FFT blocks of bounded size; later frames are
     expected at a fixed stride from it (the channel model has no clock
     drift), with a small window to absorb correlation-peak jitter.  The
-    frames share one set of receive buffers, each frame's bits go straight
-    into the array returned, and its diagnostics are dropped before the
-    next frame is decoded.  A frame that fails sync (as an all-zero stream
-    does), or whose channel estimate has a zero bin, raises
-    PartialReceiveError naming it."""
+    frames run in the thread's receive buffers, as run_frame's do; each
+    frame's bits are packed into its 4 608 bytes of the array returned as
+    the frame is decoded, and its diagnostics are dropped before the next
+    frame is decoded.  A pad_bits that is not whole bytes is a ValueError,
+    raised before any frame is decoded.  A frame that fails sync (as an
+    all-zero stream does), or whose channel estimate has a zero bin,
+    raises PartialReceiveError naming it."""
     from .rxchain import frame_sync
 
+    if header.pad_bits % 8:
+        raise ValueError(f"pad_bits must be a multiple of 8, "
+                         f"got {header.pad_bits}")
     sps = header.samples_per_symbol
     stride = FrameLayout.frame_len * sps
-    per_frame = FrameLayout.payload_bits
+    per_frame = FrameLayout.payload_bits // 8
     out = np.empty(header.frames * per_frame, dtype=np.uint8)
     if header.frames == 0:
         return out
@@ -359,16 +339,15 @@ def receive_stream(sig: BasebandSignal, header: StreamHeader) -> np.ndarray:
         start = frame_sync(sig, (0, search_span)).frame_start
     except SyncNotFoundError as exc:
         raise PartialReceiveError(0, str(exc)) from exc
-    buffers = ReceiveBuffers()
     for i in range(header.frames):
         expect = start + i * stride
         window = (max(0, expect - 2 * sps), expect + 2 * sps + 1)
         try:
-            out[i * per_frame:(i + 1) * per_frame] = receive_frame(
-                sig, search_window=window, buffers=buffers)[0]
+            bits = receive_frame(sig, search_window=window)[0]
         except (SyncNotFoundError, SingularChannelError) as exc:
             raise PartialReceiveError(i, str(exc)) from exc
-    return out
+        out[i * per_frame:(i + 1) * per_frame] = np.packbits(bits)
+    return out[:out.size - header.pad_bits // 8]
 
 
 def receive_file(iq_path, header, out_path) -> int:
@@ -385,10 +364,7 @@ def receive_file(iq_path, header, out_path) -> int:
     sig = BasebandSignal(samples=samples,
                          sample_rate=header.sample_rate_hz,
                          samples_per_symbol=header.samples_per_symbol)
-    bits = receive_stream(sig, header)
-    if header.pad_bits:
-        bits = bits[:-header.pad_bits]
-    payload = bits_to_bytes(bits)
+    payload = receive_stream(sig, header)
     with open(out_path, "wb") as fh:
         fh.write(payload)
-    return len(payload)
+    return payload.size

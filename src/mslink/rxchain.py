@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,9 +74,9 @@ class RxDiagnostics:
 class ReceiveBuffers:
     """The symbol-rate arrays receive_frame works in: the derotation ramp,
     the dumped symbols, the final decisions, and the decision error and its
-    power for the EVM.  Reusing one set across frames spares allocating,
-    and page-faulting, them anew for every frame; nothing receive_frame
-    returns aliases them."""
+    power for the EVM.  Each thread reuses one set across its frames, which
+    spares allocating, and page-faulting, them anew for every frame;
+    nothing receive_frame returns aliases them."""
 
     __slots__ = ("ramp", "symbols", "decided", "error", "error_power")
 
@@ -89,6 +90,9 @@ class ReceiveBuffers:
         # computed last, takes its memory
         self.error = self.ramp[:n_data]
         self.error_power = np.empty(n_data)
+
+
+_SCRATCH = threading.local()   # `receive`: this thread's ReceiveBuffers
 
 
 def _out_array(out, shape: tuple, dtype) -> np.ndarray:
@@ -367,19 +371,19 @@ def _pilot_spectrum() -> np.ndarray:
     return x
 
 
-def receive_frame(rx: BasebandSignal, search_window=None, est_taps: int = 8,
-                  buffers: ReceiveBuffers | None = None):
+def receive_frame(rx: BasebandSignal, search_window=None, est_taps: int = 8):
     """Full receiver: sync -> CFO -> dump -> CP removal -> LS -> ZF -> demod.
 
     Returns (payload_bits, RxDiagnostics).  The channel is estimated once,
     from the frame's fixed pilot (build_pilot_sequence), and that estimate
     is reused for all nine data subframes.  est_taps bounds the assumed
-    channel delay spread for the LS fit.  The symbol-rate work runs in
-    `buffers` when they are given, else in a fresh set; the bits and the
-    equalized symbols returned are always fresh arrays.
+    channel delay spread for the LS fit.  The symbol-rate work runs in the
+    calling thread's ReceiveBuffers, so threads may receive at once; the
+    bits and the equalized symbols returned are always fresh arrays.
     """
-    if buffers is None:
-        buffers = ReceiveBuffers()
+    if not hasattr(_SCRATCH, "receive"):   # the thread's first frame
+        _SCRATCH.receive = ReceiveBuffers()
+    buffers = _SCRATCH.receive
     sps = rx.samples_per_symbol
     lay = FrameLayout
     sync = frame_sync(rx, search_window)

@@ -22,7 +22,7 @@ def parse_mask(spec) -> np.ndarray:
     if isinstance(spec, np.ndarray):
         m = spec.astype(bool).ravel()
         if m.size != n:
-            raise ValueError(f"mask length {m.size} != {ROWS}x{COLS}")
+            raise ValueError(f"mask must hold {n} cells, got {m.size}")
         return m
     if spec == "full":
         return np.ones(n, dtype=bool)
@@ -35,7 +35,8 @@ def parse_mask(spec) -> np.ndarray:
         return m.ravel()
     if set(spec) <= {"0", "1"} and len(spec) == n:
         return np.array([ch == "1" for ch in spec])
-    raise ValueError(f"unrecognized mask literal: {spec!r}")
+    raise ValueError(f"mask must be 'full', 'left-half', 'right-half' or "
+                     f"{n} 0/1 characters, got {spec!r}")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import tracemalloc
 
 import pytest
@@ -23,3 +24,37 @@ def _allocation_peak(fn) -> int:
 @pytest.fixture
 def allocation_peak():
     return _allocation_peak
+
+
+def _thread_scratch() -> dict:
+    """The calling thread's frame scratch arrays by name: run_frame's
+    received samples (`rx`) and the receiver's buffers, those it has
+    allocated."""
+    from mslink import harness, rxchain
+
+    arrays = {}
+    rx = getattr(harness._SCRATCH, "rx", None)
+    if rx is not None:
+        arrays["rx"] = rx
+    receive = getattr(rxchain._SCRATCH, "receive", None)
+    if receive is not None:
+        arrays.update({name: getattr(receive, name)
+                       for name in rxchain.ReceiveBuffers.__slots__})
+    return arrays
+
+
+def _in_fresh_thread(fn, *args, **kwargs):
+    """fn(*args, **kwargs) run in a new thread, whose frame scratch is its
+    own and newly allocated."""
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn, *args, **kwargs).result()
+
+
+@pytest.fixture
+def thread_scratch():
+    return _thread_scratch
+
+
+@pytest.fixture
+def in_fresh_thread():
+    return _in_fresh_thread

@@ -90,6 +90,8 @@ def test_experiment_from_dict_rejects_unknown_key():
     ("complex_gain", "0"), ("fir_taps", "0"), ("fir_taps", "0, -0j"),
     ("gamma_static", "nan"), ("gamma_static", "1e300"),
     ("gamma_static", "1.5"),
+    # an empty grid and a mask no array has
+    ("snr_list", ","), ("mask", "foo"),
 ])
 def test_bad_channel_and_receiver_values_fail_at_load(tmp_path, capsys, mode,
                                                       key, text):
@@ -165,8 +167,8 @@ def test_config_value_that_does_not_parse_names_its_line(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("text, argv, message", [
-    # the message names no key: the file alone
-    ("mode = qam\n", ["ber-sweep"], "{path}: unknown mode 'qam'"),
+    ("mode = qam\n", ["ber-sweep"],
+     "{path}:1: mode must be 'conventional' or 'metasurface', got 'qam'"),
     # a flag set the value, not the file
     ("frames_per_point = 3\n", ["ber-sweep", "--frames", "0"],
      "frames_per_point must be in 1..1048576"),
@@ -174,7 +176,7 @@ def test_config_value_that_does_not_parse_names_its_line(tmp_path, capsys,
     ("r_series = -1\n", ["gamma-curve"], "{path}:1: r_series must be >= 0"),
     ("mode = metasurface\nr_series = -1\n", ["constellation"],
      "{path}:2: r_series must be >= 0"),
-], ids=["no-key", "flag", "gamma-curve", "metasurface"])
+], ids=["mode", "flag", "gamma-curve", "metasurface"])
 def test_cli_config_rejection_names_the_file(tmp_path, capsys, text, argv,
                                              message):
     path = tmp_path / "bad.cfg"
@@ -187,7 +189,14 @@ def test_cli_config_rejection_names_the_file(tmp_path, capsys, text, argv,
 @pytest.mark.parametrize("mode", ["conventional", "metasurface"])
 @pytest.mark.parametrize("line, message", [
     ("r_series = -1", "{path}:2: r_series must be >= 0"),
-    ("c_zero = -5", "{path}: need c_zero > c_min > 0"),
+    ("c_zero = -5", "{path}:2: c_zero must be > c_min, got -5.0"),
+    # each key's message opens with that key, so it names that key's line
+    ("l_top = 0", "{path}:2: l_top must be > 0, got 0.0"),
+    ("l_bottom = -1", "{path}:2: l_bottom must be > 0, got -1.0"),
+    ("c_zero = 0.1e-12", "{path}:2: c_zero must be > c_min, got 1e-13"),
+    ("c_min = 0", "{path}:2: c_min must be > 0, got 0.0"),
+    ("v_junction = 0", "{path}:2: v_junction must be > 0, got 0.0"),
+    ("exponent = 0", "{path}:2: exponent must be > 0, got 0.0"),
 ])
 def test_bad_circuit_values_fail_at_load_in_either_mode(tmp_path, capsys,
                                                         mode, line, message):
@@ -199,6 +208,32 @@ def test_bad_circuit_values_fail_at_load_in_either_mode(tmp_path, capsys,
     path = tmp_path / "bad.cfg"
     path.write_text(f"mode = {mode}\n{line}\n")
     want = message.format(path=path)
+    with pytest.raises(ValueError) as exc:
+        experiment_from_dict(parse_config(path))
+    assert str(exc.value) == want
+    assert main(["ber-sweep", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"mslink: error: {want}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("mode = foo",
+     "mode must be 'conventional' or 'metasurface', got 'foo'"),
+    # only a metasurface config drives the surface at its target phases
+    ("mode = metasurface\ntarget_phases = 0, 90, 180",
+     "target_phases must be 4 values, got 3"),
+    ("mode = metasurface\ntarget_phases = 0, 90, 180, 300",
+     "target_phases spread 300.0 deg exceeds LUT span 262.7 deg"),
+], ids=["mode", "three-target-phases", "target-phases-wider-than-the-lut"])
+def test_mode_and_target_phase_errors_name_their_line(tmp_path, capsys,
+                                                      text, message):
+    # the bad value is on the file's last line
+    lines = text.split("\n")
+    d = dict((part.strip() for part in line.split("=")) for line in lines)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        experiment_from_dict(d)
+    path = tmp_path / "bad.cfg"
+    path.write_text(text + "\n")
+    want = f"{path}:{len(lines)}: {message}"
     with pytest.raises(ValueError) as exc:
         experiment_from_dict(parse_config(path))
     assert str(exc.value) == want

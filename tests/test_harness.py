@@ -1,20 +1,25 @@
+import concurrent.futures
+import copy
 import dataclasses
 import math
 import os
 import re
+import sys
+import threading
 import types
 
 import numpy as np
 import pytest
 
+from mslink import harness, rxchain
 from mslink.channel import ChannelConfig, apply_channel
 from mslink.circuit import (DEFAULT_TARGET_PHASES, GammaLUT, default_gamma_lut,
                             select_control_voltages)
+from mslink.cli import main
 from mslink.config import gamma_lut_from_dict
 from mslink.errors import InterpolationError
 from mslink.harness import (_NOISE_SEED_OFFSET, SEED_POINT_STRIDE, BerRecord,
-                            ExperimentConfig, FrameBuffers, _channel,
-                            bits_from_file, bits_to_bytes,
+                            ExperimentConfig, _channel,
                             compare_architectures, measure_link_snr,
                             receive_file, run_ber_sweep, run_frame,
                             snr_at_ber, surface_constellation,
@@ -215,7 +220,7 @@ def test_configs_compare_and_hash_by_value():
     assert ExperimentConfig(array=ArrayConfig(mask="left-half")) != \
         ExperimentConfig(array=ArrayConfig(mask="right-half"))
     assert ArrayConfig() != ArrayConfig(gamma_static=0.1)
-    # the buffers of a config that has run a frame take no part
+    # a config that has run a frame compares and hashes as before
     run_frame(a, 12.0, 1)
     assert a == b and hash(a) == hash(b)
     assert len({a, b, dataclasses.replace(a)}) == 1
@@ -247,18 +252,6 @@ def test_write_ber_csv_format(tmp_path):
     assert lines[0] == "snr_db,bits,errors,ber"
     assert lines[1].startswith("5.0,100,3,")
     assert any(line.startswith("# sync_failures=1") for line in lines)
-
-
-# --- bit/byte helpers -------------------------------------------------------------
-
-def test_bits_roundtrip_msb_first(tmp_path):
-    path = tmp_path / "x.bin"
-    path.write_bytes(bytes([0b10110001, 0xFF, 0x00]))
-    bits = bits_from_file(path)
-    assert list(bits[:8]) == [1, 0, 1, 1, 0, 0, 0, 1]
-    assert bits_to_bytes(bits) == bytes([0b10110001, 0xFF, 0x00])
-    with pytest.raises(ValueError):
-        bits_to_bytes([0, 1, 0])
 
 
 # --- IQ files and headers ----------------------------------------------------------
@@ -551,8 +544,8 @@ FRAME_MARGIN = 3 * 2 ** 20
 def test_file_transport_holds_one_stream_copy(tmp_path, allocation_peak,
                                               mode, frames):
     # transmit_file holds the stream (16 B per sample) and one frame of
-    # working arrays; receive_file holds the samples read, one byte per
-    # payload bit and one frame of working arrays
+    # working arrays; receive_file holds the samples read, the payload
+    # bytes and one frame of working arrays
     cfg = ExperimentConfig(mode=mode)
     src = tmp_path / "payload.bin"
     n_bytes = frames * FrameLayout.payload_bits // 8 - 100
@@ -563,7 +556,7 @@ def test_file_transport_holds_one_stream_copy(tmp_path, allocation_peak,
     assert allocation_peak(lambda: transmit_file(src, cfg, iq, hdr)) <= (
         16 * n + FRAME_MARGIN)
     assert allocation_peak(lambda: receive_file(iq, hdr, out)) <= (
-        16 * n + frames * FrameLayout.payload_bits + FRAME_MARGIN)
+        16 * n + frames * FrameLayout.payload_bits // 8 + FRAME_MARGIN)
     assert out.read_bytes() == src.read_bytes()
 
 
@@ -576,6 +569,31 @@ def test_receive_file_rejects_inconsistent_header(tmp_path):
                        hdr.frames + 1, hdr.pad_bits)
     with pytest.raises(ValueError):
         receive_file(tmp_path / "s.iq", bad, tmp_path / "out.bin")
+
+
+def test_pad_bits_that_are_not_whole_bytes_fail_before_any_frame(
+        tmp_path, capsys, monkeypatch):
+    # the payload is a byte file, so a header padding it by a part of a
+    # byte is an error, raised before the stream is synced or decoded
+    src = tmp_path / "payload.bin"
+    src.write_bytes(bytes(100))
+    hdr = transmit_file(src, ExperimentConfig(), tmp_path / "s.iq")
+    bad = tmp_path / "s.hdr"
+    dataclasses.replace(hdr, pad_bits=hdr.pad_bits + 1).write(bad)
+    out = tmp_path / "out.bin"
+
+    def no_frame(*args, **kwargs):
+        raise AssertionError("a frame was decoded")
+
+    monkeypatch.setattr(rxchain, "frame_sync", no_frame)
+    monkeypatch.setattr(harness, "receive_frame", no_frame)
+    want = f"pad_bits must be a multiple of 8, got {hdr.pad_bits + 1}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        receive_file(tmp_path / "s.iq", bad, out)
+    assert main(["receive", str(tmp_path / "s.iq"), "--header", str(bad),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"mslink: error: {want}\n"
+    assert not out.exists()
 
 
 def test_receive_file_rejects_a_truncated_stream(tmp_path):
@@ -601,67 +619,130 @@ def test_run_frame_reports_diagnostics():
     assert diag.equalized_symbols.size == 9 * 2048
 
 
-# --- reused sample buffers ----------------------------------------------------------
+# --- per-thread frame scratch ------------------------------------------------------
 
-def _all_buffers(cfg):
-    """Every array of the config's frame buffers, by name."""
-    b = cfg._buffers
-    arrays = {"rx": b.rx}
-    arrays.update({name: getattr(b.receive, name)
-                   for name in ReceiveBuffers.__slots__})
-    return arrays
-
-
-def _poison(cfg):
-    """Fill every buffer with values no frame writes."""
-    for buf in _all_buffers(cfg).values():
+def _poison(scratch):
+    """Fill every scratch array with values no frame writes."""
+    for buf in scratch.values():
         buf.fill(np.nan if buf.dtype.kind in "fc" else -7)
 
 
-def test_run_frame_results_survive_later_frames_and_alias_no_buffer():
+def _ids(scratch) -> dict:
+    return {name: id(buf) for name, buf in scratch.items()}
+
+
+def _frame_bytes(frame) -> tuple:
+    """A run_frame result as bytes and floats, to compare bit for bit."""
+    payload, bits, diag = frame
+    return (payload.tobytes(), bits.tobytes(),
+            diag.equalized_symbols.tobytes(), diag.cfo_estimate,
+            diag.evm_percent)
+
+
+def test_run_frame_results_survive_later_frames_and_alias_no_buffer(
+        thread_scratch):
     for mode in ("conventional", "metasurface"):
         cfg = ExperimentConfig(mode=mode)
         payload, bits, diag = run_frame(cfg, 12.0, 3)
         first = (payload, bits, diag.equalized_symbols)
         kept = [a.tobytes() for a in first]
         run_frame(cfg, 12.0, 4)
-        _poison(cfg)
+        scratch = thread_scratch()
+        _poison(scratch)
         assert [a.tobytes() for a in first] == kept
-        buffers = _all_buffers(cfg)
-        assert FrameBuffers._fields == ("rx", "receive")
-        assert set(buffers) == {"rx", *ReceiveBuffers.__slots__}
+        assert set(scratch) == {"rx", *ReceiveBuffers.__slots__}
         for a in first:
-            for name, buf in buffers.items():
+            for name, buf in scratch.items():
                 assert not np.shares_memory(a, buf), (mode, name)
 
 
-def test_each_config_gets_its_own_buffers():
-    a = ExperimentConfig(mode="metasurface")
-    b = ExperimentConfig(mode="metasurface")
-    same = dataclasses.replace(a)
-    offset = dataclasses.replace(a, timing_offset=37)
-    configs = (a, b, same, offset)
-    for cfg in configs:
+def test_each_thread_gets_its_own_buffers(thread_scratch, in_fresh_thread):
+    cfg = ExperimentConfig(mode="metasurface", timing_offset=37)
+
+    def scratch_after_a_frame():
         run_frame(cfg, 12.0, 1)
-    # the buffers are not a field, so repr and `replace` do not see them
-    assert "_buffers" not in {f.name for f in dataclasses.fields(a)}
-    assert repr(a) == repr(b) == repr(same)
-    for i, x in enumerate(configs):
-        for y in configs[i + 1:]:
-            for p in _all_buffers(x).values():
-                for q in _all_buffers(y).values():
-                    assert not np.shares_memory(p, q)
-    rx, _ = offset._buffers
-    assert rx.size == 180_037
+        return thread_scratch()
+
+    mine = scratch_after_a_frame()
+    other = in_fresh_thread(scratch_after_a_frame)
+    assert set(mine) == set(other) == {"rx", *ReceiveBuffers.__slots__}
+    for p in mine.values():
+        for q in other.values():
+            assert not np.shares_memory(p, q)
+    # the received samples hold the frame, the delay and the FIR tail
+    assert mine["rx"].size == other["rx"].size == 180_037
+    # a frame of another length reallocates them; one of the same reuses
+    run_frame(ExperimentConfig(mode="metasurface"), 12.0, 1)
+    resized = thread_scratch()
+    assert resized["rx"].size == 180_000
+    half = ArrayConfig(mask="left-half")
+    run_frame(ExperimentConfig(mode="metasurface", array=half), 12.0, 1)
+    assert _ids(thread_scratch()) == _ids(resized)
+
+
+def test_two_threads_never_share_a_scratch_array(thread_scratch):
+    # both threads run frames of one config at once and keep their scratch
+    # alive, so no array of one can be the freed memory of the other's
+    cfg = ExperimentConfig()
+    barrier = threading.Barrier(2, timeout=60)
+
+    def frames(seed):
+        barrier.wait()
+        run_frame(cfg, 12.0, seed)
+        scratch = thread_scratch()
+        barrier.wait()
+        return scratch
+
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        a, b = pool.map(frames, (1, 2), timeout=120)
+    assert set(a) == set(b) == {"rx", *ReceiveBuffers.__slots__}
+    for p in a.values():
+        for q in b.values():
+            assert not np.shares_memory(p, q)
+
+
+@pytest.mark.parametrize("mode", ["conventional", "metasurface"])
+def test_threads_running_one_config_at_once_equal_a_sequential_run(mode):
+    # three threads switching often, so that frames interleave inside
+    # numpy's calls and between them
+    cfg = ExperimentConfig(mode=mode, cfo_normalized=0.1,
+                           fir_taps=(1.0, 0.3 - 0.2j))
+    seeds = ((1, 2, 3), (4, 5, 6), (7, 8, 9))
+    barrier = threading.Barrier(len(seeds), timeout=60)
+
+    def frames(thread_seeds):
+        barrier.wait()
+        return [_frame_bytes(run_frame(cfg, 12.0, s)) for s in thread_seeds]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(len(seeds)) as pool:
+            at_once = list(pool.map(frames, seeds, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert at_once == [[_frame_bytes(run_frame(cfg, 12.0, s)) for s in ss]
+                       for ss in seeds]
+
+
+def test_a_config_holds_no_arrays_after_its_frames():
+    # the scratch belongs to the thread, so a config is its fields alone,
+    # and a copy of it shares nothing with it that a frame writes
+    cfg = ExperimentConfig(mode="metasurface")
+    run_frame(cfg, 12.0, 1)
+    run_frame(copy.copy(cfg), 12.0, 2)
+    assert set(vars(cfg)) == {f.name for f in dataclasses.fields(cfg)}
+    assert not any(isinstance(v, np.ndarray) for v in vars(cfg).values())
 
 
 @pytest.mark.parametrize("channel", [
     {}, {"timing_offset": 37}, {"fir_taps": (1.0, 0.3 - 0.2j, 0.1j)},
     {"timing_offset": 37, "fir_taps": (1.0, 0.3 - 0.2j, 0.1j)},
 ], ids=["clean", "offset", "3-tap", "offset-3-tap"])
-def test_warm_metasurface_config_holds_one_sample_rate_array(channel):
-    # the transmitter writes into the received-samples buffer at the delay,
-    # so a config holds one 180 000-sample frame plus the channel's delay
+def test_warm_metasurface_config_holds_one_sample_rate_array(thread_scratch,
+                                                             channel):
+    # the transmitter writes into the received-samples array at the delay,
+    # so the thread holds one 180 000-sample frame plus the channel's delay
     # and FIR tail, and the receiver's symbol-rate arrays: the derotation
     # ramp (the decision error is a view of it), the dumped symbols, the
     # decisions and the error power
@@ -670,7 +751,7 @@ def test_warm_metasurface_config_holds_one_sample_rate_array(channel):
     run_frame(cfg, 14.0, 1)
     d, taps = cfg.timing_offset, len(cfg.fir_taps)
     receive = 16 * 22_500 + 16 * 22_500 + 8 * 18_432 + 8 * 18_432
-    owned = [a for a in _all_buffers(cfg).values() if a.base is None]
+    owned = [a for a in thread_scratch().values() if a.base is None]
     assert sum(a.nbytes for a in owned) == (
         16 * (180_000 + d + taps - 1) + receive)
 
@@ -698,7 +779,8 @@ def test_run_frame_channel_is_the_default_noise_reference():
 
 
 def _unbuffered_frame(cfg, snr_db, seed):
-    """run_frame's recipe with every array freshly allocated."""
+    """run_frame's recipe with every array freshly allocated: run in a
+    fresh thread, whose receive buffers are new too."""
     payload, sig = transmit_frame(cfg, seed)
     rx = apply_channel(sig, _channel(cfg, snr_db, seed))
     window = (0, cfg.timing_offset
@@ -714,22 +796,23 @@ def _unbuffered_frame(cfg, snr_db, seed):
     {"sps": 4, "cfo_normalized": -0.2},
 ], ids=["clean", "cfo", "3-tap", "offset", "gain", "sps4-cfo"])
 @pytest.mark.parametrize("mode", ["conventional", "metasurface"])
-def test_run_frame_equals_the_unbuffered_recipe(mode, channel):
-    # the recipe builds every array afresh; run_frame's second and third
-    # frames run in warm buffers, the third in buffers filled with values
-    # no frame writes, so any array read before it is written shows
+def test_run_frame_equals_the_unbuffered_recipe(thread_scratch,
+                                                in_fresh_thread, mode,
+                                                channel):
+    # the recipe builds every array afresh in a thread of its own; run_frame's
+    # second and third frames run in this thread's warm scratch, the third
+    # in scratch filled with values no frame writes, so any array read
+    # before it is written shows
     cfg = ExperimentConfig(mode=mode, **channel)
     for seed in (5, 6, 7):
         if seed == 7:
-            _poison(cfg)
-        payload, bits, diag = run_frame(cfg, 12.0, seed)
-        want_payload, want_bits, want = _unbuffered_frame(cfg, 12.0, seed)
-        assert payload.tobytes() == want_payload.tobytes()
-        assert bits.tobytes() == want_bits.tobytes()
-        assert (diag.equalized_symbols.tobytes()
-                == want.equalized_symbols.tobytes())
-        assert ((diag.cfo_estimate, diag.evm_percent)
-                == (want.cfo_estimate, want.evm_percent))
+            scratch = thread_scratch()
+            _poison(scratch)
+        got = run_frame(cfg, 12.0, seed)
+        if seed == 7:   # the frame ran in the poisoned arrays
+            assert _ids(thread_scratch()) == _ids(scratch)
+        want = in_fresh_thread(_unbuffered_frame, cfg, 12.0, seed)
+        assert _frame_bytes(got) == _frame_bytes(want)
 
 
 def _warm_frame_peak(cfg, allocation_peak) -> int:

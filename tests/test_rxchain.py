@@ -586,17 +586,22 @@ def test_receive_frame_noiseless_end_to_end_identity(eps, offset, taps, sps):
 
 
 @pytest.mark.parametrize("sps", [1, 8])
-def test_receive_frame_in_reused_buffers_equals_fresh(sps):
-    # buffers left full of another frame's values must not change a result
-    # or be returned
-    buffers = ReceiveBuffers()
+def test_receive_frame_in_reused_buffers_equals_fresh(thread_scratch,
+                                                      in_fresh_thread, sps):
+    # this thread's buffers, left full of another frame's values and then of
+    # values no frame writes, must not change a result or be returned; the
+    # fresh side runs in a thread of its own, in newly allocated buffers
     for seed in (1, 2):
         _, sig = _frame_signal(seed=seed, sps=sps)
         rx = apply_channel(sig, ChannelConfig(
             snr_db=12.0, cfo_normalized=0.2, seed=seed,
             fir_taps=(1.0, 0.3 - 0.2j)))
-        bits, diag = receive_frame(rx, buffers=buffers)
-        want_bits, want = receive_frame(rx)
+        if seed == 2:
+            buffers = thread_scratch()
+            for buf in buffers.values():
+                buf.fill(np.nan if buf.dtype.kind in "fc" else -7)
+        bits, diag = receive_frame(rx)
+        want_bits, want = in_fresh_thread(receive_frame, rx)
         # the EVM as the expression its buffered ufuncs replace gives it
         eq = diag.equalized_symbols
         pts = ideal_qpsk().points
@@ -609,10 +614,12 @@ def test_receive_frame_in_reused_buffers_equals_fresh(sps):
         assert ((diag.cfo_estimate, diag.evm_percent, diag.snr_estimate_db)
                 == (want.cfo_estimate, want.evm_percent,
                     want.snr_estimate_db))
+        buffers = thread_scratch()
+        assert set(ReceiveBuffers.__slots__) <= set(buffers)
         for name in ReceiveBuffers.__slots__:
-            buf = getattr(buffers, name)
-            assert not np.shares_memory(bits, buf)
-            assert not np.shares_memory(diag.equalized_symbols, buf)
+            assert not np.shares_memory(bits, buffers[name])
+            assert not np.shares_memory(diag.equalized_symbols,
+                                        buffers[name])
 
 
 def test_receive_frame_oversampled_loopback():

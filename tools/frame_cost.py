@@ -17,12 +17,14 @@ matrix-vector products.  Each mode runs a few unmeasured frames first, so
 its reused buffers and memoized tables are in place.  Faults and system
 time come from `getrusage` over the timed frames; the allocation peak is
 the largest `tracemalloc` peak of a frame, taken in a second pass, since
-tracing slows every allocation.  The resident buffers are the arrays the
-config keeps between frames (`ExperimentConfig._buffers`).  A stream round
-trip keeps no frame buffers, so its `buf MB` reads 0, but it is not free of
-resident arrays: the channel's CFO ramp cache (`mslink.channel._cfo_ramp`,
-16 B per sample of the stream, 1.4 MB for this one) stays resident between round
-trips.  The last line of output is one JSON object.
+tracing slows every allocation.  The resident buffers (`buf MB`) are the
+scratch arrays the measuring thread keeps between operations, read in
+every mode: `run_frame`'s received-samples array (`mslink.harness`) and the
+receiver's `ReceiveBuffers` (`mslink.rxchain`).  A stream round trip runs
+no `run_frame`, so its `buf MB` is the receive buffers alone.  Caches are
+not counted: the channel's CFO ramp cache (`mslink.channel._cfo_ramp`,
+16 B per sample of the stream, 1.4 MB for this one) also stays resident
+between round trips.  The last line of output is one JSON object.
 """
 
 from __future__ import annotations
@@ -92,14 +94,18 @@ def measure(op, n: int) -> dict:
     }
 
 
-def buffers_mb(cfg) -> float:
-    """MB held by the config's reused frame buffers; a view of another
-    buffer holds nothing of its own."""
-    from mslink.rxchain import ReceiveBuffers
+def buffers_mb() -> float:
+    """MB held by this thread's frame scratch, whichever parts it has
+    allocated; a view of another array holds nothing of its own."""
+    from mslink import harness, rxchain
 
-    b = cfg._buffers
-    arrays = [b.rx] + [getattr(b.receive, n) for n in ReceiveBuffers.__slots__]
-    return sum(a.nbytes for a in arrays if a.base is None) / 1e6
+    arrays = [getattr(harness._SCRATCH, "rx", None)]
+    receive = getattr(rxchain._SCRATCH, "receive", None)
+    if receive is not None:
+        arrays += [getattr(receive, n)
+                   for n in rxchain.ReceiveBuffers.__slots__]
+    return sum(a.nbytes for a in arrays
+               if a is not None and a.base is None) / 1e6
 
 
 def frame_cost(mode: str, frames: int, snr_db: float) -> dict:
@@ -108,7 +114,7 @@ def frame_cost(mode: str, frames: int, snr_db: float) -> dict:
     cfg = ExperimentConfig(mode=mode)
     cost = measure(lambda seed: run_frame(cfg, snr_db, seed), frames)
     return {"mode": mode, "sps": cfg.resolved_sps(), "frames": frames,
-            **cost, "buffers_mb": buffers_mb(cfg)}
+            **cost, "buffers_mb": buffers_mb()}
 
 
 def stream_cost(round_trips: int) -> dict:
@@ -124,7 +130,7 @@ def stream_cost(round_trips: int) -> dict:
 
         cost = measure(op, round_trips)
     return {"mode": "stream", "sps": stream.params["sps"],
-            "frames": round_trips, **cost, "buffers_mb": 0.0}
+            "frames": round_trips, **cost, "buffers_mb": buffers_mb()}
 
 
 def main(argv=None):
