@@ -10,17 +10,29 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import InfeasibleError, SingularityError
 
 Z_AIR = 376.730313668  # impedance of free space, ohms
+DEFAULT_FREQUENCY = 4.0e9
+# the prototype's bias range: 0-20 V in 0.1 V steps
+DEFAULT_VOLTAGE_GRID = np.round(np.arange(0.0, 20.0 + 1e-9, 0.1), 10)
+DEFAULT_TARGET_PHASES = (0.0, 85.0, 170.0, 255.0)
 
 # relative denominator magnitude below which Eq. (circuit pole) is treated
 # as a resonance singularity instead of returning an unstable value
 _SINGULARITY_RTOL = 1e-9
+
+
+def _check_finite(settings) -> None:
+    """Every field of the dataclass `settings` must be a finite number."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -32,11 +44,12 @@ class CircuitParams:
     l_bottom: float = 5.0e-9     # henries, bottom/feed inductance
 
     def __post_init__(self):
-        if self.r_series < 0:
+        _check_finite(self)
+        if not self.r_series >= 0:
             raise ValueError("r_series must be >= 0")
-        if self.l_top <= 0:
+        if not self.l_top > 0:
             raise ValueError(f"l_top must be > 0, got {self.l_top}")
-        if self.l_bottom <= 0:
+        if not self.l_bottom > 0:
             raise ValueError(f"l_bottom must be > 0, got {self.l_bottom}")
 
 
@@ -51,13 +64,14 @@ class VaractorModel:
     c_min: float = 0.2e-12       # farads, saturation floor
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.c_min > 0:
             raise ValueError(f"c_min must be > 0, got {self.c_min}")
         if not self.c_zero > self.c_min:
             raise ValueError(f"c_zero must be > c_min, got {self.c_zero}")
-        if self.v_junction <= 0:
+        if not self.v_junction > 0:
             raise ValueError(f"v_junction must be > 0, got {self.v_junction}")
-        if self.exponent <= 0:
+        if not self.exponent > 0:
             raise ValueError(f"exponent must be > 0, got {self.exponent}")
 
 
@@ -66,13 +80,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GammaLUT:
     """Voltage -> reflection coefficient table at a single frequency.  The
-    arrays are stored as read-only copies, and tables compare and hash by
-    value, the arrays by their contents."""
+    arrays are stored as read-only copies."""
 
-    frequency: float
     voltages: np.ndarray = field(repr=False)
     gammas: np.ndarray = field(repr=False)
 
@@ -88,18 +100,6 @@ class GammaLUT:
             raise ValueError("voltages must be strictly increasing")
         object.__setattr__(self, "voltages", _read_only(v))
         object.__setattr__(self, "gammas", _read_only(g))
-
-    def _key(self) -> tuple:
-        return (self.frequency, self.voltages.tobytes(),
-                self.gammas.tobytes())
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     @functools.cached_property
     def phases_deg(self) -> np.ndarray:
@@ -127,16 +127,20 @@ def varactor_capacitance(v: float, model: VaractorModel) -> float:
     """Junction capacitance in farads at bias voltage v >= 0."""
     if v < 0:
         raise ValueError(f"bias voltage must be >= 0, got {v}")
-    c = model.c_zero / (1.0 + v / model.v_junction) ** model.exponent
+    try:
+        c = model.c_zero / (1.0 + v / model.v_junction) ** model.exponent
+    except OverflowError:
+        # the power passes the float range; its reciprocal underflows to 0
+        c = model.c_zero * (1.0 + v / model.v_junction) ** -model.exponent
     return max(model.c_min, c)
 
 
 def load_impedance(c: float, params: CircuitParams, f: float) -> complex:
     """Equivalent load of the cell: jwL2 || (jwL1 + 1/(jwC) + R)."""
-    if c <= 0:
+    if not c > 0:
         raise ValueError(f"capacitance must be > 0, got {c}")
-    if f <= 0:
-        raise ValueError(f"frequency must be > 0, got {f}")
+    if not (f > 0 and math.isfinite(f)):
+        raise ValueError(f"frequency must be finite and > 0, got {f}")
     w = 2.0 * math.pi * f
     z_series = 1j * w * params.l_top + 1.0 / (1j * w * c) + params.r_series
     z_shunt = 1j * w * params.l_bottom
@@ -144,8 +148,8 @@ def load_impedance(c: float, params: CircuitParams, f: float) -> complex:
     scale = max(abs(z_shunt), abs(z_series))
     if abs(den) < _SINGULARITY_RTOL * scale:
         raise SingularityError(
-            f"branch resonance at f={f:g} Hz, C={c:g} F: |denominator| ~ 0"
-        )
+            f"frequency {f:g} Hz is a branch resonance at C={c:g} F: "
+            f"|denominator| ~ 0")
     return z_shunt * z_series / den
 
 
@@ -165,30 +169,26 @@ def reflection_phase(gamma: complex) -> float:
     return deg if deg < 360.0 else 0.0
 
 
-def build_gamma_lut(
-    model: VaractorModel,
-    params: CircuitParams,
-    f: float,
-    voltages,
-) -> GammaLUT:
-    """Compose C(v) -> Z_l -> Gamma (against Z_AIR) over a voltage grid.
+def build_gamma_lut(model: VaractorModel, params: CircuitParams,
+                    f: float) -> GammaLUT:
+    """Compose C(v) -> Z_l -> Gamma (against Z_AIR) over DEFAULT_VOLTAGE_GRID.
 
     The whole table is rotated so the first point sits at phase 0 (choice of
     measurement reference plane); the curve then reads directly as phase
     shift relative to zero bias, matching how the tuning curve is usually
-    plotted.
+    plotted.  A cell whose response at f overflows is an error opening with
+    `frequency`, as a resonance is.
     """
-    v = np.asarray(voltages, dtype=float)
-    if v.size == 0 or np.any(np.diff(v) <= 0):
-        raise ValueError("voltage grid must be non-empty and strictly increasing")
     gammas = np.array([
         reflection_coefficient(
-            load_impedance(varactor_capacitance(float(vi), model), params, f),
-            Z_AIR)
-        for vi in v
+            load_impedance(varactor_capacitance(v, model), params, f), Z_AIR)
+        for v in DEFAULT_VOLTAGE_GRID.tolist()
     ])
     gammas = gammas * np.exp(-1j * np.angle(gammas[0]))
-    return GammaLUT(frequency=f, voltages=v, gammas=gammas)
+    if not np.all(np.isfinite(gammas)):
+        raise ValueError(f"frequency {f:g} Hz: the cell's reflection "
+                         f"overflows")
+    return GammaLUT(voltages=DEFAULT_VOLTAGE_GRID, gammas=gammas)
 
 
 def select_control_voltages(lut: GammaLUT, target_phases_deg):
@@ -196,11 +196,15 @@ def select_control_voltages(lut: GammaLUT, target_phases_deg):
 
     Returns (voltages, gammas) as two length-4 arrays.  Ties go to the lower
     voltage.  Raises InfeasibleError when the targets spread wider than the
-    phase travel of the table.
+    phase travel of the table, and ValueError when two targets pick one
+    voltage.
     """
     targets = np.asarray(target_phases_deg, dtype=float)
     if targets.size != 4:
         raise ValueError(f"target_phases must be 4 values, got {targets.size}")
+    if not np.all(np.isfinite(targets)):
+        raise ValueError(f"target_phases must be finite, "
+                         f"got {', '.join(map(str, targets.tolist()))}")
     spread = float(targets.max() - targets.min())
     span = lut.phase_span_deg()
     if spread > span:
@@ -214,12 +218,10 @@ def select_control_voltages(lut: GammaLUT, target_phases_deg):
         k = int(np.argmin(err))  # argmin keeps the first (lower-voltage) tie
         volts[i] = lut.voltages[k]
         gammas[i] = lut.gammas[k]
+    if len(set(volts.tolist())) < 4:
+        raise ValueError(f"target_phases must pick four distinct voltages, "
+                         f"got {', '.join(map(str, volts.tolist()))} V")
     return volts, gammas
-
-
-DEFAULT_FREQUENCY = 4.0e9
-DEFAULT_VOLTAGE_GRID = np.round(np.arange(0.0, 20.0 + 1e-9, 0.1), 10)
-DEFAULT_TARGET_PHASES = (0.0, 85.0, 170.0, 255.0)
 
 
 @functools.cache
@@ -227,9 +229,4 @@ def default_gamma_lut() -> GammaLUT:
     """Tuning table of the stock cell at 4 GHz (phase travel ~263 deg).
 
     Built once and shared by every caller."""
-    return build_gamma_lut(
-        VaractorModel(),
-        CircuitParams(),
-        DEFAULT_FREQUENCY,
-        DEFAULT_VOLTAGE_GRID,
-    )
+    return build_gamma_lut(VaractorModel(), CircuitParams(), DEFAULT_FREQUENCY)

@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import fields, replace
 
 from .circuit import (CircuitParams, GammaLUT, VaractorModel, build_gamma_lut,
-                      DEFAULT_FREQUENCY, DEFAULT_TARGET_PHASES,
-                      DEFAULT_VOLTAGE_GRID)
+                      DEFAULT_FREQUENCY, DEFAULT_TARGET_PHASES)
 from .harness import ExperimentConfig, surface_constellation
 from .iqfile import in_file, read_key_values
 from .surface import ArrayConfig
@@ -90,19 +89,14 @@ def parse_config(path) -> ConfigText:
     return ConfigText(values, path, lines)
 
 
-def circuit_from_dict(d: dict) -> tuple[CircuitParams, VaractorModel]:
-    return _build(CircuitParams, d), _build(VaractorModel, d)
-
-
 def gamma_lut_from_dict(d: dict) -> GammaLUT:
     """Tuning table of the cell the circuit keys and `frequency` describe.
     A value the circuit rejects is an error naming the file of config values
     read by parse_config."""
     try:
-        params, model = circuit_from_dict(d)
+        params, model = _build(CircuitParams, d), _build(VaractorModel, d)
         return build_gamma_lut(model, params,
-                               float(d.get("frequency", DEFAULT_FREQUENCY)),
-                               DEFAULT_VOLTAGE_GRID)
+                               float(d.get("frequency", DEFAULT_FREQUENCY)))
     except ValueError as exc:
         raise _in_file(exc, d) from None
 
@@ -111,7 +105,9 @@ def experiment_from_dict(d: dict, **overrides) -> ExperimentConfig:
     """Build an ExperimentConfig from config values plus CLI overrides
     (overrides win).  A value that a dataclass rejects is an error naming
     the file of config values read by parse_config, and its line when the
-    error opens with its key."""
+    error opens with its key.  The surface is built from its keys in either
+    mode, so none of them is silently ignored; only a metasurface config
+    keeps its points."""
     given = {k: v for k, v in overrides.items() if v is not None}
     merged = {**d, **given}
     unknown = sorted(merged.keys() - KEYS)
@@ -121,13 +117,11 @@ def experiment_from_dict(d: dict, **overrides) -> ExperimentConfig:
     try:
         cfg = _build(ExperimentConfig, merged,
                      array=_build(ArrayConfig, merged))
-        # the circuit keys' own checks hold in either mode
-        circuit_from_dict(merged)
+        targets = _KEY_PARSERS["target_phases"](
+            merged.get("target_phases", DEFAULT_TARGET_PHASES))
+        surface = surface_constellation(gamma_lut_from_dict(merged), targets)
         if cfg.mode == "metasurface":
-            targets = _BY_NAME["target_phases"](
-                merged.get("target_phases", DEFAULT_TARGET_PHASES))
-            cfg = replace(cfg, constellation=surface_constellation(
-                gamma_lut_from_dict(merged), targets))
+            cfg = replace(cfg, constellation=surface)
     except ValueError as exc:
         raise _in_file(exc, d, given) from None
     return cfg

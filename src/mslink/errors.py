@@ -1,7 +1,7 @@
 """Exception types shared across the link simulator."""
 
 
-class SingularityError(ArithmeticError):
+class SingularityError(ValueError):
     """Circuit evaluated at (or numerically too close to) a resonance pole."""
 
 

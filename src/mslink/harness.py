@@ -319,15 +319,11 @@ def receive_stream(sig: BasebandSignal, header: StreamHeader) -> np.ndarray:
     frames run in the thread's receive buffers, as run_frame's do; each
     frame's bits are packed into its 4 608 bytes of the array returned as
     the frame is decoded, and its diagnostics are dropped before the next
-    frame is decoded.  A pad_bits that is not whole bytes is a ValueError,
-    raised before any frame is decoded.  A frame that fails sync (as an
-    all-zero stream does), or whose channel estimate has a zero bin,
-    raises PartialReceiveError naming it."""
+    frame is decoded.  A frame that fails sync (as an all-zero stream
+    does), or whose channel estimate has a zero bin, raises
+    PartialReceiveError naming it."""
     from .rxchain import frame_sync
 
-    if header.pad_bits % 8:
-        raise ValueError(f"pad_bits must be a multiple of 8, "
-                         f"got {header.pad_bits}")
     sps = header.samples_per_symbol
     stride = FrameLayout.frame_len * sps
     per_frame = FrameLayout.payload_bits // 8

@@ -65,8 +65,9 @@ class StreamHeader:
     outside the program, so reading it is strict: every field must be
     present, once, as a number in its field's range, and no other key may
     appear.  The sample rate is the symbol rate times samples_per_symbol,
-    and a stream of no frames has no padding.  The frame format, the pilot
-    included, is fixed, so the header does not describe it."""
+    the padding is whole bytes, and a stream of no frames has none.  The
+    frame format, the pilot included, is fixed, so the header does not
+    describe it."""
 
     sample_rate_hz: float
     samples_per_symbol: int
@@ -90,6 +91,9 @@ class StreamHeader:
         if not 0 <= self.pad_bits < FrameLayout.payload_bits:
             raise ValueError(f"pad_bits must be in "
                              f"0..{FrameLayout.payload_bits - 1}, "
+                             f"got {self.pad_bits}")
+        if self.pad_bits % 8:
+            raise ValueError(f"pad_bits must be a multiple of 8, "
                              f"got {self.pad_bits}")
         if self.frames == 0 and self.pad_bits:
             raise ValueError(f"pad_bits must be 0 when frames is 0, "

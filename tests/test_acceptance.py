@@ -10,8 +10,7 @@ import math
 import numpy as np
 
 from mslink.channel import ChannelConfig, apply_channel
-from mslink.circuit import (CircuitParams, VaractorModel,
-                            DEFAULT_FREQUENCY, DEFAULT_VOLTAGE_GRID,
+from mslink.circuit import (CircuitParams, VaractorModel, DEFAULT_FREQUENCY,
                             build_gamma_lut, default_gamma_lut)
 from mslink.harness import (ExperimentConfig, measure_link_snr, receive_file,
                             run_ber_sweep, snr_at_ber, theoretical_qpsk_ber,
@@ -189,11 +188,11 @@ def test_circuit_invariants():
     passive = True
     for r in (0.0, 1.0, 6.0, 12.0, 50.0):
         lut = build_gamma_lut(VaractorModel(), CircuitParams(r_series=r),
-                              DEFAULT_FREQUENCY, DEFAULT_VOLTAGE_GRID)
+                              DEFAULT_FREQUENCY)
         passive &= bool(np.all(lut.magnitudes <= 1.0 + 1e-12))
     lossless_lut = build_gamma_lut(VaractorModel(),
                                    CircuitParams(r_series=0.0),
-                                   DEFAULT_FREQUENCY, DEFAULT_VOLTAGE_GRID)
+                                   DEFAULT_FREQUENCY)
     lossless = bool(np.all(np.abs(lossless_lut.magnitudes - 1.0) <= 1e-9))
     span = default_gamma_lut().phase_span_deg()
     ok = passive and lossless and span >= 255.0

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from mslink.circuit import (CircuitParams, GammaLUT, VaractorModel, Z_AIR,
                             DEFAULT_FREQUENCY, DEFAULT_TARGET_PHASES,
-                            DEFAULT_VOLTAGE_GRID, build_gamma_lut,
-                            default_gamma_lut, load_impedance,
+                            build_gamma_lut, default_gamma_lut, load_impedance,
                             reflection_coefficient, reflection_phase,
                             select_control_voltages, varactor_capacitance)
 from mslink.errors import InfeasibleError, SingularityError
@@ -37,6 +36,13 @@ def test_capacitance_clamps_at_c_min():
     m = VaractorModel(c_zero=1.2e-12, v_junction=2.0, exponent=1.0,
                       c_min=0.2e-12)
     assert varactor_capacitance(1000.0, m) == m.c_min
+
+
+def test_capacitance_past_the_float_range_clamps_at_c_min():
+    # (1 + 20/2)^1e6 is past the largest float: C(v) is below any floor
+    m = VaractorModel(exponent=1e6)
+    assert varactor_capacitance(0.0, m) == m.c_zero
+    assert varactor_capacitance(20.0, m) == m.c_min
 
 
 def test_capacitance_rejects_negative_bias():
@@ -144,11 +150,12 @@ def test_reflection_phase_range_and_conjugate(g):
 # --- LUT construction --------------------------------------------------------
 
 def test_single_voltage_lut_is_consistent():
-    lut = build_gamma_lut(VaractorModel(), CircuitParams(), 4e9, [5.0])
-    (v,), (g,) = lut.voltages, lut.gammas
+    lut = build_gamma_lut(VaractorModel(), CircuitParams(), 4e9)
+    k = 50
+    v, g = lut.voltages[k], lut.gammas[k]
     assert v == 5.0
-    assert lut.magnitudes[0] == pytest.approx(abs(g))
-    assert lut.phases_deg[0] == pytest.approx(reflection_phase(g))
+    assert lut.magnitudes[k] == pytest.approx(abs(g))
+    assert lut.phases_deg[k] == pytest.approx(reflection_phase(g))
 
 
 def test_lut_terminates_the_cell_against_free_space():
@@ -157,9 +164,13 @@ def test_lut_terminates_the_cell_against_free_space():
         CircuitParams(z_air=370.0)
     model, params = VaractorModel(), CircuitParams()
     z = load_impedance(varactor_capacitance(5.0, model), params, 4e9)
-    (g,) = build_gamma_lut(model, params, 4e9, [5.0]).gammas
-    # one entry, rotated onto phase 0
-    assert g == pytest.approx(abs(reflection_coefficient(z, Z_AIR)))
+    lut = build_gamma_lut(model, params, 4e9)
+    assert lut.voltages[50] == 5.0
+    # the table is rotated so its 0 V entry sits at phase 0
+    z0 = load_impedance(varactor_capacitance(0.0, model), params, 4e9)
+    rotation = np.exp(-1j * np.angle(reflection_coefficient(z0, Z_AIR)))
+    assert lut.gammas[50] == pytest.approx(
+        reflection_coefficient(z, Z_AIR) * rotation)
 
 
 def test_default_lut_phase_span_at_least_255():
@@ -185,22 +196,6 @@ def test_lut_determinism():
     assert np.array_equal(a.gammas, b.gammas)
 
 
-def test_lut_compares_and_hashes_by_value():
-    lut = default_gamma_lut()
-    same = build_gamma_lut(VaractorModel(), CircuitParams(), DEFAULT_FREQUENCY,
-                           DEFAULT_VOLTAGE_GRID)
-    assert same is not lut
-    assert same == lut and hash(same) == hash(lut)
-    assert len({lut, same}) == 1
-    v = np.array([1.0, 2.0])
-    g = np.array([0.5 + 0.5j, -0.5j])
-    base = GammaLUT(4e9, v, g)
-    for other in (GammaLUT(5e9, v, g), GammaLUT(4e9, v + [0.0, 1.0], g),
-                  GammaLUT(4e9, v, g * 1j)):
-        assert other != base
-    assert base != (4e9, v, g)
-
-
 def test_default_lut_is_built_once_and_read_only():
     lut = default_gamma_lut()
     assert default_gamma_lut() is lut
@@ -213,7 +208,7 @@ def test_default_lut_is_built_once_and_read_only():
 def test_lut_leaves_the_callers_arrays_writeable():
     v = np.array([1.0, 2.0])
     g = np.array([0.5 + 0.5j, -0.5j])
-    lut = GammaLUT(4e9, v, g)
+    lut = GammaLUT(v, g)
     phases = lut.phases_deg.copy()
     v[0] = 0.5
     g[0] = 1.0
@@ -225,13 +220,13 @@ def test_lut_leaves_the_callers_arrays_writeable():
 def test_lut_passivity_over_resistance_grid():
     for r in (0.0, 1.0, 6.0, 12.0, 50.0):
         lut = build_gamma_lut(VaractorModel(), CircuitParams(r_series=r),
-                              DEFAULT_FREQUENCY, DEFAULT_VOLTAGE_GRID)
+                              DEFAULT_FREQUENCY)
         assert np.all(lut.magnitudes <= 1.0 + 1e-12)
 
 
 def test_lut_losslessness_with_zero_resistance():
     lut = build_gamma_lut(VaractorModel(), CircuitParams(r_series=0.0),
-                          DEFAULT_FREQUENCY, DEFAULT_VOLTAGE_GRID)
+                          DEFAULT_FREQUENCY)
     assert np.all(np.abs(lut.magnitudes - 1.0) <= 1e-9)
 
 
@@ -254,7 +249,7 @@ def test_lut_csv_columns_are_plain_numbers(tmp_path):
 
 def test_lut_rejects_disordered_grid():
     with pytest.raises(ValueError):
-        build_gamma_lut(VaractorModel(), CircuitParams(), 4e9, [1.0, 1.0])
+        GammaLUT([1.0, 1.0], [0.5, 0.5j])
 
 
 # --- voltage selection -------------------------------------------------------

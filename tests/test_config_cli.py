@@ -1,14 +1,16 @@
+import math
 import re
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mslink.circuit import (DEFAULT_VOLTAGE_GRID, CircuitParams, VaractorModel,
-                            build_gamma_lut)
+from mslink.circuit import (DEFAULT_FREQUENCY, DEFAULT_TARGET_PHASES,
+                            CircuitParams, VaractorModel, build_gamma_lut)
 from mslink.cli import main
-from mslink.config import (KEYS, circuit_from_dict, experiment_from_dict,
+from mslink.config import (KEYS, experiment_from_dict, gamma_lut_from_dict,
                            parse_config)
 from mslink.harness import ExperimentConfig, surface_constellation
 from mslink.surface import ArrayConfig, parse_mask
@@ -197,11 +199,24 @@ def test_cli_config_rejection_names_the_file(tmp_path, capsys, text, argv,
     ("c_min = 0", "{path}:2: c_min must be > 0, got 0.0"),
     ("v_junction = 0", "{path}:2: v_junction must be > 0, got 0.0"),
     ("exponent = 0", "{path}:2: exponent must be > 0, got 0.0"),
+    # not finite, and the keys of the surface beyond the cell
+    ("r_series = nan", "{path}:2: r_series must be finite, got nan"),
+    ("l_top = nan", "{path}:2: l_top must be finite, got nan"),
+    ("c_zero = inf", "{path}:2: c_zero must be finite, got inf"),
+    ("c_min = -inf", "{path}:2: c_min must be finite, got -inf"),
+    ("frequency = nan", "{path}:2: frequency must be finite and > 0, got nan"),
+    ("frequency = -1", "{path}:2: frequency must be finite and > 0, got -1.0"),
+    ("target_phases = 0, 90, 180",
+     "{path}:2: target_phases must be 4 values, got 3"),
+    ("target_phases = nan, 1, 2, 3",
+     "{path}:2: target_phases must be finite, got nan, 1.0, 2.0, 3.0"),
+    ("target_phases = 0, 0, 0, 0", "{path}:2: target_phases must pick four "
+     "distinct voltages, got 0.0, 0.0, 0.0, 0.0 V"),
 ])
 def test_bad_circuit_values_fail_at_load_in_either_mode(tmp_path, capsys,
                                                         mode, line, message):
-    # a conventional link never builds the surface, but a circuit value no
-    # cell can have is still an error, not a key silently ignored
+    # the surface is built in either mode, so a value no surface can be
+    # built from is an error, not a key silently ignored
     key, text = (part.strip() for part in line.split("="))
     with pytest.raises(ValueError):
         experiment_from_dict({"mode": mode, key: text})
@@ -215,10 +230,78 @@ def test_bad_circuit_values_fail_at_load_in_either_mode(tmp_path, capsys,
     assert capsys.readouterr().err == f"mslink: error: {want}\n"
 
 
+@pytest.mark.parametrize("argv", [["ber-sweep"], ["gamma-curve"]])
+def test_a_cell_at_resonance_is_one_error_line(tmp_path, capsys, argv):
+    # lossless, with the series branch resonating at 0 V: 1/sqrt(C (L1+L2))
+    f = 1.0 / (2 * math.pi * math.sqrt(1.2e-12 * 5.5e-9))
+    path = tmp_path / "resonant.cfg"
+    path.write_text(f"mode = metasurface\nr_series = 0\nfrequency = {f!r}\n")
+    assert main(argv + ["--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"mslink: error: {path}:3: frequency {f:g} Hz is "
+                          f"a branch resonance")
+    assert err.count("\n") == 1
+
+
+# every key the surface is built from, with its default value
+SURFACE_KEYS = {
+    **{f.name: f.default for f in fields(CircuitParams)},
+    **{f.name: f.default for f in fields(VaractorModel)},
+    "frequency": DEFAULT_FREQUENCY,
+    "target_phases": DEFAULT_TARGET_PHASES,
+}
+# 0, negatives, NaN, +-inf and huge values
+_WIDE = (st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+         | st.floats(max_value=0.0, exclude_max=True)
+         | st.floats(min_value=1e6, allow_infinity=False))
+
+
+def _text(value) -> str:
+    return (", ".join(map(repr, value)) if isinstance(value, (tuple, list))
+            else repr(value))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mode=st.sampled_from(["conventional", "metasurface"]),
+       key=st.sampled_from(sorted(SURFACE_KEYS)), data=st.data())
+def test_surface_keys_build_finite_points_or_name_their_line(
+        tmp_path_factory, mode, key, data):
+    value = data.draw(st.lists(_WIDE, min_size=3, max_size=5)
+                      if key == "target_phases" else _WIDE, label=key)
+    # the file sets every surface key, the drawn one to the drawn value, so
+    # that any error about one of them can name its line
+    values = {**SURFACE_KEYS, key: value}
+    path = tmp_path_factory.mktemp("surface") / "wide.cfg"
+    path.write_text(f"mode = {mode}\n" + "".join(
+        f"{k} = {_text(v)}\n" for k, v in values.items()))
+    lines = {k: n for n, k in enumerate(values, 2)}
+    try:
+        cfg = experiment_from_dict(parse_config(path))
+    except ValueError as exc:
+        message = str(exc)
+        opens = re.match(rf"{re.escape(str(path))}:(\d+): (\w+) ", message)
+        assert opens, message
+        named = opens[2]
+        assert int(opens[1]) == lines[named], message
+        if named != key:
+            # a check of two keys is stated under one of them: the tuning
+            # range under target_phases, the cell's response under
+            # frequency, and the capacitance floor under c_zero
+            assert np.all(np.isfinite(value)), message
+            assert (named == "target_phases" and "exceeds LUT span" in message
+                    or named == "frequency" and ("resonance" in message
+                                                 or "overflows" in message)
+                    or named == "c_zero" and key == "c_min"), message
+        return
+    surface = cfg.constellation if mode == "metasurface" else (
+        experiment_from_dict(parse_config(path),
+                             mode="metasurface").constellation)
+    assert np.all(np.isfinite(surface.points))
+
+
 @pytest.mark.parametrize("text, message", [
     ("mode = foo",
      "mode must be 'conventional' or 'metasurface', got 'foo'"),
-    # only a metasurface config drives the surface at its target phases
     ("mode = metasurface\ntarget_phases = 0, 90, 180",
      "target_phases must be 4 values, got 3"),
     ("mode = metasurface\ntarget_phases = 0, 90, 180, 300",
@@ -324,12 +407,12 @@ def test_every_accepted_key_lands_in_its_field(tmp_path):
                                           parse_mask("left-half"))
         else:
             assert getattr(cfg.array, f.name) == want[f.name], f.name
-    params, model = circuit_from_dict(d)
-    assert params == CircuitParams(**{f.name: want[f.name]
-                                      for f in fields(CircuitParams)})
-    assert model == VaractorModel(**{f.name: want[f.name]
-                                     for f in fields(VaractorModel)})
-    lut = build_gamma_lut(model, params, 4.1e9, DEFAULT_VOLTAGE_GRID)
+    params = CircuitParams(**{f.name: want[f.name]
+                              for f in fields(CircuitParams)})
+    model = VaractorModel(**{f.name: want[f.name]
+                             for f in fields(VaractorModel)})
+    lut = build_gamma_lut(model, params, 4.1e9)
+    np.testing.assert_array_equal(gamma_lut_from_dict(d).gammas, lut.gammas)
     np.testing.assert_array_equal(
         cfg.constellation.points,
         surface_constellation(lut, want["target_phases"]).points)
@@ -353,7 +436,10 @@ def test_empty_dict_gives_the_dataclass_defaults():
     for f in fields(ArrayConfig):
         np.testing.assert_array_equal(getattr(got.array, f.name),
                                       getattr(want.array, f.name))
-    assert circuit_from_dict({}) == (CircuitParams(), VaractorModel())
+    np.testing.assert_array_equal(
+        gamma_lut_from_dict({}).gammas,
+        build_gamma_lut(VaractorModel(), CircuitParams(),
+                        DEFAULT_FREQUENCY).gammas)
 
 
 @pytest.mark.parametrize("extra", [{}, {"r_series": "12.0"}])
@@ -373,11 +459,13 @@ def test_experiment_from_dict_overrides_win():
     assert cfg.frames_per_point == 7
 
 
-def test_circuit_from_dict_defaults_and_keys():
-    params, model = circuit_from_dict({"r_series": "3.5", "c_zero": "1e-12"})
-    assert params.r_series == 3.5
-    assert model.c_zero == 1e-12
-    assert model.c_min == 0.2e-12  # untouched default
+def test_gamma_lut_from_dict_defaults_and_keys():
+    lut = gamma_lut_from_dict({"r_series": "3.5", "c_zero": "1e-12"})
+    # c_min and the rest keep their defaults
+    np.testing.assert_array_equal(
+        lut.gammas,
+        build_gamma_lut(VaractorModel(c_zero=1e-12),
+                        CircuitParams(r_series=3.5), DEFAULT_FREQUENCY).gammas)
 
 
 def test_cli_gamma_curve(tmp_path, capsys):

@@ -95,7 +95,7 @@ def test_resolved_defaults():
 def test_surface_constellation_from_ideal_lut():
     volts = np.array([0.0, 1.0, 2.0, 3.0])
     gammas = np.exp(1j * np.radians([45.0, 135.0, 225.0, 315.0]))
-    lut = GammaLUT(frequency=4e9, voltages=volts, gammas=gammas)
+    lut = GammaLUT(voltages=volts, gammas=gammas)
     pts = surface_constellation(lut, lut.phases_deg).points
     np.testing.assert_allclose(pts, ideal_qpsk().points, atol=1e-12)
 
@@ -362,11 +362,11 @@ def test_stream_header_roundtrip(tmp_path):
     path = tmp_path / "s.hdr"
     # numpy scalars are written as plain numbers too
     for real, num in ((float, int), (np.float64, np.int64)):
-        hdr = StreamHeader(real(1.25e6), num(1), num(3), num(17))
+        hdr = StreamHeader(real(1.25e6), num(1), num(3), num(16))
         hdr.write(path)
         assert path.read_text() == ("sample_rate_hz = 1250000.0\n"
                                     "samples_per_symbol = 1\nframes = 3\n"
-                                    "pad_bits = 17\n")
+                                    "pad_bits = 16\n")
         assert StreamHeader.read(path) == hdr
 
 
@@ -386,7 +386,7 @@ def test_stream_header_rejects_missing_keys(tmp_path):
 ], ids=["unknown-key", "no-equals", "repeated-key", "pilot-seed-line"])
 def test_stream_header_rejects_malformed_lines(tmp_path, line, message):
     path = tmp_path / "bad.hdr"
-    StreamHeader(1.25e6, 1, 3, 17).write(path)
+    StreamHeader(1.25e6, 1, 3, 16).write(path)
     with open(path, "a") as fh:
         fh.write(line + "\n")
     with pytest.raises(ValueError) as err:
@@ -412,14 +412,17 @@ def test_stream_header_rejects_malformed_lines(tmp_path, line, message):
     ("sample_rate_hz", "fast",
      "{path}:1: sample_rate_hz = 'fast' is not a valid float"),
     # the message opens with pad_bits, so it names pad_bits' line
-    ("frames", "0", "{path}:4: pad_bits must be 0 when frames is 0, got 17"),
+    ("frames", "0", "{path}:4: pad_bits must be 0 when frames is 0, got 16"),
+    # the payload is a byte file: padding by a part of a byte is an error
+    ("pad_bits", "17", "{path}:4: pad_bits must be a multiple of 8, got 17"),
 ], ids=["sps-zero", "frames-negative", "pad-negative", "pad-whole-frame",
         "rate-zero", "rate-nan", "rate-not-symbol-rate-times-sps",
-        "frames-not-a-number", "rate-not-a-number", "pad-without-frames"])
+        "frames-not-a-number", "rate-not-a-number", "pad-without-frames",
+        "pad-part-of-a-byte"])
 def test_stream_header_rejects_out_of_range_values(tmp_path, key, value,
                                                    message):
     path = tmp_path / "bad.hdr"
-    StreamHeader(1.25e6, 1, 3, 17).write(path)
+    StreamHeader(1.25e6, 1, 3, 16).write(path)
     lines = [f"{key} = {value}" if line.startswith(key + " ") else line
              for line in path.read_text().splitlines()]
     path.write_text("\n".join(lines) + "\n")
@@ -579,7 +582,9 @@ def test_pad_bits_that_are_not_whole_bytes_fail_before_any_frame(
     src.write_bytes(bytes(100))
     hdr = transmit_file(src, ExperimentConfig(), tmp_path / "s.iq")
     bad = tmp_path / "s.hdr"
-    dataclasses.replace(hdr, pad_bits=hdr.pad_bits + 1).write(bad)
+    hdr.write(bad)
+    bad.write_text(bad.read_text().replace(f"pad_bits = {hdr.pad_bits}\n",
+                                           f"pad_bits = {hdr.pad_bits + 1}\n"))
     out = tmp_path / "out.bin"
 
     def no_frame(*args, **kwargs):
@@ -587,7 +592,7 @@ def test_pad_bits_that_are_not_whole_bytes_fail_before_any_frame(
 
     monkeypatch.setattr(rxchain, "frame_sync", no_frame)
     monkeypatch.setattr(harness, "receive_frame", no_frame)
-    want = f"pad_bits must be a multiple of 8, got {hdr.pad_bits + 1}"
+    want = f"{bad}:4: pad_bits must be a multiple of 8, got {hdr.pad_bits + 1}"
     with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
         receive_file(tmp_path / "s.iq", bad, out)
     assert main(["receive", str(tmp_path / "s.iq"), "--header", str(bad),
