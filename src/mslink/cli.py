@@ -23,9 +23,9 @@ import numpy as np
 from .channel import apply_channel
 from .config import experiment_from_dict, gamma_lut_from_dict, parse_config
 from .errors import InterpolationError, PartialReceiveError, SyncNotFoundError
-from .harness import (_channel, compare_architectures, receive_file,
-                      run_ber_sweep, run_frame, transmit_file, transmit_frame,
-                      write_ber_csv)
+from .harness import (DEFAULT_TARGET_BER, _channel, compare_architectures,
+                      receive_file, run_ber_sweep, run_frame, transmit_file,
+                      transmit_frame, write_ber_csv)
 from .rxchain import dump_symbols_csv, frame_sync
 
 # every flag, declared once; a subcommand adds the ones it names
@@ -71,7 +71,7 @@ def cmd_compare(args) -> int:
     base = _load(args)
     cfg_conv = _experiment(args, base, mode="conventional")
     cfg_meta = _experiment(args, base, mode="metasurface")
-    target = base.get("target_ber", 1e-4)
+    target = base.get("target_ber", DEFAULT_TARGET_BER)
     rec_a, rec_b, gap = compare_architectures(cfg_conv, cfg_meta, target)
     stem = args.out or "compare"
     write_ber_csv(rec_a, f"{stem}_conventional.csv")
@@ -97,7 +97,9 @@ def cmd_receive(args) -> int:
 
 
 def cmd_gamma_curve(args) -> int:
-    lut = gamma_lut_from_dict(_load(args))
+    base = _load(args)
+    _experiment(args, base)   # checks every key, not only the table's
+    lut = gamma_lut_from_dict(base)
     out = args.out or "gamma_curve.csv"
     lut.to_csv(out)
     print(f"wrote {out}: {lut.voltages.size} points, "

@@ -12,7 +12,8 @@ from dataclasses import fields, replace
 
 from .circuit import (CircuitParams, GammaLUT, VaractorModel, build_gamma_lut,
                       DEFAULT_FREQUENCY, DEFAULT_TARGET_PHASES)
-from .harness import ExperimentConfig, surface_constellation
+from .harness import (DEFAULT_TARGET_BER, ExperimentConfig,
+                      check_target_ber, surface_constellation)
 from .iqfile import in_file, read_key_values
 from .surface import ArrayConfig
 
@@ -103,11 +104,11 @@ def gamma_lut_from_dict(d: dict) -> GammaLUT:
 
 def experiment_from_dict(d: dict, **overrides) -> ExperimentConfig:
     """Build an ExperimentConfig from config values plus CLI overrides
-    (overrides win).  A value that a dataclass rejects is an error naming
-    the file of config values read by parse_config, and its line when the
-    error opens with its key.  The surface is built from its keys in either
-    mode, so none of them is silently ignored; only a metasurface config
-    keeps its points."""
+    (overrides win).  A value that a dataclass rejects, and a `target_ber`
+    outside (0, 0.5), is an error naming the file of config values read by
+    parse_config, and its line when the error opens with its key.  The
+    surface is built from its keys in either mode, so none of them is
+    silently ignored; only a metasurface config keeps its points."""
     given = {k: v for k, v in overrides.items() if v is not None}
     merged = {**d, **given}
     unknown = sorted(merged.keys() - KEYS)
@@ -120,6 +121,7 @@ def experiment_from_dict(d: dict, **overrides) -> ExperimentConfig:
         targets = _KEY_PARSERS["target_phases"](
             merged.get("target_phases", DEFAULT_TARGET_PHASES))
         surface = surface_constellation(gamma_lut_from_dict(merged), targets)
+        check_target_ber(float(merged.get("target_ber", DEFAULT_TARGET_BER)))
         if cfg.mode == "metasurface":
             cfg = replace(cfg, constellation=surface)
     except ValueError as exc:

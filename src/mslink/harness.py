@@ -13,7 +13,7 @@ import numpy as np
 from .channel import ChannelConfig, apply_channel
 from .circuit import (DEFAULT_TARGET_PHASES, GammaLUT, default_gamma_lut,
                       select_control_voltages)
-from .errors import (InterpolationError, PartialReceiveError,
+from .errors import (FramingError, InterpolationError, PartialReceiveError,
                      SingularChannelError, SyncNotFoundError)
 from .iqfile import StreamHeader, read_iq, write_iq
 from .rxchain import receive_frame
@@ -22,6 +22,7 @@ from .txchain import (SYMBOL_RATE, BasebandSignal, Constellation,
                       FrameLayout, build_frame, ideal_qpsk)
 
 SEED_POINT_STRIDE = 2 ** 20   # per-SNR-point seed offset
+DEFAULT_TARGET_BER = 1e-4     # where compare reads the gap
 _NOISE_SEED_OFFSET = 2 ** 40  # decorrelates payload and noise streams
 _SCRATCH = threading.local()  # `rx`: this thread's received-samples array
 
@@ -253,9 +254,17 @@ def snr_at_ber(records: list[BerRecord], target_ber: float) -> float:
         f"target BER {target_ber:g} not bracketed by measured curve")
 
 
+def check_target_ber(target_ber: float) -> None:
+    """Reject a target BER outside (0, 0.5), which no BER curve crosses."""
+    if not 0.0 < target_ber < 0.5:
+        raise ValueError(f"target_ber must be in (0, 0.5), got {target_ber!r}")
+
+
 def compare_architectures(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig,
-                          target_ber: float = 1e-4):
-    """Run both sweeps and report cfg_b's extra SNR (dB) at the target BER."""
+                          target_ber: float = DEFAULT_TARGET_BER):
+    """Run both sweeps and report cfg_b's extra SNR (dB) at the target BER.
+    The target and the grids are checked before any frame runs."""
+    check_target_ber(target_ber)
     if tuple(cfg_a.snr_list) != tuple(cfg_b.snr_list):
         raise ValueError("configs must share the SNR grid")
     rec_a = run_ber_sweep(cfg_a)
@@ -307,42 +316,40 @@ def transmit_file(path, cfg: ExperimentConfig, iq_path, header_path=None
     return header
 
 
-def receive_stream(sig: BasebandSignal, header: StreamHeader) -> np.ndarray:
+def receive_stream(samples, header: StreamHeader) -> np.ndarray:
     """Recover the payload bytes of a multi-frame stream, as one uint8 array
-    without the header's pad bits.
+    without the header's pad bits.  The header alone gives the sample rate
+    and the samples per symbol.
 
-    The first frame is searched over the first frame length of start
-    positions (fewer when the stream is shorter than two frames), which
-    frame_sync correlates in FFT blocks of bounded size; later frames are
-    expected at a fixed stride from it (the channel model has no clock
-    drift), with a small window to absorb correlation-peak jitter.  The
-    frames run in the thread's receive buffers, as run_frame's do; each
-    frame's bits are packed into its 4 608 bytes of the array returned as
-    the frame is decoded, and its diagnostics are dropped before the next
-    frame is decoded.  A frame that fails sync (as an all-zero stream
-    does), or whose channel estimate has a zero bin, raises
-    PartialReceiveError naming it."""
-    from .rxchain import frame_sync
-
+    Frame 0 is searched over the first frame length of start positions
+    (fewer when the stream is shorter than two frames), which frame_sync
+    correlates in FFT blocks of bounded size.  Later frames are expected at
+    a fixed stride from the start it finds (the channel model has no clock
+    drift), each searched over a small window that absorbs
+    correlation-peak jitter.  Every frame is decoded by receive_frame in the
+    thread's receive buffers, as run_frame's are; each frame's bits are
+    packed into its 4 608 bytes of the array returned as the frame is
+    decoded, and its diagnostics are dropped before the next frame is
+    decoded.  A frame that fails sync (as an all-zero stream does), that
+    runs past the end of the stream, or whose channel estimate has a zero
+    bin raises PartialReceiveError naming it."""
     sps = header.samples_per_symbol
+    sig = BasebandSignal(samples, header.sample_rate_hz, sps)
     stride = FrameLayout.frame_len * sps
     per_frame = FrameLayout.payload_bits // 8
     out = np.empty(header.frames * per_frame, dtype=np.uint8)
-    if header.frames == 0:
-        return out
-    search_span = min(stride, max(1, sig.samples.size - stride + 1))
-    try:
-        start = frame_sync(sig, (0, search_span)).frame_start
-    except SyncNotFoundError as exc:
-        raise PartialReceiveError(0, str(exc)) from exc
+    window = (0, min(stride, max(1, samples.size - stride + 1)))
     for i in range(header.frames):
-        expect = start + i * stride
-        window = (max(0, expect - 2 * sps), expect + 2 * sps + 1)
         try:
-            bits = receive_frame(sig, search_window=window)[0]
-        except (SyncNotFoundError, SingularChannelError) as exc:
+            bits, diag = receive_frame(sig, search_window=window)
+        except (SyncNotFoundError, FramingError, SingularChannelError) as exc:
             raise PartialReceiveError(i, str(exc)) from exc
+        if i == 0:
+            start = diag.frame_start
+        del diag   # its equalized symbols, before the next frame's
         out[i * per_frame:(i + 1) * per_frame] = np.packbits(bits)
+        expect = start + (i + 1) * stride
+        window = (max(0, expect - 2 * sps), expect + 2 * sps + 1)
     return out[:out.size - header.pad_bits // 8]
 
 
@@ -357,10 +364,7 @@ def receive_file(iq_path, header, out_path) -> int:
     if samples.size < expected:
         raise ValueError(f"{iq_path}: stream has {samples.size} samples, "
                          f"header implies >= {expected}")
-    sig = BasebandSignal(samples=samples,
-                         sample_rate=header.sample_rate_hz,
-                         samples_per_symbol=header.samples_per_symbol)
-    payload = receive_stream(sig, header)
+    payload = receive_stream(samples, header)
     with open(out_path, "wb") as fh:
         fh.write(payload)
     return payload.size

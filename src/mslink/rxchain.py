@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import CFO_BLOCK
-from .errors import (DegeneratePilotError, SingularChannelError,
-                     SyncNotFoundError)
+from .errors import (DegeneratePilotError, FramingError,
+                     SingularChannelError, SyncNotFoundError)
 from .txchain import (BasebandSignal, FrameLayout, build_pilot_sequence,
                       build_sync_sequence, demap_symbols, ideal_qpsk)
 
@@ -65,31 +65,47 @@ class SyncResult:
 
 @dataclass(frozen=True)
 class RxDiagnostics:
+    """What receive_frame found: the sample the frame starts at, the CFO
+    estimate and the equalized data symbols.  The EVM (`evm_percent`) and
+    the SNR estimate read off it (`snr_estimate_db`) are derived when first
+    read: the EVM is computed from `equalized_symbols` as they are at first
+    read, against their minimum-distance ideal-QPSK decisions, and kept, so
+    a frame whose EVM is never read never computes it."""
+
+    frame_start: int
     cfo_estimate: float
-    evm_percent: float
-    snr_estimate_db: float
     equalized_symbols: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def _evm(self) -> float:
+        """RMS decision error over the RMS ideal-point magnitude."""
+        eq = self.equalized_symbols
+        err = eq - _QPSK_POINTS[nearest_symbol_indices(eq)]
+        return float(np.sqrt(np.mean(np.abs(err) ** 2)
+                             / np.mean(np.abs(_QPSK_POINTS) ** 2)))
+
+    @property
+    def evm_percent(self) -> float:
+        return 100.0 * self._evm
+
+    @property
+    def snr_estimate_db(self) -> float:
+        return math.inf if self._evm == 0.0 else -20.0 * math.log10(self._evm)
 
 
 class ReceiveBuffers:
     """The symbol-rate arrays receive_frame works in: the derotation ramp,
-    the dumped symbols, the final decisions, and the decision error and its
-    power for the EVM.  Each thread reuses one set across its frames, which
-    spares allocating, and page-faulting, them anew for every frame;
-    nothing receive_frame returns aliases them."""
+    the dumped symbols and the final decisions.  Each thread reuses one set
+    across its frames, which spares allocating, and page-faulting, them
+    anew for every frame; nothing receive_frame returns aliases them."""
 
-    __slots__ = ("ramp", "symbols", "decided", "error", "error_power")
+    __slots__ = ("ramp", "symbols", "decided")
 
     def __init__(self):
         lay = FrameLayout
-        n_data = lay.data_subframes * lay.fft_len
         self.ramp = np.empty(lay.frame_len, dtype=complex)
         self.symbols = np.empty(lay.frame_len, dtype=complex)
-        self.decided = np.empty(n_data, dtype=np.intp)
-        # the ramp is spent once the symbols are dumped, so the error,
-        # computed last, takes its memory
-        self.error = self.ramp[:n_data]
-        self.error_power = np.empty(n_data)
+        self.decided = np.empty(lay.data_subframes * lay.fft_len, np.intp)
 
 
 _SCRATCH = threading.local()   # `receive`: this thread's ReceiveBuffers
@@ -380,17 +396,19 @@ def receive_frame(rx: BasebandSignal, search_window=None, est_taps: int = 8):
     channel delay spread for the LS fit.  The symbol-rate work runs in the
     calling thread's ReceiveBuffers, so threads may receive at once; the
     bits and the equalized symbols returned are always fresh arrays.
+    Raises SyncNotFoundError as frame_sync does, FramingError when the
+    frame found runs past the end of the samples, and SingularChannelError
+    when the channel estimate has a zero bin.
     """
     if not hasattr(_SCRATCH, "receive"):   # the thread's first frame
         _SCRATCH.receive = ReceiveBuffers()
     buffers = _SCRATCH.receive
     sps = rx.samples_per_symbol
     lay = FrameLayout
-    sync = frame_sync(rx, search_window)
+    start = frame_sync(rx, search_window).frame_start
     n_frame = lay.frame_len * sps
-    start = sync.frame_start
     if start + n_frame > rx.samples.size:
-        raise ValueError("signal does not contain a complete frame")
+        raise FramingError(f"starts at sample {start} and runs past the end")
     frame = np.asarray(rx.samples)[start : start + n_frame]
 
     eps = estimate_cfo_cp(frame, sps)
@@ -418,19 +436,7 @@ def receive_frame(rx: BasebandSignal, search_window=None, est_taps: int = 8):
                 eq *= np.conj(rot) / abs(rot)
 
     decided = nearest_symbol_indices(equalized, out=buffers.decided)
-    bits = demap_symbols(decided)
-    # err = equalized - points[decided], |err|^2 in place; the decisions lie
-    # in 0..3, so "wrap" takes as indexing would, without the copy of the
-    # output that mode "raise" makes
-    err = np.take(_QPSK_POINTS, decided, out=buffers.error, mode="wrap")
-    np.subtract(equalized, err, out=err)
-    power = np.abs(err, out=buffers.error_power)
-    np.square(power, out=power)
-    evm = float(np.sqrt(np.mean(power) / np.mean(np.abs(_QPSK_POINTS) ** 2)))
-    snr_est = math.inf if evm == 0.0 else -20.0 * math.log10(evm)
-    diag = RxDiagnostics(cfo_estimate=eps, evm_percent=100.0 * evm,
-                         snr_estimate_db=snr_est, equalized_symbols=equalized)
-    return bits, diag
+    return demap_symbols(decided), RxDiagnostics(start, eps, equalized)
 
 
 def dump_symbols_csv(symbols, path) -> None:

@@ -12,7 +12,9 @@ from mslink.circuit import (DEFAULT_FREQUENCY, DEFAULT_TARGET_PHASES,
 from mslink.cli import main
 from mslink.config import (KEYS, experiment_from_dict, gamma_lut_from_dict,
                            parse_config)
-from mslink.harness import ExperimentConfig, surface_constellation
+from mslink import harness
+from mslink.harness import (ExperimentConfig, compare_architectures,
+                            surface_constellation)
 from mslink.surface import ArrayConfig, parse_mask
 from mslink.txchain import FrameLayout
 
@@ -178,7 +180,10 @@ def test_config_value_that_does_not_parse_names_its_line(tmp_path, capsys,
     ("r_series = -1\n", ["gamma-curve"], "{path}:1: r_series must be >= 0"),
     ("mode = metasurface\nr_series = -1\n", ["constellation"],
      "{path}:2: r_series must be >= 0"),
-], ids=["mode", "flag", "gamma-curve", "metasurface"])
+    # every key of the file, not only those the table is built from
+    ("mode = qam\nsnr_list = nan\ntarget_phases = 0, 90\n", ["gamma-curve"],
+     "{path}:1: mode must be 'conventional' or 'metasurface', got 'qam'"),
+], ids=["mode", "flag", "gamma-curve", "metasurface", "gamma-curve-mode"])
 def test_cli_config_rejection_names_the_file(tmp_path, capsys, text, argv,
                                              message):
     path = tmp_path / "bad.cfg"
@@ -474,6 +479,30 @@ def test_cli_gamma_curve(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "voltage_v,re_gamma,im_gamma,mag,phase_deg"
     assert len(lines) == 202  # header + 0..20 V in 0.1 V steps
+
+
+@pytest.mark.parametrize("text", ["nan", "0", "0.5", "2"])
+def test_target_ber_outside_its_range_fails_before_any_frame(
+        tmp_path, capsys, monkeypatch, text):
+    # a BER curve crosses only a target in (0, 0.5); any other is rejected
+    # when the config is built, naming its line, and no sweep runs
+    def no_frame(*args, **kwargs):
+        raise AssertionError("a frame was run")
+
+    monkeypatch.setattr(harness, "run_frame", no_frame)
+    message = f"target_ber must be in (0, 0.5), got {float(text)!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        experiment_from_dict({"target_ber": text})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        compare_architectures(ExperimentConfig(), ExperimentConfig(),
+                              float(text))
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"frames_per_point = 1\ntarget_ber = {text}\n")
+    stem = tmp_path / "cmp"
+    assert main(["compare", "--config", str(path), "--out", str(stem)]) == 1
+    assert capsys.readouterr() == ("", f"mslink: error: {path}:2: "
+                                       f"{message}\n")
+    assert not list(tmp_path.glob("cmp*"))
 
 
 def test_cli_ber_sweep_reproducible(tmp_path):

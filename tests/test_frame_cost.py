@@ -22,7 +22,7 @@ def test_frame_cost_reports_both_modes():
         assert 0 < r["alloc_peak_mb"] < 10 and r["wall_ms_p50"] > 0
     # the thread's scratch after each mode: one received frame at sps 1,
     # then at sps 8, plus the symbol-rate receive buffers
-    receive = 16 * 22_500 * 2 + 8 * 18_432 * 2
+    receive = 16 * 22_500 * 2 + 8 * 18_432
     assert [r["buffers_mb"] for r in res["modes"]] == [
         (16 * 22_500 + receive) / 1e6, (16 * 180_000 + receive) / 1e6]
 
@@ -39,6 +39,6 @@ def test_frame_cost_stream_mode_reports_round_trips():
     (r,) = res["modes"]
     assert (r["mode"], r["sps"], r["frames"]) == ("stream", 1, 2)
     # no run_frame runs, so the thread's scratch is the receive buffers
-    assert r["buffers_mb"] == (16 * 22_500 * 2 + 8 * 18_432 * 2) / 1e6
+    assert r["buffers_mb"] == (16 * 22_500 * 2 + 8 * 18_432) / 1e6
     assert r["minor_faults"] >= 0 and r["sys_ms"] >= 0
     assert 0 < r["alloc_peak_mb"] < 50 and r["wall_ms_p50"] > 0

@@ -17,7 +17,7 @@ from mslink.circuit import (DEFAULT_TARGET_PHASES, GammaLUT, default_gamma_lut,
                             select_control_voltages)
 from mslink.cli import main
 from mslink.config import gamma_lut_from_dict
-from mslink.errors import InterpolationError
+from mslink.errors import InterpolationError, PartialReceiveError
 from mslink.harness import (_NOISE_SEED_OFFSET, SEED_POINT_STRIDE, BerRecord,
                             ExperimentConfig, _channel,
                             compare_architectures, measure_link_snr,
@@ -616,6 +616,65 @@ def test_receive_file_rejects_a_truncated_stream(tmp_path):
     assert not (tmp_path / "out.bin").exists()
 
 
+def _stream_file(tmp_path, frames: int, delay: int = 0, cut: int = 0):
+    """A `frames`-frame stream of random bytes, delayed by `delay` samples
+    and with its last `cut` samples cut off; returns (source, IQ, header)."""
+    src, iq, hdr = (tmp_path / n for n in ("src.bin", "s.iq", "s.hdr"))
+    src.write_bytes(np.random.default_rng(frames).integers(
+        0, 256, frames * FrameLayout.payload_bits // 8 - 100,
+        dtype=np.uint8).tobytes())
+    transmit_file(src, ExperimentConfig(), iq, hdr)
+    samples = np.concatenate([np.zeros(delay, dtype=complex), read_iq(iq)])
+    write_iq(iq, samples[:samples.size - cut])
+    return src, iq, hdr
+
+
+def test_a_stream_syncs_each_frame_once(tmp_path, monkeypatch):
+    # frame 0 is synced over the wide window by receive_frame itself, and
+    # each later frame in its small window: one sync per frame
+    src, iq, hdr = _stream_file(tmp_path, 3, delay=500)
+    calls = []
+    sync = rxchain.frame_sync
+
+    def counted(rx, window):
+        calls.append(window)
+        return sync(rx, window)
+
+    monkeypatch.setattr(rxchain, "frame_sync", counted)
+    receive_file(iq, hdr, tmp_path / "out.bin")
+    assert (tmp_path / "out.bin").read_bytes() == src.read_bytes()
+    assert calls == [(0, 22_500), (23_000 - 2, 23_000 + 3),
+                     (45_500 - 2, 45_500 + 3)]
+
+
+@pytest.mark.parametrize("cut", [100, 499])
+def test_a_stream_cut_short_names_its_last_frame(tmp_path, capsys, cut):
+    # the 500-sample delay lets the cut stream pass the length check, so it
+    # is frame 1, found at sample 23 000, that runs past the end
+    _, iq, hdr = _stream_file(tmp_path, 2, delay=500, cut=cut)
+    out = tmp_path / "out.bin"
+    with pytest.raises(PartialReceiveError) as exc:
+        receive_file(iq, hdr, out)
+    assert exc.value.frame_index == 1
+    want = "frame 1: starts at sample 23000 and runs past the end"
+    assert str(exc.value) == want
+    assert main(["receive", str(iq), "--header", str(hdr),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"mslink: error: {want}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["conventional", "metasurface"])
+@pytest.mark.parametrize("channel", [
+    {"timing_offset": 37}, {"fir_taps": (1.0, 0.3 - 0.2j, 0.1j)},
+], ids=["offset", "3-tap"])
+def test_run_frame_reports_the_sync_start(mode, channel):
+    cfg = ExperimentConfig(mode=mode, **channel)
+    _, bits, diag = run_frame(cfg, math.inf, 2)
+    assert bits is not None
+    assert diag.frame_start == cfg.timing_offset
+
+
 def test_run_frame_reports_diagnostics():
     payload, bits, diag = run_frame(ExperimentConfig(), 15.0, seed=1)
     assert bits is not None
@@ -749,13 +808,12 @@ def test_warm_metasurface_config_holds_one_sample_rate_array(thread_scratch,
     # the transmitter writes into the received-samples array at the delay,
     # so the thread holds one 180 000-sample frame plus the channel's delay
     # and FIR tail, and the receiver's symbol-rate arrays: the derotation
-    # ramp (the decision error is a view of it), the dumped symbols, the
-    # decisions and the error power
+    # ramp, the dumped symbols and the decisions
     cfg = ExperimentConfig(mode="metasurface", **channel)
     run_frame(cfg, 14.0, 0)
     run_frame(cfg, 14.0, 1)
     d, taps = cfg.timing_offset, len(cfg.fir_taps)
-    receive = 16 * 22_500 + 16 * 22_500 + 8 * 18_432 + 8 * 18_432
+    receive = 16 * 22_500 + 16 * 22_500 + 8 * 18_432
     owned = [a for a in thread_scratch().values() if a.base is None]
     assert sum(a.nbytes for a in owned) == (
         16 * (180_000 + d + taps - 1) + receive)

@@ -9,8 +9,9 @@ from mslink.channel import ChannelConfig, apply_channel
 from mslink.errors import (DegeneratePilotError, SingularChannelError,
                            SyncNotFoundError)
 from mslink.rxchain import (AXIS_TOLERANCE, SLICER_BLOCK, SYNC_BLOCK_REPLICAS,
-                            SYNC_THRESHOLD, ReceiveBuffers, _QPSK_POINTS,
-                            _argmin_distance, _correlation_blocks, correct_cfo,
+                            SYNC_THRESHOLD, ReceiveBuffers, RxDiagnostics,
+                            _QPSK_POINTS, _argmin_distance,
+                            _correlation_blocks, correct_cfo,
                             derotate_and_dump, estimate_cfo_cp, frame_sync,
                             integrate_and_dump, ls_channel_estimate,
                             ls_channel_estimate_taps, nearest_symbol_indices,
@@ -585,6 +586,15 @@ def test_receive_frame_noiseless_end_to_end_identity(eps, offset, taps, sps):
     np.testing.assert_array_equal(bits, payload)
 
 
+def _evm_ratio(eq) -> float:
+    """The EVM by its defining expression: RMS error against the nearest
+    ideal-QPSK points over their RMS magnitude."""
+    pts = ideal_qpsk().points
+    err = eq - pts[nearest_symbol_indices(eq)]
+    return float(np.sqrt(np.mean(np.abs(err) ** 2)
+                         / np.mean(np.abs(pts) ** 2)))
+
+
 @pytest.mark.parametrize("sps", [1, 8])
 def test_receive_frame_in_reused_buffers_equals_fresh(thread_scratch,
                                                       in_fresh_thread, sps):
@@ -602,12 +612,7 @@ def test_receive_frame_in_reused_buffers_equals_fresh(thread_scratch,
                 buf.fill(np.nan if buf.dtype.kind in "fc" else -7)
         bits, diag = receive_frame(rx)
         want_bits, want = in_fresh_thread(receive_frame, rx)
-        # the EVM as the expression its buffered ufuncs replace gives it
-        eq = diag.equalized_symbols
-        pts = ideal_qpsk().points
-        err = eq - pts[nearest_symbol_indices(eq)]
-        assert diag.evm_percent == 100.0 * float(np.sqrt(
-            np.mean(np.abs(err) ** 2) / np.mean(np.abs(pts) ** 2)))
+        assert diag.evm_percent == 100.0 * _evm_ratio(diag.equalized_symbols)
         assert bits.tobytes() == want_bits.tobytes()
         assert (diag.equalized_symbols.tobytes()
                 == want.equalized_symbols.tobytes())
@@ -620,6 +625,32 @@ def test_receive_frame_in_reused_buffers_equals_fresh(thread_scratch,
             assert not np.shares_memory(bits, buffers[name])
             assert not np.shares_memory(diag.equalized_symbols,
                                         buffers[name])
+
+
+@pytest.mark.parametrize("snr_db", [12.0, math.inf])
+def test_evm_and_snr_estimate_are_derived_once_on_first_read(snr_db):
+    _, sig = _frame_signal(seed=3)
+    rx = apply_channel(sig, ChannelConfig(snr_db=snr_db, seed=3,
+                                          cfo_normalized=0.1))
+    _, diag = receive_frame(rx)
+    assert "_evm" not in vars(diag)   # nothing is computed until read
+    evm = _evm_ratio(diag.equalized_symbols)
+    snr = math.inf if evm == 0.0 else -20.0 * math.log10(evm)
+    first = (diag.evm_percent, diag.snr_estimate_db)
+    assert first == (100.0 * evm, snr)
+    # read again, even after the symbols change, they are the first reading
+    diag.equalized_symbols[:] = 0.0
+    assert (diag.evm_percent, diag.snr_estimate_db) == first
+
+
+def test_rx_diagnostics_says_when_the_evm_is_computed():
+    doc = " ".join(RxDiagnostics.__doc__.split())
+    assert ("the EVM is computed from `equalized_symbols` as they are at "
+            "first read") in doc
+
+
+def test_receive_buffers_hold_only_what_the_receiver_works_in():
+    assert ReceiveBuffers.__slots__ == ("ramp", "symbols", "decided")
 
 
 def test_receive_frame_oversampled_loopback():

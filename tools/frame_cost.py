@@ -20,11 +20,17 @@ the largest `tracemalloc` peak of a frame, taken in a second pass, since
 tracing slows every allocation.  The resident buffers (`buf MB`) are the
 scratch arrays the measuring thread keeps between operations, read in
 every mode: `run_frame`'s received-samples array (`mslink.harness`) and the
-receiver's `ReceiveBuffers` (`mslink.rxchain`).  A stream round trip runs
-no `run_frame`, so its `buf MB` is the receive buffers alone.  Caches are
-not counted: the channel's CFO ramp cache (`mslink.channel._cfo_ramp`,
-16 B per sample of the stream, 1.4 MB for this one) also stays resident
-between round trips.  The last line of output is one JSON object.
+receiver's `ReceiveBuffers` (`mslink.rxchain`: the derotation ramp, the
+dumped symbols and the slicer decisions, 0.87 MB at any sps; the EVM is
+derived only when a frame's diagnostics are read, so no buffer holds it).
+A stream round trip runs no `run_frame`, so its `buf MB` is the receive
+buffers alone; it syncs each of its frames once, inside `receive_frame`.
+Caches are not counted: the channel's CFO ramp cache
+(`mslink.channel._cfo_ramp`, 16 B per sample of the stream, 1.4 MB for
+this one) also stays resident between round trips.  The process's heap
+layout, and with it the faults of a stream round trip, can depend on the
+length of the checkout's path, so check a change to the stream's arrays
+from several checkout paths.  The last line of output is one JSON object.
 """
 
 from __future__ import annotations
