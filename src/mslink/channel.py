@@ -64,16 +64,38 @@ def noise_variance(snr_db: float, signal_power: float) -> float:
     return signal_power / 10.0 ** (snr_db / 10.0)
 
 
+def cfo_phasors(c: complex, index: np.ndarray, sps: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """np.exp(c * index / (CFO_BLOCK * sps)) for a purely imaginary c (a CFO
+    phase ramp), built as cos(theta) + j sin(theta) with theta = (c.imag *
+    index) * (1 / (CFO_BLOCK * sps)), into `out` when it is given (a complex
+    array of index's length), else into a fresh array.
+
+    That is the expression's own arithmetic, without its complex exp and
+    complex division: numpy divides a complex by a real divisor by
+    multiplying with the divisor's reciprocal, the exponent's real part is
+    +-0, and exp(+-0 + j theta) is (cos theta, sin theta).  The two agree bit
+    for bit at every index >= 1, and at index 0 (where both are 1) up to the
+    sign of the zero imaginary part; tests/test_channel.py checks this on the
+    host, whose float64 sin and cos must match its complex exp.  theta is
+    built in out's imaginary part, so the call allocates nothing else."""
+    out = np.empty(index.shape, dtype=complex) if out is None else out
+    theta = out.imag
+    np.multiply(c.imag, index, out=theta)
+    theta *= 1.0 / (CFO_BLOCK * sps)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=theta)
+    return out
+
+
 @functools.lru_cache(maxsize=2)
 def _cfo_ramp(eps: float, sps: int, n: int) -> np.ndarray:
-    """e^{j 2 pi eps m / (2048 sps)} for m < n.  Built once per (eps, sps,
-    length) and shared, so read-only; one entry holds 16 bytes per sample,
-    so only the last two are kept.  It is built in place, one ufunc at a
-    time in the order `np.exp(2j * np.pi * eps * m / (CFO_BLOCK * sps))`
-    evaluates in, so building it holds one ramp-sized array, not three."""
-    ramp = np.multiply(2j * np.pi * eps, np.arange(n), dtype=complex)
-    ramp /= CFO_BLOCK * sps
-    np.exp(ramp, out=ramp)
+    """e^{j 2 pi eps m / (2048 sps)} for m < n, bit for bit
+    `np.exp(2j * np.pi * eps * m / (CFO_BLOCK * sps))` (see cfo_phasors).
+    Built once per (eps, sps, length) and shared, so read-only; one entry
+    holds 16 bytes per sample, so only the last two are kept.  Building it
+    holds the ramp and the sample index, and no complex temporary."""
+    ramp = cfo_phasors(2j * np.pi * eps, np.arange(n, dtype=float), sps)
     ramp.flags.writeable = False
     return ramp
 

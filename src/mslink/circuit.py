@@ -8,6 +8,7 @@ saturating arc (the varactor capacitance clamps at high bias).
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field, fields
@@ -136,7 +137,11 @@ def varactor_capacitance(v: float, model: VaractorModel) -> float:
 
 
 def load_impedance(c: float, params: CircuitParams, f: float) -> complex:
-    """Equivalent load of the cell: jwL2 || (jwL1 + 1/(jwC) + R)."""
+    """Equivalent load of the cell: jwL2 || (jwL1 + 1/(jwC) + R).
+
+    A load that leaves the float range is an error opening with the one of
+    `frequency`, `l_top`, `l_bottom` and `r_series` that stands furthest
+    above its stock value, the setting that took it there."""
     if not c > 0:
         raise ValueError(f"capacitance must be > 0, got {c}")
     if not (f > 0 and math.isfinite(f)):
@@ -145,12 +150,33 @@ def load_impedance(c: float, params: CircuitParams, f: float) -> complex:
     z_series = 1j * w * params.l_top + 1.0 / (1j * w * c) + params.r_series
     z_shunt = 1j * w * params.l_bottom
     den = z_shunt + z_series
-    scale = max(abs(z_shunt), abs(z_series))
-    if abs(den) < _SINGULARITY_RTOL * scale:
+    try:
+        singular = (abs(den) < _SINGULARITY_RTOL
+                    * max(abs(z_shunt), abs(z_series)))
+    except OverflowError:   # a magnitude past the float range
+        raise _overflow_error(params, f) from None
+    if singular:
         raise SingularityError(
             f"frequency {f:g} Hz is a branch resonance at C={c:g} F: "
             f"|denominator| ~ 0")
-    return z_shunt * z_series / den
+    z = z_shunt * z_series / den
+    if not cmath.isfinite(z):
+        raise _overflow_error(params, f)
+    return z
+
+
+def _overflow_error(params: CircuitParams, f: float) -> ValueError:
+    stock = CircuitParams()
+    ratio = {"frequency": f / DEFAULT_FREQUENCY,
+             "l_top": params.l_top / stock.l_top,
+             "l_bottom": params.l_bottom / stock.l_bottom,
+             "r_series": params.r_series / stock.r_series}
+    key = max(ratio, key=ratio.get)      # the first on a tie
+    if key == "frequency":
+        return ValueError(f"frequency {f:g} Hz: the cell's load impedance "
+                          f"overflows")
+    return ValueError(f"{key} {getattr(params, key):g}: the cell's load "
+                      f"impedance at {f:g} Hz overflows")
 
 
 def reflection_coefficient(z_load: complex, z_air: float) -> complex:
@@ -176,8 +202,9 @@ def build_gamma_lut(model: VaractorModel, params: CircuitParams,
     The whole table is rotated so the first point sits at phase 0 (choice of
     measurement reference plane); the curve then reads directly as phase
     shift relative to zero bias, matching how the tuning curve is usually
-    plotted.  A cell whose response at f overflows is an error opening with
-    `frequency`, as a resonance is.
+    plotted.  A load that overflows is an error naming the setting that
+    took it there (load_impedance); a reflection that overflows from a
+    finite load is an error opening with `frequency`, as a resonance is.
     """
     gammas = np.array([
         reflection_coefficient(

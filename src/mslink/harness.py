@@ -3,6 +3,7 @@ comparisons, file transport over the simulated link."""
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -85,11 +86,21 @@ class ExperimentConfig:
         return max(1, -(-(len(self.fir_taps) - 1) // sps) + 1)
 
     def resolved_constellation(self) -> Constellation:
+        """The configured constellation; else ideal QPSK (conventional) or
+        the stock surface's (metasurface), each built once.  The stock
+        table is looked up on every call, its points only once per table."""
         if self.constellation is not None:
             return self.constellation
         if self.mode == "conventional":
             return ideal_qpsk()
-        return surface_constellation(default_gamma_lut(), DEFAULT_TARGET_PHASES)
+        return _stock_surface(default_gamma_lut())
+
+
+@functools.lru_cache(maxsize=4)
+def _stock_surface(lut: GammaLUT) -> Constellation:
+    """surface_constellation at the default target phases, once per table
+    (a GammaLUT hashes by identity)."""
+    return surface_constellation(lut, DEFAULT_TARGET_PHASES)
 
 
 def surface_constellation(lut: GammaLUT, target_phases) -> Constellation:

@@ -120,15 +120,17 @@ class StreamHeader:
 
 def write_iq(path, samples) -> None:
     """Write the samples as interleaved float32 I,Q, IQ_CHUNK samples at a
-    time through one reused buffer."""
+    time through one reused buffer.  Each chunk is narrowed by one
+    contiguous float64 -> float32 cast of its complex128 I,Q pairs, taken
+    in place for contiguous complex128 samples and copied chunk by chunk
+    otherwise."""
     s = np.asarray(samples).reshape(-1)
     buf = np.empty(2 * min(IQ_CHUNK, s.size), dtype="<f4")
     with open(path, "wb") as fh:
         for i in range(0, s.size, IQ_CHUNK):
-            chunk = s[i:i + IQ_CHUNK]
-            out = buf[:2 * chunk.size]
-            out[0::2] = chunk.real
-            out[1::2] = chunk.imag
+            pairs = np.ascontiguousarray(s[i:i + IQ_CHUNK], dtype=complex)
+            out = buf[:2 * pairs.size]
+            out[:] = pairs.view(np.float64)
             fh.write(out)
 
 

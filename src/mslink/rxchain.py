@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import CFO_BLOCK
+from .channel import CFO_BLOCK, cfo_phasors
 from .errors import (DegeneratePilotError, FramingError,
                      SingularChannelError, SyncNotFoundError)
 from .txchain import (BasebandSignal, FrameLayout, build_pilot_sequence,
@@ -126,7 +126,8 @@ def _out_array(out, shape: tuple, dtype) -> np.ndarray:
 def frame_sync(rx: BasebandSignal, search_window=None) -> SyncResult:
     """Locate the frame start by cross-correlating against the sync replica:
     the sync chips on ideal-QPSK P1/P3 (180 degrees apart), held for
-    `rx.samples_per_symbol` samples each.
+    `rx.samples_per_symbol` samples each.  The replica, its norm and its
+    spectrum at each FFT length are built once per samples per symbol.
 
     search_window is a (start, stop) range of candidate frame-start indices;
     default is every feasible start.  The correlation runs in overlap-save
@@ -136,8 +137,8 @@ def frame_sync(rx: BasebandSignal, search_window=None) -> SyncResult:
     reaches the detection threshold, and on a silent or non-finite segment.
     """
     samples = np.asarray(rx.samples)
-    rep = np.repeat(np.where(build_sync_sequence() > 0, _QPSK_POINTS[0],
-                             _QPSK_POINTS[2]), rx.samples_per_symbol)
+    sps = rx.samples_per_symbol
+    rep, rep_norm = _sync_replica(sps)
     L = rep.size
     max_start = samples.size - L
     if max_start < 0:
@@ -152,14 +153,14 @@ def frame_sync(rx: BasebandSignal, search_window=None) -> SyncResult:
     # of those: np.argmax's pick (the first maximum, or the first NaN) over
     # the whole window
     starts, peaks = [], []
-    for lag, corr in _correlation_blocks(seg, rep, w1 - w0):
+    for lag, corr in _correlation_blocks(seg, sps, w1 - w0):
         i = int(np.argmax(corr))
         starts.append(lag + i)
         peaks.append(corr[i])
     b = int(np.argmax(peaks))
     k, peak = starts[b], float(peaks[b])
     p_hat = float(np.mean(np.abs(seg) ** 2))
-    ideal_peak = math.sqrt(L * p_hat) * float(np.linalg.norm(rep))
+    ideal_peak = math.sqrt(L * p_hat) * rep_norm
     # silence has a zero peak and a zero threshold, and NaN compares false
     if not (peak > 0.0 and peak >= SYNC_THRESHOLD * ideal_peak):
         raise SyncNotFoundError(
@@ -169,10 +170,29 @@ def frame_sync(rx: BasebandSignal, search_window=None) -> SyncResult:
     return SyncResult(frame_start=w0 + k, peak_metric=peak)
 
 
-def _correlation_blocks(seg, rep, n_lags):
-    """|linear cross-correlation| of seg against rep at lags 0..n_lags-1
-    (seg holds n_lags + len(rep) - 1 samples), as (first lag, magnitudes)
-    blocks in lag order.
+@functools.lru_cache(maxsize=8)
+def _sync_replica(sps: int) -> tuple:
+    """The sync replica at sps samples per symbol, and its norm.  Built once
+    per sps and shared, so the replica is read-only."""
+    rep = np.repeat(np.where(build_sync_sequence() > 0, _QPSK_POINTS[0],
+                             _QPSK_POINTS[2]), sps)
+    rep.flags.writeable = False
+    return rep, float(np.linalg.norm(rep))
+
+
+@functools.lru_cache(maxsize=16)
+def _sync_reference(sps: int, nfft: int) -> np.ndarray:
+    """conj(FFT_nfft(replica)), the spectrum every correlation block is
+    multiplied by.  Built once per (sps, nfft) and shared, so read-only."""
+    ref = np.conj(np.fft.fft(_sync_replica(sps)[0], nfft))
+    ref.flags.writeable = False
+    return ref
+
+
+def _correlation_blocks(seg, sps: int, n_lags):
+    """|linear cross-correlation| of seg against rep, the sync replica at
+    sps samples per symbol, at lags 0..n_lags-1 (seg holds n_lags +
+    len(rep) - 1 samples), as (first lag, magnitudes) blocks in lag order.
 
     Overlap-save (Oppenheim & Schafer, Discrete-Time Signal Processing,
     3rd ed., 8.7.3): a block is the circular correlation of nfft samples
@@ -181,10 +201,10 @@ def _correlation_blocks(seg, rep, n_lags):
     len(rep)), or next_pow2(len(seg)) when that is smaller: then the
     segment fits one block, and the single FFT is the whole correlation.
     """
-    L = rep.size
+    L = _sync_replica(sps)[0].size
     nfft = 1 << (min(SYNC_BLOCK_REPLICAS * L, seg.size) - 1).bit_length()
     step = nfft - L + 1
-    ref = np.conj(np.fft.fft(rep, nfft))
+    ref = _sync_reference(sps, nfft)
     for lag in range(0, n_lags, step):
         spec = np.fft.fft(seg[lag : lag + nfft], nfft)
         spec *= ref
@@ -241,9 +261,10 @@ def integrate_and_dump(samples, sps: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _ramp_index(sps: int, n_symbols: int) -> np.ndarray:
-    """sps * arange(n_symbols), the first sample of each symbol.  Built once
-    per (sps, length) and shared, so read-only."""
-    n = sps * np.arange(n_symbols)
+    """sps * arange(n_symbols), the first sample of each symbol, as exact
+    float64 integers.  Built once per (sps, length) and shared, so
+    read-only."""
+    n = sps * np.arange(n_symbols, dtype=float)
     n.flags.writeable = False
     return n
 
@@ -258,7 +279,10 @@ def derotate_and_dump(samples, eps: float, sps: int = 1,
         w = -2 pi eps / (CFO_BLOCK sps).
 
     That is len/sps + sps exponentials instead of len, and no corrected copy
-    at the sample rate.  The symbols are written into `out` and the ramp is
+    at the sample rate.  The symbol-rate ramp is cos + j sin (cfo_phasors),
+    bit for bit the exponential it replaces at every symbol but the first,
+    a sync chip, whose factor 1 may differ in the sign of its zero
+    imaginary part.  The symbols are written into `out` and the ramp is
     built in `ramp` when they are given (two complex arrays of len/sps that
     share no memory with each other or the samples), else in fresh arrays.
     """
@@ -268,11 +292,7 @@ def derotate_and_dump(samples, eps: float, sps: int = 1,
     n = _ramp_index(sps, r.size // sps)
     out = _out_array(out, n.shape, complex)
     ramp = _out_array(ramp, n.shape, complex)
-    # exp(-2j pi eps n / (CFO_BLOCK sps)), one ufunc at a time in the order
-    # the expression evaluates in
-    np.multiply(-2j * np.pi * eps, n, out=ramp)
-    ramp /= CFO_BLOCK * sps
-    np.exp(ramp, out=ramp)
+    cfo_phasors(-2j * np.pi * eps, n, sps, out=ramp)
     # operands in the order of `ramp * r` and `(r @ dump) * ramp`: swapped
     # complex products can round differently (see correct_cfo)
     if sps == 1:
@@ -311,11 +331,29 @@ def ls_channel_estimate_taps(y_pilot_freq, x_pilot_freq,
     if not 1 <= n_taps <= n:
         raise ValueError("n_taps out of range")
     b = np.fft.ifft(np.conj(x) * y)[:n_taps]
-    ac = np.fft.ifft(np.abs(x) ** 2)
-    lags = np.arange(n_taps)
-    gram = ac[(lags[:, None] - lags[None, :]) % n]
+    # the frame's own pilot spectrum, as receive_frame passes it, has its
+    # Gram matrix built once
+    gram = (_pilot_gram(n_taps) if x is _pilot_spectrum()
+            else _gram(x, n_taps))
     taps = np.linalg.solve(gram, b)
     return np.fft.fft(taps, n)
+
+
+def _gram(x, n_taps: int) -> np.ndarray:
+    """The n_taps x n_taps Toeplitz matrix of the pilot spectrum x's
+    circular autocorrelation."""
+    ac = np.fft.ifft(np.abs(x) ** 2)
+    lags = np.arange(n_taps)
+    return ac[(lags[:, None] - lags[None, :]) % x.size]
+
+
+@functools.lru_cache(maxsize=8)
+def _pilot_gram(n_taps: int) -> np.ndarray:
+    """_gram of the fixed pilot's spectrum.  Built once per n_taps and
+    shared, so read-only."""
+    gram = _gram(_pilot_spectrum(), n_taps)
+    gram.flags.writeable = False
+    return gram
 
 
 def zf_equalize(y_block, h) -> np.ndarray:
@@ -349,10 +387,8 @@ def nearest_symbol_indices(symbols, out: np.ndarray | None = None
     s = np.asarray(symbols)
     out = _out_array(out, s.shape, np.intp)
     flat, dec = s.reshape(-1), out.reshape(-1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, flat.size, SLICER_BLOCK):
-            _slice_quadrants(flat[i:i + SLICER_BLOCK],
-                             dec[i:i + SLICER_BLOCK])
+    for i in range(0, flat.size, SLICER_BLOCK):
+        _slice_quadrants(flat[i:i + SLICER_BLOCK], dec[i:i + SLICER_BLOCK])
     return out
 
 
@@ -363,14 +399,18 @@ def _slice_quadrants(s, out) -> None:
     # a negative NaN set a sign bit without being below zero, but -0.0 lies
     # on an axis and a NaN fails the bound, so both are decided again below
     codes = np.signbit(v).view(np.uint16)
-    np.take(_SIGN_QUADRANT, codes, out=out, mode="clip")
+    _SIGN_QUADRANT.take(codes, out=out, mode="clip")
     a = np.abs(v)
-    if a.min() > AXIS_TOLERANCE * (1.0 + a.max()) ** 2:   # False with a NaN
+    # the screen in Python floats: a product overflows to inf, where a power
+    # would raise, and a NaN fails the comparison
+    top = 1.0 + float(np.maximum.reduce(a))
+    if float(np.minimum.reduce(a)) > AXIS_TOLERANCE * (top * top):
         return
-    re, im = a[0::2], a[1::2]
-    scale = 1.0 + np.maximum(re, im)
-    near = ~(np.minimum(re, im) > AXIS_TOLERANCE * scale * scale)
-    out[near] = _argmin_distance(s[near], _QPSK_POINTS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        re, im = a[0::2], a[1::2]
+        scale = 1.0 + np.maximum(re, im)
+        near = ~(np.minimum(re, im) > AXIS_TOLERANCE * scale * scale)
+        out[near] = _argmin_distance(s[near], _QPSK_POINTS)
 
 
 def _argmin_distance(symbols, pts) -> np.ndarray:
@@ -392,10 +432,12 @@ def receive_frame(rx: BasebandSignal, search_window=None, est_taps: int = 8):
 
     Returns (payload_bits, RxDiagnostics).  The channel is estimated once,
     from the frame's fixed pilot (build_pilot_sequence), and that estimate
-    is reused for all nine data subframes.  est_taps bounds the assumed
-    channel delay spread for the LS fit.  The symbol-rate work runs in the
-    calling thread's ReceiveBuffers, so threads may receive at once; the
-    bits and the equalized symbols returned are always fresh arrays.
+    is reused for all nine data subframes; the pilot's spectrum and its
+    Gram matrix are built once per process, as is the sync replica.
+    est_taps bounds the assumed channel delay spread for the LS fit.  The
+    symbol-rate work runs in the calling thread's ReceiveBuffers, so
+    threads may receive at once; the bits and the equalized symbols
+    returned are always fresh arrays.
     Raises SyncNotFoundError as frame_sync does, FramingError when the
     frame found runs past the end of the samples, and SingularChannelError
     when the channel estimate has a zero bin.
@@ -432,8 +474,9 @@ def receive_frame(rx: BasebandSignal, search_window=None, est_taps: int = 8):
         for _ in range(3):
             dec = nearest_symbol_indices(eq)
             rot = np.vdot(_QPSK_POINTS[dec], eq)
-            if abs(rot) > 0:
-                eq *= np.conj(rot) / abs(rot)
+            mag = abs(rot)
+            if mag > 0:
+                eq *= np.conj(rot) / mag
 
     decided = nearest_symbol_indices(equalized, out=buffers.decided)
     return demap_symbols(decided), RxDiagnostics(start, eps, equalized)

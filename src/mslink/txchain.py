@@ -60,8 +60,10 @@ class Constellation:
         return float(np.mean(np.abs(self.points) ** 2))
 
 
+@functools.cache
 def ideal_qpsk() -> Constellation:
-    """Unit-circle QPSK at 45/135/225/315 degrees."""
+    """Unit-circle QPSK at 45/135/225/315 degrees.  Built once and shared; a
+    Constellation is immutable."""
     return Constellation(np.exp(1j * (np.pi / 4 + np.pi / 2 * np.arange(4))))
 
 
@@ -144,10 +146,27 @@ def build_pilot_sequence() -> np.ndarray:
     return idx
 
 
+@functools.cache
+def _frame_head() -> np.ndarray:
+    """The symbol indices every frame opens with: the sync chips, then the
+    pilot subframe, its cyclic prefix first.  Built once and shared, so
+    read-only."""
+    lay = FrameLayout
+    head = np.empty(lay.sync_len + lay.subframe_len, dtype=int)
+    head[:lay.sync_len] = np.where(build_sync_sequence() > 0, 0, 2)
+    pilot = head[lay.sync_len:]
+    pilot[lay.cp_len:] = build_pilot_sequence()
+    pilot[:lay.cp_len] = pilot[-lay.cp_len:]
+    head.flags.writeable = False
+    return head
+
+
 def build_frame(payload_bits) -> np.ndarray:
     """The 22500 symbol indices of the frame carrying `payload_bits`: the
     sync chips, then the pilot (build_pilot_sequence) and the nine data
-    subframes, each with its cyclic prefix.
+    subframes, each with its cyclic prefix.  The sync chips and the pilot
+    subframe are the same in every frame, built once (_frame_head) and
+    copied; only the data subframes are built per frame.
 
     Sync chips ride on the two 180-degree-apart points P1/P3
     (+1 -> P1, -1 -> P3)."""
@@ -156,14 +175,14 @@ def build_frame(payload_bits) -> np.ndarray:
     if bits.size != lay.payload_bits:
         raise FramingError(f"payload must be exactly "
                            f"{lay.payload_bits} bits, got {bits.size}")
+    head = _frame_head()
     out = np.empty(lay.frame_len, dtype=int)
-    out[:lay.sync_len] = np.where(build_sync_sequence() > 0, 0, 2)
-    subframes = out[lay.sync_len:].reshape(lay.n_subframes, lay.subframe_len)
-    bodies = subframes[:, lay.cp_len:]
-    bodies[0] = build_pilot_sequence()
-    bodies[1:] = map_bits_to_symbols(bits).reshape(lay.data_subframes,
-                                                   lay.fft_len)
-    subframes[:, :lay.cp_len] = bodies[:, -lay.cp_len:]
+    out[:head.size] = head
+    data = out[head.size:].reshape(lay.data_subframes, lay.subframe_len)
+    bodies = data[:, lay.cp_len:]
+    bodies[:] = map_bits_to_symbols(bits).reshape(lay.data_subframes,
+                                                  lay.fft_len)
+    data[:, :lay.cp_len] = bodies[:, -lay.cp_len:]
     return out
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from mslink.channel import (CFO_BLOCK, NOISE_CHUNK, ChannelConfig,
                             _cfo_ramp, apply_channel, noise_variance)
+from mslink.rxchain import derotate_and_dump
 from mslink.txchain import BasebandSignal, FrameLayout
 
 
@@ -378,3 +379,43 @@ def test_cfo_ramp_build_holds_one_ramp_sized_array(allocation_peak):
     n = 90_000
     assert allocation_peak(lambda: _cfo_ramp(0.2, 1, n)) <= (
         24 * n + 256 * 1024)
+
+
+# --- the CFO ramps as cos + j sin ------------------------------------------------
+
+_ORACLE_EPS = (0.0, -0.0, 1e-12, -1e-12, 0.05, -0.05, 0.3, -0.3, 0.4999,
+               -0.4999, *np.random.default_rng(2026).uniform(-0.5, 0.5, 4))
+
+
+@pytest.mark.parametrize("sps", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("eps", _ORACLE_EPS)
+def test_cfo_ramps_equal_the_exponentials_they_replace(eps, sps):
+    # Both ramps are built as cos + j sin of the exponent's phase.  They
+    # must equal, bit for bit, the np.exp expressions they replace on this
+    # host, so that a host whose float64 sin and cos differ from its complex
+    # exp fails here rather than moving every result.
+    n_symbols = FrameLayout.frame_len
+    m = np.arange(n_symbols * sps)
+    _cfo_ramp.cache_clear()
+    want = np.exp(2j * np.pi * eps * m / (CFO_BLOCK * sps))
+    assert _cfo_ramp(eps, sps, m.size).tobytes() == want.tobytes()
+
+    # the receiver's ramp, at the first sample of each symbol.  Its symbol 0
+    # is exempt as to the sign of its zero imaginary part: that symbol is a
+    # sync chip the receiver never reads, the factor is 1 either way, and a
+    # factor 1 - 0j moves a product only where the sample has a zero part
+    n = sps * np.arange(n_symbols)
+    want = np.exp(-2j * np.pi * eps * n / (CFO_BLOCK * sps))
+    rng = np.random.default_rng(sps)
+    x = rng.normal(size=n.size * sps) + 1j * rng.normal(size=n.size * sps)
+    out, ramp = (np.empty(n_symbols, dtype=complex) for _ in range(2))
+    derotate_and_dump(x, eps, sps, out=out, ramp=ramp)
+    assert ramp[1:].tobytes() == want[1:].tobytes()
+    assert ramp[0] == 1.0 and want[0] == 1.0
+    # the dumped symbols, symbol 0 included: no sample here has a zero part
+    if sps == 1:
+        symbols = want * x
+    else:
+        dump = np.exp(-2j * np.pi * eps * np.arange(sps) / (CFO_BLOCK * sps))
+        symbols = (x.reshape(-1, sps) @ (dump / sps)) * want
+    assert out.tobytes() == symbols.tobytes()

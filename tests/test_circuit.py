@@ -98,6 +98,29 @@ def test_load_impedance_branch_resonance_raises():
         load_impedance(c, params, f)
 
 
+@pytest.mark.parametrize("settings, f, opens", [
+    (dict(l_top=1e300), DEFAULT_FREQUENCY, "l_top 1e+300: "),
+    (dict(l_bottom=1e300), DEFAULT_FREQUENCY, "l_bottom 1e+300: "),
+    # finite terms whose product leaves the float range
+    (dict(r_series=1e307), DEFAULT_FREQUENCY, "r_series 1e+307: "),
+    (dict(l_top=1e297), DEFAULT_FREQUENCY, "l_top 1e+297: "),
+    # the frequency scales both reactances; it is the setting furthest out
+    ({}, 1e300, "frequency 1e+300 Hz: "),
+    (dict(l_bottom=1e-3), 1e300, "frequency 1e+300 Hz: "),
+    # a denominator whose magnitude alone passes the float range
+    (dict(r_series=1.5e308, l_top=7e297), DEFAULT_FREQUENCY,
+     "l_top 7e+297: "),
+], ids=["l_top", "l_bottom", "r_series", "l_top-product", "frequency",
+        "frequency-and-l_bottom", "magnitude"])
+def test_load_impedance_overflow_names_the_setting(settings, f, opens):
+    # the error opens with the setting that took the load out of the float
+    # range, so that a config file's error names that setting's line
+    with pytest.raises(ValueError) as exc:
+        load_impedance(1.2e-12, CircuitParams(**settings), f)
+    assert str(exc.value).startswith(opens)
+    assert str(exc.value).endswith("overflows")
+
+
 def test_load_impedance_rejects_bad_domain():
     with pytest.raises(ValueError):
         load_impedance(0.0, CircuitParams(), 4e9)

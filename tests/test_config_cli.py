@@ -211,6 +211,16 @@ def test_cli_config_rejection_names_the_file(tmp_path, capsys, text, argv,
     ("c_min = -inf", "{path}:2: c_min must be finite, got -inf"),
     ("frequency = nan", "{path}:2: frequency must be finite and > 0, got nan"),
     ("frequency = -1", "{path}:2: frequency must be finite and > 0, got -1.0"),
+    # a cell whose load leaves the float range, under the setting that took
+    # it there
+    ("l_top = 1e300", "{path}:2: l_top 1e+300: the cell's load impedance "
+     "at 4e+09 Hz overflows"),
+    ("l_bottom = 1e300", "{path}:2: l_bottom 1e+300: the cell's load "
+     "impedance at 4e+09 Hz overflows"),
+    ("r_series = 1e307", "{path}:2: r_series 1e+307: the cell's load "
+     "impedance at 4e+09 Hz overflows"),
+    ("frequency = 1e300", "{path}:2: frequency 1e+300 Hz: the cell's load "
+     "impedance overflows"),
     ("target_phases = 0, 90, 180",
      "{path}:2: target_phases must be 4 values, got 3"),
     ("target_phases = nan, 1, 2, 3",

@@ -334,6 +334,38 @@ def test_chunked_iq_io_equals_the_whole_stream_oracle(tmp_path, n):
     assert got.view(np.float64).tobytes() == want.astype(np.float64).tobytes()
 
 
+@pytest.mark.parametrize("kind", ["contiguous", "strided", "real",
+                                  "complex64", "2-d"])
+def test_write_iq_of_any_layout_equals_the_interleaved_oracle(tmp_path, kind):
+    # contiguous complex128 samples are cast in place, any others copied a
+    # chunk at a time; either way the bytes are the float32 I, Q pairs, the
+    # signs of zeros, infinities and NaN kept
+    n = 2 * IQ_CHUNK + 9
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+    base[:4] = (complex(-0.0, -0.0), complex(np.inf, -0.0),
+                complex(np.nan, -np.inf), complex(0.0, -0.0))
+    x = {"contiguous": base[:n], "strided": base[::2], "real": base.real,
+         "complex64": base.astype(np.complex64),
+         "2-d": base[:2 * (n // 2)].reshape(2, -1)[:, ::2]}[kind]
+    flat = np.asarray(x).reshape(-1)
+    want = np.empty(2 * flat.size, dtype="<f4")
+    want[0::2], want[1::2] = flat.real, flat.imag
+    path = tmp_path / "s.iq"
+    write_iq(path, x)
+    assert path.read_bytes() == want.tobytes()
+
+
+def test_write_iq_copies_no_chunk_of_contiguous_samples(tmp_path,
+                                                        allocation_peak):
+    # the one float32 buffer of IQ_CHUNK pairs, the open file's write
+    # buffer and a few small objects; a copied chunk would add 16 * IQ_CHUNK
+    n = 3 * IQ_CHUNK + 5
+    x = np.random.default_rng(0).standard_normal(2 * n).view(complex)
+    path = tmp_path / "s.iq"
+    assert allocation_peak(lambda: write_iq(path, x)) <= 8 * IQ_CHUNK + 16384
+
+
 @pytest.mark.parametrize("k", [IQ_CHUNK, 2 * IQ_CHUNK + 17])
 def test_read_iq_names_a_bad_sample_past_the_first_chunk(tmp_path, k):
     # the first sample that is not finite, by its index in the stream, with

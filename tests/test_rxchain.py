@@ -171,7 +171,7 @@ def test_correlation_blocks_tile_the_window(sps, n_lags):
     rng = np.random.default_rng(sps)
     re, im = rng.normal(size=(2, n_lags + rep.size - 1))
     seg = re + 1j * im
-    blocks = list(_correlation_blocks(seg, rep, n_lags))
+    blocks = list(_correlation_blocks(seg, sps, n_lags))
     assert [lag for lag, _ in blocks] == list(range(0, n_lags, step))
     got = np.concatenate([corr for _, corr in blocks])
     want = _oracle_correlation(seg, rep, n_lags)
@@ -192,7 +192,7 @@ def test_a_stream_first_search_takes_seven_blocks():
         rep = _sync_replica(sps)
         n = FrameLayout.frame_len * sps
         seg = np.ones(n + rep.size - 1, dtype=complex)
-        assert len(list(_correlation_blocks(seg, rep, n))) == 7
+        assert len(list(_correlation_blocks(seg, sps, n))) == 7
 
 
 def test_frame_sync_over_a_wide_window_allocates_a_few_blocks(

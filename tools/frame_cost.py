@@ -27,10 +27,12 @@ A stream round trip runs no `run_frame`, so its `buf MB` is the receive
 buffers alone; it syncs each of its frames once, inside `receive_frame`.
 Caches are not counted: the channel's CFO ramp cache
 (`mslink.channel._cfo_ramp`, 16 B per sample of the stream, 1.4 MB for
-this one) also stays resident between round trips.  The process's heap
-layout, and with it the faults of a stream round trip, can depend on the
-length of the checkout's path, so check a change to the stream's arrays
-from several checkout paths.  The last line of output is one JSON object.
+this one) also stays resident between round trips, and so do the frame
+constants built once per process (the sync replicas and their spectra,
+the pilot's Gram matrix, the frame head; about 0.2 MB over both modes and
+the stream).  The process's heap layout, and with it the faults of a
+stream round trip, can depend on the length of the checkout's path, so
+check a change to the stream's arrays from several checkout paths.  The last line of output is one JSON object.
 """
 
 from __future__ import annotations
