@@ -235,12 +235,13 @@ def run_ber_sweep(cfg: ExperimentConfig) -> list[BerRecord]:
         failures = 0
         for f in range(cfg.frames_per_point):
             seed = cfg.base_seed + p * SEED_POINT_STRIDE + f
-            payload, bits, _ = run_frame(cfg, snr, seed)
+            payload, bits, diag = run_frame(cfg, snr, seed)
             if bits is None:
                 errors += payload.size
                 failures += 1
             else:
                 errors += int(np.count_nonzero(bits != payload))
+            del payload, bits, diag   # before the next frame's are made
         n_bits = cfg.frames_per_point * FrameLayout.payload_bits
         records.append(BerRecord(snr_db=float(snr), bits_simulated=n_bits,
                                  bit_errors=errors, ber=errors / n_bits,
@@ -340,8 +341,8 @@ def receive_stream(samples, header: StreamHeader) -> np.ndarray:
     correlation-peak jitter.  Every frame is decoded by receive_frame in the
     thread's receive buffers, as run_frame's are; each frame's bits are
     packed into its 4 608 bytes of the array returned as the frame is
-    decoded, and its diagnostics are dropped before the next frame is
-    decoded.  A frame that fails sync (as an all-zero stream does), that
+    decoded, and its bits and diagnostics are dropped before the next frame
+    is decoded.  A frame that fails sync (as an all-zero stream does), that
     runs past the end of the stream, or whose channel estimate has a zero
     bin raises PartialReceiveError naming it."""
     sps = header.samples_per_symbol
@@ -357,8 +358,8 @@ def receive_stream(samples, header: StreamHeader) -> np.ndarray:
             raise PartialReceiveError(i, str(exc)) from exc
         if i == 0:
             start = diag.frame_start
-        del diag   # its equalized symbols, before the next frame's
         out[i * per_frame:(i + 1) * per_frame] = np.packbits(bits)
+        del bits, diag   # before the next frame's are made
         expect = start + (i + 1) * stride
         window = (max(0, expect - 2 * sps), expect + 2 * sps + 1)
     return out[:out.size - header.pad_bits // 8]

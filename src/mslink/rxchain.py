@@ -94,16 +94,18 @@ class RxDiagnostics:
 
 
 class ReceiveBuffers:
-    """The symbol-rate arrays receive_frame works in: the derotation ramp,
-    the dumped symbols and the final decisions.  Each thread reuses one set
-    across its frames, which spares allocating, and page-faulting, them
-    anew for every frame; nothing receive_frame returns aliases them."""
+    """The symbol-rate arrays receive_frame works in: the dumped symbols,
+    the final decisions and the derotation ramp.  The ramp is None until
+    the thread's first frame at sps > 1: at sps 1 the ramp is built in the
+    symbols (see derotate_and_dump).  Each thread reuses one set across its
+    frames, which spares allocating, and page-faulting, them anew for every
+    frame; nothing receive_frame returns aliases them."""
 
     __slots__ = ("ramp", "symbols", "decided")
 
     def __init__(self):
         lay = FrameLayout
-        self.ramp = np.empty(lay.frame_len, dtype=complex)
+        self.ramp = None
         self.symbols = np.empty(lay.frame_len, dtype=complex)
         self.decided = np.empty(lay.data_subframes * lay.fft_len, np.intp)
 
@@ -284,13 +286,17 @@ def derotate_and_dump(samples, eps: float, sps: int = 1,
     a sync chip, whose factor 1 may differ in the sign of its zero
     imaginary part.  The symbols are written into `out` and the ramp is
     built in `ramp` when they are given (two complex arrays of len/sps that
-    share no memory with each other or the samples), else in fresh arrays.
+    share no memory with each other or the samples), else in fresh arrays;
+    at sps 1 without `ramp`, the ramp is built in the symbols' array and
+    multiplied by the samples there, so it takes no array of its own.
     """
     r = np.asarray(samples)
     if r.size % sps:
         raise ValueError("sample count not divisible by sps")
     n = _ramp_index(sps, r.size // sps)
     out = _out_array(out, n.shape, complex)
+    if sps == 1 and ramp is None:
+        ramp = out
     ramp = _out_array(ramp, n.shape, complex)
     cfo_phasors(-2j * np.pi * eps, n, sps, out=ramp)
     # operands in the order of `ramp * r` and `(r @ dump) * ramp`: swapped
@@ -314,44 +320,36 @@ def ls_channel_estimate(y_pilot_freq, x_pilot_freq) -> np.ndarray:
     return y / x
 
 
-def ls_channel_estimate_taps(y_pilot_freq, x_pilot_freq,
-                             n_taps: int = 8) -> np.ndarray:
-    """Least squares constrained to a short impulse response.
+def ls_channel_estimate_taps(y_pilot_freq, n_taps: int = 8) -> np.ndarray:
+    """Least squares constrained to a short impulse response, fitted to the
+    received spectrum of the frame's fixed pilot.
 
-    Solves min_h ||Y - diag(X) F h||^2 over length-n_taps h via the normal
-    equations (pilot autocorrelation Toeplitz system), then returns the full
-    frequency response FFT(h).  Cuts estimation noise by ~N/n_taps versus the
-    per-bin divide, at the cost of assuming delay spread <= n_taps symbols.
+    Solves min_h ||Y - diag(X) F h||^2 over length-n_taps h, X the pilot's
+    spectrum, via the normal equations (pilot autocorrelation Toeplitz
+    system), then returns the full frequency response FFT(h).  Cuts
+    estimation noise by ~N/n_taps versus the per-bin divide, at the cost of
+    assuming delay spread <= n_taps symbols.
     """
     y = np.asarray(y_pilot_freq, dtype=complex)
-    x = np.asarray(x_pilot_freq, dtype=complex)
+    x = _pilot_spectrum()
     if y.shape != x.shape:
         raise ValueError("pilot spectra length mismatch")
     n = x.size
     if not 1 <= n_taps <= n:
         raise ValueError("n_taps out of range")
     b = np.fft.ifft(np.conj(x) * y)[:n_taps]
-    # the frame's own pilot spectrum, as receive_frame passes it, has its
-    # Gram matrix built once
-    gram = (_pilot_gram(n_taps) if x is _pilot_spectrum()
-            else _gram(x, n_taps))
-    taps = np.linalg.solve(gram, b)
+    taps = np.linalg.solve(_pilot_gram(n_taps), b)
     return np.fft.fft(taps, n)
-
-
-def _gram(x, n_taps: int) -> np.ndarray:
-    """The n_taps x n_taps Toeplitz matrix of the pilot spectrum x's
-    circular autocorrelation."""
-    ac = np.fft.ifft(np.abs(x) ** 2)
-    lags = np.arange(n_taps)
-    return ac[(lags[:, None] - lags[None, :]) % x.size]
 
 
 @functools.lru_cache(maxsize=8)
 def _pilot_gram(n_taps: int) -> np.ndarray:
-    """_gram of the fixed pilot's spectrum.  Built once per n_taps and
-    shared, so read-only."""
-    gram = _gram(_pilot_spectrum(), n_taps)
+    """The n_taps x n_taps Toeplitz matrix of the pilot spectrum's circular
+    autocorrelation.  Built once per n_taps and shared, so read-only."""
+    x = _pilot_spectrum()
+    ac = np.fft.ifft(np.abs(x) ** 2)
+    lags = np.arange(n_taps)
+    gram = ac[(lags[:, None] - lags[None, :]) % x.size]
     gram.flags.writeable = False
     return gram
 
@@ -447,6 +445,8 @@ def receive_frame(rx: BasebandSignal, search_window=None, est_taps: int = 8):
     buffers = _SCRATCH.receive
     sps = rx.samples_per_symbol
     lay = FrameLayout
+    if sps > 1 and buffers.ramp is None:   # the thread's first such frame
+        buffers.ramp = np.empty(lay.frame_len, dtype=complex)
     start = frame_sync(rx, search_window).frame_start
     n_frame = lay.frame_len * sps
     if start + n_frame > rx.samples.size:
@@ -455,13 +455,12 @@ def receive_frame(rx: BasebandSignal, search_window=None, est_taps: int = 8):
 
     eps = estimate_cfo_cp(frame, sps)
     symbols = derotate_and_dump(frame, eps, sps, out=buffers.symbols,
-                                ramp=buffers.ramp)
+                                ramp=buffers.ramp if sps > 1 else None)
 
     # the ten subframe bodies without their CPs, pilot first
     bodies = symbols[lay.sync_len:].reshape(
         lay.n_subframes, lay.subframe_len)[:, lay.cp_len:]
-    h = ls_channel_estimate_taps(np.fft.fft(bodies[0]),
-                                 _pilot_spectrum(), est_taps)
+    h = ls_channel_estimate_taps(np.fft.fft(bodies[0]), est_taps)
     # fresh, never a buffer: the equalized symbols are returned in the
     # diagnostics
     eq_blocks = zf_equalize(bodies[1:], h)

@@ -38,8 +38,10 @@ def _thread_scratch() -> dict:
         arrays["rx"] = rx
     receive = getattr(rxchain._SCRATCH, "receive", None)
     if receive is not None:
-        arrays.update({name: getattr(receive, name)
-                       for name in rxchain.ReceiveBuffers.__slots__})
+        for name in rxchain.ReceiveBuffers.__slots__:
+            buf = getattr(receive, name)
+            if buf is not None:
+                arrays[name] = buf
     return arrays
 
 

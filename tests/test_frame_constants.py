@@ -94,19 +94,20 @@ def test_sync_replica_norm_is_the_replicas():
 
 
 def test_the_pilot_gram_serves_only_the_pilot_spectrum():
-    # the cached matrix is taken for the fixed pilot's own spectrum; an
-    # equal copy, and any other spectrum, gets its own, with equal results
+    # the fit is always against the frame's fixed pilot, whose Gram matrix
+    # is taken from the cache, and equals a solve against a fresh build of
+    # the pilot's spectrum and Gram matrix to the bit
     rng = np.random.default_rng(3)
     y = np.fft.fft(rng.normal(size=2048) + 1j * rng.normal(size=2048))
-    x = rxchain._pilot_spectrum()
-    cached = rxchain.ls_channel_estimate_taps(y, x, 8)
-    assert cached.tobytes() == rxchain.ls_channel_estimate_taps(
-        y, x.copy(), 8).tobytes()
-    other = np.fft.fft(_POINTS[rng.integers(0, 4, 2048)])
-    h = rxchain.ls_channel_estimate_taps(y, other, 8)
-    b = np.fft.ifft(np.conj(other) * y)[:8]
-    taps = np.linalg.solve(_toeplitz_gram(other, 8), b)
-    assert h.tobytes() == np.fft.fft(taps, 2048).tobytes()
+    x = np.fft.fft(_POINTS[build_pilot_sequence()])
+    for n_taps in (1, 8):
+        rxchain._pilot_gram(n_taps)
+        hits = rxchain._pilot_gram.cache_info().hits
+        h = rxchain.ls_channel_estimate_taps(y, n_taps)
+        assert rxchain._pilot_gram.cache_info().hits == hits + 1
+        b = np.fft.ifft(np.conj(x) * y)[:n_taps]
+        taps = np.linalg.solve(_toeplitz_gram(x, n_taps), b)
+        assert h.tobytes() == np.fft.fft(taps, 2048).tobytes()
 
 
 def test_the_stock_surface_follows_the_table_it_is_given():

@@ -679,6 +679,20 @@ def test_a_stream_syncs_each_frame_once(tmp_path, monkeypatch):
                      (45_500 - 2, 45_500 + 3)]
 
 
+def test_a_stream_holds_one_frame_of_results(tmp_path, allocation_peak):
+    # each frame's bits and diagnostics are dropped before the next frame is
+    # decoded, so a three-frame stream peaks within 64 KB of a one-frame
+    # stream: its larger payload array and frame 0's wider sync window
+    peaks = []
+    for frames in (1, 3):
+        _, iq, hdr = _stream_file(tmp_path, frames)
+        samples, header = read_iq(iq), StreamHeader.read(hdr)
+        harness.receive_stream(samples, header)   # warm
+        peaks.append(allocation_peak(
+            lambda: harness.receive_stream(samples, header)))
+    assert peaks[1] <= peaks[0] + 64 * 1024
+
+
 @pytest.mark.parametrize("cut", [100, 499])
 def test_a_stream_cut_short_names_its_last_frame(tmp_path, capsys, cut):
     # the 500-sample delay lets the cut stream pass the length check, so it
@@ -735,9 +749,11 @@ def _frame_bytes(frame) -> tuple:
             diag.evm_percent)
 
 
-def test_run_frame_results_survive_later_frames_and_alias_no_buffer(
-        thread_scratch):
-    for mode in ("conventional", "metasurface"):
+def _results_survive_later_frames_and_alias_no_buffer(thread_scratch):
+    # a thread's first frame at sps 1 allocates no derotation ramp; its
+    # first frame at sps 8 adds one
+    for mode, names in (("conventional", {"rx", "symbols", "decided"}),
+                        ("metasurface", {"rx", *ReceiveBuffers.__slots__})):
         cfg = ExperimentConfig(mode=mode)
         payload, bits, diag = run_frame(cfg, 12.0, 3)
         first = (payload, bits, diag.equalized_symbols)
@@ -746,10 +762,16 @@ def test_run_frame_results_survive_later_frames_and_alias_no_buffer(
         scratch = thread_scratch()
         _poison(scratch)
         assert [a.tobytes() for a in first] == kept
-        assert set(scratch) == {"rx", *ReceiveBuffers.__slots__}
+        assert set(scratch) == names
         for a in first:
             for name, buf in scratch.items():
                 assert not np.shares_memory(a, buf), (mode, name)
+
+
+def test_run_frame_results_survive_later_frames_and_alias_no_buffer(
+        thread_scratch, in_fresh_thread):
+    in_fresh_thread(_results_survive_later_frames_and_alias_no_buffer,
+                    thread_scratch)
 
 
 def test_each_thread_gets_its_own_buffers(thread_scratch, in_fresh_thread):
@@ -791,7 +813,8 @@ def test_two_threads_never_share_a_scratch_array(thread_scratch):
 
     with concurrent.futures.ThreadPoolExecutor(2) as pool:
         a, b = pool.map(frames, (1, 2), timeout=120)
-    assert set(a) == set(b) == {"rx", *ReceiveBuffers.__slots__}
+    # at sps 1 the derotation ramp is built in the symbols' array
+    assert set(a) == set(b) == {"rx", "symbols", "decided"}
     for p in a.values():
         for q in b.values():
             assert not np.shares_memory(p, q)
@@ -849,6 +872,28 @@ def test_warm_metasurface_config_holds_one_sample_rate_array(thread_scratch,
     owned = [a for a in thread_scratch().values() if a.base is None]
     assert sum(a.nbytes for a in owned) == (
         16 * (180_000 + d + taps - 1) + receive)
+
+
+def test_only_frames_above_sps_1_allocate_the_ramp(
+        thread_scratch, in_fresh_thread):
+    # at sps 1 the ramp is built in the symbols' array, so a thread that has
+    # run only conventional frames holds no ramp; its first frame at sps 8
+    # adds one
+    def owned_after_frames(cfg):
+        run_frame(cfg, 14.0, 0)
+        run_frame(cfg, 14.0, 1)
+        return {name: a.nbytes for name, a in thread_scratch().items()
+                if a.base is None}
+
+    def both_modes():
+        return (owned_after_frames(ExperimentConfig()),
+                owned_after_frames(ExperimentConfig(mode="metasurface")))
+
+    conventional, metasurface = in_fresh_thread(both_modes)
+    receive = {"symbols": 16 * 22_500, "decided": 8 * 18_432}
+    assert conventional == {"rx": 16 * 22_500, **receive}
+    assert metasurface == {"rx": 16 * 180_000, "ramp": 16 * 22_500,
+                           **receive}
 
 
 def test_run_frame_channel_is_the_default_noise_reference():
@@ -924,6 +969,20 @@ def test_warm_metasurface_frame_allocates_less_than_one_sample_array(
                             allocation_peak)
     assert peak < 16 * 180_000
     assert peak < 1.2e6
+
+
+@pytest.mark.parametrize("mode", ["conventional", "metasurface"])
+def test_a_sweep_holds_one_frame_of_results(allocation_peak, mode):
+    # each frame's payload, bits and diagnostics are dropped before the next
+    # frame runs, so a 2-point x 2-frame sweep peaks within 64 KB of the
+    # largest warm run_frame of the same frames
+    cfg = ExperimentConfig(mode=mode, snr_list=(12.0, 14.0),
+                           frames_per_point=2)
+    run_ber_sweep(cfg)   # warm
+    frame = max(
+        allocation_peak(lambda: run_frame(cfg, snr, p * SEED_POINT_STRIDE + f))
+        for p, snr in enumerate(cfg.snr_list) for f in range(2))
+    assert allocation_peak(lambda: run_ber_sweep(cfg)) <= frame + 64 * 1024
 
 
 def test_warm_conventional_frame_allocates_little_beyond_its_results(

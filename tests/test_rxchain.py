@@ -16,8 +16,9 @@ from mslink.rxchain import (AXIS_TOLERANCE, SLICER_BLOCK, SYNC_BLOCK_REPLICAS,
                             integrate_and_dump, ls_channel_estimate,
                             ls_channel_estimate_taps, nearest_symbol_indices,
                             receive_frame, zf_equalize)
-from mslink.txchain import (FrameLayout, build_frame, build_sync_sequence,
-                            demap_symbols, ideal_qpsk, synthesize_baseband)
+from mslink.txchain import (FrameLayout, build_frame, build_pilot_sequence,
+                            build_sync_sequence, demap_symbols, ideal_qpsk,
+                            synthesize_baseband)
 
 
 def _frame_signal(seed=0, sps=1):
@@ -322,12 +323,12 @@ def test_ls_estimate_rejects_zero_bin():
 
 
 def test_ls_taps_estimate_matches_short_channel():
-    rng = np.random.default_rng(5)
-    sym = ideal_qpsk().points[rng.integers(0, 4, 2048)]
+    # the fit is against the frame's own pilot on the ideal QPSK points
+    sym = ideal_qpsk().points[build_pilot_sequence()]
     taps = np.array([1.0, -0.4 + 0.2j, 0.1, 0.05j])
     h_true = np.fft.fft(taps, 2048)
     y = np.fft.ifft(np.fft.fft(sym) * h_true)
-    h = ls_channel_estimate_taps(np.fft.fft(y), np.fft.fft(sym), n_taps=8)
+    h = ls_channel_estimate_taps(np.fft.fft(y), n_taps=8)
     np.testing.assert_allclose(h, h_true, atol=1e-9)
 
 
@@ -416,6 +417,19 @@ def test_derotate_and_dump_into_buffers_equals_fresh(sps):
     assert out.tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="out must be a contiguous"):
         derotate_and_dump(x, 0.37, sps, out=np.empty(22499, dtype=complex))
+
+
+def test_derotate_and_dump_builds_the_sps_1_ramp_in_out(allocation_peak):
+    # without ramp=, the sps-1 ramp is built in the symbols' array: the same
+    # bytes as with a ramp array of its own, and nothing ramp-sized allocated
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=22500) + 1j * rng.normal(size=22500)
+    out, own, ramp = (np.full(22500, np.nan, dtype=complex) for _ in range(3))
+    derotate_and_dump(x, 0.37, 1, out=own, ramp=ramp)
+    assert derotate_and_dump(x, 0.37, 1, out=out) is out
+    assert out.tobytes() == own.tobytes()
+    assert allocation_peak(
+        lambda: derotate_and_dump(x, 0.37, 1, out=out)) < 4096
 
 
 def test_derotate_and_dump_rejects_partial_symbol():
@@ -620,11 +634,12 @@ def test_receive_frame_in_reused_buffers_equals_fresh(thread_scratch,
                 == (want.cfo_estimate, want.evm_percent,
                     want.snr_estimate_db))
         buffers = thread_scratch()
-        assert set(ReceiveBuffers.__slots__) <= set(buffers)
-        for name in ReceiveBuffers.__slots__:
-            assert not np.shares_memory(bits, buffers[name])
-            assert not np.shares_memory(diag.equalized_symbols,
-                                        buffers[name])
+        # the ramp is allocated only by a frame at sps > 1
+        used = {"symbols", "decided"} | ({"ramp"} if sps > 1 else set())
+        assert used <= set(buffers)
+        for buf in buffers.values():
+            assert not np.shares_memory(bits, buf)
+            assert not np.shares_memory(diag.equalized_symbols, buf)
 
 
 @pytest.mark.parametrize("snr_db", [12.0, math.inf])

@@ -20,9 +20,11 @@ the largest `tracemalloc` peak of a frame, taken in a second pass, since
 tracing slows every allocation.  The resident buffers (`buf MB`) are the
 scratch arrays the measuring thread keeps between operations, read in
 every mode: `run_frame`'s received-samples array (`mslink.harness`) and the
-receiver's `ReceiveBuffers` (`mslink.rxchain`: the derotation ramp, the
-dumped symbols and the slicer decisions, 0.87 MB at any sps; the EVM is
-derived only when a frame's diagnostics are read, so no buffer holds it).
+receiver's `ReceiveBuffers` (`mslink.rxchain`: the dumped symbols and the
+slicer decisions, 0.51 MB, and from the thread's first frame at sps > 1 on
+the derotation ramp, 0.87 MB in all; at sps 1 the ramp is built in the
+symbols' array, and the EVM is derived only when a frame's diagnostics are
+read, so no buffer holds either).
 A stream round trip runs no `run_frame`, so its `buf MB` is the receive
 buffers alone; it syncs each of its frames once, inside `receive_frame`.
 Caches are not counted: the channel's CFO ramp cache

@@ -3,6 +3,7 @@ should leave them bit-identical can be checked with one line of output.
 
     python3 tools/result_hash.py                        # the full grid
     python3 tools/result_hash.py --seeds 1 --snr inf    # a reduced grid
+    python3 tools/result_hash.py --expect HEX           # check the digest
 
 The hash covers, in this order:
 
@@ -16,8 +17,11 @@ The hash covers, in this order:
 - the points of `surface_constellation` for the default LUT and targets.
 
 Run it on two checkouts (copy the tool into the older one if it lacks it)
-and compare the printed digests.  BLAS threads are pinned to one, as the
-benchmark pins them; the results do not depend on it.
+and compare the printed digests, or pass one checkout's digest to the
+other's `--expect`: the digest is printed either way, and when it differs
+from the expected one, both are named on standard error and the exit status
+is 1.  BLAS threads are pinned to one, as the benchmark pins them; the
+results do not depend on it.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import argparse
 import hashlib
 import math
 import os
+import re
 import struct
 import sys
 import tempfile
@@ -44,9 +49,14 @@ def parse_args(argv):
     ap.add_argument("--snr", type=float, nargs="+",
                     default=[8.0, 16.0, math.inf],
                     help="SNR points in dB (default 8 16 inf)")
+    ap.add_argument("--expect", type=str.lower, metavar="HEX",
+                    help="the digest expected; exit 1 if it differs")
     args = ap.parse_args(argv)
     if args.seeds < 1:
         ap.error("--seeds must be >= 1")
+    if args.expect is not None and not re.fullmatch("[0-9a-f]{64}",
+                                                    args.expect):
+        ap.error("--expect must be a SHA-256 digest, 64 hex digits")
     return args
 
 
@@ -155,7 +165,12 @@ def main(argv=None):
     hash_frames(d, args.seeds, args.snr)
     hash_files(d)
     hash_constellation(d)
-    print(d.hexdigest())
+    digest = d.hexdigest()
+    print(digest)
+    if args.expect is not None and digest != args.expect:
+        print(f"result digest differs: expected {args.expect}, "
+              f"got {digest}", file=sys.stderr)
+        return 1
     return 0
 
 
