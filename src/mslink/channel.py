@@ -57,7 +57,7 @@ class ChannelConfig:
             raise ValueError("ref_power must be finite and > 0")
 
 
-def noise_variance(snr_db: float, signal_power: float) -> float:
+def _noise_variance(snr_db: float, signal_power: float) -> float:
     """Complex noise variance for a given Es/N0 in dB."""
     if snr_db == math.inf:
         return 0.0
@@ -167,7 +167,7 @@ def apply_channel(sig: BasebandSignal, cfg: ChannelConfig,
     if cfg.complex_gain != 1.0:
         body *= cfg.complex_gain
     if cfg.snr_db != math.inf:
-        var = sps * noise_variance(cfg.snr_db, cfg.ref_power)
+        var = sps * _noise_variance(cfg.snr_db, cfg.ref_power)
         rng = np.random.default_rng(cfg.seed)
         scale = np.sqrt(var / 2.0)
         # all real parts, then all imaginary parts: the generator's stream

@@ -105,7 +105,8 @@ class GammaLUT:
     @functools.cached_property
     def phases_deg(self) -> np.ndarray:
         """Reflection phase of each entry in degrees, computed once."""
-        return _read_only(np.array([reflection_phase(g) for g in self.gammas]))
+        return _read_only(np.array([_reflection_phase(g)
+                                    for g in self.gammas]))
 
     @property
     def magnitudes(self) -> np.ndarray:
@@ -121,7 +122,7 @@ class GammaLUT:
             fh.write("voltage_v,re_gamma,im_gamma,mag,phase_deg\n")
             for v, g in zip(self.voltages.tolist(), self.gammas.tolist()):
                 fh.write(f"{v!r},{g.real!r},{g.imag!r},{abs(g)!r},"
-                         f"{reflection_phase(g)!r}\n")
+                         f"{_reflection_phase(g)!r}\n")
 
 
 def varactor_capacitance(v: float, model: VaractorModel) -> float:
@@ -187,7 +188,7 @@ def reflection_coefficient(z_load: complex, z_air: float) -> complex:
     return (z_load - z_air) / den
 
 
-def reflection_phase(gamma: complex) -> float:
+def _reflection_phase(gamma: complex) -> float:
     """Quadrant-aware angle of gamma in degrees, mapped to [0, 360)."""
     if gamma == 0:
         raise ValueError("phase of zero reflection coefficient is undefined")

@@ -26,7 +26,7 @@ from .errors import InterpolationError, PartialReceiveError, SyncNotFoundError
 from .harness import (DEFAULT_TARGET_BER, _channel, compare_architectures,
                       receive_file, run_ber_sweep, run_frame, transmit_file,
                       transmit_frame, write_ber_csv)
-from .rxchain import dump_symbols_csv, frame_sync
+from .rxchain import frame_sync
 
 # every flag, declared once; a subcommand adds the ones it names
 FLAGS = {
@@ -116,7 +116,10 @@ def cmd_constellation(args) -> int:
               "estimate); no symbols to dump", file=sys.stderr)
         return 1
     out = args.out or "constellation.csv"
-    dump_symbols_csv(diag.equalized_symbols, out)
+    with open(out, "w") as fh:   # read by external constellation plotting
+        fh.write("re,im\n")
+        for s in diag.equalized_symbols:
+            fh.write(f"{s.real!r},{s.imag!r}\n")
     print(f"wrote {out}: EVM {diag.evm_percent:.2f}%  "
           f"SNR est {diag.snr_estimate_db:.2f} dB")
     return 0

@@ -25,6 +25,11 @@ from .txchain import (SYMBOL_RATE, BasebandSignal, Constellation,
 SEED_POINT_STRIDE = 2 ** 20   # per-SNR-point seed offset
 DEFAULT_TARGET_BER = 1e-4     # where compare reads the gap
 _NOISE_SEED_OFFSET = 2 ** 40  # decorrelates payload and noise streams
+# The LS span of a stream's channel estimate, in symbols.  A stream header
+# carries no channel, so its receiver assumes a delay spread of at most 8
+# symbols, where run_frame spans the configured channel; a longer channel
+# is not detected (ROADMAP item 12).
+STREAM_EST_TAPS = 8
 _SCRATCH = threading.local()  # `rx`: this thread's received-samples array
 
 
@@ -353,7 +358,8 @@ def receive_stream(samples, header: StreamHeader) -> np.ndarray:
     window = (0, min(stride, max(1, samples.size - stride + 1)))
     for i in range(header.frames):
         try:
-            bits, diag = receive_frame(sig, search_window=window)
+            bits, diag = receive_frame(sig, search_window=window,
+                                       est_taps=STREAM_EST_TAPS)
         except (SyncNotFoundError, FramingError, SingularChannelError) as exc:
             raise PartialReceiveError(i, str(exc)) from exc
         if i == 0:

@@ -39,6 +39,9 @@ AXIS_TOLERANCE = 1e-9
 # The slicer decides this many symbols per pass, so its temporaries stay
 # ~32 KB however many symbols one call decides.
 SLICER_BLOCK = FrameLayout.fft_len
+# Above sps 1, derotate_and_dump builds the symbol-rate ramp this many
+# symbols at a time, in one 64 KB temporary.
+RAMP_BLOCK = 4096
 
 _QPSK_POINTS = ideal_qpsk().points
 
@@ -94,18 +97,15 @@ class RxDiagnostics:
 
 
 class ReceiveBuffers:
-    """The symbol-rate arrays receive_frame works in: the dumped symbols,
-    the final decisions and the derotation ramp.  The ramp is None until
-    the thread's first frame at sps > 1: at sps 1 the ramp is built in the
-    symbols (see derotate_and_dump).  Each thread reuses one set across its
-    frames, which spares allocating, and page-faulting, them anew for every
-    frame; nothing receive_frame returns aliases them."""
+    """The symbol-rate arrays receive_frame works in: the dumped symbols and
+    the final decisions.  Each thread reuses one set across its frames,
+    which spares allocating, and page-faulting, them anew for every frame;
+    nothing receive_frame returns aliases them."""
 
-    __slots__ = ("ramp", "symbols", "decided")
+    __slots__ = ("symbols", "decided")
 
     def __init__(self):
         lay = FrameLayout
-        self.ramp = None
         self.symbols = np.empty(lay.frame_len, dtype=complex)
         self.decided = np.empty(lay.data_subframes * lay.fft_len, np.intp)
 
@@ -272,8 +272,7 @@ def _ramp_index(sps: int, n_symbols: int) -> np.ndarray:
 
 
 def derotate_and_dump(samples, eps: float, sps: int = 1,
-                      out: np.ndarray | None = None,
-                      ramp: np.ndarray | None = None) -> np.ndarray:
+                      out: np.ndarray | None = None) -> np.ndarray:
     """integrate_and_dump(correct_cfo(samples, eps, sps), sps), with the ramp
     folded into the dump so that it is evaluated at the symbol rate:
 
@@ -284,29 +283,31 @@ def derotate_and_dump(samples, eps: float, sps: int = 1,
     at the sample rate.  The symbol-rate ramp is cos + j sin (cfo_phasors),
     bit for bit the exponential it replaces at every symbol but the first,
     a sync chip, whose factor 1 may differ in the sign of its zero
-    imaginary part.  The symbols are written into `out` and the ramp is
-    built in `ramp` when they are given (two complex arrays of len/sps that
-    share no memory with each other or the samples), else in fresh arrays;
-    at sps 1 without `ramp`, the ramp is built in the symbols' array and
-    multiplied by the samples there, so it takes no array of its own.
+    imaginary part.  The symbols are written into `out` when it is given (a
+    complex array of len/sps), else into a fresh array.  At sps 1 the ramp
+    is built in the symbols' array and multiplied by the samples there; at
+    sps > 1 it is built RAMP_BLOCK symbols at a time into one temporary and
+    multiplied into the dumped symbols block by block.
     """
     r = np.asarray(samples)
     if r.size % sps:
         raise ValueError("sample count not divisible by sps")
     n = _ramp_index(sps, r.size // sps)
     out = _out_array(out, n.shape, complex)
-    if sps == 1 and ramp is None:
-        ramp = out
-    ramp = _out_array(ramp, n.shape, complex)
-    cfo_phasors(-2j * np.pi * eps, n, sps, out=ramp)
+    c = -2j * np.pi * eps
     # operands in the order of `ramp * r` and `(r @ dump) * ramp`: swapped
     # complex products can round differently (see correct_cfo)
     if sps == 1:
-        return np.multiply(ramp, r, out=out)
-    m = np.arange(sps)
-    dump = np.exp(-2j * np.pi * eps * m / (CFO_BLOCK * sps)) / sps
+        cfo_phasors(c, n, sps, out=out)
+        return np.multiply(out, r, out=out)
+    dump = np.exp(c * np.arange(sps) / (CFO_BLOCK * sps)) / sps
     np.matmul(r.reshape(-1, sps), dump, out=out)
-    return np.multiply(out, ramp, out=out)
+    ramp = np.empty(min(RAMP_BLOCK, n.size), dtype=complex)
+    for a in range(0, n.size, RAMP_BLOCK):
+        block = out[a:a + RAMP_BLOCK]
+        cfo_phasors(c, n[a:a + RAMP_BLOCK], sps, out=ramp[:block.size])
+        np.multiply(block, ramp[:block.size], out=block)
+    return out
 
 
 def ls_channel_estimate(y_pilot_freq, x_pilot_freq) -> np.ndarray:
@@ -425,17 +426,17 @@ def _pilot_spectrum() -> np.ndarray:
     return x
 
 
-def receive_frame(rx: BasebandSignal, search_window=None, est_taps: int = 8):
+def receive_frame(rx: BasebandSignal, search_window=None, *, est_taps: int):
     """Full receiver: sync -> CFO -> dump -> CP removal -> LS -> ZF -> demod.
 
     Returns (payload_bits, RxDiagnostics).  The channel is estimated once,
     from the frame's fixed pilot (build_pilot_sequence), and that estimate
     is reused for all nine data subframes; the pilot's spectrum and its
     Gram matrix are built once per process, as is the sync replica.
-    est_taps bounds the assumed channel delay spread for the LS fit.  The
-    symbol-rate work runs in the calling thread's ReceiveBuffers, so
-    threads may receive at once; the bits and the equalized symbols
-    returned are always fresh arrays.
+    est_taps, which every caller names, bounds the assumed channel delay
+    spread for the LS fit, in symbols.  The symbol-rate work runs in the
+    calling thread's ReceiveBuffers, so threads may receive at once; the
+    bits and the equalized symbols returned are always fresh arrays.
     Raises SyncNotFoundError as frame_sync does, FramingError when the
     frame found runs past the end of the samples, and SingularChannelError
     when the channel estimate has a zero bin.
@@ -445,8 +446,6 @@ def receive_frame(rx: BasebandSignal, search_window=None, est_taps: int = 8):
     buffers = _SCRATCH.receive
     sps = rx.samples_per_symbol
     lay = FrameLayout
-    if sps > 1 and buffers.ramp is None:   # the thread's first such frame
-        buffers.ramp = np.empty(lay.frame_len, dtype=complex)
     start = frame_sync(rx, search_window).frame_start
     n_frame = lay.frame_len * sps
     if start + n_frame > rx.samples.size:
@@ -454,8 +453,7 @@ def receive_frame(rx: BasebandSignal, search_window=None, est_taps: int = 8):
     frame = np.asarray(rx.samples)[start : start + n_frame]
 
     eps = estimate_cfo_cp(frame, sps)
-    symbols = derotate_and_dump(frame, eps, sps, out=buffers.symbols,
-                                ramp=buffers.ramp if sps > 1 else None)
+    symbols = derotate_and_dump(frame, eps, sps, out=buffers.symbols)
 
     # the ten subframe bodies without their CPs, pilot first
     bodies = symbols[lay.sync_len:].reshape(
@@ -479,11 +477,3 @@ def receive_frame(rx: BasebandSignal, search_window=None, est_taps: int = 8):
 
     decided = nearest_symbol_indices(equalized, out=buffers.decided)
     return demap_symbols(decided), RxDiagnostics(start, eps, equalized)
-
-
-def dump_symbols_csv(symbols, path) -> None:
-    """Equalized-symbol dump consumed by external constellation plotting."""
-    with open(path, "w") as fh:
-        fh.write("re,im\n")
-        for s in np.asarray(symbols):
-            fh.write(f"{s.real!r},{s.imag!r}\n")

@@ -39,9 +39,7 @@ def _thread_scratch() -> dict:
     receive = getattr(rxchain._SCRATCH, "receive", None)
     if receive is not None:
         for name in rxchain.ReceiveBuffers.__slots__:
-            buf = getattr(receive, name)
-            if buf is not None:
-                arrays[name] = buf
+            arrays[name] = getattr(receive, name)
     return arrays
 
 

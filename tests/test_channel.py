@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from mslink.channel import (CFO_BLOCK, NOISE_CHUNK, ChannelConfig,
-                            _cfo_ramp, apply_channel, noise_variance)
-from mslink.rxchain import derotate_and_dump
+                            _cfo_ramp, _noise_variance, apply_channel,
+                            cfo_phasors)
+from mslink.rxchain import _ramp_index, derotate_and_dump
 from mslink.txchain import BasebandSignal, FrameLayout
 
 
@@ -15,9 +16,9 @@ def _sig(samples, sps=1):
 
 
 def test_noise_variance_values():
-    assert noise_variance(0.0, 1.0) == 1.0
-    assert noise_variance(3.0103, 1.0) == pytest.approx(0.5, rel=1e-4)
-    assert noise_variance(math.inf, 1.0) == 0.0
+    assert _noise_variance(0.0, 1.0) == 1.0
+    assert _noise_variance(3.0103, 1.0) == pytest.approx(0.5, rel=1e-4)
+    assert _noise_variance(math.inf, 1.0) == 0.0
 
 
 def test_clean_channel_is_identity():
@@ -165,7 +166,7 @@ def _closed_form_channel(x, sps, cfg):
                    / (CFO_BLOCK * sps))
     y = y * cfg.complex_gain
     if cfg.snr_db != math.inf:
-        var = sps * noise_variance(cfg.snr_db, cfg.ref_power)
+        var = sps * _noise_variance(cfg.snr_db, cfg.ref_power)
         rng = np.random.default_rng(cfg.seed)
         w = rng.normal(scale=np.sqrt(var / 2.0), size=(2, y.size))
         y = y + w[0] + 1j * w[1]
@@ -280,7 +281,7 @@ def test_chunked_noise_equals_one_shot_draw(n):
     cfg = ChannelConfig(snr_db=10.0, seed=4, ref_power=1.0)
     y = apply_channel(_sig(x), cfg).samples
     w = np.random.default_rng(4).normal(
-        scale=np.sqrt(noise_variance(10.0, 1.0) / 2.0), size=(2, n))
+        scale=np.sqrt(_noise_variance(10.0, 1.0) / 2.0), size=(2, n))
     want = x.copy()
     want.real += w[0]
     want.imag += w[1]
@@ -400,18 +401,19 @@ def test_cfo_ramps_equal_the_exponentials_they_replace(eps, sps):
     want = np.exp(2j * np.pi * eps * m / (CFO_BLOCK * sps))
     assert _cfo_ramp(eps, sps, m.size).tobytes() == want.tobytes()
 
-    # the receiver's ramp, at the first sample of each symbol.  Its symbol 0
-    # is exempt as to the sign of its zero imaginary part: that symbol is a
-    # sync chip the receiver never reads, the factor is 1 either way, and a
-    # factor 1 - 0j moves a product only where the sample has a zero part
+    # the receiver's ramp, on its index: the first sample of each symbol.
+    # Its symbol 0 is exempt as to the sign of its zero imaginary part: that
+    # symbol is a sync chip the receiver never reads, the factor is 1 either
+    # way, and a factor 1 - 0j moves a product only where the sample has a
+    # zero part
     n = sps * np.arange(n_symbols)
     want = np.exp(-2j * np.pi * eps * n / (CFO_BLOCK * sps))
-    rng = np.random.default_rng(sps)
-    x = rng.normal(size=n.size * sps) + 1j * rng.normal(size=n.size * sps)
-    out, ramp = (np.empty(n_symbols, dtype=complex) for _ in range(2))
-    derotate_and_dump(x, eps, sps, out=out, ramp=ramp)
+    ramp = cfo_phasors(-2j * np.pi * eps, _ramp_index(sps, n_symbols), sps)
     assert ramp[1:].tobytes() == want[1:].tobytes()
     assert ramp[0] == 1.0 and want[0] == 1.0
+    rng = np.random.default_rng(sps)
+    x = rng.normal(size=n.size * sps) + 1j * rng.normal(size=n.size * sps)
+    out = derotate_and_dump(x, eps, sps)
     # the dumped symbols, symbol 0 included: no sample here has a zero part
     if sps == 1:
         symbols = want * x

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from mslink.circuit import (CircuitParams, GammaLUT, VaractorModel, Z_AIR,
                             DEFAULT_FREQUENCY, DEFAULT_TARGET_PHASES,
-                            build_gamma_lut, default_gamma_lut, load_impedance,
-                            reflection_coefficient, reflection_phase,
-                            select_control_voltages, varactor_capacitance)
+                            _reflection_phase, build_gamma_lut,
+                            default_gamma_lut, load_impedance,
+                            reflection_coefficient, select_control_voltages,
+                            varactor_capacitance)
 from mslink.errors import InfeasibleError, SingularityError
 
 
@@ -149,24 +150,24 @@ def test_reflection_negative_match_raises():
 
 
 def test_reflection_phase_trivial_angles():
-    assert reflection_phase(1.0) == 0.0
-    assert reflection_phase(1j) == 90.0
-    assert reflection_phase(-1 - 1j) == pytest.approx(225.0)
+    assert _reflection_phase(1.0) == 0.0
+    assert _reflection_phase(1j) == 90.0
+    assert _reflection_phase(-1 - 1j) == pytest.approx(225.0)
 
 
 def test_reflection_phase_of_zero_raises():
     with pytest.raises(ValueError):
-        reflection_phase(0.0)
+        _reflection_phase(0.0)
 
 
 @given(st.complex_numbers(min_magnitude=1e-3, max_magnitude=10.0,
                           allow_nan=False, allow_infinity=False))
 @settings(max_examples=100, deadline=None)
 def test_reflection_phase_range_and_conjugate(g):
-    ph = reflection_phase(g)
+    ph = _reflection_phase(g)
     assert 0.0 <= ph < 360.0
     if g.imag != 0.0:
-        wrap = (reflection_phase(g.conjugate()) + ph) % 360.0
+        wrap = (_reflection_phase(g.conjugate()) + ph) % 360.0
         assert min(wrap, 360.0 - wrap) < 1e-6
 
 
@@ -178,7 +179,7 @@ def test_single_voltage_lut_is_consistent():
     v, g = lut.voltages[k], lut.gammas[k]
     assert v == 5.0
     assert lut.magnitudes[k] == pytest.approx(abs(g))
-    assert lut.phases_deg[k] == pytest.approx(reflection_phase(g))
+    assert lut.phases_deg[k] == pytest.approx(_reflection_phase(g))
 
 
 def test_lut_terminates_the_cell_against_free_space():
@@ -291,7 +292,7 @@ def test_select_default_targets_within_grid_resolution():
     phases = lut.phases_deg
     grid_res = np.max(np.abs(np.diff(np.unwrap(np.radians(phases)))))
     for t, g in zip(DEFAULT_TARGET_PHASES, gammas):
-        err = abs((reflection_phase(g) - t + 180.0) % 360.0 - 180.0)
+        err = abs((_reflection_phase(g) - t + 180.0) % 360.0 - 180.0)
         # exhaustive check: no LUT entry is closer
         best = np.min(np.abs((phases - t + 180.0) % 360.0 - 180.0))
         assert err == pytest.approx(best)

@@ -21,12 +21,11 @@ def test_frame_cost_reports_both_modes():
         assert r["minor_faults"] >= 0 and r["sys_ms"] >= 0
         assert 0 < r["alloc_peak_mb"] < 10 and r["wall_ms_p50"] > 0
     # the thread's scratch after each mode: one received frame at sps 1,
-    # then at sps 8, plus the symbol-rate receive buffers, of which the
-    # derotation ramp is allocated by the first frame at sps > 1 only
+    # then at sps 8, plus the symbol-rate receive buffers, the same at any
+    # sps: the dumped symbols and the decisions
     receive = 16 * 22_500 + 8 * 18_432
-    ramp = 16 * 22_500
     assert [r["buffers_mb"] for r in res["modes"]] == [
-        (16 * 22_500 + receive) / 1e6, (16 * 180_000 + receive + ramp) / 1e6]
+        (16 * 22_500 + receive) / 1e6, (16 * 180_000 + receive) / 1e6]
 
 
 def test_frame_cost_stream_mode_reports_round_trips():
@@ -40,8 +39,7 @@ def test_frame_cost_stream_mode_reports_round_trips():
     assert res["frames"] == 2 and "snr_db" not in res
     (r,) = res["modes"]
     assert (r["mode"], r["sps"], r["frames"]) == ("stream", 1, 2)
-    # no run_frame runs, so the thread's scratch is the receive buffers,
-    # without a derotation ramp at sps 1
+    # no run_frame runs, so the thread's scratch is the receive buffers
     assert r["buffers_mb"] == (16 * 22_500 + 8 * 18_432) / 1e6
     assert r["minor_faults"] >= 0 and r["sys_ms"] >= 0
     assert 0 < r["alloc_peak_mb"] < 50 and r["wall_ms_p50"] > 0

@@ -28,8 +28,8 @@ from mslink.harness import (_NOISE_SEED_OFFSET, SEED_POINT_STRIDE, BerRecord,
 from mslink.iqfile import IQ_CHUNK, StreamHeader, read_iq, write_iq
 from mslink.rxchain import ReceiveBuffers, receive_frame
 from mslink.surface import ArrayConfig, aggregate_reflection
-from mslink.txchain import (FrameLayout, build_frame, ideal_qpsk,
-                            impaired_qpsk, synthesize_baseband)
+from mslink.txchain import (BasebandSignal, FrameLayout, build_frame,
+                            ideal_qpsk, impaired_qpsk, synthesize_baseband)
 
 
 def test_theoretical_qpsk_ber_limits():
@@ -710,6 +710,31 @@ def test_a_stream_cut_short_names_its_last_frame(tmp_path, capsys, cut):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("a", [0.6, 0.7, 0.8, 0.85])
+def test_a_stream_over_a_long_channel_returns_its_bytes_or_raises(
+        tmp_path, a, seed):
+    # 12 taps a**k at unit energy outrun the stream's 8-symbol LS span
+    # (harness.STREAM_EST_TAPS), and at a >= 0.8 frame 0's sync fails.  A
+    # round trip must give back the file's bytes or raise
+    # PartialReceiveError, never other bytes; at a <= 0.7 it decodes
+    src, iq = tmp_path / "src.bin", tmp_path / "s.iq"
+    data = np.random.default_rng(9000).integers(0, 256, 9000,
+                                                dtype=np.uint8).tobytes()
+    src.write_bytes(data)
+    header = transmit_file(src, ExperimentConfig(), iq)
+    taps = a ** np.arange(12)
+    taps = tuple(complex(t) for t in taps / np.linalg.norm(taps))
+    rx = apply_channel(BasebandSignal(read_iq(iq), header.sample_rate_hz, 1),
+                       ChannelConfig(snr_db=20.0, fir_taps=taps, seed=seed))
+    try:
+        got = harness.receive_stream(rx.samples, header)
+    except PartialReceiveError:
+        assert a > 0.7
+        return
+    assert got.tobytes() == data
+
+
 @pytest.mark.parametrize("mode", ["conventional", "metasurface"])
 @pytest.mark.parametrize("channel", [
     {"timing_offset": 37}, {"fir_taps": (1.0, 0.3 - 0.2j, 0.1j)},
@@ -750,10 +775,9 @@ def _frame_bytes(frame) -> tuple:
 
 
 def _results_survive_later_frames_and_alias_no_buffer(thread_scratch):
-    # a thread's first frame at sps 1 allocates no derotation ramp; its
-    # first frame at sps 8 adds one
-    for mode, names in (("conventional", {"rx", "symbols", "decided"}),
-                        ("metasurface", {"rx", *ReceiveBuffers.__slots__})):
+    # the thread holds the same arrays after a frame at any sps
+    names = {"rx", *ReceiveBuffers.__slots__}
+    for mode in ("conventional", "metasurface"):
         cfg = ExperimentConfig(mode=mode)
         payload, bits, diag = run_frame(cfg, 12.0, 3)
         first = (payload, bits, diag.equalized_symbols)
@@ -813,8 +837,7 @@ def test_two_threads_never_share_a_scratch_array(thread_scratch):
 
     with concurrent.futures.ThreadPoolExecutor(2) as pool:
         a, b = pool.map(frames, (1, 2), timeout=120)
-    # at sps 1 the derotation ramp is built in the symbols' array
-    assert set(a) == set(b) == {"rx", "symbols", "decided"}
+    assert set(a) == set(b) == {"rx", *ReceiveBuffers.__slots__}
     for p in a.values():
         for q in b.values():
             assert not np.shares_memory(p, q)
@@ -862,23 +885,22 @@ def test_warm_metasurface_config_holds_one_sample_rate_array(thread_scratch,
                                                              channel):
     # the transmitter writes into the received-samples array at the delay,
     # so the thread holds one 180 000-sample frame plus the channel's delay
-    # and FIR tail, and the receiver's symbol-rate arrays: the derotation
-    # ramp, the dumped symbols and the decisions
+    # and FIR tail, and the receiver's symbol-rate arrays: the dumped
+    # symbols and the decisions
     cfg = ExperimentConfig(mode="metasurface", **channel)
     run_frame(cfg, 14.0, 0)
     run_frame(cfg, 14.0, 1)
     d, taps = cfg.timing_offset, len(cfg.fir_taps)
-    receive = 16 * 22_500 + 16 * 22_500 + 8 * 18_432
+    receive = 16 * 22_500 + 8 * 18_432
     owned = [a for a in thread_scratch().values() if a.base is None]
     assert sum(a.nbytes for a in owned) == (
         16 * (180_000 + d + taps - 1) + receive)
 
 
-def test_only_frames_above_sps_1_allocate_the_ramp(
-        thread_scratch, in_fresh_thread):
-    # at sps 1 the ramp is built in the symbols' array, so a thread that has
-    # run only conventional frames holds no ramp; its first frame at sps 8
-    # adds one
+def test_frames_at_any_sps_allocate_no_ramp(thread_scratch, in_fresh_thread):
+    # the derotation ramp is built in the symbols' array at sps 1 and in one
+    # block-sized temporary above it, so a thread's first frame at sps 8
+    # adds no array to those its conventional frames hold
     def owned_after_frames(cfg):
         run_frame(cfg, 14.0, 0)
         run_frame(cfg, 14.0, 1)
@@ -892,8 +914,7 @@ def test_only_frames_above_sps_1_allocate_the_ramp(
     conventional, metasurface = in_fresh_thread(both_modes)
     receive = {"symbols": 16 * 22_500, "decided": 8 * 18_432}
     assert conventional == {"rx": 16 * 22_500, **receive}
-    assert metasurface == {"rx": 16 * 180_000, "ramp": 16 * 22_500,
-                           **receive}
+    assert metasurface == {"rx": 16 * 180_000, **receive}
 
 
 def test_run_frame_channel_is_the_default_noise_reference():

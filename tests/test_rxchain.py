@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from mslink.channel import ChannelConfig, apply_channel
 from mslink.errors import (DegeneratePilotError, SingularChannelError,
                            SyncNotFoundError)
-from mslink.rxchain import (AXIS_TOLERANCE, SLICER_BLOCK, SYNC_BLOCK_REPLICAS,
-                            SYNC_THRESHOLD, ReceiveBuffers, RxDiagnostics,
+from mslink.rxchain import (AXIS_TOLERANCE, RAMP_BLOCK, SLICER_BLOCK,
+                            SYNC_BLOCK_REPLICAS, SYNC_THRESHOLD,
+                            ReceiveBuffers, RxDiagnostics,
                             _QPSK_POINTS, _argmin_distance,
                             _correlation_blocks, correct_cfo,
                             derotate_and_dump, estimate_cfo_cp, frame_sync,
@@ -401,12 +402,12 @@ def test_derotate_and_dump_matches_correct_then_dump(eps, sps, n_symbols,
 def test_derotate_and_dump_into_buffers_equals_fresh(sps):
     rng = np.random.default_rng(sps)
     x = rng.normal(size=22500 * sps) + 1j * rng.normal(size=22500 * sps)
-    out, ramp = (np.full(22500, np.nan, dtype=complex) for _ in range(2))
-    got = derotate_and_dump(x, 0.37, sps, out=out, ramp=ramp)
+    out = np.full(22500, np.nan, dtype=complex)
+    got = derotate_and_dump(x, 0.37, sps, out=out)
     assert got is out
     assert out.tobytes() == derotate_and_dump(x, 0.37, sps).tobytes()
     # bit for bit the expressions the buffered ufuncs replace, operand
-    # order included
+    # order included, across the ramp's blocks and the short last one
     n = sps * np.arange(22500)
     want_ramp = np.exp(-2j * np.pi * 0.37 * n / (2048 * sps))
     if sps == 1:
@@ -420,16 +421,27 @@ def test_derotate_and_dump_into_buffers_equals_fresh(sps):
 
 
 def test_derotate_and_dump_builds_the_sps_1_ramp_in_out(allocation_peak):
-    # without ramp=, the sps-1 ramp is built in the symbols' array: the same
-    # bytes as with a ramp array of its own, and nothing ramp-sized allocated
+    # the sps-1 ramp is built in the symbols' array: the same bytes as a
+    # fresh call, and nothing ramp-sized allocated
     rng = np.random.default_rng(11)
     x = rng.normal(size=22500) + 1j * rng.normal(size=22500)
-    out, own, ramp = (np.full(22500, np.nan, dtype=complex) for _ in range(3))
-    derotate_and_dump(x, 0.37, 1, out=own, ramp=ramp)
+    out = np.full(22500, np.nan, dtype=complex)
     assert derotate_and_dump(x, 0.37, 1, out=out) is out
-    assert out.tobytes() == own.tobytes()
+    assert out.tobytes() == derotate_and_dump(x, 0.37, 1).tobytes()
     assert allocation_peak(
         lambda: derotate_and_dump(x, 0.37, 1, out=out)) < 4096
+
+
+def test_derotate_and_dump_above_sps_1_holds_one_ramp_block(allocation_peak):
+    # above sps 1 the ramp is built RAMP_BLOCK symbols at a time in one
+    # temporary, so a frame's dump allocates that block and no frame-sized
+    # ramp
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=180_000) + 1j * rng.normal(size=180_000)
+    out = np.empty(22500, dtype=complex)
+    derotate_and_dump(x, 0.37, 8, out=out)   # the ramp index, built once
+    peak = allocation_peak(lambda: derotate_and_dump(x, 0.37, 8, out=out))
+    assert 16 * RAMP_BLOCK <= peak < 16 * RAMP_BLOCK + 4096
 
 
 def test_derotate_and_dump_rejects_partial_symbol():
@@ -559,7 +571,7 @@ def test_slicer_decides_a_frame_of_symbols_block_by_block():
 
 def test_receive_frame_clean_loopback():
     payload, sig = _frame_signal(seed=10)
-    bits, diag = receive_frame(sig)
+    bits, diag = receive_frame(sig, est_taps=8)
     np.testing.assert_array_equal(bits, payload)
     assert diag.evm_percent < 0.01
 
@@ -568,7 +580,7 @@ def test_receive_frame_absorbs_gain_and_rotation():
     payload, sig = _frame_signal(seed=11)
     g = 0.5 * np.exp(1j * np.pi / 4)
     rx = apply_channel(sig, ChannelConfig(complex_gain=g))
-    bits, _ = receive_frame(rx)
+    bits, _ = receive_frame(rx, est_taps=8)
     np.testing.assert_array_equal(bits, payload)
 
 
@@ -596,7 +608,7 @@ def test_receive_frame_noiseless_end_to_end_identity(eps, offset, taps, sps):
     rx = apply_channel(sig, ChannelConfig(cfo_normalized=eps,
                                           timing_offset=offset,
                                           fir_taps=taps))
-    bits, _ = receive_frame(rx, search_window=(0, offset + 16))
+    bits, _ = receive_frame(rx, search_window=(0, offset + 16), est_taps=8)
     np.testing.assert_array_equal(bits, payload)
 
 
@@ -624,8 +636,8 @@ def test_receive_frame_in_reused_buffers_equals_fresh(thread_scratch,
             buffers = thread_scratch()
             for buf in buffers.values():
                 buf.fill(np.nan if buf.dtype.kind in "fc" else -7)
-        bits, diag = receive_frame(rx)
-        want_bits, want = in_fresh_thread(receive_frame, rx)
+        bits, diag = receive_frame(rx, est_taps=8)
+        want_bits, want = in_fresh_thread(receive_frame, rx, est_taps=8)
         assert diag.evm_percent == 100.0 * _evm_ratio(diag.equalized_symbols)
         assert bits.tobytes() == want_bits.tobytes()
         assert (diag.equalized_symbols.tobytes()
@@ -634,9 +646,7 @@ def test_receive_frame_in_reused_buffers_equals_fresh(thread_scratch,
                 == (want.cfo_estimate, want.evm_percent,
                     want.snr_estimate_db))
         buffers = thread_scratch()
-        # the ramp is allocated only by a frame at sps > 1
-        used = {"symbols", "decided"} | ({"ramp"} if sps > 1 else set())
-        assert used <= set(buffers)
+        assert {"symbols", "decided"} <= set(buffers)
         for buf in buffers.values():
             assert not np.shares_memory(bits, buf)
             assert not np.shares_memory(diag.equalized_symbols, buf)
@@ -647,7 +657,7 @@ def test_evm_and_snr_estimate_are_derived_once_on_first_read(snr_db):
     _, sig = _frame_signal(seed=3)
     rx = apply_channel(sig, ChannelConfig(snr_db=snr_db, seed=3,
                                           cfo_normalized=0.1))
-    _, diag = receive_frame(rx)
+    _, diag = receive_frame(rx, est_taps=8)
     assert "_evm" not in vars(diag)   # nothing is computed until read
     evm = _evm_ratio(diag.equalized_symbols)
     snr = math.inf if evm == 0.0 else -20.0 * math.log10(evm)
@@ -665,10 +675,10 @@ def test_rx_diagnostics_says_when_the_evm_is_computed():
 
 
 def test_receive_buffers_hold_only_what_the_receiver_works_in():
-    assert ReceiveBuffers.__slots__ == ("ramp", "symbols", "decided")
+    assert ReceiveBuffers.__slots__ == ("symbols", "decided")
 
 
 def test_receive_frame_oversampled_loopback():
     payload, sig = _frame_signal(seed=13, sps=8)
-    bits, _ = receive_frame(sig)
+    bits, _ = receive_frame(sig, est_taps=8)
     np.testing.assert_array_equal(bits, payload)

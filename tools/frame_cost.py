@@ -19,14 +19,15 @@ time come from `getrusage` over the timed frames; the allocation peak is
 the largest `tracemalloc` peak of a frame, taken in a second pass, since
 tracing slows every allocation.  The resident buffers (`buf MB`) are the
 scratch arrays the measuring thread keeps between operations, read in
-every mode: `run_frame`'s received-samples array (`mslink.harness`) and the
-receiver's `ReceiveBuffers` (`mslink.rxchain`: the dumped symbols and the
-slicer decisions, 0.51 MB, and from the thread's first frame at sps > 1 on
-the derotation ramp, 0.87 MB in all; at sps 1 the ramp is built in the
-symbols' array, and the EVM is derived only when a frame's diagnostics are
-read, so no buffer holds either).
-A stream round trip runs no `run_frame`, so its `buf MB` is the receive
-buffers alone; it syncs each of its frames once, inside `receive_frame`.
+every mode: `run_frame`'s received-samples array (`mslink.harness`; 0.36 MB
+at sps 1, 2.88 MB at sps 8) and the receiver's `ReceiveBuffers`
+(`mslink.rxchain`: the dumped symbols and the slicer decisions, 0.51 MB at
+any sps).  No buffer holds the derotation ramp, built in the symbols' array
+at sps 1 and in one 64 KB block above it, or the EVM, derived only when a
+frame's diagnostics are read.  So `buf MB` reads 0.87 conventional and 3.39
+metasurface.  A stream round trip runs no `run_frame`, so its `buf MB` is
+the receive buffers alone, 0.51; it syncs each of its frames once, inside
+`receive_frame`.
 Caches are not counted: the channel's CFO ramp cache
 (`mslink.channel._cfo_ramp`, 16 B per sample of the stream, 1.4 MB for
 this one) also stays resident between round trips, and so do the frame
