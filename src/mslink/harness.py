@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +17,7 @@ from .circuit import (DEFAULT_TARGET_PHASES, GammaLUT, default_gamma_lut,
 from .errors import (FramingError, InterpolationError, PartialReceiveError,
                      SingularChannelError, SyncNotFoundError)
 from .iqfile import StreamHeader, read_iq, write_iq
-from .rxchain import receive_frame
+from .rxchain import receive_frame, scratch
 from .surface import ArrayConfig, aggregate_reflection
 from .txchain import (SYMBOL_RATE, BasebandSignal, Constellation,
                       FrameLayout, build_frame, ideal_qpsk)
@@ -30,7 +30,6 @@ _NOISE_SEED_OFFSET = 2 ** 40  # decorrelates payload and noise streams
 # symbols, where run_frame spans the configured channel; a longer channel
 # is not detected (ROADMAP item 12).
 STREAM_EST_TAPS = 8
-_SCRATCH = threading.local()  # `rx`: this thread's received-samples array
 
 
 @dataclass(frozen=True)
@@ -49,6 +48,13 @@ class ExperimentConfig:
     layout = FrameLayout                  # the fixed frame format; not a field
 
     def __post_init__(self):
+        # a bool is an int to Python, but never a count or a seed here
+        for key in ("frames_per_point", "base_seed", "sps", "timing_offset"):
+            value = self.resolved_sps() if key == "sps" else getattr(self, key)
+            if type(value) is bool or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.mode not in ("conventional", "metasurface"):
             raise ValueError(f"mode must be 'conventional' or 'metasurface', "
                              f"got {self.mode!r}")
@@ -181,16 +187,6 @@ def _channel(cfg: ExperimentConfig, snr_db: float, seed: int) -> ChannelConfig:
     )
 
 
-def _rx_scratch(n: int) -> np.ndarray:
-    """This thread's received-samples array, n samples long: reused while
-    the thread's frames keep that length, reallocated when it changes."""
-    rx = getattr(_SCRATCH, "rx", None)
-    if rx is None or rx.size != n:
-        _SCRATCH.rx = rx = None   # free the old length before the new
-        rx = _SCRATCH.rx = np.empty(n, dtype=complex)
-    return rx
-
-
 def run_frame(cfg: ExperimentConfig, snr_db: float, seed: int):
     """One frame through the link; returns (payload, recovered|None, diag|None).
 
@@ -198,11 +194,12 @@ def run_frame(cfg: ExperimentConfig, snr_db: float, seed: int):
     its sync fails, or its channel estimate has a zero bin.  The frame runs
     in its thread's reused arrays, which the results never alias, so any
     threads may run frames, of one config or of several, at once.  The
-    transmitter writes the frame straight into the thread's received-samples
-    array at the channel delay, and the channel runs in place there."""
+    transmitter writes the frame straight into the thread's scratch array
+    `rx` (rxchain.scratch) at the channel delay, and the channel runs in
+    place there."""
     d = cfg.timing_offset
     n_tx = FrameLayout.frame_len * cfg.resolved_sps()
-    buf = _rx_scratch(n_tx + d + len(cfg.fir_taps) - 1)
+    buf = scratch("rx", n_tx + d + len(cfg.fir_taps) - 1)
     payload, sig = transmit_frame(cfg, seed, buf[d:d + n_tx])
     rx = apply_channel(sig, _channel(cfg, snr_db, seed), out=buf)
     window = (0, d + sig.samples_per_symbol * (len(cfg.fir_taps) + 2))
@@ -344,7 +341,7 @@ def receive_stream(samples, header: StreamHeader) -> np.ndarray:
     a fixed stride from the start it finds (the channel model has no clock
     drift), each searched over a small window that absorbs
     correlation-peak jitter.  Every frame is decoded by receive_frame in the
-    thread's receive buffers, as run_frame's are; each frame's bits are
+    thread's scratch arrays, as run_frame's are; each frame's bits are
     packed into its 4 608 bytes of the array returned as the frame is
     decoded, and its bits and diagnostics are dropped before the next frame
     is decoded.  A frame that fails sync (as an all-zero stream does), that

@@ -96,21 +96,19 @@ class RxDiagnostics:
         return math.inf if self._evm == 0.0 else -20.0 * math.log10(self._evm)
 
 
-class ReceiveBuffers:
-    """The symbol-rate arrays receive_frame works in: the dumped symbols and
-    the final decisions.  Each thread reuses one set across its frames,
-    which spares allocating, and page-faulting, them anew for every frame;
-    nothing receive_frame returns aliases them."""
-
-    __slots__ = ("symbols", "decided")
-
-    def __init__(self):
-        lay = FrameLayout
-        self.symbols = np.empty(lay.frame_len, dtype=complex)
-        self.decided = np.empty(lay.data_subframes * lay.fft_len, np.intp)
+_SCRATCH = threading.local()   # this thread's reused frame arrays, by name
 
 
-_SCRATCH = threading.local()   # `receive`: this thread's ReceiveBuffers
+def scratch(name: str, n: int, dtype=complex) -> np.ndarray:
+    """This thread's array `name`, of n elements of dtype: reused while the
+    thread asks for that size and dtype, so a frame does not allocate or
+    fault it in afresh; when either changes, the old array is freed before
+    the new one is allocated.  The caller overwrites it before reading."""
+    a = getattr(_SCRATCH, name, None)
+    if a is None or a.size != n or a.dtype != dtype:
+        a = vars(_SCRATCH)[name] = None   # free the old array before the new
+        a = vars(_SCRATCH)[name] = np.empty(n, dtype=dtype)
+    return a
 
 
 def _out_array(out, shape: tuple, dtype) -> np.ndarray:
@@ -321,7 +319,7 @@ def ls_channel_estimate(y_pilot_freq, x_pilot_freq) -> np.ndarray:
     return y / x
 
 
-def ls_channel_estimate_taps(y_pilot_freq, n_taps: int = 8) -> np.ndarray:
+def ls_channel_estimate_taps(y_pilot_freq, n_taps: int) -> np.ndarray:
     """Least squares constrained to a short impulse response, fitted to the
     received spectrum of the frame's fixed pilot.
 
@@ -434,16 +432,16 @@ def receive_frame(rx: BasebandSignal, search_window=None, *, est_taps: int):
     is reused for all nine data subframes; the pilot's spectrum and its
     Gram matrix are built once per process, as is the sync replica.
     est_taps, which every caller names, bounds the assumed channel delay
-    spread for the LS fit, in symbols.  The symbol-rate work runs in the
-    calling thread's ReceiveBuffers, so threads may receive at once; the
-    bits and the equalized symbols returned are always fresh arrays.
+    spread for the LS fit, in symbols.  The symbol-rate work runs in two of
+    the calling thread's scratch arrays (see scratch): `symbols`, the
+    dumped frame (22 500 complex, 0.36 MB), and `decided`, the final slicer
+    decisions (18 432 intp, 0.15 MB), the same at any sps.  So threads may
+    receive at once, and the bits and the equalized symbols returned are
+    always fresh arrays, never scratch.
     Raises SyncNotFoundError as frame_sync does, FramingError when the
     frame found runs past the end of the samples, and SingularChannelError
     when the channel estimate has a zero bin.
     """
-    if not hasattr(_SCRATCH, "receive"):   # the thread's first frame
-        _SCRATCH.receive = ReceiveBuffers()
-    buffers = _SCRATCH.receive
     sps = rx.samples_per_symbol
     lay = FrameLayout
     start = frame_sync(rx, search_window).frame_start
@@ -453,7 +451,8 @@ def receive_frame(rx: BasebandSignal, search_window=None, *, est_taps: int):
     frame = np.asarray(rx.samples)[start : start + n_frame]
 
     eps = estimate_cfo_cp(frame, sps)
-    symbols = derotate_and_dump(frame, eps, sps, out=buffers.symbols)
+    symbols = derotate_and_dump(frame, eps, sps,
+                                out=scratch("symbols", lay.frame_len))
 
     # the ten subframe bodies without their CPs, pilot first
     bodies = symbols[lay.sync_len:].reshape(
@@ -475,5 +474,6 @@ def receive_frame(rx: BasebandSignal, search_window=None, *, est_taps: int):
             if mag > 0:
                 eq *= np.conj(rot) / mag
 
-    decided = nearest_symbol_indices(equalized, out=buffers.decided)
+    decided = nearest_symbol_indices(
+        equalized, out=scratch("decided", equalized.size, np.intp))
     return demap_symbols(decided), RxDiagnostics(start, eps, equalized)

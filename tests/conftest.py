@@ -27,20 +27,12 @@ def allocation_peak():
 
 
 def _thread_scratch() -> dict:
-    """The calling thread's frame scratch arrays by name: run_frame's
-    received samples (`rx`) and the receiver's buffers, those it has
-    allocated."""
-    from mslink import harness, rxchain
+    """The calling thread's frame scratch arrays by name (rxchain.scratch),
+    those it has allocated: run_frame's received samples (`rx`) and the
+    receiver's dumped symbols and decisions (`symbols`, `decided`)."""
+    from mslink import rxchain
 
-    arrays = {}
-    rx = getattr(harness._SCRATCH, "rx", None)
-    if rx is not None:
-        arrays["rx"] = rx
-    receive = getattr(rxchain._SCRATCH, "receive", None)
-    if receive is not None:
-        for name in rxchain.ReceiveBuffers.__slots__:
-            arrays[name] = getattr(receive, name)
-    return arrays
+    return dict(vars(rxchain._SCRATCH))
 
 
 def _in_fresh_thread(fn, *args, **kwargs):

@@ -89,7 +89,7 @@ def test_experiment_from_dict_rejects_unknown_key():
 @pytest.mark.parametrize("key, text", [
     ("cfo_normalized", "0.7"), ("cfo_normalized", "nan"), ("sps", "0"),
     ("timing_offset", "-1"), ("fir_taps", ""), ("fir_taps", "1, nan"),
-    ("complex_gain", "nan"),
+    ("complex_gain", "nan"), ("base_seed", "-3"),
     # a link that passes no signal, and a surface that is not passive
     ("complex_gain", "0"), ("fir_taps", "0"), ("fir_taps", "0, -0j"),
     ("gamma_static", "nan"), ("gamma_static", "1e300"),
@@ -176,6 +176,8 @@ def test_config_value_that_does_not_parse_names_its_line(tmp_path, capsys,
     # a flag set the value, not the file
     ("frames_per_point = 3\n", ["ber-sweep", "--frames", "0"],
      "frames_per_point must be in 1..1048576"),
+    ("base_seed = 3\n", ["ber-sweep", "--seed", "-1", "--snr", "20"],
+     "base_seed must be >= 0, got -1"),
     # the circuit keys, through the tuning table
     ("r_series = -1\n", ["gamma-curve"], "{path}:1: r_series must be >= 0"),
     ("mode = metasurface\nr_series = -1\n", ["constellation"],
@@ -183,7 +185,8 @@ def test_config_value_that_does_not_parse_names_its_line(tmp_path, capsys,
     # every key of the file, not only those the table is built from
     ("mode = qam\nsnr_list = nan\ntarget_phases = 0, 90\n", ["gamma-curve"],
      "{path}:1: mode must be 'conventional' or 'metasurface', got 'qam'"),
-], ids=["mode", "flag", "gamma-curve", "metasurface", "gamma-curve-mode"])
+], ids=["mode", "flag", "seed-flag", "gamma-curve", "metasurface",
+        "gamma-curve-mode"])
 def test_cli_config_rejection_names_the_file(tmp_path, capsys, text, argv,
                                              message):
     path = tmp_path / "bad.cfg"

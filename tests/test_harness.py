@@ -26,7 +26,7 @@ from mslink.harness import (_NOISE_SEED_OFFSET, SEED_POINT_STRIDE, BerRecord,
                             theoretical_qpsk_ber, transmit_file,
                             transmit_frame, write_ber_csv)
 from mslink.iqfile import IQ_CHUNK, StreamHeader, read_iq, write_iq
-from mslink.rxchain import ReceiveBuffers, receive_frame
+from mslink.rxchain import receive_frame
 from mslink.surface import ArrayConfig, aggregate_reflection
 from mslink.txchain import (BasebandSignal, FrameLayout, build_frame,
                             ideal_qpsk, impaired_qpsk, synthesize_baseband)
@@ -51,11 +51,19 @@ def test_experiment_config_validation():
     longest = (1.0,) * FrameLayout.fft_len
     assert ExperimentConfig(mode="metasurface", sps=1,
                             fir_taps=longest).resolved_est_taps() == 2048
+    # and counts and seeds that would build, then fail inside numpy at the
+    # first frame; each message opens with the key of the last item
     for bad in ({"sps": 0}, {"mode": "metasurface", "sps": -8},
                 {"mode": "metasurface", "sps": 1,
-                 "fir_taps": longest + (1.0,)}):
-        with pytest.raises(ValueError):
+                 "fir_taps": longest + (1.0,)},
+                {"sps": 2.5}, {"sps": True}, {"timing_offset": 1.5},
+                {"frames_per_point": 2.0}, {"base_seed": 1.0},
+                {"base_seed": False}, {"base_seed": -1}):
+        with pytest.raises(ValueError, match=f"^{list(bad)[-1]} "):
             ExperimentConfig(**bad)
+    # numpy integers are integers
+    ExperimentConfig(sps=np.int64(2), timing_offset=np.int32(3),
+                     frames_per_point=np.int64(2), base_seed=np.uint8(0))
 
 
 @pytest.mark.parametrize("channel, message", [
@@ -776,7 +784,7 @@ def _frame_bytes(frame) -> tuple:
 
 def _results_survive_later_frames_and_alias_no_buffer(thread_scratch):
     # the thread holds the same arrays after a frame at any sps
-    names = {"rx", *ReceiveBuffers.__slots__}
+    names = {"rx", "symbols", "decided"}
     for mode in ("conventional", "metasurface"):
         cfg = ExperimentConfig(mode=mode)
         payload, bits, diag = run_frame(cfg, 12.0, 3)
@@ -807,7 +815,7 @@ def test_each_thread_gets_its_own_buffers(thread_scratch, in_fresh_thread):
 
     mine = scratch_after_a_frame()
     other = in_fresh_thread(scratch_after_a_frame)
-    assert set(mine) == set(other) == {"rx", *ReceiveBuffers.__slots__}
+    assert set(mine) == set(other) == {"rx", "symbols", "decided"}
     for p in mine.values():
         for q in other.values():
             assert not np.shares_memory(p, q)
@@ -837,7 +845,7 @@ def test_two_threads_never_share_a_scratch_array(thread_scratch):
 
     with concurrent.futures.ThreadPoolExecutor(2) as pool:
         a, b = pool.map(frames, (1, 2), timeout=120)
-    assert set(a) == set(b) == {"rx", *ReceiveBuffers.__slots__}
+    assert set(a) == set(b) == {"rx", "symbols", "decided"}
     for p in a.values():
         for q in b.values():
             assert not np.shares_memory(p, q)

@@ -11,6 +11,11 @@ and opportunities", ACM Computing Surveys 51(1), 2018).
 - Rotation: on j^m·y, a quarter turn, it returns the same bits and CFO
   estimate, and equalized symbols within 1e-15 relative (norm-wise).  The
   turn is exact, but the transforms round the swapped parts apart.
+- Timing offset: at SNR = inf, a channel delay of d samples moves the frame
+  start the receiver finds by exactly d, and its bits, equalized symbols
+  and CFO estimate are byte-identical.  The delay prepends d zeros and
+  leaves every later sample as it was, so only the sync search, whose
+  window and FFT blocks now start d samples earlier, sees a difference.
 
 A frame that the receiver cannot decode fails the same way under both.
 Each frame is drawn as `run_frame` makes it, and received as `run_frame`
@@ -50,17 +55,18 @@ def _received(fields, snr_db, seed):
 
 def _receive(rx, cfg, samples):
     """receive_frame on `samples` in place of rx's, called as run_frame
-    calls it: (bits, equalized symbols, CFO estimate), or the type of the
-    error that stops the frame."""
+    calls it: (bits, equalized symbols, CFO estimate, frame start), or the
+    type of the error that stops the frame."""
     sps = rx.samples_per_symbol
-    window = (0, sps * (len(cfg.fir_taps) + 2))
+    window = (0, cfg.timing_offset + sps * (len(cfg.fir_taps) + 2))
     try:
         bits, diag = receive_frame(
             BasebandSignal(samples, rx.sample_rate, sps),
             search_window=window, est_taps=cfg.resolved_est_taps())
     except (SyncNotFoundError, SingularChannelError) as exc:
         return type(exc)
-    return bits, diag.equalized_symbols, diag.cfo_estimate
+    return (bits, diag.equalized_symbols, diag.cfo_estimate,
+            diag.frame_start)
 
 
 @settings(max_examples=30, deadline=None)
@@ -73,7 +79,7 @@ def test_a_power_of_two_scale_changes_nothing(fields, snr_db, seed, k):
     if isinstance(want, type):
         assert got is want
         return
-    bits, eq, eps = got
+    bits, eq, eps, _ = got
     assert bits.tobytes() == want[0].tobytes()
     assert eq.tobytes() == want[1].tobytes()
     assert eps == want[2]
@@ -88,7 +94,28 @@ def test_a_quarter_turn_changes_no_decision(fields, snr_db, seed, m):
     if isinstance(want, type):
         assert got is want
         return
-    bits, eq, eps = got
+    bits, eq, eps, _ = got
     assert bits.tobytes() == want[0].tobytes()
     assert eps == want[2]
     assert np.linalg.norm(eq - want[1]) <= 1e-15 * np.linalg.norm(want[1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(fields=frames, seed=seeds, d=st.integers(1, 600),
+       gain=st.sampled_from([1.0, 0.5j, -0.3 + 0.6j]))
+def test_a_timing_offset_moves_the_frame_start_and_nothing_else(fields, seed,
+                                                                d, gain):
+    fields = {**fields, "complex_gain": gain}
+    rx, cfg = _received(fields, math.inf, seed)
+    late, late_cfg = _received({**fields, "timing_offset": d}, math.inf, seed)
+    assert late.samples[d:].tobytes() == rx.samples.tobytes()
+    want = _receive(rx, cfg, rx.samples)
+    got = _receive(late, late_cfg, late.samples)
+    if isinstance(want, type):
+        assert got is want
+        return
+    bits, eq, eps, start = got
+    assert start == want[3] + d
+    assert bits.tobytes() == want[0].tobytes()
+    assert eq.tobytes() == want[1].tobytes()
+    assert eps == want[2]

@@ -10,7 +10,7 @@ from mslink.errors import (DegeneratePilotError, SingularChannelError,
                            SyncNotFoundError)
 from mslink.rxchain import (AXIS_TOLERANCE, RAMP_BLOCK, SLICER_BLOCK,
                             SYNC_BLOCK_REPLICAS, SYNC_THRESHOLD,
-                            ReceiveBuffers, RxDiagnostics,
+                            RxDiagnostics,
                             _QPSK_POINTS, _argmin_distance,
                             _correlation_blocks, correct_cfo,
                             derotate_and_dump, estimate_cfo_cp, frame_sync,
@@ -674,8 +674,18 @@ def test_rx_diagnostics_says_when_the_evm_is_computed():
             "first read") in doc
 
 
-def test_receive_buffers_hold_only_what_the_receiver_works_in():
-    assert ReceiveBuffers.__slots__ == ("symbols", "decided")
+def test_receive_buffers_hold_only_what_the_receiver_works_in(
+        thread_scratch, in_fresh_thread):
+    # a thread that only receives holds the dumped symbols and the
+    # decisions, at any sps
+    def names_after_frames():
+        names = []
+        for sps in (1, 8):
+            receive_frame(_frame_signal(seed=1, sps=sps)[1], est_taps=8)
+            names.append(set(thread_scratch()))
+        return names
+
+    assert in_fresh_thread(names_after_frames) == [{"symbols", "decided"}] * 2
 
 
 def test_receive_frame_oversampled_loopback():

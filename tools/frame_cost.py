@@ -18,15 +18,17 @@ its reused buffers and memoized tables are in place.  Faults and system
 time come from `getrusage` over the timed frames; the allocation peak is
 the largest `tracemalloc` peak of a frame, taken in a second pass, since
 tracing slows every allocation.  The resident buffers (`buf MB`) are the
-scratch arrays the measuring thread keeps between operations, read in
-every mode: `run_frame`'s received-samples array (`mslink.harness`; 0.36 MB
-at sps 1, 2.88 MB at sps 8) and the receiver's `ReceiveBuffers`
-(`mslink.rxchain`: the dumped symbols and the slicer decisions, 0.51 MB at
-any sps).  No buffer holds the derotation ramp, built in the symbols' array
-at sps 1 and in one 64 KB block above it, or the EVM, derived only when a
-frame's diagnostics are read.  So `buf MB` reads 0.87 conventional and 3.39
-metasurface.  A stream round trip runs no `run_frame`, so its `buf MB` is
-the receive buffers alone, 0.51; it syncs each of its frames once, inside
+measuring thread's frame scratch (`mslink.rxchain.scratch`), read in every
+mode: one `threading.local` of named arrays, each reused while the thread
+asks for the same size and dtype, and freed before its replacement is
+allocated when either changes.  `rx`, `run_frame`'s received samples, is
+0.36 MB at sps 1 and 2.88 MB at sps 8; `symbols`, the receiver's dumped
+frame, is 0.36 MB and `decided`, its slicer decisions, 0.15 MB at any sps.
+No array holds the derotation ramp, built in `symbols` at sps 1 and in one
+64 KB block above it, or the EVM, derived only when a frame's diagnostics
+are read.  So `buf MB` reads 0.87 conventional and 3.39 metasurface.  A
+stream round trip runs no `run_frame`, so its `buf MB` is `symbols` and
+`decided` alone, 0.51; it syncs each of its frames once, inside
 `receive_frame`.
 Caches are not counted: the channel's CFO ramp cache
 (`mslink.channel._cfo_ramp`, 16 B per sample of the stream, 1.4 MB for
@@ -106,17 +108,11 @@ def measure(op, n: int) -> dict:
 
 
 def buffers_mb() -> float:
-    """MB held by this thread's frame scratch, whichever parts it has
-    allocated; a view of another array holds nothing of its own."""
-    from mslink import harness, rxchain
+    """MB held by this thread's frame scratch, whichever arrays it has
+    allocated."""
+    from mslink import rxchain
 
-    arrays = [getattr(harness._SCRATCH, "rx", None)]
-    receive = getattr(rxchain._SCRATCH, "receive", None)
-    if receive is not None:
-        arrays += [getattr(receive, n)
-                   for n in rxchain.ReceiveBuffers.__slots__]
-    return sum(a.nbytes for a in arrays
-               if a is not None and a.base is None) / 1e6
+    return sum(a.nbytes for a in vars(rxchain._SCRATCH).values()) / 1e6
 
 
 def frame_cost(mode: str, frames: int, snr_db: float) -> dict:
