@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_count
 from .txchain import BasebandSignal, FrameLayout
 
 CFO_BLOCK = FrameLayout.fft_len  # symbols per normalization block
@@ -44,8 +45,7 @@ class ChannelConfig:
             raise ValueError("|cfo_normalized| must be finite and < 0.5")
         if not cmath.isfinite(self.complex_gain):
             raise ValueError("complex_gain must be finite")
-        if self.timing_offset < 0:
-            raise ValueError("timing_offset must be >= 0")
+        check_count("timing_offset", self.timing_offset, 0)
         if len(self.fir_taps) == 0:
             raise ValueError("fir_taps must be non-empty")
         if not all(cmath.isfinite(t) for t in self.fir_taps):
@@ -55,6 +55,7 @@ class ChannelConfig:
         if not (isinstance(self.ref_power, numbers.Real)
                 and math.isfinite(self.ref_power) and self.ref_power > 0):
             raise ValueError("ref_power must be finite and > 0")
+        check_count("seed", self.seed, 0)
 
 
 def _noise_variance(snr_db: float, signal_power: float) -> float:

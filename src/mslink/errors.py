@@ -1,4 +1,21 @@
-"""Exception types shared across the link simulator."""
+"""Exception types shared across the link simulator, and the one check of
+an integer setting."""
+
+import numbers
+
+
+def check_count(key: str, value, low: int, high: int | None = None) -> None:
+    """Reject `value` unless it is an integer in low..high, or at least `low`
+    when `high` is None: a count, a seed or an sps.  Numpy integers pass; a
+    bool, an int to Python, never does.  The message opens with `key`, so
+    iqfile.in_file names the line of the file that set it."""
+    if type(value) is bool or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    if high is None:
+        if value < low:
+            raise ValueError(f"{key} must be >= {low}, got {value}")
+    elif not low <= value <= high:
+        raise ValueError(f"{key} must be in {low}..{high}, got {value}")
 
 
 class SingularityError(ValueError):

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -15,7 +14,7 @@ from .channel import ChannelConfig, apply_channel
 from .circuit import (DEFAULT_TARGET_PHASES, GammaLUT, default_gamma_lut,
                       select_control_voltages)
 from .errors import (FramingError, InterpolationError, PartialReceiveError,
-                     SingularChannelError, SyncNotFoundError)
+                     SingularChannelError, SyncNotFoundError, check_count)
 from .iqfile import StreamHeader, read_iq, write_iq
 from .rxchain import receive_frame, scratch
 from .surface import ArrayConfig, aggregate_reflection
@@ -48,25 +47,17 @@ class ExperimentConfig:
     layout = FrameLayout                  # the fixed frame format; not a field
 
     def __post_init__(self):
-        # a bool is an int to Python, but never a count or a seed here
-        for key in ("frames_per_point", "base_seed", "sps", "timing_offset"):
-            value = self.resolved_sps() if key == "sps" else getattr(self, key)
-            if type(value) is bool or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        # above the stride, frame f of point p reuses the payload and noise
+        # seeds of frame f - SEED_POINT_STRIDE of point p + 1
+        check_count("frames_per_point", self.frames_per_point, 1,
+                    SEED_POINT_STRIDE)
+        check_count("base_seed", self.base_seed, 0)
+        check_count("sps", self.resolved_sps(), 1)
         if self.mode not in ("conventional", "metasurface"):
             raise ValueError(f"mode must be 'conventional' or 'metasurface', "
                              f"got {self.mode!r}")
         if len(self.snr_list) == 0:
             raise ValueError("snr_list must be non-empty")
-        if not 1 <= self.frames_per_point <= SEED_POINT_STRIDE:
-            # above the stride, frame f of point p reuses the payload and
-            # noise seeds of frame f - SEED_POINT_STRIDE of point p + 1
-            raise ValueError(
-                f"frames_per_point must be in 1..{SEED_POINT_STRIDE}")
-        if self.resolved_sps() < 1:
-            raise ValueError("sps must be >= 1")
         _channel(self, math.inf, 0)   # the channel fields' own checks
         # a bare channel may pass nothing; a link that does decodes nothing
         if self.complex_gain == 0:
@@ -216,13 +207,17 @@ def measure_link_snr(cfg: ExperimentConfig, snr_db: float, seed: int) -> float:
     input, measured on one frame by differencing paired noisy/noiseless
     channel passes (identical channel, identical seed).  The noise is
     charged against a unit-power transmitter, so a frame that arrives with
-    less power (reflection loss, inactive cells) reads below snr_db."""
+    less power (reflection loss, inactive cells) reads below snr_db.  It is
+    inf when no noise is left in the samples: at snr_db = inf, and where
+    the noise is below the samples' rounding."""
     _, sig = transmit_frame(cfg, seed)
     noisy = apply_channel(sig, _channel(cfg, snr_db, seed))
     clean = apply_channel(sig, _channel(cfg, math.inf, seed))
     noise = noisy.samples - clean.samples
     p_sig = float(np.mean(np.abs(clean.samples) ** 2))
     p_noise = float(np.mean(np.abs(noise) ** 2))
+    if p_noise == 0.0:
+        return math.inf
     return 10.0 * math.log10(p_sig / p_noise)
 
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .errors import check_count
 from .txchain import SYMBOL_RATE, FrameLayout
 
 _HEADER_TYPES = {"float": float, "int": int}  # by field annotation
@@ -78,20 +79,14 @@ class StreamHeader:
         if not self.sample_rate_hz > 0:
             raise ValueError(
                 f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
-        if self.samples_per_symbol < 1:
-            raise ValueError(f"samples_per_symbol must be >= 1, "
-                             f"got {self.samples_per_symbol}")
+        check_count("samples_per_symbol", self.samples_per_symbol, 1)
         rate = SYMBOL_RATE * self.samples_per_symbol
         if self.sample_rate_hz != rate:
             raise ValueError(f"sample_rate_hz must be {rate} at "
                              f"samples_per_symbol {self.samples_per_symbol}, "
                              f"got {self.sample_rate_hz}")
-        if self.frames < 0:
-            raise ValueError(f"frames must be >= 0, got {self.frames}")
-        if not 0 <= self.pad_bits < FrameLayout.payload_bits:
-            raise ValueError(f"pad_bits must be in "
-                             f"0..{FrameLayout.payload_bits - 1}, "
-                             f"got {self.pad_bits}")
+        check_count("frames", self.frames, 0)
+        check_count("pad_bits", self.pad_bits, 0, FrameLayout.payload_bits - 1)
         if self.pad_bits % 8:
             raise ValueError(f"pad_bits must be a multiple of 8, "
                              f"got {self.pad_bits}")

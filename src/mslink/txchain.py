@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AliasingError, FramingError
+from .errors import AliasingError, FramingError, check_count
 
 SYMBOL_RATE = 1.25e6  # symbols per second
 
@@ -202,8 +202,7 @@ def synthesize_baseband(indices, constellation, sps: int = 1,
     cell radiates one value for every symbol).  The samples are written into
     `out` when it is given (sps samples per symbol, of the points' dtype),
     else into a fresh array."""
-    if sps < 1:
-        raise ValueError("sps must be >= 1")
+    check_count("sps", sps, 1)
     points = (constellation.points if isinstance(constellation, Constellation)
               else np.asarray(constellation))
     idx = np.asarray(indices, dtype=int)

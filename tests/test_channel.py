@@ -129,8 +129,12 @@ def test_default_noise_reference_is_unit_incident_power():
 def test_config_validation():
     with pytest.raises(ValueError):
         ChannelConfig(cfo_normalized=0.5)
-    with pytest.raises(ValueError):
-        ChannelConfig(timing_offset=-1)
+    # a delay or a seed that is not an integer >= 0 used to build, then fail
+    # inside numpy without naming the setting (or, for True, run as 1)
+    for key in ("timing_offset", "seed"):
+        for bad in (-1, 1.5, True):
+            with pytest.raises(ValueError, match=f"^{key} "):
+                ChannelConfig(snr_db=10.0, **{key: bad})
     with pytest.raises(ValueError):
         ChannelConfig(fir_taps=())
     with pytest.raises(ValueError):
@@ -151,7 +155,8 @@ def test_config_validation():
         with pytest.raises(ValueError, match="ref_power"):
             ChannelConfig(ref_power=bad)
     ChannelConfig(ref_power=1e-30, cfo_normalized=-0.499, complex_gain=0.0,
-                  fir_taps=(0.0, 1.0))
+                  fir_taps=(0.0, 1.0), timing_offset=np.int32(3),
+                  seed=np.uint64(5))
 
 
 def _closed_form_channel(x, sps, cfg):

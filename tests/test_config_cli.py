@@ -175,7 +175,7 @@ def test_config_value_that_does_not_parse_names_its_line(tmp_path, capsys,
      "{path}:1: mode must be 'conventional' or 'metasurface', got 'qam'"),
     # a flag set the value, not the file
     ("frames_per_point = 3\n", ["ber-sweep", "--frames", "0"],
-     "frames_per_point must be in 1..1048576"),
+     "frames_per_point must be in 1..1048576, got 0"),
     ("base_seed = 3\n", ["ber-sweep", "--seed", "-1", "--snr", "20"],
      "base_seed must be >= 0, got -1"),
     # the circuit keys, through the tuning table

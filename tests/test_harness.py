@@ -57,8 +57,10 @@ def test_experiment_config_validation():
                 {"mode": "metasurface", "sps": 1,
                  "fir_taps": longest + (1.0,)},
                 {"sps": 2.5}, {"sps": True}, {"timing_offset": 1.5},
-                {"frames_per_point": 2.0}, {"base_seed": 1.0},
-                {"base_seed": False}, {"base_seed": -1}):
+                {"frames_per_point": 2.0}, {"frames_per_point": 1.5},
+                {"frames_per_point": True}, {"timing_offset": True},
+                {"timing_offset": -1}, {"base_seed": 1.0},
+                {"base_seed": 1.5}, {"base_seed": False}, {"base_seed": -1}):
         with pytest.raises(ValueError, match=f"^{list(bad)[-1]} "):
             ExperimentConfig(**bad)
     # numpy integers are integers
@@ -177,10 +179,15 @@ def test_compare_requires_shared_grid():
         compare_architectures(a, b)
 
 
-def test_measure_link_snr_tracks_configured_for_unit_power():
+@pytest.mark.parametrize("snr_db, want", [
+    (12.0, pytest.approx(12.0, abs=0.05)),
+    # no noise, and noise that vanishes in the samples' rounding
+    (math.inf, math.inf), (400.0, math.inf),
+])
+def test_measure_link_snr_tracks_configured_for_unit_power(snr_db, want):
     cfg = ExperimentConfig()  # ideal QPSK, unit mean power
-    got = measure_link_snr(cfg, 12.0, seed=0)
-    assert got == pytest.approx(12.0, abs=0.05)
+    got = measure_link_snr(cfg, snr_db, seed=0)
+    assert got == want
 
 
 def test_half_activation_costs_six_db():
@@ -469,6 +476,21 @@ def test_stream_header_rejects_out_of_range_values(tmp_path, key, value,
     with pytest.raises(ValueError) as err:
         StreamHeader.read(path)
     assert str(err.value) == message.format(path=path)
+
+
+def test_stream_header_counts_are_integers():
+    # a header built in code, not read from a file: each used to build, then
+    # fail at receive with a bare TypeError or a misleading sync failure
+    good = {"sample_rate_hz": 1.25e6, "samples_per_symbol": 1, "frames": 3,
+            "pad_bits": 16}
+    for key, bad in (("samples_per_symbol", 2.5),
+                     ("samples_per_symbol", True), ("frames", 1.5),
+                     ("frames", True), ("frames", -1), ("pad_bits", 8.0),
+                     ("pad_bits", True), ("pad_bits", -8)):
+        with pytest.raises(ValueError, match=f"^{key} "):
+            StreamHeader(**{**good, key: bad})
+    hdr = StreamHeader(2.5e6, np.int64(2), np.int32(3), np.uint16(16))
+    assert hdr == StreamHeader(2.5e6, 2, 3, 16)
 
 
 def test_receive_file_rejects_a_zero_sps_header(tmp_path):

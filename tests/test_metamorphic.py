@@ -16,6 +16,11 @@ and opportunities", ACM Computing Surveys 51(1), 2018).
   and CFO estimate are byte-identical.  The delay prepends d zeros and
   leaves every later sample as it was, so only the sync search, whose
   window and FFT blocks now start d samples earlier, sees a difference.
+- Mask: two activation masks of the metasurface with the same number of
+  active cells give byte-identical transmit samples, bits, equalized
+  symbols and CFO estimate.  The receiver sits at boresight, where every
+  cell's reflection arrives in phase, so which cells are active cannot
+  matter, only how many.
 
 A frame that the receiver cannot decode fails the same way under both.
 Each frame is drawn as `run_frame` makes it, and received as `run_frame`
@@ -25,12 +30,14 @@ receives it.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mslink.channel import apply_channel
 from mslink.errors import SingularChannelError, SyncNotFoundError
 from mslink.harness import ExperimentConfig, _channel, transmit_frame
 from mslink.rxchain import receive_frame
+from mslink.surface import ArrayConfig
 from mslink.txchain import BasebandSignal
 
 frames = st.fixed_dictionaries({
@@ -119,3 +126,60 @@ def test_a_timing_offset_moves_the_frame_start_and_nothing_else(fields, seed,
     assert bits.tobytes() == want[0].tobytes()
     assert eq.tobytes() == want[1].tobytes()
     assert eps == want[2]
+
+
+def _same_decode(got, want):
+    """Whether two _receive results are byte for byte the same decode, or
+    the same failure."""
+    if isinstance(want, type) or isinstance(got, type):
+        return got is want
+    return (got[0].tobytes() == want[0].tobytes()
+            and got[1].tobytes() == want[1].tobytes()
+            and got[2] == want[2] and got[3] == want[3])
+
+
+def _mask_frames(fields, masks, gamma_static, snr_db, seed):
+    """Per mask: the transmitted samples and the decode of the received
+    frame, the link otherwise as `fields` set it."""
+    out = []
+    for mask in masks:
+        array = ArrayConfig(mask=mask, gamma_static=gamma_static)
+        cfg = ExperimentConfig(**{**fields, "mode": "metasurface",
+                                  "array": array})
+        _, sig = transmit_frame(cfg, seed)
+        rx = apply_channel(sig, _channel(cfg, snr_db, seed))
+        out.append((sig.samples.tobytes(), _receive(rx, cfg, rx.samples)))
+    return out
+
+
+def _random_mask(n_active, rng):
+    cells = np.zeros(ArrayConfig.n_total, dtype=bool)
+    cells[rng.choice(cells.size, n_active, replace=False)] = True
+    return cells
+
+
+@pytest.mark.parametrize("gamma_static", [0.0, 0.3 - 0.1j])
+def test_half_masks_differ_only_in_which_cells_are_active(gamma_static):
+    masks = ["left-half", "right-half",
+             _random_mask(64, np.random.default_rng(0))]
+    fields = {"cfo_normalized": 0.2, "fir_taps": (1.0, 0.3 - 0.2j)}
+    (tx, want), *others = _mask_frames(fields, masks, gamma_static, 12.0, 3)
+    assert not isinstance(want, type)   # the frame decodes
+    for other_tx, got in others:
+        assert other_tx == tx
+        assert _same_decode(got, want)
+
+
+@settings(max_examples=20, deadline=None)
+@given(fields=frames, snr_db=snrs, seed=seeds,
+       n_active=st.integers(0, ArrayConfig.n_total),
+       gamma_static=st.sampled_from([0.0, 0.3 - 0.1j, -0.5j]),
+       mask_seed=st.integers(0, 2 ** 16))
+def test_masks_with_as_many_active_cells_give_the_same_frame(
+        fields, snr_db, seed, n_active, gamma_static, mask_seed):
+    rng = np.random.default_rng(mask_seed)
+    masks = [_random_mask(n_active, rng) for _ in range(2)]
+    (tx, want), (other_tx, got) = _mask_frames(fields, masks, gamma_static,
+                                               snr_db, seed)
+    assert other_tx == tx
+    assert _same_decode(got, want)

@@ -222,6 +222,20 @@ def test_baseband_rejects_bad_out(out):
         synthesize_baseband(frame, ideal_qpsk(), 8, out=out)
 
 
+@pytest.mark.parametrize("sps", [2.5, True, 0, -1])
+def test_baseband_rejects_an_sps_that_is_not_a_positive_integer(sps):
+    with pytest.raises(ValueError, match="^sps "):
+        synthesize_baseband(np.arange(4), ideal_qpsk(), sps)
+
+
+def test_baseband_takes_a_numpy_integer_sps():
+    idx = np.arange(4)
+    want = synthesize_baseband(idx, ideal_qpsk(), 4)
+    got = synthesize_baseband(idx, ideal_qpsk(), np.int64(4))
+    assert got.samples.tobytes() == want.samples.tobytes()
+    assert got.sample_rate == want.sample_rate
+
+
 def test_baseband_sps8_has_out_of_band_leakage():
     rng = np.random.default_rng(2)
     idx = rng.integers(0, 4, 4096)
