@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_count
+from .errors import check_count, check_out
 from .txchain import BasebandSignal, FrameLayout
 
 CFO_BLOCK = FrameLayout.fft_len  # symbols per normalization block
@@ -69,8 +69,8 @@ def cfo_phasors(c: complex, index: np.ndarray, sps: int,
                 out: np.ndarray | None = None) -> np.ndarray:
     """np.exp(c * index / (CFO_BLOCK * sps)) for a purely imaginary c (a CFO
     phase ramp), built as cos(theta) + j sin(theta) with theta = (c.imag *
-    index) * (1 / (CFO_BLOCK * sps)), into `out` when it is given (a complex
-    array of index's length), else into a fresh array.
+    index) * (1 / (CFO_BLOCK * sps)), into `out` when it is given (a
+    contiguous complex array of index's shape), else into a fresh array.
 
     That is the expression's own arithmetic, without its complex exp and
     complex division: numpy divides a complex by a real divisor by
@@ -80,7 +80,7 @@ def cfo_phasors(c: complex, index: np.ndarray, sps: int,
     sign of the zero imaginary part; tests/test_channel.py checks this on the
     host, whose float64 sin and cos must match its complex exp.  theta is
     built in out's imaginary part, so the call allocates nothing else."""
-    out = np.empty(index.shape, dtype=complex) if out is None else out
+    out = check_out(out, index.shape, complex)
     theta = out.imag
     np.multiply(c.imag, index, out=theta)
     theta *= 1.0 / (CFO_BLOCK * sps)
@@ -121,10 +121,11 @@ def apply_channel(sig: BasebandSignal, cfg: ChannelConfig,
     integrate-and-dump recovers the processing gain, keeping comparisons
     across sps fair.
 
-    y is written into `out` when it is given (complex, d + len(x) + len(h) - 1
-    samples), else into a fresh array.  `out` may hold x itself exactly at
-    the delay, x being out[d:d + len(x)], and the channel then runs in
-    place; any other overlap of `out` and x is an error.
+    y is written into `out` when it is given (a contiguous complex array of
+    d + len(x) + len(h) - 1 samples), else into a fresh array.  `out` may
+    hold x itself exactly at the delay, x being out[d:d + len(x)], and the
+    channel then runs in place; any other overlap of `out` and x is an
+    error.
     """
     x = np.asarray(sig.samples)
     sps = sig.samples_per_symbol
@@ -135,18 +136,11 @@ def apply_channel(sig: BasebandSignal, cfg: ChannelConfig,
     # identity (unit tap, zero CFO, unit gain) is skipped.
     # np.empty, not np.zeros: only the delay prefix needs zeroing, and the
     # zeroed allocation measured slower on the stream workload
-    if out is None:
-        y = np.empty(n, dtype=complex)
-        in_place = False
-    elif out.shape != (n,) or out.dtype != complex:
-        raise ValueError(f"out must hold {n} complex128 samples, "
-                         f"got shape {out.shape} of {out.dtype}")
-    else:
-        y = out
-        in_place = np.shares_memory(out, x)
-        if in_place and not _is_body_of(x, out, d):
-            raise ValueError("out must not share memory with the input "
-                             "samples, except as out[d:d + len(x)]")
+    y = check_out(out, (n,), complex)
+    in_place = np.shares_memory(y, x)
+    if in_place and not _is_body_of(x, y, d):
+        raise ValueError("out must not share memory with the input "
+                         "samples, except as out[d:d + len(x)]")
     y[:d] = 0.0
     body = y[d:]
     if taps.size == 1 and taps[0] == 1.0:

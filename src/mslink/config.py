@@ -8,13 +8,13 @@ default.
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
+from dataclasses import replace
 
 from .circuit import (CircuitParams, GammaLUT, VaractorModel, build_gamma_lut,
                       DEFAULT_FREQUENCY, DEFAULT_TARGET_PHASES)
 from .harness import (DEFAULT_TARGET_BER, ExperimentConfig,
                       check_target_ber, surface_constellation)
-from .iqfile import in_file, read_key_values
+from .iqfile import KeyValues, field_parsers, in_file, read_key_values
 from .surface import ArrayConfig
 
 
@@ -27,26 +27,12 @@ def _tuple_of(convert):
     return parse
 
 
-# text -> value, by field annotation; fields with none are not config keys
-_BY_ANNOTATION = {
-    "str": str, "int": int, "int | None": int, "float": float,
-    "complex": complex,
-    "np.ndarray": lambda spec: spec,  # a mask literal, parsed by ArrayConfig
-}
+# text -> value, for the fields whose annotation does not give it; the other
+# fields' parsers come from iqfile.field_parsers
 _BY_NAME = {"snr_list": _tuple_of(float), "fir_taps": _tuple_of(complex),
-            "target_phases": _tuple_of(float)}
-
-
-def _parsers(cls) -> dict:
-    out = {}
-    for f in fields(cls):
-        parse = _BY_NAME.get(f.name) or _BY_ANNOTATION.get(f.type)
-        if parse is not None:
-            out[f.name] = parse
-    return out
-
-
-_PARSERS = {cls: _parsers(cls) for cls in
+            "target_phases": _tuple_of(float),
+            "mask": lambda spec: spec}  # a mask literal, parsed by ArrayConfig
+_PARSERS = {cls: field_parsers(cls, **_BY_NAME) for cls in
             (ExperimentConfig, ArrayConfig, CircuitParams, VaractorModel)}
 # every key's parser: the fields' and the extra keys'; each takes text or an
 # already parsed value
@@ -56,38 +42,17 @@ _KEY_PARSERS.update(frequency=float, target_phases=_BY_NAME["target_phases"],
 KEYS = frozenset(_KEY_PARSERS)
 
 
-class ConfigText(dict):
-    """A config file's parsed values by key, with the file's `path` and each
-    key's line in `lines`, so that errors about its values can name them."""
-
-    def __init__(self, values: dict, path, lines: dict):
-        super().__init__(values)
-        self.path = path
-        self.lines = lines
-
-
-def _in_file(exc: ValueError, d, given=()) -> ValueError:
-    """exc naming the config file that d was read from, and the line of the
-    key exc's message opens with when the file set that key; exc itself for
-    values not read from a file, and when an override in `given` set the
-    key."""
-    if not isinstance(d, ConfigText):
-        return exc
-    return in_file(exc, d.path, d.lines, given)
-
-
 def _build(cls, d: dict, **extra):
     """cls from the keys of d that name its fields; the rest keep defaults."""
     given = {k: parse(d[k]) for k, parse in _PARSERS[cls].items() if k in d}
     return cls(**given, **extra)
 
 
-def parse_config(path) -> ConfigText:
+def parse_config(path) -> KeyValues:
     """Read `key = value` lines; '#' starts a comment; keys lower_snake_case.
     Each value is parsed as its key's type.  A key outside KEYS, and a value
     that does not parse, is an error naming its file and line."""
-    values, lines = read_key_values(path, _KEY_PARSERS)
-    return ConfigText(values, path, lines)
+    return read_key_values(path, _KEY_PARSERS)
 
 
 def gamma_lut_from_dict(d: dict) -> GammaLUT:
@@ -99,7 +64,7 @@ def gamma_lut_from_dict(d: dict) -> GammaLUT:
         return build_gamma_lut(model, params,
                                float(d.get("frequency", DEFAULT_FREQUENCY)))
     except ValueError as exc:
-        raise _in_file(exc, d) from None
+        raise in_file(exc, d) from None
 
 
 def experiment_from_dict(d: dict, **overrides) -> ExperimentConfig:
@@ -125,5 +90,5 @@ def experiment_from_dict(d: dict, **overrides) -> ExperimentConfig:
         if cfg.mode == "metasurface":
             cfg = replace(cfg, constellation=surface)
     except ValueError as exc:
-        raise _in_file(exc, d, given) from None
+        raise in_file(exc, d, given) from None
     return cfg

@@ -1,7 +1,10 @@
-"""Exception types shared across the link simulator, and the one check of
-an integer setting."""
+"""Exception types shared across the link simulator, the one check of an
+integer setting and the one check of an `out=` array."""
 
+import math
 import numbers
+
+import numpy as np
 
 
 def check_count(key: str, value, low: int, high: int | None = None) -> None:
@@ -16,6 +19,22 @@ def check_count(key: str, value, low: int, high: int | None = None) -> None:
             raise ValueError(f"{key} must be >= {low}, got {value}")
     elif not low <= value <= high:
         raise ValueError(f"{key} must be in {low}..{high}, got {value}")
+
+
+def check_out(out, shape: tuple, dtype) -> np.ndarray:
+    """The array a function with an `out=` parameter writes into: a fresh
+    np.empty of `shape` and `dtype` when `out` is None, else `out`, checked
+    to be a C-contiguous array of that shape and dtype.  The message opens
+    with the element count and dtype asked for."""
+    if out is None:
+        return np.empty(shape, dtype=dtype)
+    if (out.shape != shape or out.dtype != dtype
+            or not out.flags.c_contiguous):
+        layout = "" if out.flags.c_contiguous else ", strided"
+        raise ValueError(f"out must hold {math.prod(shape)} {np.dtype(dtype)} "
+                         f"in a contiguous array of shape {shape}, got shape "
+                         f"{out.shape} of {out.dtype}{layout}")
+    return out
 
 
 class SingularityError(ValueError):

@@ -174,7 +174,7 @@ def _channel(cfg: ExperimentConfig, snr_db: float, seed: int) -> ChannelConfig:
         timing_offset=cfg.timing_offset,
         complex_gain=cfg.complex_gain,
         fir_taps=cfg.fir_taps,
-        seed=seed + _NOISE_SEED_OFFSET,
+        seed=int(seed) + _NOISE_SEED_OFFSET,
     )
 
 
@@ -208,14 +208,17 @@ def measure_link_snr(cfg: ExperimentConfig, snr_db: float, seed: int) -> float:
     channel passes (identical channel, identical seed).  The noise is
     charged against a unit-power transmitter, so a frame that arrives with
     less power (reflection loss, inactive cells) reads below snr_db.  It is
-    inf when no noise is left in the samples: at snr_db = inf, and where
-    the noise is below the samples' rounding."""
+    -inf when no signal arrives (every cell off, a zero static reflection),
+    whatever the noise, and else inf when no noise is left in the samples:
+    at snr_db = inf, and where the noise is below the samples' rounding."""
     _, sig = transmit_frame(cfg, seed)
     noisy = apply_channel(sig, _channel(cfg, snr_db, seed))
     clean = apply_channel(sig, _channel(cfg, math.inf, seed))
     noise = noisy.samples - clean.samples
     p_sig = float(np.mean(np.abs(clean.samples) ** 2))
     p_noise = float(np.mean(np.abs(noise) ** 2))
+    if p_sig == 0.0:
+        return -math.inf
     if p_noise == 0.0:
         return math.inf
     return 10.0 * math.log10(p_sig / p_noise)
@@ -231,7 +234,7 @@ def run_ber_sweep(cfg: ExperimentConfig) -> list[BerRecord]:
         errors = 0
         failures = 0
         for f in range(cfg.frames_per_point):
-            seed = cfg.base_seed + p * SEED_POINT_STRIDE + f
+            seed = int(cfg.base_seed) + p * SEED_POINT_STRIDE + f
             payload, bits, diag = run_frame(cfg, snr, seed)
             if bits is None:
                 errors += payload.size

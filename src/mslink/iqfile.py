@@ -1,6 +1,7 @@
 """IQ binary files (little-endian interleaved float32 I,Q) plus the text
-sidecar header describing the stream, and the `key = value` line reader that
-the header and config files share."""
+sidecar header describing the stream, and the `key = value` format that the
+header and config files share: its reader, its parser of each dataclass
+field and its file-and-line errors."""
 
 from __future__ import annotations
 
@@ -12,19 +13,36 @@ import numpy as np
 from .errors import check_count
 from .txchain import SYMBOL_RATE, FrameLayout
 
-_HEADER_TYPES = {"float": float, "int": int}  # by field annotation
 # Samples converted per step by write_iq and read_iq: each holds one float32
 # buffer of this many I,Q pairs (512 KiB), however long the stream.
 IQ_CHUNK = 65536
+# text -> value, by field annotation; each also takes an already parsed value
+_BY_ANNOTATION = {"str": str, "int": int, "int | None": int, "float": float,
+                  "complex": complex}
 
 
-def read_key_values(path, parsers) -> tuple[dict, dict]:
+class KeyValues(dict):
+    """A `key = value` file's parsed values by key, as read_key_values
+    returns them, with the file's `path` and each key's line in `lines`, so
+    that errors about its values can name them."""
+
+
+def field_parsers(cls, **by_name) -> dict:
+    """The parser of each field of dataclass cls: its entry in `by_name`,
+    else the one for its annotation; a field with neither is no key."""
+    parsers = {f.name: by_name.get(f.name) or _BY_ANNOTATION.get(f.type)
+               for f in fields(cls)}
+    return {k: parse for k, parse in parsers.items() if parse is not None}
+
+
+def read_key_values(path, parsers) -> KeyValues:
     """Read `key = value` lines; '#' starts a comment.  Returns the value by
-    key, parsed by that key's entry in `parsers`, and the line of each key.
-    A line without '=', with a key outside `parsers`, with a key already read
-    or with a value its parser rejects is an error naming its file and
-    line."""
-    out, lines = {}, {}
+    key, parsed by that key's entry in `parsers`, with the file's path and
+    the line of each key.  A line without '=', with a key outside `parsers`,
+    with a key already read or with a value its parser rejects is an error
+    naming its file and line."""
+    out = KeyValues()
+    out.path, out.lines = path, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -44,19 +62,19 @@ def read_key_values(path, parsers) -> tuple[dict, dict]:
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: {key} = {text!r} "
                                  f"is not a valid {parse.__name__}") from None
-            lines[key] = lineno
-    return out, lines
+            out.lines[key] = lineno
+    return out
 
 
-def in_file(exc: ValueError, path, lines: dict, given=()) -> ValueError:
-    """exc naming the file `path`, and the line of the key exc's message
-    opens with when `lines` (line by key, as read_key_values returns them)
-    holds that key; exc itself when `given`, the keys set from outside the
-    file, holds it."""
+def in_file(exc: ValueError, d: dict, given=()) -> ValueError:
+    """exc naming the file that d was read from (by read_key_values), and
+    the line of the key exc's message opens with when the file set that key;
+    exc itself for values not read from a file, and when `given`, the keys
+    set from outside the file, holds the key."""
     key = str(exc).split(" ", 1)[0].strip("|")
-    if key in given:
+    if not isinstance(d, KeyValues) or key in given:
         return exc
-    where = f"{path}:{lines[key]}" if key in lines else path
+    where = f"{d.path}:{d.lines[key]}" if key in d.lines else d.path
     return ValueError(f"{where}: {exc}")
 
 
@@ -96,21 +114,20 @@ class StreamHeader:
 
     def write(self, path) -> None:
         with open(path, "w") as fh:
-            for f in fields(self):
-                value = _HEADER_TYPES[f.type](getattr(self, f.name))
-                fh.write(f"{f.name} = {value!r}\n")
+            for key, parse in field_parsers(type(self)).items():
+                fh.write(f"{key} = {parse(getattr(self, key))!r}\n")
 
     @classmethod
     def read(cls, path) -> "StreamHeader":
-        parsers = {f.name: _HEADER_TYPES[f.type] for f in fields(cls)}
-        vals, lines = read_key_values(path, parsers)
+        parsers = field_parsers(cls)
+        vals = read_key_values(path, parsers)
         missing = [k for k in parsers if k not in vals]
         if missing:
             raise ValueError(f"header {path} missing keys: {missing}")
         try:
             return cls(**vals)
         except ValueError as exc:
-            raise in_file(exc, path, lines) from None
+            raise in_file(exc, vals) from None
 
 
 def write_iq(path, samples) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import CFO_BLOCK, cfo_phasors
 from .errors import (DegeneratePilotError, FramingError,
-                     SingularChannelError, SyncNotFoundError)
+                     SingularChannelError, SyncNotFoundError, check_out)
 from .txchain import (BasebandSignal, FrameLayout, build_pilot_sequence,
                       build_sync_sequence, demap_symbols, ideal_qpsk)
 
@@ -109,18 +109,6 @@ def scratch(name: str, n: int, dtype=complex) -> np.ndarray:
         a = vars(_SCRATCH)[name] = None   # free the old array before the new
         a = vars(_SCRATCH)[name] = np.empty(n, dtype=dtype)
     return a
-
-
-def _out_array(out, shape: tuple, dtype) -> np.ndarray:
-    """`out`, checked to be a C-contiguous array of the given shape and
-    dtype, or a fresh array."""
-    if out is None:
-        return np.empty(shape, dtype=dtype)
-    if (out.shape != shape or out.dtype != dtype
-            or not out.flags.c_contiguous):
-        raise ValueError(f"out must be a contiguous {np.dtype(dtype)} array "
-                         f"of shape {shape}, got {out.shape} of {out.dtype}")
-    return out
 
 
 def frame_sync(rx: BasebandSignal, search_window=None) -> SyncResult:
@@ -282,16 +270,16 @@ def derotate_and_dump(samples, eps: float, sps: int = 1,
     bit for bit the exponential it replaces at every symbol but the first,
     a sync chip, whose factor 1 may differ in the sign of its zero
     imaginary part.  The symbols are written into `out` when it is given (a
-    complex array of len/sps), else into a fresh array.  At sps 1 the ramp
-    is built in the symbols' array and multiplied by the samples there; at
-    sps > 1 it is built RAMP_BLOCK symbols at a time into one temporary and
-    multiplied into the dumped symbols block by block.
+    contiguous complex array of len/sps), else into a fresh array.  At sps 1
+    the ramp is built in the symbols' array and multiplied by the samples
+    there; at sps > 1 it is built RAMP_BLOCK symbols at a time into one
+    temporary and multiplied into the dumped symbols block by block.
     """
     r = np.asarray(samples)
     if r.size % sps:
         raise ValueError("sample count not divisible by sps")
     n = _ramp_index(sps, r.size // sps)
-    out = _out_array(out, n.shape, complex)
+    out = check_out(out, n.shape, complex)
     c = -2j * np.pi * eps
     # operands in the order of `ramp * r` and `(r @ dump) * ramp`: swapped
     # complex products can round differently (see correct_cfo)
@@ -378,11 +366,11 @@ def nearest_symbol_indices(symbols, out: np.ndarray | None = None
     SLICER_BLOCK symbols at a time; symbols within AXIS_TOLERANCE of an axis
     (and any non-finite ones) take the distance argmin, so the result is
     always the argmin's, ties included.  The decisions are written into
-    `out` when it is given (an intp array of the symbols' length), else into
-    a fresh array.
+    `out` when it is given (a contiguous intp array of the symbols' shape),
+    else into a fresh array.
     """
     s = np.asarray(symbols)
-    out = _out_array(out, s.shape, np.intp)
+    out = check_out(out, s.shape, np.intp)
     flat, dec = s.reshape(-1), out.reshape(-1)
     for i in range(0, flat.size, SLICER_BLOCK):
         _slice_quadrants(flat[i:i + SLICER_BLOCK], dec[i:i + SLICER_BLOCK])

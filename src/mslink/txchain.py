@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AliasingError, FramingError, check_count
+from .errors import AliasingError, FramingError, check_count, check_out
 
 SYMBOL_RATE = 1.25e6  # symbols per second
 
@@ -200,8 +200,8 @@ def synthesize_baseband(indices, constellation, sps: int = 1,
     `constellation` is a Constellation or the four point values themselves,
     which, unlike a Constellation's, may coincide (a surface with no active
     cell radiates one value for every symbol).  The samples are written into
-    `out` when it is given (sps samples per symbol, of the points' dtype),
-    else into a fresh array."""
+    `out` when it is given (a contiguous array of sps samples per symbol, of
+    the points' dtype), else into a fresh array."""
     check_count("sps", sps, 1)
     points = (constellation.points if isinstance(constellation, Constellation)
               else np.asarray(constellation))
@@ -209,11 +209,7 @@ def synthesize_baseband(indices, constellation, sps: int = 1,
     n = points.size
     if idx.size and not (-n <= idx.min() and idx.max() < n):
         raise IndexError(f"symbol indices must lie in [{-n}, {n})")
-    if out is None:
-        out = np.empty(idx.size * sps, dtype=points.dtype)
-    elif out.shape != (idx.size * sps,) or out.dtype != points.dtype:
-        raise ValueError(f"out must hold {idx.size * sps} {points.dtype} "
-                         f"samples, got shape {out.shape} of {out.dtype}")
+    out = check_out(out, (idx.size * sps,), points.dtype)
     # each symbol's sps samples are one row of `held`, copied straight into
     # out; mode "raise" would take into a copy of out, and with the indices
     # checked above "wrap" resolves only the negative ones, as indexing does

@@ -225,7 +225,8 @@ def test_apply_channel_rejects_bad_out():
     cfg = ChannelConfig(timing_offset=5, fir_taps=(1.0, 0.5))
     n = 1006
     for bad in (np.empty(n - 1, dtype=complex), np.empty(n + 1, dtype=complex),
-                np.empty(n, dtype=np.complex64), np.empty(n)):
+                np.empty(n, dtype=np.complex64), np.empty(n),
+                np.empty(2 * n, dtype=complex)[::2]):
         with pytest.raises(ValueError, match="out must hold 1006 complex128"):
             apply_channel(_sig(x), cfg, out=bad)
 

@@ -1,9 +1,10 @@
-"""errors.check_count, the one rule for a count, a seed or an sps."""
+"""errors.check_count, the one rule for a count, a seed or an sps, and
+errors.check_out, the one rule for an `out=` array."""
 
 import numpy as np
 import pytest
 
-from mslink.errors import check_count
+from mslink.errors import check_count, check_out
 
 
 @pytest.mark.parametrize("value", [0, 7, 2 ** 70, np.int64(3), np.int32(0),
@@ -38,3 +39,33 @@ def test_both_bounds_are_inclusive():
         assert str(exc.value) == f"n must be in 1..5, got {value}"
     with pytest.raises(ValueError, match="^n must be an integer"):
         check_count("n", 3.0, 1, 5)
+
+
+def test_check_out_allocates_when_out_is_none():
+    got = check_out(None, (3, 2), np.intp)
+    assert got.shape == (3, 2) and got.dtype == np.intp
+    assert got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("shape, dtype", [((5,), complex), ((2, 3), np.intp)])
+def test_check_out_returns_a_matching_out_itself(shape, dtype):
+    out = np.empty(shape, dtype=dtype)
+    assert check_out(out, shape, dtype) is out
+
+
+@pytest.mark.parametrize("out, got", [
+    (np.empty(4, dtype=complex), "shape (4,) of complex128"),
+    (np.empty(6, dtype=complex), "shape (6,) of complex128"),
+    (np.empty((5, 1), dtype=complex), "shape (5, 1) of complex128"),
+    (np.empty(5, dtype=np.complex64), "shape (5,) of complex64"),
+    (np.empty(5), "shape (5,) of float64"),
+    # the right shape and dtype, but not one block of memory
+    (np.empty(10, dtype=complex)[::2], "shape (5,) of complex128, strided"),
+    (np.empty(5, dtype=complex)[::-1], "shape (5,) of complex128, strided"),
+], ids=["short", "long", "2-d", "complex64", "float64", "strided",
+        "reversed"])
+def test_check_out_rejects_any_other_array_naming_what_it_wants(out, got):
+    with pytest.raises(ValueError) as exc:
+        check_out(out, (5,), complex)
+    assert str(exc.value) == ("out must hold 5 complex128 in a contiguous "
+                              f"array of shape (5,), got {got}")

@@ -179,13 +179,22 @@ def test_compare_requires_shared_grid():
         compare_architectures(a, b)
 
 
-@pytest.mark.parametrize("snr_db, want", [
-    (12.0, pytest.approx(12.0, abs=0.05)),
+# a surface with every cell off and a zero static reflection sends nothing
+_NO_SIGNAL = ExperimentConfig(mode="metasurface",
+                              array=ArrayConfig(mask="0" * 128))
+
+
+@pytest.mark.parametrize("snr_db, want, cfg", [
+    # ideal QPSK, unit mean power
+    (12.0, pytest.approx(12.0, abs=0.05), ExperimentConfig()),
     # no noise, and noise that vanishes in the samples' rounding
-    (math.inf, math.inf), (400.0, math.inf),
-])
-def test_measure_link_snr_tracks_configured_for_unit_power(snr_db, want):
-    cfg = ExperimentConfig()  # ideal QPSK, unit mean power
+    (math.inf, math.inf, ExperimentConfig()),
+    (400.0, math.inf, ExperimentConfig()),
+    # no signal, with noise and without
+    (10.0, -math.inf, _NO_SIGNAL), (math.inf, -math.inf, _NO_SIGNAL),
+], ids=["12.0-want0", "inf-inf", "400.0-inf", "no-signal-10.0",
+        "no-signal-inf"])
+def test_measure_link_snr_tracks_configured_for_unit_power(snr_db, want, cfg):
     got = measure_link_snr(cfg, snr_db, seed=0)
     assert got == want
 
@@ -196,6 +205,24 @@ def test_half_activation_costs_six_db():
                             array=ArrayConfig(mask="left-half"))
     diff = measure_link_snr(full, 15.0, 3) - measure_link_snr(half, 15.0, 3)
     assert diff == pytest.approx(6.0206, abs=0.3)
+
+
+@pytest.mark.parametrize("seed, want", [
+    (np.uint8(0), 0), (np.int8(0), 0), (np.int64(0), 0), (np.int8(120), 120),
+])
+def test_a_numpy_integer_base_seed_sweeps_as_its_int(seed, want):
+    # the seed arithmetic runs on Python ints, so it cannot overflow the
+    # seed's own dtype
+    kw = dict(frames_per_point=2, snr_list=(20.0, 30.0))
+    assert (run_ber_sweep(ExperimentConfig(base_seed=seed, **kw))
+            == run_ber_sweep(ExperimentConfig(base_seed=want, **kw)))
+
+
+def test_run_frame_takes_a_numpy_integer_seed():
+    cfg = ExperimentConfig()
+    want = run_frame(cfg, 10.0, 3)
+    got = run_frame(cfg, 10.0, np.uint8(3))
+    assert _frame_bytes(got) == _frame_bytes(want)
 
 
 def test_sync_failure_flagged_as_errored_frame():

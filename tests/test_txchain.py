@@ -215,7 +215,8 @@ def test_baseband_indices_resolve_as_indexing_does():
     np.empty(22500 * 8 + 8, dtype=complex),
     np.empty(22500 * 8, dtype=np.complex64),
     np.empty(2 * 22500 * 8),
-], ids=["short", "long", "complex64", "float64"])
+    np.empty(2 * 22500 * 8, dtype=complex)[::2],
+], ids=["short", "long", "complex64", "float64", "strided"])
 def test_baseband_rejects_bad_out(out):
     frame = build_frame(np.zeros(36864, dtype=int))
     with pytest.raises(ValueError, match="out must hold 180000 complex128"):
