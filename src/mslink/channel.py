@@ -50,18 +50,21 @@ class ChannelConfig:
             raise ValueError("fir_taps must be non-empty")
         if not all(cmath.isfinite(t) for t in self.fir_taps):
             raise ValueError("fir_taps must be finite")
-        if not (math.isfinite(self.snr_db) or self.snr_db == math.inf):
-            raise ValueError("snr_db must be finite or +inf")
         if not (isinstance(self.ref_power, numbers.Real)
                 and math.isfinite(self.ref_power) and self.ref_power > 0):
             raise ValueError("ref_power must be finite and > 0")
+        try:   # 0 at +inf; NaN at NaN; an error where float64 cannot form it
+            var = _noise_variance(self.snr_db, self.ref_power)
+        except ArithmeticError:
+            var = math.nan
+        if not math.isfinite(var):
+            raise ValueError("snr_db must be +inf or give a finite noise "
+                             "variance ref_power / 10^(snr_db / 10)")
         check_count("seed", self.seed, 0)
 
 
 def _noise_variance(snr_db: float, signal_power: float) -> float:
-    """Complex noise variance for a given Es/N0 in dB."""
-    if snr_db == math.inf:
-        return 0.0
+    """Complex noise variance for a given Es/N0 in dB; 0 at +inf."""
     return signal_power / 10.0 ** (snr_db / 10.0)
 
 

@@ -30,8 +30,7 @@ def _tuple_of(convert):
 # text -> value, for the fields whose annotation does not give it; the other
 # fields' parsers come from iqfile.field_parsers
 _BY_NAME = {"snr_list": _tuple_of(float), "fir_taps": _tuple_of(complex),
-            "target_phases": _tuple_of(float),
-            "mask": lambda spec: spec}  # a mask literal, parsed by ArrayConfig
+            "target_phases": _tuple_of(float)}
 _PARSERS = {cls: field_parsers(cls, **_BY_NAME) for cls in
             (ExperimentConfig, ArrayConfig, CircuitParams, VaractorModel)}
 # every key's parser: the fields' and the extra keys'; each takes text or an

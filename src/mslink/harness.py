@@ -6,7 +6,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,7 @@ class ExperimentConfig:
     base_seed: int = 0
     sps: int | None = None                # None: 1 conventional, 8 metasurface
     constellation: Constellation | None = None
-    array: ArrayConfig = field(default_factory=ArrayConfig)
+    array: ArrayConfig = ArrayConfig()
     cfo_normalized: float = 0.0
     timing_offset: int = 0
     complex_gain: complex = 1.0 + 0.0j
@@ -47,6 +47,12 @@ class ExperimentConfig:
     layout = FrameLayout                  # the fixed frame format; not a field
 
     def __post_init__(self):
+        if not isinstance(self.array, ArrayConfig):
+            raise TypeError(f"array must be an ArrayConfig, "
+                            f"got {type(self.array).__name__}")
+        if not isinstance(self.constellation, (Constellation, type(None))):
+            raise TypeError(f"constellation must be a Constellation or None, "
+                            f"got {type(self.constellation).__name__}")
         # above the stride, frame f of point p reuses the payload and noise
         # seeds of frame f - SEED_POINT_STRIDE of point p + 1
         check_count("frames_per_point", self.frames_per_point, 1,
@@ -131,12 +137,12 @@ class BerRecord:
 
 
 def theoretical_qpsk_ber(ebn0_db: float) -> float:
-    """Closed-form QPSK (Gray) bit error rate Q(sqrt(2 Eb/N0))."""
-    if ebn0_db == math.inf:
+    """Closed-form QPSK (Gray) bit error rate Q(sqrt(2 Eb/N0)): 0.5 at
+    -inf dB, and 0 at +inf and wherever Eb/N0 overflows float64."""
+    try:
+        return 0.5 * math.erfc(math.sqrt(10.0 ** (ebn0_db / 10.0)))
+    except OverflowError:
         return 0.0
-    if ebn0_db == -math.inf:
-        return 0.5
-    return 0.5 * math.erfc(math.sqrt(10.0 ** (ebn0_db / 10.0)))
 
 
 def _frame_samples(payload, cfg: ExperimentConfig,

@@ -8,74 +8,61 @@ cells contribute the modulated gamma, inactive cells a frozen static gamma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
 ROWS, COLS = 8, 16   # the prototype's cell array
+_HALF = "1" * (COLS // 2)
+_LITERALS = {"full": "1" * (ROWS * COLS),
+             "left-half": _HALF.ljust(COLS, "0") * ROWS,
+             "right-half": _HALF.rjust(COLS, "0") * ROWS}
 
 
-def parse_mask(spec) -> np.ndarray:
-    """Activation mask from 'full', 'left-half', 'right-half' or a row-major
-    bit string of length ROWS*COLS."""
+def parse_mask(spec) -> str:
+    """Activation mask as its row-major string of ROWS*COLS '0'/'1'
+    characters, from 'full', 'left-half', 'right-half', such a string, or an
+    array of ROWS*COLS truth values."""
     n = ROWS * COLS
     if isinstance(spec, np.ndarray):
         m = spec.astype(bool).ravel()
         if m.size != n:
             raise ValueError(f"mask must hold {n} cells, got {m.size}")
-        return m
-    if spec == "full":
-        return np.ones(n, dtype=bool)
-    if spec in ("left-half", "right-half"):
-        m = np.zeros((ROWS, COLS), dtype=bool)
-        if spec == "left-half":
-            m[:, : COLS // 2] = True
-        else:
-            m[:, COLS - COLS // 2:] = True
-        return m.ravel()
-    if set(spec) <= {"0", "1"} and len(spec) == n:
-        return np.array([ch == "1" for ch in spec])
+        return "".join(np.where(m, "1", "0"))
+    if isinstance(spec, str):
+        bits = _LITERALS.get(spec, spec)
+        if len(bits) == n and set(bits) <= {"0", "1"}:
+            return bits
     raise ValueError(f"mask must be 'full', 'left-half', 'right-half' or "
                      f"{n} 0/1 characters, got {spec!r}")
 
 
 @dataclass(frozen=True)
 class ArrayConfig:
-    """Activation of the fixed ROWS x COLS array, and the reflection of its
-    inactive cells, which are passive: |gamma_static| <= 1.  The mask is
-    stored as a read-only boolean array, and configs compare and hash by
-    value, the mask by its contents."""
+    """Activation of the fixed ROWS x COLS array, held as the string
+    parse_mask gives for any mask it accepts, and the reflection of its
+    inactive cells, which are passive: |gamma_static| <= 1."""
 
-    mask: np.ndarray = field(default=None, repr=False)
+    mask: str = "full"
     gamma_static: complex = 0.0 + 0.0j
     n_total = ROWS * COLS                 # the cell count; not a field
 
     def __post_init__(self):
-        g = complex(self.gamma_static)
+        g = self.gamma_static
+        if not isinstance(g, numbers.Complex):
+            raise TypeError(f"gamma_static must be a number, "
+                            f"got {type(g).__name__}")
         # hypot, unlike abs, gives inf rather than an error near the float
         # limit; NaN fails too
         if not math.hypot(g.real, g.imag) <= 1:
             raise ValueError(f"gamma_static must be finite with magnitude "
-                             f"<= 1, got {self.gamma_static!r}")
-        mask = self.mask if self.mask is not None else "full"
-        mask = parse_mask(mask)           # always a new array
-        mask.flags.writeable = False
-        object.__setattr__(self, "mask", mask)
-
-    def _key(self) -> tuple:
-        return self.gamma_static, self.mask.tobytes()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+                             f"<= 1, got {g!r}")
+        object.__setattr__(self, "mask", parse_mask(self.mask))
 
     @property
     def n_active(self) -> int:
-        return int(self.mask.sum())
+        return self.mask.count("1")
 
 
 def aggregate_reflection(gamma_mod, cfg: ArrayConfig):

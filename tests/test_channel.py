@@ -137,8 +137,13 @@ def test_config_validation():
                 ChannelConfig(snr_db=10.0, **{key: bad})
     with pytest.raises(ValueError):
         ChannelConfig(fir_taps=())
-    with pytest.raises(ValueError):
-        ChannelConfig(snr_db=-math.inf)
+    # an SNR whose noise variance float64 cannot form: 3083 and 1e308
+    # overflowed 10^(snr/10) and -3240 and -1e308 divided by its underflow
+    # to 0, each in the first frame; at -3100 the variance was inf
+    for bad in (1e308, -1e308, 3083.0, -3100.0, -3240.0, math.nan,
+                -math.inf):
+        with pytest.raises(ValueError, match=r"^snr_db must be \+inf or "):
+            ChannelConfig(snr_db=bad)
     # a NaN or infinite parameter would turn every sample into NaN
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="cfo_normalized"):
@@ -157,6 +162,10 @@ def test_config_validation():
     ChannelConfig(ref_power=1e-30, cfo_normalized=-0.499, complex_gain=0.0,
                   fir_taps=(0.0, 1.0), timing_offset=np.int32(3),
                   seed=np.uint64(5))
+    # the extreme SNRs whose variance float64 holds run to finite samples
+    for snr_db in (3082.0, -3082.0):
+        y = apply_channel(_sig(np.ones(64)), ChannelConfig(snr_db=snr_db))
+        assert np.isfinite(y.samples).all()
 
 
 def _closed_form_channel(x, sps, cfg):

@@ -134,12 +134,19 @@ def test_fir_taps_longer_than_one_block_fail_at_load(tmp_path, mode, sps):
     assert str(exc.value) == f"{path}:3: {plain.value}"
 
 
-@pytest.mark.parametrize("bad", ["nan", "-inf"])
+# NaN and -inf, and SNRs whose noise variance float64 cannot form
+@pytest.mark.parametrize("bad", ["nan", "-inf", "3083", "-3240"])
 def test_bad_snr_fails_at_load_before_any_frame(tmp_path, capsys, bad):
     with pytest.raises(ValueError) as plain:
         ExperimentConfig(snr_list=(10.0, float(bad)))
     assert str(plain.value) == (f"snr_list value {float(bad)!r}: "
-                                f"snr_db must be finite or +inf")
+                                f"snr_db must be +inf or give a finite noise "
+                                f"variance ref_power / 10^(snr_db / 10)")
+    # so does the --snr flag, on one error line
+    assert main(["ber-sweep", "--snr", f"10,{bad}", "--frames", "1",
+                 "--out", str(tmp_path / "flag.csv")]) == 1
+    assert capsys.readouterr() == ("", f"mslink: error: {plain.value}\n")
+    assert not (tmp_path / "flag.csv").exists()
     # read from a file, the error names the file and the snr line, and no
     # frame runs: nothing is printed and no CSV is written
     path = tmp_path / "bad.cfg"

@@ -5,13 +5,16 @@ a fresh build, and threads that fill the caches at once get the results of a
 sequential run."""
 
 import concurrent.futures
+import importlib
+import pkgutil
 import sys
 import threading
 
 import numpy as np
 import pytest
 
-from mslink import channel, harness, rxchain, txchain
+import mslink
+from mslink import harness, rxchain, txchain
 from mslink.circuit import (DEFAULT_FREQUENCY, DEFAULT_TARGET_PHASES,
                             CircuitParams, VaractorModel, build_gamma_lut)
 from mslink.harness import ExperimentConfig, run_frame, surface_constellation
@@ -118,10 +121,23 @@ def test_the_stock_surface_follows_the_table_it_is_given():
 
 
 def _cache_functions():
-    return (rxchain._sync_replica, rxchain._sync_reference,
-            rxchain._pilot_spectrum, rxchain._pilot_gram,
-            rxchain._ramp_index, txchain._frame_head, txchain.ideal_qpsk,
-            harness._stock_surface, channel._cfo_ramp)
+    """Every functools cache of every mslink module, once each: harness and
+    rxchain re-export some of the others' caches."""
+    found = {}
+    for info in pkgutil.iter_modules(mslink.__path__):
+        module = importlib.import_module(f"mslink.{info.name}")
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                found[id(obj)] = obj
+    return list(found.values())
+
+
+def test_the_cache_walk_finds_every_cache():
+    names = {f"{f.__module__}.{f.__qualname__}" for f in _cache_functions()}
+    # the three a hand list of caches had missed
+    assert {"mslink.txchain.build_sync_sequence",
+            "mslink.txchain.build_pilot_sequence",
+            "mslink.circuit.default_gamma_lut"} <= names
 
 
 def _frame_bytes(frame) -> tuple:

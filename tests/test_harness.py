@@ -36,6 +36,24 @@ def test_theoretical_qpsk_ber_limits():
     assert theoretical_qpsk_ber(math.inf) == 0.0
     assert theoretical_qpsk_ber(-math.inf) == 0.5
     assert theoretical_qpsk_ber(0.0) == pytest.approx(0.0786496, abs=1e-6)
+    # past 3083 dB Eb/N0 overflows float64, and the rate is 0 there too
+    for ebn0_db in (3083.0, 3100.0, 1e308):
+        assert theoretical_qpsk_ber(ebn0_db) == 0.0
+    assert theoretical_qpsk_ber(-1e308) == 0.5
+
+
+@pytest.mark.parametrize("snr", [1e308, -1e308, 3083.0, 5000.0, -3100.0,
+                                 -3240.0])
+def test_an_snr_without_a_noise_variance_fails_at_build(snr):
+    # it raised OverflowError or ZeroDivisionError in the first frame, or
+    # (at -3100 dB) made every sample NaN and the frame a sync failure
+    prefix = re.escape(f"snr_list value {snr!r}: snr_db ")
+    with pytest.raises(ValueError, match=f"^{prefix}"):
+        ExperimentConfig(snr_list=(10.0, snr))
+    for f in (run_frame, measure_link_snr):
+        with pytest.raises(ValueError, match="^snr_db "):
+            f(ExperimentConfig(), snr, 0)
+    ExperimentConfig(snr_list=(3082.0, -3082.0, math.inf))
 
 
 def test_experiment_config_validation():
@@ -62,6 +80,14 @@ def test_experiment_config_validation():
                 {"timing_offset": -1}, {"base_seed": 1.0},
                 {"base_seed": 1.5}, {"base_seed": False}, {"base_seed": -1}):
         with pytest.raises(ValueError, match=f"^{list(bad)[-1]} "):
+            ExperimentConfig(**bad)
+    # parts of the wrong type, which built and then failed in the first
+    # frame with an AttributeError
+    for bad in ({"mode": "metasurface", "array": None},
+                {"mode": "metasurface", "array": "left-half"},
+                {"constellation": ideal_qpsk().points},
+                {"constellation": "qpsk"}):
+        with pytest.raises(TypeError, match=f"^{list(bad)[-1]} must be "):
             ExperimentConfig(**bad)
     # numpy integers are integers
     ExperimentConfig(sps=np.int64(2), timing_offset=np.int32(3),
@@ -280,10 +306,18 @@ def test_configs_with_a_constellation_compare_and_hash_by_value():
 def test_array_mask_is_read_only_and_owned():
     mask = np.ones(128, dtype=bool)
     cfg = ArrayConfig(mask=mask)
-    with pytest.raises(ValueError):
-        cfg.mask[0] = False
+    assert cfg.mask == "1" * 128   # a str, so no caller can change it
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.mask = "0" * 128
     mask[0] = False   # the caller's array stays its own
-    assert cfg.n_active == 128
+    assert cfg.mask == "1" * 128 and cfg.n_active == 128
+    # a literal, its bit string and its array give one config
+    bits = "1" * 8 + "0" * 8
+    forms = ("left-half", bits * 8, np.array([c == "1" for c in bits] * 8))
+    configs = [ArrayConfig(mask=m, gamma_static=0.1j) for m in forms]
+    assert {c.mask for c in configs} == {bits * 8}
+    assert configs[0] == configs[1] == configs[2]
+    assert len({hash(c) for c in configs}) == 1
 
 
 def test_write_ber_csv_format(tmp_path):

@@ -6,18 +6,26 @@ from mslink.surface import (COLS, ROWS, ArrayConfig, aggregate_reflection,
 
 
 def test_parse_mask_literals():
-    assert parse_mask("full").sum() == 128
-    left = parse_mask("left-half").reshape(8, 16)
-    right = parse_mask("right-half").reshape(8, 16)
-    assert left[:, :8].all() and not left[:, 8:].any()
-    assert right[:, 8:].all() and not right[:, :8].any()
+    assert parse_mask("full") == "1" * 128
+    left = parse_mask("left-half")
+    right = parse_mask("right-half")
+    assert len(left) == len(right) == 128
+    for r in range(8):   # row-major: each row's 16 cells in turn
+        assert left[16 * r:16 * (r + 1)] == "1" * 8 + "0" * 8
+        assert right[16 * r:16 * (r + 1)] == "0" * 8 + "1" * 8
 
 
 def test_parse_mask_bitstring():
     bits = "10" * 64
     m = parse_mask(bits)
-    assert m.sum() == 64
-    assert m[0] and not m[1]
+    assert m == bits and m.count("1") == 64
+    assert m[0] == "1" and m[1] == "0"
+    # an array's cells land at their row-major positions, in either shape
+    cells = np.zeros((8, 16), dtype=bool)
+    cells[0, 1] = cells[2, 5] = cells[7, 15] = True
+    for spec in (cells, cells.ravel(), cells.astype(int)):
+        m = parse_mask(spec)
+        assert [i for i, ch in enumerate(m) if ch == "1"] == [1, 37, 127]
 
 
 def test_parse_mask_rejects_garbage():
@@ -25,6 +33,11 @@ def test_parse_mask_rejects_garbage():
         parse_mask("semi-full")
     with pytest.raises(ValueError):
         parse_mask("101")  # wrong length
+    # a mask that is neither a str nor an array, None included: the
+    # default is "full", not None
+    for bad in (None, 128):
+        with pytest.raises(ValueError, match="^mask must "):
+            ArrayConfig(mask=bad)
 
 
 def test_array_shape_is_fixed():
@@ -114,6 +127,15 @@ def test_gamma_static_must_be_finite_and_passive(bad):
         ArrayConfig(mask="left-half", gamma_static=complex(bad))
     assert str(exc.value) == (f"gamma_static must be finite with magnitude "
                               f"<= 1, got {complex(bad)!r}")
+
+
+@pytest.mark.parametrize("bad", ["0.3", None, (0.3, 0.1)])
+def test_gamma_static_must_be_a_number(bad):
+    # a str passed the check as complex("0.3") and was stored as the str,
+    # so the first frame failed inside numpy
+    with pytest.raises(TypeError, match="^gamma_static must be a number, "):
+        ArrayConfig(mask="left-half", gamma_static=bad)
+    ArrayConfig(gamma_static=np.complex64(0.3))
 
 
 def test_gamma_static_may_reflect_fully():
