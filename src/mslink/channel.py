@@ -53,19 +53,24 @@ class ChannelConfig:
         if not (isinstance(self.ref_power, numbers.Real)
                 and math.isfinite(self.ref_power) and self.ref_power > 0):
             raise ValueError("ref_power must be finite and > 0")
-        try:   # 0 at +inf; NaN at NaN; an error where float64 cannot form it
-            var = _noise_variance(self.snr_db, self.ref_power)
-        except ArithmeticError:
-            var = math.nan
-        if not math.isfinite(var):
-            raise ValueError("snr_db must be +inf or give a finite noise "
-                             "variance ref_power / 10^(snr_db / 10)")
+        noise_variance(self.snr_db, self.ref_power, 1)
         check_count("seed", self.seed, 0)
 
 
-def _noise_variance(snr_db: float, signal_power: float) -> float:
-    """Complex noise variance for a given Es/N0 in dB; 0 at +inf."""
-    return signal_power / 10.0 ** (snr_db / 10.0)
+def noise_variance(snr_db: float, ref_power: float, sps: int) -> float:
+    """Complex noise variance per sample, sps * ref_power / 10^(snr_db / 10),
+    at an Es/N0 of snr_db dB: 0 at +inf.  A variance that float64 cannot
+    hold (NaN, inf, or a power of 10 past its range) is an error opening
+    with `snr_db`."""
+    try:   # math.pow raises, as float ** does, where numpy scalars warn
+        var = sps * (ref_power / math.pow(10.0, snr_db / 10.0))
+    except ArithmeticError:
+        var = math.nan
+    if not math.isfinite(var):
+        per_sample = "" if sps == 1 else f"{sps} * "
+        raise ValueError(f"snr_db must be +inf or give a finite noise "
+                         f"variance {per_sample}ref_power / 10^(snr_db / 10)")
+    return var
 
 
 def cfo_phasors(c: complex, index: np.ndarray, sps: int,
@@ -165,7 +170,7 @@ def apply_channel(sig: BasebandSignal, cfg: ChannelConfig,
     if cfg.complex_gain != 1.0:
         body *= cfg.complex_gain
     if cfg.snr_db != math.inf:
-        var = sps * _noise_variance(cfg.snr_db, cfg.ref_power)
+        var = noise_variance(cfg.snr_db, cfg.ref_power, sps)
         rng = np.random.default_rng(cfg.seed)
         scale = np.sqrt(var / 2.0)
         # all real parts, then all imaginary parts: the generator's stream

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -18,9 +19,6 @@ import numpy as np
 from .errors import InfeasibleError, SingularityError
 
 Z_AIR = 376.730313668  # impedance of free space, ohms
-DEFAULT_FREQUENCY = 4.0e9
-# the prototype's bias range: 0-20 V in 0.1 V steps
-DEFAULT_VOLTAGE_GRID = np.round(np.arange(0.0, 20.0 + 1e-9, 0.1), 10)
 DEFAULT_TARGET_PHASES = (0.0, 85.0, 170.0, 255.0)
 
 # relative denominator magnitude below which Eq. (circuit pole) is treated
@@ -28,44 +26,37 @@ DEFAULT_TARGET_PHASES = (0.0, 85.0, 170.0, 255.0)
 _SINGULARITY_RTOL = 1e-9
 
 
-def _check_finite(settings) -> None:
-    """Every field of the dataclass `settings` must be a finite number."""
-    for f in fields(settings):
-        value = getattr(settings, f.name)
-        if not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
-
-
 @dataclass(frozen=True)
-class CircuitParams:
-    """Lumped equivalent of one unit cell, terminated against Z_AIR."""
+class UnitCell:
+    """One cell at its carrier: the lumped equivalent terminated against
+    Z_AIR, and the junction-capacitance law C(v) = c_zero / (1 +
+    v/v_junction)^exponent, clamped below at c_min (saturation region of
+    the diode).  Every setting is a real number, each message opening with
+    the setting at fault."""
 
     r_series: float = 12.0       # ohms, series loss of the varactor branch
     l_top: float = 0.5e-9        # henries, top-patch inductance
     l_bottom: float = 5.0e-9     # henries, bottom/feed inductance
+    c_zero: float = 1.2e-12      # farads at zero bias
+    v_junction: float = 2.0      # volts
+    exponent: float = 1.0        # grading coefficient
+    c_min: float = 0.2e-12       # farads, saturation floor
+    frequency: float = 4.0e9     # hertz, the carrier the table is taken at
 
     def __post_init__(self):
-        _check_finite(self)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is bool or not isinstance(value, numbers.Real):
+                raise TypeError(f"{f.name} must be a real number, "
+                                f"got {value!r}")
+            if f.name != "frequency" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not self.r_series >= 0:
             raise ValueError("r_series must be >= 0")
         if not self.l_top > 0:
             raise ValueError(f"l_top must be > 0, got {self.l_top}")
         if not self.l_bottom > 0:
             raise ValueError(f"l_bottom must be > 0, got {self.l_bottom}")
-
-
-@dataclass(frozen=True)
-class VaractorModel:
-    """Junction-capacitance law C(v) = c_zero / (1 + v/v_junction)^exponent,
-    clamped below at c_min (saturation region of the diode)."""
-
-    c_zero: float = 1.2e-12      # farads at zero bias
-    v_junction: float = 2.0      # volts
-    exponent: float = 1.0        # grading coefficient
-    c_min: float = 0.2e-12       # farads, saturation floor
-
-    def __post_init__(self):
-        _check_finite(self)
         if not self.c_min > 0:
             raise ValueError(f"c_min must be > 0, got {self.c_min}")
         if not self.c_zero > self.c_min:
@@ -74,6 +65,9 @@ class VaractorModel:
             raise ValueError(f"v_junction must be > 0, got {self.v_junction}")
         if not self.exponent > 0:
             raise ValueError(f"exponent must be > 0, got {self.exponent}")
+        if not (self.frequency > 0 and math.isfinite(self.frequency)):
+            raise ValueError(f"frequency must be finite and > 0, "
+                             f"got {self.frequency}")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -83,23 +77,20 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GammaLUT:
-    """Voltage -> reflection coefficient table at a single frequency.  The
-    arrays are stored as read-only copies."""
+    """Reflection coefficient of one cell at each voltage of the fixed bias
+    grid, the prototype's 0-20 V in 0.1 V steps.  The gammas are stored as a
+    read-only copy; the grid is read-only too."""
 
-    voltages: np.ndarray = field(repr=False)
     gammas: np.ndarray = field(repr=False)
+    # the fixed bias grid, shared by every table; not a field
+    voltages = _read_only(np.round(np.arange(0.0, 20.0 + 1e-9, 0.1), 10))
 
     def __post_init__(self):
-        # copies: the table owns its arrays, read-only like the table itself
-        v = np.array(self.voltages, dtype=float)
+        # a copy: the table owns its array, read-only like the table itself
         g = np.array(self.gammas, dtype=complex)
-        if v.size == 0:
-            raise ValueError("empty LUT")
-        if v.size != g.size:
-            raise ValueError("voltage/gamma length mismatch")
-        if np.any(np.diff(v) <= 0):
-            raise ValueError("voltages must be strictly increasing")
-        object.__setattr__(self, "voltages", _read_only(v))
+        if g.shape != self.voltages.shape:
+            raise ValueError(f"gammas must hold one value per grid voltage "
+                             f"({self.voltages.size}), got shape {g.shape}")
         object.__setattr__(self, "gammas", _read_only(g))
 
     @functools.cached_property
@@ -125,58 +116,57 @@ class GammaLUT:
                          f"{_reflection_phase(g)!r}\n")
 
 
-def varactor_capacitance(v: float, model: VaractorModel) -> float:
+def varactor_capacitance(v: float, cell: UnitCell) -> float:
     """Junction capacitance in farads at bias voltage v >= 0."""
     if v < 0:
         raise ValueError(f"bias voltage must be >= 0, got {v}")
     try:
-        c = model.c_zero / (1.0 + v / model.v_junction) ** model.exponent
+        c = cell.c_zero / (1.0 + v / cell.v_junction) ** cell.exponent
     except OverflowError:
         # the power passes the float range; its reciprocal underflows to 0
-        c = model.c_zero * (1.0 + v / model.v_junction) ** -model.exponent
-    return max(model.c_min, c)
+        c = cell.c_zero * (1.0 + v / cell.v_junction) ** -cell.exponent
+    return max(cell.c_min, c)
 
 
-def load_impedance(c: float, params: CircuitParams, f: float) -> complex:
-    """Equivalent load of the cell: jwL2 || (jwL1 + 1/(jwC) + R).
+def load_impedance(c: float, cell: UnitCell) -> complex:
+    """Equivalent load of the cell at its frequency: jwL2 || (jwL1 +
+    1/(jwC) + R).
 
     A load that leaves the float range is an error opening with the one of
     `frequency`, `l_top`, `l_bottom` and `r_series` that stands furthest
     above its stock value, the setting that took it there."""
     if not c > 0:
         raise ValueError(f"capacitance must be > 0, got {c}")
-    if not (f > 0 and math.isfinite(f)):
-        raise ValueError(f"frequency must be finite and > 0, got {f}")
+    f = cell.frequency
     w = 2.0 * math.pi * f
-    z_series = 1j * w * params.l_top + 1.0 / (1j * w * c) + params.r_series
-    z_shunt = 1j * w * params.l_bottom
+    z_series = 1j * w * cell.l_top + 1.0 / (1j * w * c) + cell.r_series
+    z_shunt = 1j * w * cell.l_bottom
     den = z_shunt + z_series
     try:
         singular = (abs(den) < _SINGULARITY_RTOL
                     * max(abs(z_shunt), abs(z_series)))
     except OverflowError:   # a magnitude past the float range
-        raise _overflow_error(params, f) from None
+        raise _overflow_error(cell) from None
     if singular:
         raise SingularityError(
             f"frequency {f:g} Hz is a branch resonance at C={c:g} F: "
             f"|denominator| ~ 0")
     z = z_shunt * z_series / den
     if not cmath.isfinite(z):
-        raise _overflow_error(params, f)
+        raise _overflow_error(cell)
     return z
 
 
-def _overflow_error(params: CircuitParams, f: float) -> ValueError:
-    stock = CircuitParams()
-    ratio = {"frequency": f / DEFAULT_FREQUENCY,
-             "l_top": params.l_top / stock.l_top,
-             "l_bottom": params.l_bottom / stock.l_bottom,
-             "r_series": params.r_series / stock.r_series}
+def _overflow_error(cell: UnitCell) -> ValueError:
+    stock = UnitCell()
+    ratio = {k: getattr(cell, k) / getattr(stock, k)
+             for k in ("frequency", "l_top", "l_bottom", "r_series")}
     key = max(ratio, key=ratio.get)      # the first on a tie
+    f = cell.frequency
     if key == "frequency":
         return ValueError(f"frequency {f:g} Hz: the cell's load impedance "
                           f"overflows")
-    return ValueError(f"{key} {getattr(params, key):g}: the cell's load "
+    return ValueError(f"{key} {getattr(cell, key):g}: the cell's load "
                       f"impedance at {f:g} Hz overflows")
 
 
@@ -196,9 +186,9 @@ def _reflection_phase(gamma: complex) -> float:
     return deg if deg < 360.0 else 0.0
 
 
-def build_gamma_lut(model: VaractorModel, params: CircuitParams,
-                    f: float) -> GammaLUT:
-    """Compose C(v) -> Z_l -> Gamma (against Z_AIR) over DEFAULT_VOLTAGE_GRID.
+def build_gamma_lut(cell: UnitCell) -> GammaLUT:
+    """Compose C(v) -> Z_l -> Gamma (against Z_AIR) over the bias grid,
+    GammaLUT.voltages.
 
     The whole table is rotated so the first point sits at phase 0 (choice of
     measurement reference plane); the curve then reads directly as phase
@@ -209,14 +199,14 @@ def build_gamma_lut(model: VaractorModel, params: CircuitParams,
     """
     gammas = np.array([
         reflection_coefficient(
-            load_impedance(varactor_capacitance(v, model), params, f), Z_AIR)
-        for v in DEFAULT_VOLTAGE_GRID.tolist()
+            load_impedance(varactor_capacitance(v, cell), cell), Z_AIR)
+        for v in GammaLUT.voltages.tolist()
     ])
     gammas = gammas * np.exp(-1j * np.angle(gammas[0]))
     if not np.all(np.isfinite(gammas)):
-        raise ValueError(f"frequency {f:g} Hz: the cell's reflection "
-                         f"overflows")
-    return GammaLUT(voltages=DEFAULT_VOLTAGE_GRID, gammas=gammas)
+        raise ValueError(f"frequency {cell.frequency:g} Hz: the cell's "
+                         f"reflection overflows")
+    return GammaLUT(gammas)
 
 
 def select_control_voltages(lut: GammaLUT, target_phases_deg):
@@ -257,4 +247,4 @@ def default_gamma_lut() -> GammaLUT:
     """Tuning table of the stock cell at 4 GHz (phase travel ~263 deg).
 
     Built once and shared by every caller."""
-    return build_gamma_lut(VaractorModel(), CircuitParams(), DEFAULT_FREQUENCY)
+    return build_gamma_lut(UnitCell())

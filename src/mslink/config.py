@@ -1,17 +1,16 @@
 """Line-oriented `key = value` config files and experiment construction.
 
-The accepted keys are the fields of ExperimentConfig, ArrayConfig,
-CircuitParams and VaractorModel that text can set, and `frequency`,
-`target_phases` and `target_ber`.  A key that is not set keeps its dataclass
-default.
+The accepted keys are the fields of ExperimentConfig, ArrayConfig and
+UnitCell that text can set, and `target_phases` and `target_ber`.  A key
+that is not set keeps its dataclass default.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from .circuit import (CircuitParams, GammaLUT, VaractorModel, build_gamma_lut,
-                      DEFAULT_FREQUENCY, DEFAULT_TARGET_PHASES)
+from .circuit import (DEFAULT_TARGET_PHASES, GammaLUT, UnitCell,
+                      build_gamma_lut)
 from .harness import (DEFAULT_TARGET_BER, ExperimentConfig,
                       check_target_ber, surface_constellation)
 from .iqfile import KeyValues, field_parsers, in_file, read_key_values
@@ -32,12 +31,11 @@ def _tuple_of(convert):
 _BY_NAME = {"snr_list": _tuple_of(float), "fir_taps": _tuple_of(complex),
             "target_phases": _tuple_of(float)}
 _PARSERS = {cls: field_parsers(cls, **_BY_NAME) for cls in
-            (ExperimentConfig, ArrayConfig, CircuitParams, VaractorModel)}
+            (ExperimentConfig, ArrayConfig, UnitCell)}
 # every key's parser: the fields' and the extra keys'; each takes text or an
 # already parsed value
 _KEY_PARSERS = {k: p for ps in _PARSERS.values() for k, p in ps.items()}
-_KEY_PARSERS.update(frequency=float, target_phases=_BY_NAME["target_phases"],
-                    target_ber=float)
+_KEY_PARSERS.update(target_phases=_BY_NAME["target_phases"], target_ber=float)
 KEYS = frozenset(_KEY_PARSERS)
 
 
@@ -55,13 +53,11 @@ def parse_config(path) -> KeyValues:
 
 
 def gamma_lut_from_dict(d: dict) -> GammaLUT:
-    """Tuning table of the cell the circuit keys and `frequency` describe.
-    A value the circuit rejects is an error naming the file of config values
-    read by parse_config."""
+    """Tuning table of the cell the UnitCell keys describe.  A value the
+    cell rejects is an error naming the file of config values read by
+    parse_config."""
     try:
-        params, model = _build(CircuitParams, d), _build(VaractorModel, d)
-        return build_gamma_lut(model, params,
-                               float(d.get("frequency", DEFAULT_FREQUENCY)))
+        return build_gamma_lut(_build(UnitCell, d))
     except ValueError as exc:
         raise in_file(exc, d) from None
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, apply_channel
+from .channel import ChannelConfig, apply_channel, noise_variance
 from .circuit import (DEFAULT_TARGET_PHASES, GammaLUT, default_gamma_lut,
                       select_control_voltages)
 from .errors import (FramingError, InterpolationError, PartialReceiveError,
@@ -70,9 +70,12 @@ class ExperimentConfig:
             raise ValueError("complex_gain must be nonzero")
         if not any(self.fir_taps):
             raise ValueError("fir_taps must not all be zero")
+        # each SNR must give the frames' channel a finite per-sample noise
+        # variance, at the incident power the channel defaults to
         for snr in self.snr_list:
             try:
-                _channel(self, snr, 0)
+                noise_variance(snr, ChannelConfig.ref_power,
+                               self.resolved_sps())
             except ValueError as exc:
                 raise ValueError(f"snr_list value {snr!r}: {exc}") from None
         if self.resolved_est_taps() > FrameLayout.fft_len:

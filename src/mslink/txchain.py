@@ -32,9 +32,10 @@ _PILOT_SEED = 1  # draws the pilot chirp's root and shift
 
 @dataclass(frozen=True)
 class Constellation:
-    """Four complex symbol points; index k carries the bits of P(k+1).  The
-    points are stored as a read-only copy, and constellations compare and
-    hash by value, the points by their contents."""
+    """Four finite, distinct complex symbol points; index k carries the bits
+    of P(k+1).  The points are stored as a read-only copy, and
+    constellations compare and hash by value, the points by their
+    contents."""
 
     points: np.ndarray = field(repr=False)
 
@@ -42,6 +43,9 @@ class Constellation:
         pts = np.array(self.points, dtype=complex)   # always a new array
         if pts.shape != (4,):
             raise ValueError("constellation needs exactly four points")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError(f"constellation points must be finite, "
+                             f"got {', '.join(map(str, pts.tolist()))}")
         if len({complex(p) for p in pts}) != 4:
             raise ValueError("constellation points must be distinct")
         pts.flags.writeable = False
@@ -74,7 +78,11 @@ def impaired_qpsk(phase_span_deg: float, magnitudes=None) -> Constellation:
     magnitudes recovers ideal QPSK geometry up to a common rotation."""
     phases = np.radians(phase_span_deg * np.arange(4) / 3.0)
     mags = np.ones(4) if magnitudes is None else np.asarray(magnitudes, float)
-    return Constellation(mags * np.exp(1j * phases))
+    # an infinite magnitude times 1 + 0j is NaN in its imaginary part, a
+    # point Constellation rejects; numpy need not warn of it first
+    with np.errstate(invalid="ignore"):
+        points = mags * np.exp(1j * phases)
+    return Constellation(points)
 
 
 class FrameLayout:

@@ -10,8 +10,7 @@ import math
 import numpy as np
 
 from mslink.channel import ChannelConfig, apply_channel
-from mslink.circuit import (CircuitParams, VaractorModel, DEFAULT_FREQUENCY,
-                            build_gamma_lut, default_gamma_lut)
+from mslink.circuit import UnitCell, build_gamma_lut, default_gamma_lut
 from mslink.harness import (ExperimentConfig, measure_link_snr, receive_file,
                             run_ber_sweep, snr_at_ber, theoretical_qpsk_ber,
                             transmit_file)
@@ -187,12 +186,9 @@ def test_passband_spectrum_property():
 def test_circuit_invariants():
     passive = True
     for r in (0.0, 1.0, 6.0, 12.0, 50.0):
-        lut = build_gamma_lut(VaractorModel(), CircuitParams(r_series=r),
-                              DEFAULT_FREQUENCY)
+        lut = build_gamma_lut(UnitCell(r_series=r))
         passive &= bool(np.all(lut.magnitudes <= 1.0 + 1e-12))
-    lossless_lut = build_gamma_lut(VaractorModel(),
-                                   CircuitParams(r_series=0.0),
-                                   DEFAULT_FREQUENCY)
+    lossless_lut = build_gamma_lut(UnitCell(r_series=0.0))
     lossless = bool(np.all(np.abs(lossless_lut.magnitudes - 1.0) <= 1e-9))
     span = default_gamma_lut().phase_span_deg()
     ok = passive and lossless and span >= 255.0

@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from mslink.channel import (CFO_BLOCK, NOISE_CHUNK, ChannelConfig,
-                            _cfo_ramp, _noise_variance, apply_channel,
-                            cfo_phasors)
+                            _cfo_ramp, apply_channel, cfo_phasors,
+                            noise_variance)
 from mslink.rxchain import _ramp_index, derotate_and_dump
 from mslink.txchain import BasebandSignal, FrameLayout
 
@@ -16,9 +17,10 @@ def _sig(samples, sps=1):
 
 
 def test_noise_variance_values():
-    assert _noise_variance(0.0, 1.0) == 1.0
-    assert _noise_variance(3.0103, 1.0) == pytest.approx(0.5, rel=1e-4)
-    assert _noise_variance(math.inf, 1.0) == 0.0
+    assert noise_variance(0.0, 1.0, 1) == 1.0
+    assert noise_variance(3.0103, 1.0, 1) == pytest.approx(0.5, rel=1e-4)
+    assert noise_variance(math.inf, 1.0, 1) == 0.0
+    assert noise_variance(0.0, 2.0, 8) == 16.0
 
 
 def test_clean_channel_is_identity():
@@ -168,6 +170,17 @@ def test_config_validation():
         assert np.isfinite(y.samples).all()
 
 
+def test_noise_variance_past_float64_per_sample_raises():
+    # the per-sample variance is sps times the per-symbol one: at sps 8 and
+    # -3080 dB it overflowed to inf, and the samples came back inf
+    cfg = ChannelConfig(snr_db=-3080.0)
+    with pytest.raises(ValueError, match=re.escape(
+            "snr_db must be +inf or give a finite noise variance "
+            "8 * ref_power / 10^(snr_db / 10)")):
+        apply_channel(_sig(np.ones(64), sps=8), cfg)
+    assert np.isfinite(apply_channel(_sig(np.ones(64)), cfg).samples).all()
+
+
 def _closed_form_channel(x, sps, cfg):
     """The channel written as one expression per stage, every stage always
     applied: the oracle for the fast path, which skips identity stages."""
@@ -180,7 +193,7 @@ def _closed_form_channel(x, sps, cfg):
                    / (CFO_BLOCK * sps))
     y = y * cfg.complex_gain
     if cfg.snr_db != math.inf:
-        var = sps * _noise_variance(cfg.snr_db, cfg.ref_power)
+        var = sps * (cfg.ref_power / 10.0 ** (cfg.snr_db / 10.0))
         rng = np.random.default_rng(cfg.seed)
         w = rng.normal(scale=np.sqrt(var / 2.0), size=(2, y.size))
         y = y + w[0] + 1j * w[1]
@@ -296,7 +309,7 @@ def test_chunked_noise_equals_one_shot_draw(n):
     cfg = ChannelConfig(snr_db=10.0, seed=4, ref_power=1.0)
     y = apply_channel(_sig(x), cfg).samples
     w = np.random.default_rng(4).normal(
-        scale=np.sqrt(_noise_variance(10.0, 1.0) / 2.0), size=(2, n))
+        scale=np.sqrt(noise_variance(10.0, 1.0, 1) / 2.0), size=(2, n))
     want = x.copy()
     want.real += w[0]
     want.imag += w[1]

@@ -1,11 +1,11 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mslink.circuit import (CircuitParams, GammaLUT, VaractorModel, Z_AIR,
-                            DEFAULT_FREQUENCY, DEFAULT_TARGET_PHASES,
+from mslink.circuit import (GammaLUT, UnitCell, Z_AIR, DEFAULT_TARGET_PHASES,
                             _reflection_phase, build_gamma_lut,
                             default_gamma_lut, load_impedance,
                             reflection_coefficient, select_control_voltages,
@@ -16,52 +16,52 @@ from mslink.errors import InfeasibleError, SingularityError
 # --- varactor capacitance ---------------------------------------------------
 
 def test_capacitance_zero_bias_is_c_zero():
-    m = VaractorModel()
+    m = UnitCell()
     assert varactor_capacitance(0.0, m) == m.c_zero
 
 
 def test_capacitance_at_junction_voltage_halves():
-    m = VaractorModel(c_zero=1.2e-12, v_junction=2.0, exponent=1.0,
+    m = UnitCell(c_zero=1.2e-12, v_junction=2.0, exponent=1.0,
                       c_min=0.2e-12)
     assert varactor_capacitance(2.0, m) == pytest.approx(0.6e-12)
 
 
 def test_capacitance_hand_computed_point():
     # 2 pF / (1 + 3)^0.5 = 1.0 pF, above the 0.1 pF floor
-    m = VaractorModel(c_zero=2e-12, v_junction=1.0, exponent=0.5,
+    m = UnitCell(c_zero=2e-12, v_junction=1.0, exponent=0.5,
                       c_min=0.1e-12)
     assert varactor_capacitance(3.0, m) == pytest.approx(1.0e-12)
 
 
 def test_capacitance_clamps_at_c_min():
-    m = VaractorModel(c_zero=1.2e-12, v_junction=2.0, exponent=1.0,
+    m = UnitCell(c_zero=1.2e-12, v_junction=2.0, exponent=1.0,
                       c_min=0.2e-12)
     assert varactor_capacitance(1000.0, m) == m.c_min
 
 
 def test_capacitance_past_the_float_range_clamps_at_c_min():
     # (1 + 20/2)^1e6 is past the largest float: C(v) is below any floor
-    m = VaractorModel(exponent=1e6)
+    m = UnitCell(exponent=1e6)
     assert varactor_capacitance(0.0, m) == m.c_zero
     assert varactor_capacitance(20.0, m) == m.c_min
 
 
 def test_capacitance_rejects_negative_bias():
     with pytest.raises(ValueError):
-        varactor_capacitance(-0.1, VaractorModel())
+        varactor_capacitance(-0.1, UnitCell())
 
 
 @given(st.floats(min_value=0.0, max_value=50.0),
        st.floats(min_value=0.0, max_value=50.0))
 @settings(max_examples=50, deadline=None)
 def test_capacitance_non_increasing(v1, v2):
-    m = VaractorModel()
+    m = UnitCell()
     lo, hi = sorted((v1, v2))
     assert varactor_capacitance(hi, m) <= varactor_capacitance(lo, m)
 
 
 def test_capacitance_strictly_decreasing_before_clamp():
-    m = VaractorModel()
+    m = UnitCell()
     # clamp voltage: c_zero/(1+v/vj) = c_min  ->  v = vj (c_zero/c_min - 1)
     v_clamp = m.v_junction * (m.c_zero / m.c_min - 1.0)
     grid = np.linspace(0.0, 0.99 * v_clamp, 40)
@@ -74,59 +74,74 @@ def test_capacitance_strictly_decreasing_before_clamp():
 def test_load_impedance_term_by_term_oracle():
     # independent evaluation of the parallel combination
     c, f = 1e-12, 4e9
-    params = CircuitParams(r_series=1.0, l_top=2e-9, l_bottom=0.5e-9)
+    cell = UnitCell(r_series=1.0, l_top=2e-9, l_bottom=0.5e-9, frequency=f)
     w = 2 * math.pi * f
     z_ser = 1j * w * 2e-9 + 1 / (1j * w * c) + 1.0
     z_sh = 1j * w * 0.5e-9
     expect = z_sh * z_ser / (z_sh + z_ser)
-    got = load_impedance(c, params, f)
+    got = load_impedance(c, cell)
     assert got == pytest.approx(expect, rel=1e-12)
 
 
 def test_load_impedance_lossless_is_purely_reactive():
-    params = CircuitParams(r_series=0.0)
-    z = load_impedance(1e-12, params, 4e9)
+    z = load_impedance(1e-12, UnitCell(r_series=0.0))
     assert abs(z.real) <= 1e-9 * abs(z)
 
 
 def test_load_impedance_branch_resonance_raises():
-    params = CircuitParams(r_series=0.0, l_top=0.5e-9, l_bottom=5e-9)
-    f = 4e9
-    w = 2 * math.pi * f
+    cell = UnitCell(r_series=0.0, l_top=0.5e-9, l_bottom=5e-9, frequency=4e9)
+    w = 2 * math.pi * cell.frequency
     # series + shunt reactances cancel: 1/(w c) = w (L1 + L2)
-    c = 1.0 / (w * w * (params.l_top + params.l_bottom))
+    c = 1.0 / (w * w * (cell.l_top + cell.l_bottom))
     with pytest.raises(SingularityError):
-        load_impedance(c, params, f)
+        load_impedance(c, cell)
 
 
-@pytest.mark.parametrize("settings, f, opens", [
-    (dict(l_top=1e300), DEFAULT_FREQUENCY, "l_top 1e+300: "),
-    (dict(l_bottom=1e300), DEFAULT_FREQUENCY, "l_bottom 1e+300: "),
+@pytest.mark.parametrize("settings, opens", [
+    (dict(l_top=1e300), "l_top 1e+300: "),
+    (dict(l_bottom=1e300), "l_bottom 1e+300: "),
     # finite terms whose product leaves the float range
-    (dict(r_series=1e307), DEFAULT_FREQUENCY, "r_series 1e+307: "),
-    (dict(l_top=1e297), DEFAULT_FREQUENCY, "l_top 1e+297: "),
+    (dict(r_series=1e307), "r_series 1e+307: "),
+    (dict(l_top=1e297), "l_top 1e+297: "),
     # the frequency scales both reactances; it is the setting furthest out
-    ({}, 1e300, "frequency 1e+300 Hz: "),
-    (dict(l_bottom=1e-3), 1e300, "frequency 1e+300 Hz: "),
+    (dict(frequency=1e300), "frequency 1e+300 Hz: "),
+    (dict(l_bottom=1e-3, frequency=1e300), "frequency 1e+300 Hz: "),
     # a denominator whose magnitude alone passes the float range
-    (dict(r_series=1.5e308, l_top=7e297), DEFAULT_FREQUENCY,
-     "l_top 7e+297: "),
+    (dict(r_series=1.5e308, l_top=7e297), "l_top 7e+297: "),
 ], ids=["l_top", "l_bottom", "r_series", "l_top-product", "frequency",
         "frequency-and-l_bottom", "magnitude"])
-def test_load_impedance_overflow_names_the_setting(settings, f, opens):
+def test_load_impedance_overflow_names_the_setting(settings, opens):
     # the error opens with the setting that took the load out of the float
     # range, so that a config file's error names that setting's line
     with pytest.raises(ValueError) as exc:
-        load_impedance(1.2e-12, CircuitParams(**settings), f)
+        load_impedance(1.2e-12, UnitCell(**settings))
     assert str(exc.value).startswith(opens)
     assert str(exc.value).endswith("overflows")
 
 
 def test_load_impedance_rejects_bad_domain():
     with pytest.raises(ValueError):
-        load_impedance(0.0, CircuitParams(), 4e9)
+        load_impedance(0.0, UnitCell())
+    # the frequency is the cell's, checked once when the cell is built
     with pytest.raises(ValueError):
-        load_impedance(1e-12, CircuitParams(), 0.0)
+        UnitCell(frequency=0.0)
+
+
+# --- unit cell settings -------------------------------------------------------
+
+@pytest.mark.parametrize("key", [f.name for f in fields(UnitCell)])
+def test_unit_cell_rejects_a_setting_that_is_no_finite_real(key):
+    # each message opens with the setting, so a config file's error names
+    # its line; a bool used to build as 0 or 1 and a string failed in
+    # a comparison without naming the setting
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            UnitCell(**{key: bad})
+    for bad in ("1", None, 1j, True):
+        with pytest.raises(TypeError, match=f"^{key} must be a real number"):
+            UnitCell(**{key: bad})
+    # numpy scalars are real numbers
+    assert UnitCell(**{key: np.float64(getattr(UnitCell(), key))}) == UnitCell()
 
 
 # --- reflection coefficient and phase ---------------------------------------
@@ -174,7 +189,7 @@ def test_reflection_phase_range_and_conjugate(g):
 # --- LUT construction --------------------------------------------------------
 
 def test_single_voltage_lut_is_consistent():
-    lut = build_gamma_lut(VaractorModel(), CircuitParams(), 4e9)
+    lut = build_gamma_lut(UnitCell(frequency=4e9))
     k = 50
     v, g = lut.voltages[k], lut.gammas[k]
     assert v == 5.0
@@ -185,13 +200,13 @@ def test_single_voltage_lut_is_consistent():
 def test_lut_terminates_the_cell_against_free_space():
     # the air impedance is a constant of the model, not a cell parameter
     with pytest.raises(TypeError):
-        CircuitParams(z_air=370.0)
-    model, params = VaractorModel(), CircuitParams()
-    z = load_impedance(varactor_capacitance(5.0, model), params, 4e9)
-    lut = build_gamma_lut(model, params, 4e9)
+        UnitCell(z_air=370.0)
+    cell = UnitCell(frequency=4e9)
+    z = load_impedance(varactor_capacitance(5.0, cell), cell)
+    lut = build_gamma_lut(cell)
     assert lut.voltages[50] == 5.0
     # the table is rotated so its 0 V entry sits at phase 0
-    z0 = load_impedance(varactor_capacitance(0.0, model), params, 4e9)
+    z0 = load_impedance(varactor_capacitance(0.0, cell), cell)
     rotation = np.exp(-1j * np.angle(reflection_coefficient(z0, Z_AIR)))
     assert lut.gammas[50] == pytest.approx(
         reflection_coefficient(z, Z_AIR) * rotation)
@@ -230,27 +245,23 @@ def test_default_lut_is_built_once_and_read_only():
 
 
 def test_lut_leaves_the_callers_arrays_writeable():
-    v = np.array([1.0, 2.0])
-    g = np.array([0.5 + 0.5j, -0.5j])
-    lut = GammaLUT(v, g)
+    g = np.exp(1j * np.radians(45.0 + 1.5 * np.arange(GammaLUT.voltages.size)))
+    lut = GammaLUT(g)
     phases = lut.phases_deg.copy()
-    v[0] = 0.5
     g[0] = 1.0
-    # the table keeps its own copies, so its cached phases stay true
-    assert lut.voltages[0] == 1.0 and lut.gammas[0] == 0.5 + 0.5j
+    # the table keeps its own copy, so its cached phases stay true
+    assert lut.gammas[0] == np.exp(1j * np.radians(45.0))
     np.testing.assert_array_equal(lut.phases_deg, phases)
 
 
 def test_lut_passivity_over_resistance_grid():
     for r in (0.0, 1.0, 6.0, 12.0, 50.0):
-        lut = build_gamma_lut(VaractorModel(), CircuitParams(r_series=r),
-                              DEFAULT_FREQUENCY)
+        lut = build_gamma_lut(UnitCell(r_series=r))
         assert np.all(lut.magnitudes <= 1.0 + 1e-12)
 
 
 def test_lut_losslessness_with_zero_resistance():
-    lut = build_gamma_lut(VaractorModel(), CircuitParams(r_series=0.0),
-                          DEFAULT_FREQUENCY)
+    lut = build_gamma_lut(UnitCell(r_series=0.0))
     assert np.all(np.abs(lut.magnitudes - 1.0) <= 1e-9)
 
 
@@ -271,9 +282,18 @@ def test_lut_csv_columns_are_plain_numbers(tmp_path):
     assert back.tobytes() == lut.gammas.tobytes()
 
 
-def test_lut_rejects_disordered_grid():
-    with pytest.raises(ValueError):
-        GammaLUT([1.0, 1.0], [0.5, 0.5j])
+def test_lut_holds_one_gamma_per_voltage_of_a_read_only_grid():
+    n = GammaLUT.voltages.size
+    for size in (0, 4, n - 1, n + 1):
+        with pytest.raises(ValueError, match="^gammas must hold one value"):
+            GammaLUT(np.ones(size, dtype=complex))
+    with pytest.raises(ValueError, match="^gammas must hold one value"):
+        GammaLUT(np.ones((1, n), dtype=complex))
+    # one grid, shared by every table and writeable by none
+    assert GammaLUT(np.ones(n)).voltages is GammaLUT.voltages
+    assert GammaLUT.voltages.tolist() == [k / 10 for k in range(n)]
+    with pytest.raises(ValueError, match="read-only"):
+        GammaLUT.voltages[0] = 1.0
 
 
 # --- voltage selection -------------------------------------------------------

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mslink.circuit import (DEFAULT_FREQUENCY, DEFAULT_TARGET_PHASES,
-                            CircuitParams, VaractorModel, build_gamma_lut)
+from mslink.circuit import DEFAULT_TARGET_PHASES, UnitCell, build_gamma_lut
 from mslink.cli import main
 from mslink.config import (KEYS, experiment_from_dict, gamma_lut_from_dict,
                            parse_config)
@@ -270,9 +269,7 @@ def test_a_cell_at_resonance_is_one_error_line(tmp_path, capsys, argv):
 
 # every key the surface is built from, with its default value
 SURFACE_KEYS = {
-    **{f.name: f.default for f in fields(CircuitParams)},
-    **{f.name: f.default for f in fields(VaractorModel)},
-    "frequency": DEFAULT_FREQUENCY,
+    **{f.name: f.default for f in fields(UnitCell)},
     "target_phases": DEFAULT_TARGET_PHASES,
 }
 # 0, negatives, NaN, +-inf and huge values
@@ -432,11 +429,8 @@ def test_every_accepted_key_lands_in_its_field(tmp_path):
                                           parse_mask("left-half"))
         else:
             assert getattr(cfg.array, f.name) == want[f.name], f.name
-    params = CircuitParams(**{f.name: want[f.name]
-                              for f in fields(CircuitParams)})
-    model = VaractorModel(**{f.name: want[f.name]
-                             for f in fields(VaractorModel)})
-    lut = build_gamma_lut(model, params, 4.1e9)
+    lut = build_gamma_lut(UnitCell(**{f.name: want[f.name]
+                                      for f in fields(UnitCell)}))
     np.testing.assert_array_equal(gamma_lut_from_dict(d).gammas, lut.gammas)
     np.testing.assert_array_equal(
         cfg.constellation.points,
@@ -463,8 +457,7 @@ def test_empty_dict_gives_the_dataclass_defaults():
                                       getattr(want.array, f.name))
     np.testing.assert_array_equal(
         gamma_lut_from_dict({}).gammas,
-        build_gamma_lut(VaractorModel(), CircuitParams(),
-                        DEFAULT_FREQUENCY).gammas)
+        build_gamma_lut(UnitCell()).gammas)
 
 
 @pytest.mark.parametrize("extra", [{}, {"r_series": "12.0"}])
@@ -489,8 +482,7 @@ def test_gamma_lut_from_dict_defaults_and_keys():
     # c_min and the rest keep their defaults
     np.testing.assert_array_equal(
         lut.gammas,
-        build_gamma_lut(VaractorModel(c_zero=1e-12),
-                        CircuitParams(r_series=3.5), DEFAULT_FREQUENCY).gammas)
+        build_gamma_lut(UnitCell(r_series=3.5, c_zero=1e-12)).gammas)
 
 
 def test_cli_gamma_curve(tmp_path, capsys):

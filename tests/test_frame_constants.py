@@ -15,8 +15,7 @@ import pytest
 
 import mslink
 from mslink import harness, rxchain, txchain
-from mslink.circuit import (DEFAULT_FREQUENCY, DEFAULT_TARGET_PHASES,
-                            CircuitParams, VaractorModel, build_gamma_lut)
+from mslink.circuit import DEFAULT_TARGET_PHASES, UnitCell, build_gamma_lut
 from mslink.harness import ExperimentConfig, run_frame, surface_constellation
 from mslink.txchain import (FrameLayout, build_pilot_sequence,
                             build_sync_sequence)
@@ -47,7 +46,7 @@ def _fresh_frame_head():
 
 
 def _fresh_stock_surface():
-    lut = build_gamma_lut(VaractorModel(), CircuitParams(), DEFAULT_FREQUENCY)
+    lut = build_gamma_lut(UnitCell())
     return surface_constellation(lut, DEFAULT_TARGET_PHASES).points
 
 
@@ -114,7 +113,7 @@ def test_the_pilot_gram_serves_only_the_pilot_spectrum():
 
 
 def test_the_stock_surface_follows_the_table_it_is_given():
-    lut = build_gamma_lut(VaractorModel(), CircuitParams(), DEFAULT_FREQUENCY)
+    lut = build_gamma_lut(UnitCell())
     a = harness._stock_surface(lut)
     assert harness._stock_surface(lut) is a
     assert a == surface_constellation(lut, DEFAULT_TARGET_PHASES)

@@ -43,10 +43,12 @@ def test_theoretical_qpsk_ber_limits():
 
 
 @pytest.mark.parametrize("snr", [1e308, -1e308, 3083.0, 5000.0, -3100.0,
-                                 -3240.0])
+                                 -3240.0, np.float64(3083.0),
+                                 np.float64(-3240.0)])
 def test_an_snr_without_a_noise_variance_fails_at_build(snr):
     # it raised OverflowError or ZeroDivisionError in the first frame, or
-    # (at -3100 dB) made every sample NaN and the frame a sync failure
+    # (at -3100 dB) made every sample NaN and the frame a sync failure; a
+    # numpy scalar warned first, which the test suite makes an error
     prefix = re.escape(f"snr_list value {snr!r}: snr_db ")
     with pytest.raises(ValueError, match=f"^{prefix}"):
         ExperimentConfig(snr_list=(10.0, snr))
@@ -54,6 +56,20 @@ def test_an_snr_without_a_noise_variance_fails_at_build(snr):
         with pytest.raises(ValueError, match="^snr_db "):
             f(ExperimentConfig(), snr, 0)
     ExperimentConfig(snr_list=(3082.0, -3082.0, math.inf))
+
+
+def test_an_snr_is_checked_at_the_noise_variance_per_sample():
+    # at sps 8 the per-sample variance is 8 times the per-symbol one, which
+    # overflows from -3074 dB down; such a config used to build, and its
+    # frames came back inf and failed sync
+    meta = dict(mode="metasurface", frames_per_point=1)
+    with pytest.raises(ValueError, match=re.escape(
+            "snr_list value -3074.0: snr_db must be +inf or give a finite "
+            "noise variance 8 * ref_power / 10^(snr_db / 10)")):
+        ExperimentConfig(snr_list=(-3074.0,), **meta)
+    ExperimentConfig(snr_list=(-3073.0,), **meta)
+    ExperimentConfig(snr_list=(-3080.0,), sps=1, **meta)
+    ExperimentConfig(snr_list=(-3080.0,))
 
 
 def test_experiment_config_validation():
@@ -129,10 +145,11 @@ def test_resolved_defaults():
 # --- surface constellation ----------------------------------------------------
 
 def test_surface_constellation_from_ideal_lut():
-    volts = np.array([0.0, 1.0, 2.0, 3.0])
-    gammas = np.exp(1j * np.radians([45.0, 135.0, 225.0, 315.0]))
-    lut = GammaLUT(voltages=volts, gammas=gammas)
-    pts = surface_constellation(lut, lut.phases_deg).points
+    # 1.5 degrees per grid step: entries 0, 60, 120 and 180 sit at 45, 135,
+    # 225 and 315 degrees
+    k = np.arange(GammaLUT.voltages.size)
+    lut = GammaLUT(np.exp(1j * np.radians(45.0 + 1.5 * k)))
+    pts = surface_constellation(lut, lut.phases_deg[[0, 60, 120, 180]]).points
     np.testing.assert_allclose(pts, ideal_qpsk().points, atol=1e-12)
 
 

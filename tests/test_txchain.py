@@ -321,6 +321,21 @@ def test_constellation_rejects_duplicates():
         Constellation(np.array([1, 1, -1, -1j]))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Constellation([np.nan, 1, 1j, -1]),
+    lambda: Constellation([1, np.inf, 1j, -1]),
+    lambda: Constellation([1, 1j, complex(-1, -np.inf), -1j]),
+    lambda: impaired_qpsk(np.nan),
+    lambda: impaired_qpsk(270.0, magnitudes=[np.inf, 1, 1, 1]),
+], ids=["nan", "inf", "inf-imag", "impaired-nan-span", "impaired-inf-mag"])
+def test_constellation_rejects_points_that_are_not_finite(build):
+    # such a constellation used to build, and every frame it carried then
+    # failed sync without an error
+    with pytest.raises(ValueError, match="^constellation points must be "
+                                         "finite, got "):
+        build()
+
+
 def test_impaired_qpsk_full_span_is_rotated_ideal():
     pts = impaired_qpsk(270.0).points
     rot = pts[0] / ideal_qpsk().points[0]
