@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import suppress
 from dataclasses import replace
 
 import numpy as np
 
 from .channel import apply_channel
 from .config import experiment_from_dict, gamma_lut_from_dict, parse_config
-from .errors import InterpolationError, PartialReceiveError, SyncNotFoundError
+from .errors import (InfeasibleError, InterpolationError, PartialReceiveError,
+                     SyncNotFoundError)
 from .harness import (DEFAULT_TARGET_BER, _channel, compare_architectures,
                       receive_file, run_ber_sweep, run_frame, transmit_file,
                       transmit_frame, write_ber_csv)
@@ -98,7 +100,10 @@ def cmd_receive(args) -> int:
 
 def cmd_gamma_curve(args) -> int:
     base = _load(args)
-    _experiment(args, base)   # checks every key, not only the table's
+    # every key is checked, not only the table's, but not whether the target
+    # phases fit the cell's travel: the curve is how one sees that they do not
+    with suppress(InfeasibleError):
+        _experiment(args, base)
     lut = gamma_lut_from_dict(base)
     out = args.out or "gamma_curve.csv"
     lut.to_csv(out)
@@ -120,8 +125,9 @@ def cmd_constellation(args) -> int:
         fh.write("re,im\n")
         for s in diag.equalized_symbols:
             fh.write(f"{s.real!r},{s.imag!r}\n")
-    print(f"wrote {out}: EVM {diag.evm_percent:.2f}%  "
-          f"SNR est {diag.snr_estimate_db:.2f} dB")
+    print(f"wrote {out}: EVM {diag.evm_percent:.2f}%  SNR est "
+          f"{diag.snr_estimate_db:.2f} dB  sync_margin {diag.sync_margin:.2f}"
+          f"  min |h| {np.abs(diag.channel_estimate).min():.3g}")
     return 0
 
 

@@ -68,7 +68,9 @@ def experiment_from_dict(d: dict, **overrides) -> ExperimentConfig:
     outside (0, 0.5), is an error naming the file of config values read by
     parse_config, and its line when the error opens with its key.  The
     surface is built from its keys in either mode, so none of them is
-    silently ignored; only a metasurface config keeps its points."""
+    silently ignored; only a metasurface config keeps its points.  Its
+    target phases spreading wider than the cell's phase travel is the last
+    check, an InfeasibleError, so that error means every other key passed."""
     given = {k: v for k, v in overrides.items() if v is not None}
     merged = {**d, **given}
     unknown = sorted(merged.keys() - KEYS)
@@ -78,10 +80,10 @@ def experiment_from_dict(d: dict, **overrides) -> ExperimentConfig:
     try:
         cfg = _build(ExperimentConfig, merged,
                      array=_build(ArrayConfig, merged))
+        check_target_ber(float(merged.get("target_ber", DEFAULT_TARGET_BER)))
         targets = _KEY_PARSERS["target_phases"](
             merged.get("target_phases", DEFAULT_TARGET_PHASES))
         surface = surface_constellation(gamma_lut_from_dict(merged), targets)
-        check_target_ber(float(merged.get("target_ber", DEFAULT_TARGET_BER)))
         if cfg.mode == "metasurface":
             cfg = replace(cfg, constellation=surface)
     except ValueError as exc:

@@ -29,6 +29,12 @@ _NOISE_SEED_OFFSET = 2 ** 40  # decorrelates payload and noise streams
 # symbols, where run_frame spans the configured channel; a longer channel
 # is not detected (ROADMAP item 12).
 STREAM_EST_TAPS = 8
+# The largest samples per symbol a config may set.  Each symbol is one held
+# reflection that integrate-and-dump averages back down, so sps only sets
+# how finely a delay or a channel tap falls within a symbol; 64 steps is
+# eight times the finest the link is run at, and its frame is already 1.44 M
+# samples (23 MB).  An sps of 10**6 would ask run_frame for 360 GB.
+MAX_SPS = 64
 
 
 @dataclass(frozen=True)
@@ -58,7 +64,11 @@ class ExperimentConfig:
         check_count("frames_per_point", self.frames_per_point, 1,
                     SEED_POINT_STRIDE)
         check_count("base_seed", self.base_seed, 0)
-        check_count("sps", self.resolved_sps(), 1)
+        check_count("sps", self.resolved_sps(), 1, MAX_SPS)
+        # the delay is leading silence the frame's receive buffer holds and
+        # its sync search scans; past one frame it is mostly silence
+        check_count("timing_offset", self.timing_offset, 0,
+                    FrameLayout.frame_len * self.resolved_sps())
         if self.mode not in ("conventional", "metasurface"):
             raise ValueError(f"mode must be 'conventional' or 'metasurface', "
                              f"got {self.mode!r}")

@@ -68,14 +68,15 @@ def read_key_values(path, parsers) -> KeyValues:
 
 def in_file(exc: ValueError, d: dict, given=()) -> ValueError:
     """exc naming the file that d was read from (by read_key_values), and
-    the line of the key exc's message opens with when the file set that key;
-    exc itself for values not read from a file, and when `given`, the keys
-    set from outside the file, holds the key."""
+    the line of the key exc's message opens with when the file set that key,
+    as an error of exc's own type; exc itself for values not read from a
+    file, and when `given`, the keys set from outside the file, holds the
+    key."""
     key = str(exc).split(" ", 1)[0].strip("|")
     if not isinstance(d, KeyValues) or key in given:
         return exc
     where = f"{d.path}:{d.lines[key]}" if key in d.lines else d.path
-    return ValueError(f"{where}: {exc}")
+    return type(exc)(f"{where}: {exc}")
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,8 @@ SLICER_BLOCK = FrameLayout.fft_len
 # Above sps 1, derotate_and_dump builds the symbol-rate ramp this many
 # symbols at a time, in one 64 KB temporary.
 RAMP_BLOCK = 4096
+# decision-directed passes of the phase loop per equalized block
+PHASE_LOOP_PASSES = 3
 
 _QPSK_POINTS = ideal_qpsk().points
 
@@ -64,20 +66,29 @@ _SIGN_QUADRANT = _sign_quadrant_table()
 class SyncResult:
     frame_start: int
     peak_metric: float
+    margin: float   # peak_metric over the detection threshold, >= 1
 
 
 @dataclass(frozen=True)
 class RxDiagnostics:
-    """What receive_frame found: the sample the frame starts at, the CFO
-    estimate and the equalized data symbols.  The EVM (`evm_percent`) and
-    the SNR estimate read off it (`snr_estimate_db`) are derived when first
-    read: the EVM is computed from `equalized_symbols` as they are at first
-    read, against their minimum-distance ideal-QPSK decisions, and kept, so
-    a frame whose EVM is never read never computes it."""
+    """What receive_frame found, in the order it found it: the sample the
+    frame starts at, the sync peak over the detection threshold
+    (SyncResult.margin), the CFO estimate, the channel estimate ĥ (the
+    2048-bin array the frame equalized with, not a copy), the equalized data
+    symbols, and the (9, 3) unit factors phase_loop applied to them.
+
+    The EVM (`evm_percent`) and the SNR estimate read off it
+    (`snr_estimate_db`) are derived when first read: the EVM is computed
+    from `equalized_symbols` as they are at first read, against their
+    minimum-distance ideal-QPSK decisions, and kept, so a frame whose EVM
+    is never read never computes it."""
 
     frame_start: int
+    sync_margin: float
     cfo_estimate: float
+    channel_estimate: np.ndarray = field(repr=False)
     equalized_symbols: np.ndarray = field(repr=False)
+    phase_rotations: np.ndarray = field(repr=False)
 
     @functools.cached_property
     def _evm(self) -> float:
@@ -148,14 +159,13 @@ def frame_sync(rx: BasebandSignal, search_window=None) -> SyncResult:
     b = int(np.argmax(peaks))
     k, peak = starts[b], float(peaks[b])
     p_hat = float(np.mean(np.abs(seg) ** 2))
-    ideal_peak = math.sqrt(L * p_hat) * rep_norm
+    threshold = SYNC_THRESHOLD * math.sqrt(L * p_hat) * rep_norm
     # silence has a zero peak and a zero threshold, and NaN compares false
-    if not (peak > 0.0 and peak >= SYNC_THRESHOLD * ideal_peak):
+    if not (peak > 0.0 and peak >= threshold):
         raise SyncNotFoundError(
-            f"correlation peak {peak:.3g} below threshold "
-            f"{SYNC_THRESHOLD * ideal_peak:.3g}"
-        )
-    return SyncResult(frame_start=w0 + k, peak_metric=peak)
+            f"correlation peak {peak:.3g} below threshold {threshold:.3g}")
+    # a segment whose power underflows has a zero threshold
+    return SyncResult(w0 + k, peak, peak / threshold if threshold else math.inf)
 
 
 @functools.lru_cache(maxsize=8)
@@ -412,10 +422,35 @@ def _pilot_spectrum() -> np.ndarray:
     return x
 
 
-def receive_frame(rx: BasebandSignal, search_window=None, *, est_taps: int):
-    """Full receiver: sync -> CFO -> dump -> CP removal -> LS -> ZF -> demod.
+def phase_loop(eq_blocks) -> np.ndarray:
+    """Decision-directed removal of the residual common phase left by
+    CFO-estimate jitter (it grows with distance from the pilot subframe),
+    in place in each equalized block of eq_blocks.  Each block takes
+    PHASE_LOOP_PASSES passes, because one pass under-corrects a large
+    rotation: slicer errors near the decision boundary pull the estimate
+    short.  Returns the (blocks, PHASE_LOOP_PASSES) unit factors applied,
+    in the order applied; a pass whose correlation with its decisions is
+    zero applies nothing and records 1."""
+    rotations = np.ones((len(eq_blocks), PHASE_LOOP_PASSES), dtype=complex)
+    for eq, factors in zip(eq_blocks, rotations):
+        for i in range(PHASE_LOOP_PASSES):
+            rot = np.vdot(_QPSK_POINTS[nearest_symbol_indices(eq)], eq)
+            mag = abs(rot)
+            if mag > 0:
+                factors[i] = np.conj(rot) / mag
+                eq *= factors[i]
+    return rotations
 
-    Returns (payload_bits, RxDiagnostics).  The channel is estimated once,
+
+def receive_frame(rx: BasebandSignal, search_window=None, *, est_taps: int):
+    """Full receiver: sync -> CFO -> dump -> CP removal -> LS -> ZF -> phase
+    loop -> demod.
+
+    Returns (payload_bits, RxDiagnostics), the diagnostics holding each
+    estimate the frame made, so that replaying its frame start, CFO
+    estimate, channel estimate and phase factors through derotate_and_dump,
+    zf_equalize and the factors (in the order applied) rebuilds its
+    equalized symbols bit for bit.  The channel is estimated once,
     from the frame's fixed pilot (build_pilot_sequence), and that estimate
     is reused for all nine data subframes; the pilot's spectrum and its
     Gram matrix are built once per process, as is the sync replica.
@@ -432,7 +467,8 @@ def receive_frame(rx: BasebandSignal, search_window=None, *, est_taps: int):
     """
     sps = rx.samples_per_symbol
     lay = FrameLayout
-    start = frame_sync(rx, search_window).frame_start
+    sync = frame_sync(rx, search_window)
+    start = sync.frame_start
     n_frame = lay.frame_len * sps
     if start + n_frame > rx.samples.size:
         raise FramingError(f"starts at sample {start} and runs past the end")
@@ -449,19 +485,9 @@ def receive_frame(rx: BasebandSignal, search_window=None, *, est_taps: int):
     # fresh, never a buffer: the equalized symbols are returned in the
     # diagnostics
     eq_blocks = zf_equalize(bodies[1:], h)
+    rotations = phase_loop(eq_blocks)
     equalized = eq_blocks.reshape(-1)
-    for eq in eq_blocks:
-        # decision-directed removal of the residual common phase left by
-        # CFO-estimate jitter (grows with distance from the pilot subframe).
-        # Iterated because a single pass under-corrects large rotations:
-        # slicer errors near the decision boundary pull the estimate short.
-        for _ in range(3):
-            dec = nearest_symbol_indices(eq)
-            rot = np.vdot(_QPSK_POINTS[dec], eq)
-            mag = abs(rot)
-            if mag > 0:
-                eq *= np.conj(rot) / mag
-
     decided = nearest_symbol_indices(
         equalized, out=scratch("decided", equalized.size, np.intp))
-    return demap_symbols(decided), RxDiagnostics(start, eps, equalized)
+    return demap_symbols(decided), RxDiagnostics(
+        start, sync.margin, eps, h, equalized, rotations)

@@ -95,6 +95,8 @@ def test_experiment_from_dict_rejects_unknown_key():
     ("gamma_static", "1.5"),
     # an empty grid and a mask no array has
     ("snr_list", ","), ("mask", "foo"),
+    # an sps or a delay that would ask a frame for gigabytes
+    ("sps", "65"), ("sps", "1000000"), ("timing_offset", "1000000000"),
 ])
 def test_bad_channel_and_receiver_values_fail_at_load(tmp_path, capsys, mode,
                                                       key, text):
@@ -493,6 +495,26 @@ def test_cli_gamma_curve(tmp_path, capsys):
     assert len(lines) == 202  # header + 0..20 V in 0.1 V steps
 
 
+def test_cli_gamma_curve_draws_a_cell_too_short_for_the_targets(tmp_path,
+                                                                 capsys):
+    # the cell's 254.7 deg of travel is below the default targets' 255 deg
+    # spread: no surface can be built from it, so ber-sweep rejects the
+    # file, but its curve, which shows why, is drawn
+    path = tmp_path / "short.cfg"
+    path.write_text("frequency = 4.1e9\nr_series = 10\n")
+    out = tmp_path / "gamma.csv"
+    assert main(["gamma-curve", "--config", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        f"wrote {out}: 201 points, phase span 254.7 deg\n")
+    want = tmp_path / "want.csv"
+    build_gamma_lut(UnitCell(frequency=4.1e9, r_series=10.0)).to_csv(want)
+    assert out.read_text() == want.read_text()
+    assert main(["ber-sweep", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"mslink: error: {path}: target_phases spread 255.0 deg exceeds "
+        f"LUT span 254.7 deg\n")
+
+
 @pytest.mark.parametrize("text", ["nan", "0", "0.5", "2"])
 def test_target_ber_outside_its_range_fails_before_any_frame(
         tmp_path, capsys, monkeypatch, text):
@@ -537,12 +559,19 @@ def test_cli_transmit_receive_roundtrip(tmp_path):
     assert out.read_bytes() == src.read_bytes()
 
 
-def test_cli_constellation_dump(tmp_path):
+def test_cli_constellation_dump(tmp_path, capsys):
     out = tmp_path / "points.csv"
     assert main(["constellation", "--snr", "20", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "re,im"
     assert len(lines) == 1 + 9 * 2048
+    # the summary line: the frame's EVM, SNR estimate, sync margin and
+    # smallest channel-estimate magnitude
+    _, _, diag = harness.run_frame(ExperimentConfig(snr_list=(20.0,)), 20.0, 0)
+    assert capsys.readouterr().out == (
+        f"wrote {out}: EVM {diag.evm_percent:.2f}%  SNR est "
+        f"{diag.snr_estimate_db:.2f} dB  sync_margin {diag.sync_margin:.2f}  "
+        f"min |h| {np.abs(diag.channel_estimate).min():.3g}\n")
 
 
 def test_cli_constellation_names_an_undecodable_frame(tmp_path, capsys):

@@ -94,9 +94,18 @@ def test_experiment_config_validation():
                 {"frames_per_point": 2.0}, {"frames_per_point": 1.5},
                 {"frames_per_point": True}, {"timing_offset": True},
                 {"timing_offset": -1}, {"base_seed": 1.0},
-                {"base_seed": 1.5}, {"base_seed": False}, {"base_seed": -1}):
+                {"base_seed": 1.5}, {"base_seed": False}, {"base_seed": -1},
+                # above 64 samples per symbol, and a delay past one frame
+                # of samples at the config's sps
+                {"sps": 65}, {"mode": "metasurface", "sps": 10 ** 6},
+                {"timing_offset": 10 ** 9},
+                {"timing_offset": FrameLayout.frame_len + 1},
+                {"mode": "metasurface",
+                 "timing_offset": 8 * FrameLayout.frame_len + 1}):
         with pytest.raises(ValueError, match=f"^{list(bad)[-1]} "):
             ExperimentConfig(**bad)
+    # the bounds themselves build
+    ExperimentConfig(sps=64, timing_offset=64 * FrameLayout.frame_len)
     # parts of the wrong type, which built and then failed in the first
     # frame with an AttributeError
     for bad in ({"mode": "metasurface", "array": None},

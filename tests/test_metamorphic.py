@@ -4,18 +4,22 @@ without an oracle (Chen et al., "Metamorphic testing: a review of challenges
 and opportunities", ACM Computing Surveys 51(1), 2018).
 
 - Scale: on k·y, k a power of two, the receiver returns byte-identical bits,
-  equalized symbols and CFO estimate.  The scale is exact in floating point,
-  and every stage is homogeneous in y: the sync threshold is relative to
-  the segment's power, the CFO estimate is an angle, and the symbols are
-  divided by a channel estimate that scales with y.
+  equalized symbols, CFO estimate, phase-loop factors and sync margin, and
+  a channel estimate of exactly k times the bytes.  The scale is exact in
+  floating point, and every stage is homogeneous in y: the sync threshold
+  is relative to the segment's power, the CFO estimate is an angle, and the
+  symbols are divided by a channel estimate that scales with y.
 - Rotation: on j^m·y, a quarter turn, it returns the same bits and CFO
-  estimate, and equalized symbols within 1e-15 relative (norm-wise).  The
-  turn is exact, but the transforms round the swapped parts apart.
+  estimate, and equalized symbols and phase-loop factors within 1e-15
+  relative (norm-wise), and a channel estimate within 1e-15 of j^m times
+  its own.  The turn is exact, but the transforms round the swapped parts
+  apart.
 - Timing offset: at SNR = inf, a channel delay of d samples moves the frame
-  start the receiver finds by exactly d, and its bits, equalized symbols
-  and CFO estimate are byte-identical.  The delay prepends d zeros and
-  leaves every later sample as it was, so only the sync search, whose
-  window and FFT blocks now start d samples earlier, sees a difference.
+  start the receiver finds by exactly d, and its bits, equalized symbols,
+  CFO estimate, channel estimate and phase-loop factors are byte-identical.
+  The delay prepends d zeros and leaves every later sample as it was, so
+  only the sync search, whose window and FFT blocks now start d samples
+  earlier, sees a difference.
 - Mask: two activation masks of the metasurface with the same number of
   active cells give byte-identical transmit samples, bits, equalized
   symbols and CFO estimate.  The receiver sits at boresight, where every
@@ -62,8 +66,8 @@ def _received(fields, snr_db, seed):
 
 def _receive(rx, cfg, samples):
     """receive_frame on `samples` in place of rx's, called as run_frame
-    calls it: (bits, equalized symbols, CFO estimate, frame start), or the
-    type of the error that stops the frame."""
+    calls it: (bits, equalized symbols, CFO estimate, frame start,
+    diagnostics), or the type of the error that stops the frame."""
     sps = rx.samples_per_symbol
     window = (0, cfg.timing_offset + sps * (len(cfg.fir_taps) + 2))
     try:
@@ -73,7 +77,7 @@ def _receive(rx, cfg, samples):
     except (SyncNotFoundError, SingularChannelError) as exc:
         return type(exc)
     return (bits, diag.equalized_symbols, diag.cfo_estimate,
-            diag.frame_start)
+            diag.frame_start, diag)
 
 
 @settings(max_examples=30, deadline=None)
@@ -86,10 +90,14 @@ def test_a_power_of_two_scale_changes_nothing(fields, snr_db, seed, k):
     if isinstance(want, type):
         assert got is want
         return
-    bits, eq, eps, _ = got
+    bits, eq, eps, _, diag = got
     assert bits.tobytes() == want[0].tobytes()
     assert eq.tobytes() == want[1].tobytes()
     assert eps == want[2]
+    assert (diag.channel_estimate.tobytes()
+            == (k * want[4].channel_estimate).tobytes())
+    assert diag.phase_rotations.tobytes() == want[4].phase_rotations.tobytes()
+    assert diag.sync_margin == want[4].sync_margin
 
 
 @settings(max_examples=30, deadline=None)
@@ -101,10 +109,14 @@ def test_a_quarter_turn_changes_no_decision(fields, snr_db, seed, m):
     if isinstance(want, type):
         assert got is want
         return
-    bits, eq, eps, _ = got
+    bits, eq, eps, _, diag = got
     assert bits.tobytes() == want[0].tobytes()
     assert eps == want[2]
     assert np.linalg.norm(eq - want[1]) <= 1e-15 * np.linalg.norm(want[1])
+    h, h_want = diag.channel_estimate, 1j ** m * want[4].channel_estimate
+    assert np.linalg.norm(h - h_want) <= 1e-15 * np.linalg.norm(h_want)
+    rot, rot_want = diag.phase_rotations, want[4].phase_rotations
+    assert np.linalg.norm(rot - rot_want) <= 1e-15 * np.linalg.norm(rot_want)
 
 
 @settings(max_examples=30, deadline=None)
@@ -121,11 +133,14 @@ def test_a_timing_offset_moves_the_frame_start_and_nothing_else(fields, seed,
     if isinstance(want, type):
         assert got is want
         return
-    bits, eq, eps, start = got
+    bits, eq, eps, start, diag = got
     assert start == want[3] + d
     assert bits.tobytes() == want[0].tobytes()
     assert eq.tobytes() == want[1].tobytes()
     assert eps == want[2]
+    assert (diag.channel_estimate.tobytes()
+            == want[4].channel_estimate.tobytes())
+    assert diag.phase_rotations.tobytes() == want[4].phase_rotations.tobytes()
 
 
 def _same_decode(got, want):

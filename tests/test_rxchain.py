@@ -8,15 +8,17 @@ from hypothesis import given, settings, strategies as st
 from mslink.channel import ChannelConfig, apply_channel
 from mslink.errors import (DegeneratePilotError, SingularChannelError,
                            SyncNotFoundError)
-from mslink.rxchain import (AXIS_TOLERANCE, RAMP_BLOCK, SLICER_BLOCK,
-                            SYNC_BLOCK_REPLICAS, SYNC_THRESHOLD,
+from mslink.harness import (ExperimentConfig, _channel, run_frame,
+                            transmit_frame)
+from mslink.rxchain import (AXIS_TOLERANCE, PHASE_LOOP_PASSES, RAMP_BLOCK,
+                            SLICER_BLOCK, SYNC_BLOCK_REPLICAS, SYNC_THRESHOLD,
                             RxDiagnostics,
                             _QPSK_POINTS, _argmin_distance,
                             _correlation_blocks, correct_cfo,
                             derotate_and_dump, estimate_cfo_cp, frame_sync,
                             integrate_and_dump, ls_channel_estimate,
                             ls_channel_estimate_taps, nearest_symbol_indices,
-                            receive_frame, zf_equalize)
+                            phase_loop, receive_frame, zf_equalize)
 from mslink.txchain import (FrameLayout, build_frame, build_pilot_sequence,
                             build_sync_sequence, demap_symbols, ideal_qpsk,
                             synthesize_baseband)
@@ -34,8 +36,16 @@ def test_frame_sync_noiseless_at_zero():
     _, sig = _frame_signal()
     res = frame_sync(sig)
     assert res.frame_start == 0
-    # unit-power symbols: the peak is the ideal one, the replica's energy
+    # unit-power symbols: the peak is the ideal one, the replica's energy,
+    # so it clears the threshold by 1 / SYNC_THRESHOLD
     assert res.peak_metric == pytest.approx(420.0)
+    assert res.margin == pytest.approx(1.0 / SYNC_THRESHOLD)
+    # so faint that the segment's power, and with it the threshold,
+    # underflows to 0, while the correlation peak does not
+    faint = type(sig)(sig.samples * 2.0 ** -560, sig.sample_rate,
+                      sig.samples_per_symbol)
+    res = frame_sync(faint)
+    assert (res.frame_start, res.margin) == (0, math.inf)
 
 
 def test_frame_sync_finds_timing_offset():
@@ -107,7 +117,8 @@ def _oracle_correlation(seg, rep, n_lags):
 
 def _oracle_sync(rx, w0, w1):
     """frame_sync's result for the window (w0, w1) from the single-FFT
-    correlation: (frame_start, peak), or None where it finds no sync."""
+    correlation: (frame_start, peak, margin), or None where it finds no
+    sync."""
     rep = _sync_replica(rx.samples_per_symbol)
     seg = rx.samples[w0:w1 - 1 + rep.size]
     corr = _oracle_correlation(seg, rep, w1 - w0)
@@ -117,7 +128,7 @@ def _oracle_sync(rx, w0, w1):
              * float(np.linalg.norm(rep)))
     if not (peak > 0.0 and peak >= SYNC_THRESHOLD * ideal):
         return None
-    return w0 + k, peak
+    return w0 + k, peak, peak / (SYNC_THRESHOLD * ideal)
 
 
 def _sync_step(sps):
@@ -156,6 +167,8 @@ def test_frame_sync_blocks_equal_the_single_fft(sps, snr_db, blocks, seam):
     got = frame_sync(rx, (W0, W0 + n_lags))
     assert got.frame_start == want[0]
     assert got.peak_metric == pytest.approx(want[1], rel=1e-12, abs=0)
+    assert got.margin == pytest.approx(want[2], rel=1e-12, abs=0)
+    assert got.margin >= 1.0
     if snr_db >= 0.0:
         assert got.frame_start == W0 + lag
 
@@ -646,11 +659,17 @@ def test_receive_frame_in_reused_buffers_equals_fresh(thread_scratch,
         assert ((diag.cfo_estimate, diag.evm_percent, diag.snr_estimate_db)
                 == (want.cfo_estimate, want.evm_percent,
                     want.snr_estimate_db))
+        assert (diag.channel_estimate.tobytes()
+                == want.channel_estimate.tobytes())
+        assert (diag.phase_rotations.tobytes()
+                == want.phase_rotations.tobytes())
+        assert diag.sync_margin == want.sync_margin
         buffers = thread_scratch()
         assert {"symbols", "decided"} <= set(buffers)
         for buf in buffers.values():
-            assert not np.shares_memory(bits, buf)
-            assert not np.shares_memory(diag.equalized_symbols, buf)
+            for out in (bits, diag.equalized_symbols, diag.channel_estimate,
+                        diag.phase_rotations):
+                assert not np.shares_memory(out, buf)
 
 
 @pytest.mark.parametrize("snr_db", [12.0, math.inf])
@@ -687,6 +706,68 @@ def test_receive_buffers_hold_only_what_the_receiver_works_in(
         return names
 
     assert in_fresh_thread(names_after_frames) == [{"symbols", "decided"}] * 2
+
+
+# --- what the receiver estimated ----------------------------------------------
+
+def _replay(samples, diag, sps):
+    """diag's equalized symbols rebuilt from the estimates it holds: the
+    frame at its start, derotated and dumped by the CFO estimate, its data
+    bodies equalized by the channel estimate, then turned by each recorded
+    phase factor in the order applied, less the unit factors that record a
+    pass that applied nothing."""
+    lay = FrameLayout
+    frame = samples[diag.frame_start:diag.frame_start + lay.frame_len * sps]
+    symbols = derotate_and_dump(frame, diag.cfo_estimate, sps)
+    bodies = symbols[lay.sync_len:].reshape(
+        lay.n_subframes, lay.subframe_len)[:, lay.cp_len:]
+    eq = zf_equalize(bodies[1:], diag.channel_estimate)
+    for block, factors in zip(eq, diag.phase_rotations):
+        for factor in factors:
+            if factor != 1:
+                block *= factor
+    return eq.reshape(-1)
+
+
+@pytest.mark.parametrize("mode", ["conventional", "metasurface"])
+@pytest.mark.parametrize("sps", [1, 8])
+@pytest.mark.parametrize("snr_db", [8.0, 20.0, math.inf])
+def test_the_diagnostics_replay_the_equalized_symbols(mode, sps, snr_db):
+    # a CFO and a one-symbol echo; the frame is received as run_frame
+    # received it
+    cfg = ExperimentConfig(mode=mode, sps=sps, cfo_normalized=0.2,
+                           fir_taps=(1.0, *[0.0] * (sps - 1), 0.3 - 0.2j))
+    decoded = 0
+    for seed in range(3):
+        _, bits, diag = run_frame(cfg, snr_db, seed)
+        if bits is None:
+            continue
+        decoded += 1
+        _, sig = transmit_frame(cfg, seed)
+        rx = apply_channel(sig, _channel(cfg, snr_db, seed))
+        assert (_replay(rx.samples, diag, sps).tobytes()
+                == diag.equalized_symbols.tobytes())
+        assert diag.channel_estimate.shape == (FrameLayout.fft_len,)
+        assert diag.phase_rotations.shape == (FrameLayout.n_subframes - 1,
+                                              PHASE_LOOP_PASSES)
+        assert np.all(np.abs(np.abs(diag.phase_rotations) - 1.0) <= 1e-15)
+        assert diag.sync_margin >= 1.0
+    assert decoded >= (1 if snr_db < 20.0 else 3)
+
+
+def test_phase_loop_removes_a_common_turn_and_records_it():
+    # a block turned by 0.3 rad, and a block of zeros, whose correlation
+    # with its decisions is zero in every pass: it records 1 and stays 0
+    rng = np.random.default_rng(5)
+    sent = _QPSK_POINTS[rng.integers(0, 4, FrameLayout.fft_len)]
+    blocks = np.stack([sent * np.exp(0.3j), np.zeros(FrameLayout.fft_len)])
+    rotations = phase_loop(blocks)
+    assert rotations.shape == (2, PHASE_LOOP_PASSES)
+    assert rotations.dtype == complex
+    assert np.all(rotations[1] == 1.0)
+    assert not blocks[1].any()
+    assert np.prod(rotations[0]) == pytest.approx(np.exp(-0.3j), abs=1e-15)
+    np.testing.assert_allclose(blocks[0], sent, rtol=0, atol=1e-15)
 
 
 def test_receive_frame_oversampled_loopback():
