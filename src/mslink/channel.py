@@ -4,6 +4,16 @@ Everything is seeded and deterministic.  The carrier frequency offset is
 normalized to cycles per FFT-length block of the fixed frame format
 (FrameLayout.fft_len = 2048 symbols), so the per-sample phase increment is
 2 pi eps / (2048 * sps).
+
+A channel pass's noise is drawn on a helper thread that belongs to the
+calling thread (see NoiseDraw).  numpy's generator fills an array without
+holding the GIL, so the caller filters, rotates and scales the samples, or
+synthesizes the frame, while its helper draws; it then adds the drawn
+chunks in order.  The helper draws the same stream of the same generator,
+in the same order and with the same arithmetic as one thread drawing
+inline, so the samples are bit for bit the same.  The helper calls the
+generator alone and no BLAS routine, so pinning BLAS to one thread (see
+README) still leaves each calling thread one BLAS thread.
 """
 
 from __future__ import annotations
@@ -12,6 +22,10 @@ import cmath
 import functools
 import math
 import numbers
+import os
+import queue
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +34,19 @@ from .errors import check_count, check_out
 from .txchain import BasebandSignal, FrameLayout
 
 CFO_BLOCK = FrameLayout.fft_len  # symbols per normalization block
-# Noise and the FIR output are made this many values at a time: a fixed
-# chunk is reused from the allocator on every call, where a frame-sized
-# temporary is handed back to the kernel and faulted in again later.
-NOISE_CHUNK = 8192
+# The FIR output is made this many samples at a time: np.convolve's block
+# temporary (32 KiB) is reused from the allocator on every call, where a
+# frame-sized one is handed back to the kernel and faulted in again later.
+FIR_BLOCK = 2048
+# Each calling thread's noise helper draws NOISE_CHUNK values at a time
+# into a ring of NOISE_SLOTS such chunks of float64 (192 KiB), allocated
+# with the helper and reused by every draw the thread starts.  The helper
+# runs at most the ring ahead of the caller's adds, so the ring bounds how
+# much of the draw the caller's other work hides: at sps 8 about a
+# fifteenth of a frame's noise.  A pass's first on its thread holds the
+# ring and one FIR block besides its output, within 256 KiB.
+NOISE_CHUNK = 12288
+NOISE_SLOTS = 2
 
 
 @dataclass(frozen=True)
@@ -119,8 +142,158 @@ def _is_body_of(x: np.ndarray, out: np.ndarray, d: int) -> bool:
             and x.ctypes.data == body.ctypes.data)
 
 
+def _draw(chunks, free, drawn, cancel, rng, n):
+    """One draw on a noise helper: n real parts, then n imaginary parts, of
+    rng's standard normals, drawn NOISE_CHUNK at a time into the free slots
+    of the ring `chunks` and passed on in `drawn` in order.  Returns the
+    draw's end mark: the exception it raised, else None, also when it was
+    cancelled."""
+    slot = None
+    try:
+        for _ in range(2):
+            for i in range(0, n, NOISE_CHUNK):
+                slot = free.get()
+                if cancel.is_set():
+                    return None
+                rng.standard_normal(out=chunks[slot, :min(NOISE_CHUNK,
+                                                          n - i)])
+                drawn.put(slot)
+                slot = None
+    except BaseException as exc:
+        return exc
+    finally:
+        if slot is not None:
+            free.put(slot)
+    return None
+
+
+def _serve(chunks, jobs, free, drawn, cancel):
+    """A noise helper thread: each job's chunks, then its end mark, until
+    the job None."""
+    for job in iter(jobs.get, None):
+        drawn.put(_draw(chunks, free, drawn, cancel, *job))
+
+
+class _Ring:
+    """What a calling thread shares with its noise helper: the NOISE_SLOTS
+    chunk buffers, the queue of draws to make, the slots free to draw into
+    and the slots drawn (each draw's in order, then its end mark), and the
+    flag that cancels a draw.  The helper holds these, not the ring, so the
+    ring is freed with its calling thread's local, which stops the helper.
+    `active` is the calling thread's draw not yet added or closed."""
+
+    def __init__(self):
+        self.chunks = np.empty((NOISE_SLOTS, NOISE_CHUNK))
+        self.jobs, self.free, self.drawn = (queue.SimpleQueue()
+                                            for _ in range(3))
+        for slot in range(NOISE_SLOTS):
+            self.free.put(slot)
+        self.cancel = threading.Event()
+        self.active = None
+        threading.Thread(target=_serve, daemon=True, name="mslink-noise",
+                         args=(self.chunks, self.jobs, self.free, self.drawn,
+                               self.cancel)).start()
+        weakref.finalize(self, self.jobs.put, None)
+
+
+_THREAD = threading.local()   # this thread's noise ring, made on first use
+
+
+def _forget_rings():
+    """No helper thread survives a fork, so a forked child's threads each
+    start a fresh ring and helper on their next draw."""
+    global _THREAD
+    _THREAD = threading.local()
+
+
+if hasattr(os, "register_at_fork"):   # no fork, no hook on Windows
+    os.register_at_fork(after_in_child=_forget_rings)
+
+
+def _noise_key(cfg: ChannelConfig, sps: int, n: int) -> tuple:
+    return cfg.seed, cfg.snr_db, cfg.ref_power, sps, n
+
+
+class NoiseDraw:
+    """The AWGN of one channel pass of n samples at sps, drawn on the
+    calling thread's noise helper from the moment it is made: standard
+    normals of default_rng(cfg.seed), all real parts, then all imaginary
+    parts (the generator's stream in the order of the one-shot
+    rng.normal(size=(2, n)) draw), each scaled by sqrt(var / 2), var =
+    noise_variance(cfg.snr_db, cfg.ref_power, sps), as it is added: a
+    scaled standard draw is rng.normal's own arithmetic.  At snr_db = inf
+    nothing is drawn.
+
+    add_to adds it to the pass's samples; close cancels it if it was not
+    added, and it is a context manager that closes it on exit.  A draw
+    belongs to the thread that made it, which has one draw at a time:
+    making another closes the last."""
+
+    def __init__(self, cfg: ChannelConfig, sps: int, n: int):
+        self.key = _noise_key(cfg, sps, n)
+        self._ring = None
+        if cfg.snr_db == math.inf:
+            return
+        self._scale = np.sqrt(noise_variance(cfg.snr_db, cfg.ref_power,
+                                             sps) / 2.0)
+        ring = getattr(_THREAD, "ring", None)
+        if ring is None:
+            ring = _THREAD.ring = _Ring()
+        if ring.active is not None:
+            ring.active.close()
+        # the generator is made here: the helper waits for the GIL at
+        # every step it takes in Python while the caller holds it
+        ring.jobs.put((np.random.default_rng(cfg.seed), n))
+        ring.active = self
+        self._ring = ring
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def add_to(self, y: np.ndarray) -> None:
+        """y += w, chunk by chunk as the helper draws them.  A helper's
+        exception is raised here."""
+        ring = self._ring
+        if ring is None:
+            return
+        if (ring.active is not self
+                or getattr(_THREAD, "ring", None) is not ring):
+            raise ValueError("the noise draw is closed or another thread's")
+        for part in (y.real, y.imag):
+            for i in range(0, part.size, NOISE_CHUNK):
+                chunk = part[i:i + NOISE_CHUNK]
+                slot = ring.drawn.get()
+                if not isinstance(slot, int):   # the helper raised
+                    ring.active = None
+                    raise slot
+                w = ring.chunks[slot, :chunk.size]
+                w *= self._scale
+                chunk += w
+                ring.free.put(slot)
+        ring.active = None
+        end = ring.drawn.get()
+        if end is not None:
+            raise end
+
+    def close(self) -> None:
+        """Cancel the draw unless it was added: the helper stops before its
+        next chunk, and the chunks it drew are dropped."""
+        ring = self._ring
+        if ring is None or ring.active is not self:
+            return
+        ring.cancel.set()
+        while isinstance(slot := ring.drawn.get(), int):
+            ring.free.put(slot)
+        ring.cancel.clear()
+        ring.active = None
+
+
 def apply_channel(sig: BasebandSignal, cfg: ChannelConfig,
-                  out: np.ndarray | None = None) -> BasebandSignal:
+                  out: np.ndarray | None = None,
+                  noise: NoiseDraw | None = None) -> BasebandSignal:
     """y[n] = e^{j 2 pi eps (n-d)/(2048 sps)} g (h * x)[n-d] + w[n].
 
     w has variance sps * ref_power / 10^(snr_db / 10) per sample, whatever
@@ -134,57 +307,54 @@ def apply_channel(sig: BasebandSignal, cfg: ChannelConfig,
     hold x itself exactly at the delay, x being out[d:d + len(x)], and the
     channel then runs in place; any other overlap of `out` and x is an
     error.
+
+    w is drawn on the calling thread's noise helper (NoiseDraw) while the
+    FIR, CFO and gain stages run, and added after them.  The draw starts at
+    entry, unless `noise` is given: a draw of this pass, NoiseDraw(cfg, sps,
+    len(y)), that the caller started earlier to run more work under it;
+    a draw made for another pass is refused.  The pass closes its draw, so
+    a pass that raises cancels it.
     """
     x = np.asarray(sig.samples)
     sps = sig.samples_per_symbol
     taps = np.asarray(cfg.fir_taps, dtype=complex)
     d = cfg.timing_offset
     n = d + x.size + taps.size - 1
-    # One output buffer at its final length; every stage that is an exact
-    # identity (unit tap, zero CFO, unit gain) is skipped.
-    # np.empty, not np.zeros: only the delay prefix needs zeroing, and the
-    # zeroed allocation measured slower on the stream workload
-    y = check_out(out, (n,), complex)
-    in_place = np.shares_memory(y, x)
-    if in_place and not _is_body_of(x, y, d):
-        raise ValueError("out must not share memory with the input "
-                         "samples, except as out[d:d + len(x)]")
-    y[:d] = 0.0
-    body = y[d:]
-    if taps.size == 1 and taps[0] == 1.0:
-        if not in_place:
-            body[:] = x
-    else:
-        # last block first, so x may be body's prefix: each block reads only
-        # inputs below the blocks written before it
-        k = taps.size - 1
-        for s in reversed(range(0, body.size, NOISE_CHUNK)):
-            a, e = max(0, s - k), s + NOISE_CHUNK
-            body[s:e] = np.convolve(x[a:e], taps)[s - a:e - a]
-    if cfg.cfo_normalized != 0.0:
-        ramp = _cfo_ramp(cfg.cfo_normalized, sps, body.size)
-        # ramp first: complex products round differently with the operands
-        # swapped, and this is the order numpy evaluates `y * ramp` in when
-        # it reuses the ramp's buffer, as it does at frame sizes
-        np.multiply(ramp, body, out=body)
-    if cfg.complex_gain != 1.0:
-        body *= cfg.complex_gain
-    if cfg.snr_db != math.inf:
-        var = noise_variance(cfg.snr_db, cfg.ref_power, sps)
-        rng = np.random.default_rng(cfg.seed)
-        scale = np.sqrt(var / 2.0)
-        # all real parts, then all imaginary parts: the generator's stream
-        # in the order of the one-shot rng.normal(size=(2, y.size)) draw.
-        # Each chunk is drawn into one array allocated per call, not per
-        # module, so calls on separate threads share nothing; a scaled
-        # standard draw is rng.normal's own arithmetic, so the sums match
-        draw = np.empty(min(NOISE_CHUNK, y.size))
-        for part in (y.real, y.imag):
-            for i in range(0, part.size, NOISE_CHUNK):
-                chunk = part[i:i + NOISE_CHUNK]
-                w = draw[:chunk.size]
-                rng.standard_normal(out=w)
-                w *= scale
-                chunk += w
+    if noise is None:
+        noise = NoiseDraw(cfg, sps, n)
+    elif noise.key != _noise_key(cfg, sps, n):
+        raise ValueError("noise must be drawn for this channel pass")
+    with noise:
+        # One output buffer at its final length; every stage that is an
+        # exact identity (unit tap, zero CFO, unit gain) is skipped.
+        # np.empty, not np.zeros: only the delay prefix needs zeroing, and
+        # the zeroed allocation measured slower on the stream workload
+        y = check_out(out, (n,), complex)
+        in_place = np.shares_memory(y, x)
+        if in_place and not _is_body_of(x, y, d):
+            raise ValueError("out must not share memory with the input "
+                             "samples, except as out[d:d + len(x)]")
+        y[:d] = 0.0
+        body = y[d:]
+        if taps.size == 1 and taps[0] == 1.0:
+            if not in_place:
+                body[:] = x
+        else:
+            # last block first, so x may be body's prefix: each block reads
+            # only inputs below the blocks written before it
+            k = taps.size - 1
+            for s in reversed(range(0, body.size, FIR_BLOCK)):
+                a, e = max(0, s - k), s + FIR_BLOCK
+                body[s:e] = np.convolve(x[a:e], taps)[s - a:e - a]
+        if cfg.cfo_normalized != 0.0:
+            ramp = _cfo_ramp(cfg.cfo_normalized, sps, body.size)
+            # ramp first: complex products round differently with the
+            # operands swapped, and this is the order numpy evaluates
+            # `y * ramp` in when it reuses the ramp's buffer, as it does at
+            # frame sizes
+            np.multiply(ramp, body, out=body)
+        if cfg.complex_gain != 1.0:
+            body *= cfg.complex_gain
+        noise.add_to(y)
     return BasebandSignal(samples=y, sample_rate=sig.sample_rate,
                           samples_per_symbol=sps)

@@ -223,7 +223,8 @@ def select_control_voltages(lut: GammaLUT, target_phases_deg):
     if not np.all(np.isfinite(targets)):
         raise ValueError(f"target_phases must be finite, "
                          f"got {', '.join(map(str, targets.tolist()))}")
-    spread = float(targets.max() - targets.min())
+    # Python floats: a spread past float64's range is inf, not a warning
+    spread = float(targets.max()) - float(targets.min())
     span = lut.phase_span_deg()
     if spread > span:
         raise InfeasibleError(f"target_phases spread {spread:.1f} deg "

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, apply_channel, noise_variance
+from .channel import ChannelConfig, NoiseDraw, apply_channel, noise_variance
 from .circuit import (DEFAULT_TARGET_PHASES, GammaLUT, default_gamma_lut,
                       select_control_voltages)
 from .errors import (FramingError, InterpolationError, PartialReceiveError,
@@ -206,12 +206,18 @@ def run_frame(cfg: ExperimentConfig, snr_db: float, seed: int):
     threads may run frames, of one config or of several, at once.  The
     transmitter writes the frame straight into the thread's scratch array
     `rx` (rxchain.scratch) at the channel delay, and the channel runs in
-    place there."""
+    place there.  The frame's noise is drawn on the thread's noise helper
+    (channel.NoiseDraw) from before the frame is synthesized, so synthesis
+    and the channel's stages run under the draw; a frame that raises
+    before its channel pass cancels it."""
     d = cfg.timing_offset
-    n_tx = FrameLayout.frame_len * cfg.resolved_sps()
+    sps = cfg.resolved_sps()
+    n_tx = FrameLayout.frame_len * sps
     buf = scratch("rx", n_tx + d + len(cfg.fir_taps) - 1)
-    payload, sig = transmit_frame(cfg, seed, buf[d:d + n_tx])
-    rx = apply_channel(sig, _channel(cfg, snr_db, seed), out=buf)
+    ch = _channel(cfg, snr_db, seed)
+    with NoiseDraw(ch, sps, buf.size) as noise:
+        payload, sig = transmit_frame(cfg, seed, buf[d:d + n_tx])
+        rx = apply_channel(sig, ch, out=buf, noise=noise)
     window = (0, d + sig.samples_per_symbol * (len(cfg.fir_taps) + 2))
     try:
         bits, diag = receive_frame(rx, search_window=window,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from mslink.channel import (CFO_BLOCK, NOISE_CHUNK, ChannelConfig,
-                            _cfo_ramp, apply_channel, cfo_phasors,
+                            NoiseDraw, _cfo_ramp, apply_channel, cfo_phasors,
                             noise_variance)
 from mslink.rxchain import _ramp_index, derotate_and_dump
 from mslink.txchain import BasebandSignal, FrameLayout
@@ -232,8 +233,9 @@ def test_channel_bit_exact_against_closed_form(out, cfo, gain, taps, offset,
 
 
 def test_fir_channel_holds_no_second_sample_array(allocation_peak):
-    # the FIR runs NOISE_CHUNK outputs at a time, so a stream-sized pass
-    # allocates its output and block-sized temporaries only
+    # the FIR runs FIR_BLOCK outputs at a time, so a stream-sized pass
+    # allocates its output and block-sized temporaries only, besides the
+    # thread's noise ring on its first noisy pass
     x = np.ones(90_000, dtype=complex)
     cfg = ChannelConfig(snr_db=30.0, timing_offset=500,
                         fir_taps=(1.0, 0.3 - 0.2j, 0.1 + 0.05j))
@@ -314,6 +316,72 @@ def test_chunked_noise_equals_one_shot_draw(n):
     want.real += w[0]
     want.imag += w[1]
     assert y.tobytes() == want.tobytes()
+
+
+class _FailingGenerator:
+    """default_rng(seed) whose standard_normal raises on its third call,
+    inside a draw of several chunks."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = _REAL_DEFAULT_RNG(seed), 0
+
+    def standard_normal(self, out):
+        self.calls += 1
+        if self.calls == 3:
+            raise FloatingPointError("generator failed")
+        return self.rng.standard_normal(out=out)
+
+
+_REAL_DEFAULT_RNG = np.random.default_rng
+
+
+def _noisy_pass(x, cfg):
+    return apply_channel(_sig(x), cfg).samples.tobytes()
+
+
+def test_a_helper_exception_is_raised_in_the_caller(monkeypatch,
+                                                     in_fresh_thread):
+    # the helper draws the noise; its exception reaches the pass that
+    # reads the chunk, and the helper serves the thread's next pass
+    x = np.exp(1j * np.linspace(0, 5, 3 * NOISE_CHUNK))
+    cfg = ChannelConfig(snr_db=10.0, seed=4)
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "default_rng", _FailingGenerator)
+        with pytest.raises(FloatingPointError, match="generator failed"):
+            apply_channel(_sig(x), cfg)
+    assert _noisy_pass(x, cfg) == in_fresh_thread(_noisy_pass, x, cfg)
+
+
+def test_a_pass_that_raises_cancels_its_draw(in_fresh_thread):
+    # the draw starts at entry; a pass that then rejects its `out` cancels
+    # it, so the thread's next pass reads its own noise and no other's
+    x = np.exp(1j * np.linspace(0, 5, 3 * NOISE_CHUNK))
+    cfg = ChannelConfig(snr_db=10.0, seed=4)
+    for bad in range(5):
+        with pytest.raises(ValueError, match="out must hold"):
+            apply_channel(_sig(x), cfg, out=np.empty(x.size - 1, complex))
+    assert _noisy_pass(x, cfg) == in_fresh_thread(_noisy_pass, x, cfg)
+
+
+def test_a_draw_fits_only_its_own_pass_and_thread(in_fresh_thread):
+    x = np.ones(100, dtype=complex)
+    cfg = ChannelConfig(snr_db=10.0, seed=4)
+    want = _noisy_pass(x, cfg)
+    with NoiseDraw(cfg, 1, x.size) as noise:
+        # a draw made for another pass is refused, and this one still fits
+        with pytest.raises(ValueError, match="drawn for this channel pass"):
+            apply_channel(_sig(x), dataclasses.replace(cfg, seed=5),
+                          noise=noise)
+        assert apply_channel(_sig(x), cfg, noise=noise).samples.tobytes() == (
+            want)
+    with NoiseDraw(cfg, 1, x.size) as noise:
+        # a draw belongs to the thread that made it
+        with pytest.raises(ValueError, match="another thread's"):
+            in_fresh_thread(apply_channel, _sig(x), cfg, noise=noise)
+        NoiseDraw(cfg, 1, x.size)   # a thread's next draw closes this one
+        with pytest.raises(ValueError, match="closed"):
+            apply_channel(_sig(x), cfg, noise=noise)
+    assert _noisy_pass(x, cfg) == want
 
 
 def _cfo_config(cfo, **kw):

@@ -323,3 +323,13 @@ def test_select_full_square_targets_infeasible():
     lut = default_gamma_lut()  # span ~263 deg < the 270 deg spread
     with pytest.raises(InfeasibleError):
         select_control_voltages(lut, (0.0, 90.0, 180.0, 270.0))
+
+
+def test_select_targets_spread_past_float64_are_infeasible():
+    # finite targets whose spread overflows float64: infeasible, with no
+    # numpy overflow warning (a RuntimeWarning fails the test)
+    lut = default_gamma_lut()
+    for targets in ((0.0, 0.0, -1.7976931348623157e308, 9.9792015476736e291),
+                    (0.0, 0.0, -1e308, 1e308)):
+        with pytest.raises(InfeasibleError, match="exceeds LUT span"):
+            select_control_voltages(lut, targets)

@@ -4,14 +4,18 @@ import dataclasses
 import math
 import os
 import re
+import subprocess
 import sys
+import textwrap
 import threading
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mslink import harness, rxchain
+import mslink
+from mslink import channel, harness, rxchain
 from mslink.channel import ChannelConfig, apply_channel
 from mslink.circuit import (DEFAULT_TARGET_PHASES, GammaLUT, default_gamma_lut,
                             select_control_voltages)
@@ -992,6 +996,90 @@ def test_a_config_holds_no_arrays_after_its_frames():
     run_frame(copy.copy(cfg), 12.0, 2)
     assert set(vars(cfg)) == {f.name for f in dataclasses.fields(cfg)}
     assert not any(isinstance(v, np.ndarray) for v in vars(cfg).values())
+
+
+# --- per-thread noise helper ------------------------------------------------
+
+def test_a_frame_that_raises_cancels_its_noise_draw(monkeypatch,
+                                                    in_fresh_thread):
+    # run_frame starts the frame's noise draw before transmit_frame, which
+    # raises here: the draw is cancelled at once, the thread's next frame
+    # draws its own noise from the start, and the failures start no thread
+    cfg = ExperimentConfig(mode="metasurface")
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("transmitter failed")
+
+    with monkeypatch.context() as m:
+        m.setattr(harness, "transmit_frame", fail)
+        with pytest.raises(RuntimeError, match="transmitter failed"):
+            run_frame(cfg, 12.0, 1)
+        after_one = threading.active_count()
+        threads = set(threading.enumerate())
+        for seed in range(2, 51):
+            with pytest.raises(RuntimeError, match="transmitter failed"):
+                run_frame(cfg, 12.0, seed)
+            assert channel._THREAD.ring.active is None
+        # no thread was started; a helper of another test's finished
+        # thread may have stopped meanwhile, so the set is the check
+        assert set(threading.enumerate()) <= threads
+        assert threading.active_count() <= after_one
+    got = run_frame(cfg, 12.0, 7)
+    assert _frame_bytes(got) == _frame_bytes(
+        in_fresh_thread(run_frame, cfg, 12.0, 7))
+
+
+def test_each_calling_thread_has_one_noise_helper(in_fresh_thread):
+    # a thread's frames share its helper and ring; another thread's frames
+    # run on a helper and a ring of their own
+    cfg = ExperimentConfig()
+
+    def helper_after_frames():
+        run_frame(cfg, 12.0, 1)
+        ring = channel._THREAD.ring
+        run_frame(cfg, 12.0, 2)
+        assert channel._THREAD.ring is ring and ring.active is None
+        return ring.chunks
+
+    mine = helper_after_frames()
+    other = in_fresh_thread(helper_after_frames)
+    assert not np.shares_memory(mine, other)
+    assert mine.nbytes == other.nbytes == 2 * 12_288 * 8
+
+
+def test_a_forked_child_draws_its_noise_on_a_helper_of_its_own():
+    # the parent's main thread has a helper when it forks; the child has
+    # none, so without a fresh one its frame would wait on it for ever
+    src = str(Path(mslink.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    script = textwrap.dedent("""
+        import os, sys, time
+        from mslink.harness import ExperimentConfig, run_frame
+
+        def frame():
+            cfg = ExperimentConfig(mode="metasurface")
+            payload, bits, diag = run_frame(cfg, 12.0, 5)
+            return [a.tobytes() for a in (payload, bits,
+                                          diag.equalized_symbols)]
+
+        want = frame()
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0 if frame() == want else 3)
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                sys.exit(os.waitstatus_to_exitcode(status))
+            time.sleep(0.01)
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        sys.exit(4)   # the child's frame did not return
+    """)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.returncode == 0, out.stderr
 
 
 @pytest.mark.parametrize("channel", [

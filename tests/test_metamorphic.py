@@ -20,6 +20,14 @@ and opportunities", ACM Computing Surveys 51(1), 2018).
   The delay prepends d zeros and leaves every later sample as it was, so
   only the sync search, whose window and FFT blocks now start d samples
   earlier, sees a difference.
+- Gain: at a finite SNR, twice the channel's complex gain with four times
+  the incident power the noise is charged against (`ref_power`) gives
+  exactly twice the received samples, signal and noise alike, so the
+  receiver returns byte-identical bits, equalized symbols, phase-loop
+  factors and sync margin, and a channel estimate of exactly twice the
+  bytes.  Doubling is exact in floating point, the noise scale
+  sqrt(4 var / 2) is exactly twice sqrt(var / 2), and the rest is the
+  scale relation.  It pins the scale the noise is drawn at.
 - Mask: two activation masks of the metasurface with the same number of
   active cells give byte-identical transmit samples, bits, equalized
   symbols and CFO estimate.  The receiver sits at boresight, where every
@@ -31,6 +39,7 @@ Each frame is drawn as `run_frame` makes it, and received as `run_frame`
 receives it.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -141,6 +150,34 @@ def test_a_timing_offset_moves_the_frame_start_and_nothing_else(fields, seed,
     assert (diag.channel_estimate.tobytes()
             == want[4].channel_estimate.tobytes())
     assert diag.phase_rotations.tobytes() == want[4].phase_rotations.tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(fields=frames, sps=st.sampled_from([1, 8]),
+       snr_db=st.sampled_from([8.0, 20.0]), seed=seeds,
+       gain=st.sampled_from([1.0, 0.5j, -0.3 + 0.6j]))
+def test_twice_the_gain_on_four_times_the_noise_budget_doubles_the_frame(
+        fields, sps, snr_db, seed, gain):
+    cfg = ExperimentConfig(**{**fields, "sps": sps, "complex_gain": gain})
+    _, sig = transmit_frame(cfg, seed)
+    ch = _channel(cfg, snr_db, seed)
+    rx = apply_channel(sig, ch)
+    louder = apply_channel(sig, dataclasses.replace(
+        ch, complex_gain=2 * gain, ref_power=4 * ch.ref_power))
+    assert louder.samples.tobytes() == (2 * rx.samples).tobytes()
+    want = _receive(rx, cfg, rx.samples)
+    got = _receive(louder, cfg, louder.samples)
+    if isinstance(want, type):
+        assert got is want
+        return
+    bits, eq, eps, start, diag = got
+    assert bits.tobytes() == want[0].tobytes()
+    assert eq.tobytes() == want[1].tobytes()
+    assert (eps, start) == want[2:4]
+    assert (diag.channel_estimate.tobytes()
+            == (2 * want[4].channel_estimate).tobytes())
+    assert diag.phase_rotations.tobytes() == want[4].phase_rotations.tobytes()
+    assert diag.sync_margin == want[4].sync_margin
 
 
 def _same_decode(got, want):

@@ -26,10 +26,17 @@ allocated when either changes.  `rx`, `run_frame`'s received samples, is
 frame, is 0.36 MB and `decided`, its slicer decisions, 0.15 MB at any sps.
 No array holds the derotation ramp, built in `symbols` at sps 1 and in one
 64 KB block above it, or the EVM, derived only when a frame's diagnostics
-are read.  So `buf MB` reads 0.87 conventional and 3.39 metasurface.  A
-stream round trip runs no `run_frame`, so its `buf MB` is `symbols` and
-`decided` alone, 0.51; it syncs each of its frames once, inside
-`receive_frame`.
+are read.  `buf MB` also counts the thread's noise ring
+(`mslink.channel`): the two 12 288-value float64 chunks, 0.20 MB, that the
+thread's noise helper draws a channel pass's noise into, allocated with
+the helper by the thread's first noisy pass and reused by every later one.
+So `buf MB` reads 1.06 conventional and 3.58 metasurface.  A stream round
+trip runs no `run_frame`, so its `buf MB` is `symbols`, `decided` and the
+ring, 0.70; it syncs each of its frames once, inside `receive_frame`.
+`threads` is the number of live threads after the timed frames: the
+measuring thread and its noise helper, 2.  On one CPU (`taskset -c 0`)
+nothing overlaps the helper's draw, so `p50 ms` there shows what handing
+the noise between the two threads costs.
 Caches are not counted: the channel's CFO ramp cache
 (`mslink.channel._cfo_ramp`, 16 B per sample of the stream, 1.4 MB for
 this one) also stays resident between round trips, and so do the frame
@@ -49,6 +56,7 @@ import resource
 import statistics
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -109,10 +117,14 @@ def measure(op, n: int) -> dict:
 
 def buffers_mb() -> float:
     """MB held by this thread's frame scratch, whichever arrays it has
-    allocated."""
-    from mslink import rxchain
+    allocated, and by its noise ring, once it has one."""
+    from mslink import channel, rxchain
 
-    return sum(a.nbytes for a in vars(rxchain._SCRATCH).values()) / 1e6
+    held = list(vars(rxchain._SCRATCH).values())
+    ring = getattr(channel._THREAD, "ring", None)
+    if ring is not None:
+        held.append(ring.chunks)
+    return sum(a.nbytes for a in held) / 1e6
 
 
 def frame_cost(mode: str, frames: int, snr_db: float) -> dict:
@@ -121,7 +133,8 @@ def frame_cost(mode: str, frames: int, snr_db: float) -> dict:
     cfg = ExperimentConfig(mode=mode)
     cost = measure(lambda seed: run_frame(cfg, snr_db, seed), frames)
     return {"mode": mode, "sps": cfg.resolved_sps(), "frames": frames,
-            **cost, "buffers_mb": buffers_mb()}
+            **cost, "buffers_mb": buffers_mb(),
+            "threads": threading.active_count()}
 
 
 def stream_cost(round_trips: int) -> dict:
@@ -137,7 +150,8 @@ def stream_cost(round_trips: int) -> dict:
 
         cost = measure(op, round_trips)
     return {"mode": "stream", "sps": stream.params["sps"],
-            "frames": round_trips, **cost, "buffers_mb": buffers_mb()}
+            "frames": round_trips, **cost, "buffers_mb": buffers_mb(),
+            "threads": threading.active_count()}
 
 
 def main(argv=None):
@@ -155,11 +169,11 @@ def main(argv=None):
         print(f"per warm frame, {args.frames} frames at {args.snr:g} dB, "
               "BLAS threads pinned to 1")
     print(f"{'mode':<13}{'faults':>8}{'sys ms':>8}{'peak MB':>9}"
-          f"{'buf MB':>8}{'p50 ms':>8}")
+          f"{'buf MB':>8}{'p50 ms':>8}{'threads':>9}")
     for r in rows:
         print(f"{r['mode']:<13}{r['minor_faults']:>8.0f}{r['sys_ms']:>8.2f}"
               f"{r['alloc_peak_mb']:>9.2f}{r['buffers_mb']:>8.2f}"
-              f"{r['wall_ms_p50']:>8.2f}")
+              f"{r['wall_ms_p50']:>8.2f}{r['threads']:>9}")
     summary = {"frames": args.frames, "modes": rows}
     if args.mode != "stream":
         summary = {"snr_db": args.snr, **summary}
