@@ -25,8 +25,8 @@ from .channel import apply_channel
 from .config import experiment_from_dict, gamma_lut_from_dict, parse_config
 from .errors import (InfeasibleError, InterpolationError, PartialReceiveError,
                      SyncNotFoundError)
-from .harness import (DEFAULT_TARGET_BER, _channel, compare_architectures,
-                      receive_file, run_ber_sweep, run_frame, transmit_file,
+from .harness import (DEFAULT_TARGET_BER, _channel, receive_file,
+                      run_ber_sweep, run_frame, snr_gap, transmit_file,
                       transmit_frame, write_ber_csv)
 from .rxchain import frame_sync
 
@@ -71,15 +71,20 @@ def cmd_ber_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     base = _load(args)
-    cfg_conv = _experiment(args, base, mode="conventional")
-    cfg_meta = _experiment(args, base, mode="metasurface")
+    # both configs are built, and so checked, before any frame runs
+    cfgs = [_experiment(args, base, mode=mode)
+            for mode in ("conventional", "metasurface")]
     target = base.get("target_ber", DEFAULT_TARGET_BER)
-    rec_a, rec_b, gap = compare_architectures(cfg_conv, cfg_meta, target)
     stem = args.out or "compare"
-    write_ber_csv(rec_a, f"{stem}_conventional.csv")
-    write_ber_csv(rec_b, f"{stem}_metasurface.csv")
+    curves = []
+    for cfg in cfgs:
+        records = run_ber_sweep(cfg)
+        write_ber_csv(records, f"{stem}_{cfg.mode}.csv")
+        curves.append((cfg.mode, records))
+    # read after both curves are written: one that misses the target is kept
+    gap, conv, meta = snr_gap(curves, target)
     print(f"gap at BER {target:g}: {gap:.2f} dB "
-          f"(metasurface needs {gap:+.2f} dB vs conventional)")
+          f"(conventional {conv:.2f} dB, metasurface {meta:.2f} dB)")
     return 0
 
 

@@ -40,7 +40,9 @@ MAX_SPS = 64
 @dataclass(frozen=True)
 class ExperimentConfig:
     mode: str = "conventional"            # 'conventional' | 'metasurface'
-    snr_list: tuple = (2.0, 4.0, 6.0, 8.0, 10.0)
+    # the claim's grid: both modes' curves cross DEFAULT_TARGET_BER inside
+    # it, and its first point is above the sps-8 sync cliff (~7 dB)
+    snr_list: tuple = (10.0, 12.0, 14.0, 16.0, 18.0)
     frames_per_point: int = 100
     base_seed: int = 0
     sps: int | None = None                # None: 1 conventional, 8 metasurface
@@ -297,16 +299,36 @@ def check_target_ber(target_ber: float) -> None:
         raise ValueError(f"target_ber must be in (0, 0.5), got {target_ber!r}")
 
 
+def snr_gap(curves, target_ber: float) -> tuple[float, float, float]:
+    """The SNR (dB) the second of two `(name, records)` curves needs over
+    the first at target_ber, and the two crossings: (gap, first, second).
+    One InterpolationError names every curve that misses the target."""
+    crossings, missed = [], []
+    for name, records in curves:
+        try:
+            crossings.append(snr_at_ber(records, target_ber))
+        except InterpolationError:
+            missed.append(name)
+    if missed:
+        raise InterpolationError(
+            f"target BER {target_ber:g} not bracketed by the measured "
+            f"{' and '.join(missed)} {'curves' if missed[1:] else 'curve'}")
+    first, second = crossings
+    return second - first, first, second
+
+
 def compare_architectures(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig,
                           target_ber: float = DEFAULT_TARGET_BER):
     """Run both sweeps and report cfg_b's extra SNR (dB) at the target BER.
-    The target and the grids are checked before any frame runs."""
+    The target and the grids are checked before any frame runs; a curve
+    that misses the target is named by its mode."""
     check_target_ber(target_ber)
     if tuple(cfg_a.snr_list) != tuple(cfg_b.snr_list):
         raise ValueError("configs must share the SNR grid")
     rec_a = run_ber_sweep(cfg_a)
     rec_b = run_ber_sweep(cfg_b)
-    gap = snr_at_ber(rec_b, target_ber) - snr_at_ber(rec_a, target_ber)
+    gap, _, _ = snr_gap(((cfg_a.mode, rec_a), (cfg_b.mode, rec_b)),
+                        target_ber)
     return rec_a, rec_b, gap
 
 

@@ -358,7 +358,8 @@ def test_cli_input_errors_are_one_line_and_exit_1(tmp_path, capsys):
     assert main(["compare", "--snr", "8,10", "--frames", "2", "--mask",
                  "left-half", "--out", str(tmp_path / "cmp")]) == 1
     assert capsys.readouterr().err == (
-        "mslink: error: target BER 0.0001 not bracketed by measured curve\n")
+        "mslink: error: target BER 0.0001 not bracketed by the measured "
+        "conventional and metasurface curves\n")
     # streams with no frame in them fail sync: noise falls below the
     # threshold, and all zeros has no correlation peak at all
     src = tmp_path / "msg.bin"
@@ -620,6 +621,50 @@ def test_cli_compare(tmp_path, capsys):
     assert (tmp_path / "cmp_conventional.csv").exists()
     assert (tmp_path / "cmp_metasurface.csv").exists()
     assert "gap at BER" in capsys.readouterr().out
+
+
+def test_cli_compare_from_the_defaults(tmp_path, capsys):
+    # no --snr: the default grid brackets both curves' crossings, and the
+    # summary's gap is the difference of the two crossings it prints
+    stem = tmp_path / "cmp"
+    assert main(["compare", "--frames", "2", "--out", str(stem)]) == 0
+    for mode in ("conventional", "metasurface"):
+        rows = (tmp_path / f"cmp_{mode}.csv").read_text().splitlines()
+        assert len([r for r in rows if not r.startswith("#")]) == 1 + len(
+            ExperimentConfig.snr_list)
+    line = capsys.readouterr().out
+    got = re.fullmatch(r"gap at BER 0\.0001: (\S+) dB \(conventional (\S+) "
+                       r"dB, metasurface (\S+) dB\)\n", line)
+    gap, conv, meta = map(float, got.groups())
+    assert 2.0 < gap < 8.0
+    assert gap == pytest.approx(meta - conv, abs=0.011)
+
+
+def test_cli_compare_keeps_curves_that_miss_the_target(tmp_path, capsys):
+    # neither curve reaches 1e-4 by 4 dB: both are still written, one row
+    # per SNR point, and the error names each
+    stem = tmp_path / "cmp"
+    assert main(["compare", "--snr", "2,4", "--frames", "1",
+                 "--out", str(stem)]) == 1
+    for mode in ("conventional", "metasurface"):
+        rows = (tmp_path / f"cmp_{mode}.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows if not r.startswith("#")] == [
+            "snr_db", "2.0", "4.0"]
+    err = capsys.readouterr().err
+    assert "conventional" in err and "metasurface" in err
+
+
+# the default grid's first point, where constellation and sync-check run,
+# is above the sps-8 sync cliff
+def test_cli_metasurface_constellation_from_the_defaults(tmp_path):
+    out = tmp_path / "points.csv"
+    assert main(["constellation", "--mode", "metasurface",
+                 "--out", str(out)]) == 0
+
+
+def test_cli_metasurface_sync_check_from_the_defaults(capsys):
+    assert main(["sync-check", "--mode", "metasurface", "--frames", "3"]) == 0
+    assert " 3/3 " in capsys.readouterr().out
 
 
 def test_cli_config_file(tmp_path):

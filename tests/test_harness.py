@@ -22,11 +22,11 @@ from mslink.circuit import (DEFAULT_TARGET_PHASES, GammaLUT, default_gamma_lut,
 from mslink.cli import main
 from mslink.config import gamma_lut_from_dict
 from mslink.errors import InterpolationError, PartialReceiveError
-from mslink.harness import (_NOISE_SEED_OFFSET, SEED_POINT_STRIDE, BerRecord,
-                            ExperimentConfig, _channel,
-                            compare_architectures, measure_link_snr,
+from mslink.harness import (_NOISE_SEED_OFFSET, DEFAULT_TARGET_BER,
+                            SEED_POINT_STRIDE, BerRecord, ExperimentConfig,
+                            _channel, compare_architectures, measure_link_snr,
                             receive_file, run_ber_sweep, run_frame,
-                            snr_at_ber, surface_constellation,
+                            snr_at_ber, snr_gap, surface_constellation,
                             theoretical_qpsk_ber, transmit_file,
                             transmit_frame, write_ber_csv)
 from mslink.iqfile import IQ_CHUNK, StreamHeader, read_iq, write_iq
@@ -218,6 +218,32 @@ def test_snr_at_ber_interpolation():
     assert snr_at_ber(recs, 1e-4) == pytest.approx(1.0)
     with pytest.raises(InterpolationError):
         snr_at_ber(recs, 1e-7)
+
+
+def test_snr_gap_reads_both_crossings_or_names_each_miss():
+    def curve(snr0, bers):
+        return [BerRecord(snr0 + 2.0 * i, 10_000_000, round(b * 1e7), b)
+                for i, b in enumerate(bers)]
+
+    hit, late, miss = (curve(0.0, (1e-3, 1e-5)), curve(3.0, (1e-3, 1e-5)),
+                       curve(0.0, (1e-2, 1e-3)))
+    assert snr_gap((("a", hit), ("b", late)), 1e-4) == pytest.approx(
+        (3.0, 1.0, 4.0))
+    with pytest.raises(InterpolationError,
+                       match="not bracketed by the measured b curve$"):
+        snr_gap((("a", hit), ("b", miss)), 1e-4)
+    with pytest.raises(InterpolationError,
+                       match="not bracketed by the measured a and b curves$"):
+        snr_gap((("a", miss), ("b", miss)), 1e-4)
+
+
+def test_default_grid_brackets_the_conventional_crossing():
+    # Eb/N0 = Es/N0 - 10 log10 2 for QPSK: the closed-form curve is above
+    # the target at the grid's first point and below it at its second
+    first, second = ExperimentConfig.snr_list[:2]
+    ebn0 = [snr - 10.0 * math.log10(2.0) for snr in (first, second)]
+    assert theoretical_qpsk_ber(ebn0[0]) > DEFAULT_TARGET_BER
+    assert theoretical_qpsk_ber(ebn0[1]) < DEFAULT_TARGET_BER
 
 
 def test_compare_identical_configs_zero_gap():
