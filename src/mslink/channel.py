@@ -8,12 +8,14 @@ normalized to cycles per FFT-length block of the fixed frame format
 A channel pass's noise is drawn on a helper thread that belongs to the
 calling thread (see NoiseDraw).  numpy's generator fills an array without
 holding the GIL, so the caller filters, rotates and scales the samples, or
-synthesizes the frame, while its helper draws; it then adds the drawn
-chunks in order.  The helper draws the same stream of the same generator,
-in the same order and with the same arithmetic as one thread drawing
-inline, so the samples are bit for bit the same.  The helper calls the
-generator alone and no BLAS routine, so pinning BLAS to one thread (see
-README) still leaves each calling thread one BLAS thread.
+synthesizes the frame, while its helper draws; between the stages' blocks
+it puts each chunk the helper has finished into the samples.  The helper
+draws the same stream of the same generator, in the same order and with
+the same arithmetic as one thread drawing inline, and each sample's stage
+value and noise are summed in either order, so the samples are bit for
+bit the same.  The helper calls the generator alone and no BLAS routine,
+so pinning BLAS to one thread (see README) still leaves each calling
+thread one BLAS thread.
 """
 
 from __future__ import annotations
@@ -41,12 +43,20 @@ FIR_BLOCK = 2048
 # Each calling thread's noise helper draws NOISE_CHUNK values at a time
 # into a ring of NOISE_SLOTS such chunks of float64 (192 KiB), allocated
 # with the helper and reused by every draw the thread starts.  The helper
-# runs at most the ring ahead of the caller's adds, so the ring bounds how
-# much of the draw the caller's other work hides: at sps 8 about a
-# fifteenth of a frame's noise.  A pass's first on its thread holds the
-# ring and one FIR block besides its output, within 256 KiB.
+# runs at most the ring ahead of the chunks the caller has landed.  Out of
+# place the caller lands each chunk between the stages' blocks as soon as
+# it is drawn, so the helper never waits on the stages; in place, and
+# while run_frame synthesizes a frame before its pass, it waits once the
+# ring is full.  A pass's first on its thread holds the ring and one FIR
+# block besides its output, within 256 KiB.
 NOISE_CHUNK = 12288
 NOISE_SLOTS = 2
+# numpy's complex multiply rounds a 1-element array differently from the
+# same element inside a longer array (seen on AVX-512), so a pass never
+# runs a block this short unless its whole body is: a shorter last block
+# is folded into the one before it, and each product rounds as it does
+# over the whole body.
+SHORTEST_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -220,18 +230,25 @@ class NoiseDraw:
     normals of default_rng(cfg.seed), all real parts, then all imaginary
     parts (the generator's stream in the order of the one-shot
     rng.normal(size=(2, n)) draw), each scaled by sqrt(var / 2), var =
-    noise_variance(cfg.snr_db, cfg.ref_power, sps), as it is added: a
-    scaled standard draw is rng.normal's own arithmetic.  At snr_db = inf
-    nothing is drawn.
+    noise_variance(cfg.snr_db, cfg.ref_power, sps), as it lands in the
+    samples: a scaled standard draw is rng.normal's own arithmetic.  At
+    snr_db = inf nothing is drawn.
 
-    add_to adds it to the pass's samples; close cancels it if it was not
-    added, and it is a context manager that closes it on exit.  A draw
-    belongs to the thread that made it, which has one draw at a time:
-    making another closes the last."""
+    The pass takes each chunk as the helper finishes it (land) and puts
+    its stage values in (put); each lane, the real or imaginary part of a
+    sample, gets whichever of its two values comes second added to the one
+    already there.  Float addition commutes, so the landing order leaves
+    every sample bit for bit the same.  add_to lands the rest, waiting for
+    each chunk; close cancels the draw if it was not added, and it is a
+    context manager that closes it on exit.  A draw belongs to the thread
+    that made it, which has one draw at a time: making another closes the
+    last."""
 
     def __init__(self, cfg: ChannelConfig, sps: int, n: int):
         self.key = _noise_key(cfg, sps, n)
         self._ring = None
+        self._lanes = 0      # lanes landed: n real parts, then n imaginary
+        self._held = None    # a drawn slot waiting for its stage values
         if cfg.snr_db == math.inf:
             return
         self._scale = np.sqrt(noise_variance(cfg.snr_db, cfg.ref_power,
@@ -253,26 +270,71 @@ class NoiseDraw:
     def __exit__(self, *exc):
         self.close()
 
-    def add_to(self, y: np.ndarray) -> None:
-        """y += w, chunk by chunk as the helper draws them.  A helper's
-        exception is raised here."""
+    def land(self, y: np.ndarray, cursor: int, ahead: bool,
+             wait: bool = False) -> None:
+        """Put into y every chunk the helper has finished, in order: added
+        to the lanes below `cursor`, whose stage values are in y, and
+        written to those from it on, which put adds theirs to.  Unless
+        `ahead`, a chunk that reaches past the cursor waits for it: in
+        place, the lanes from the cursor on still hold the pass's input.
+        With `wait`, waits for each chunk until every lane has landed.  A
+        helper's exception is raised here."""
         ring = self._ring
         if ring is None:
             return
         if (ring.active is not self
                 or getattr(_THREAD, "ring", None) is not ring):
             raise ValueError("the noise draw is closed or another thread's")
-        for part in (y.real, y.imag):
-            for i in range(0, part.size, NOISE_CHUNK):
-                chunk = part[i:i + NOISE_CHUNK]
-                slot = ring.drawn.get()
+        n = y.size
+        while self._lanes < 2 * n:
+            slot = self._held
+            if slot is None:
+                try:
+                    slot = ring.drawn.get(block=wait)
+                except queue.Empty:
+                    return
                 if not isinstance(slot, int):   # the helper raised
                     ring.active = None
                     raise slot
-                w = ring.chunks[slot, :chunk.size]
-                w *= self._scale
-                chunk += w
-                ring.free.put(slot)
+            part, i = ((y.real, self._lanes) if self._lanes < n
+                       else (y.imag, self._lanes - n))
+            k = min(NOISE_CHUNK, n - i)
+            if not ahead and i + k > cursor:
+                self._held = slot
+                return
+            self._held = None
+            w = ring.chunks[slot, :k]
+            c = min(max(cursor - i, 0), k)
+            np.multiply(w[c:], self._scale, out=part[i + c:i + k])
+            w = w[:c]
+            w *= self._scale
+            part[i:i + c] += w
+            ring.free.put(slot)
+            self._lanes += k
+
+    def put(self, y: np.ndarray, a: int, t: np.ndarray) -> None:
+        """y[a:a + len(t)] = t, but added to the lanes whose noise has
+        landed."""
+        b, n = a + t.size, y.size
+        re_end, im_end = min(self._lanes, n), max(self._lanes - n, 0)
+        if im_end >= b:
+            y[a:b] += t
+        elif re_end <= a:
+            y[a:b] = t
+        else:
+            for part, tp, end in ((y.real, t.real, re_end),
+                                  (y.imag, t.imag, im_end)):
+                c = min(max(end, a), b)
+                part[a:c] += tp[:c - a]
+                part[c:b] = tp[c - a:]
+
+    def add_to(self, y: np.ndarray) -> None:
+        """Land the rest of the draw in y, whose stage values are all in,
+        waiting for each chunk.  A helper's exception is raised here."""
+        ring = self._ring
+        if ring is None:
+            return
+        self.land(y, y.size, False, wait=True)
         ring.active = None
         end = ring.drawn.get()
         if end is not None:
@@ -285,10 +347,77 @@ class NoiseDraw:
         if ring is None or ring.active is not self:
             return
         ring.cancel.set()
+        if self._held is not None:
+            ring.free.put(self._held)
+            self._held = None
         while isinstance(slot := ring.drawn.get(), int):
             ring.free.put(slot)
         ring.cancel.clear()
         ring.active = None
+
+
+def _block_edges(size: int, ntaps: int) -> list:
+    """The edges of the FIR_BLOCK-sample blocks a pass's stages run in,
+    with a last block shorter than SHORTEST_BLOCK or than the ntaps FIR
+    taps folded into the one before it.  The last block's FIR input is as
+    long as the block, and np.convolve swaps an input shorter than the taps
+    with them, which sums each output in another order than the whole
+    convolution does."""
+    edges = list(range(0, size, FIR_BLOCK))
+    if len(edges) > 1 and size - edges[-1] < max(SHORTEST_BLOCK, ntaps):
+        edges.pop()
+    return edges + [size]
+
+
+def _fir_block(x, taps, s, e, hist):
+    """(h * x)[s:e], the same block np.convolve(x, taps) gives, read from
+    x[s - k:e], k = len(taps) - 1, or, when `hist` is given, from hist, a
+    copy of x[s - k:s], then x[s:e]; and a copy of x[e - k:e], the next
+    block's hist."""
+    k = taps.size - 1
+    a = max(0, s - k)
+    src = x[a:e] if hist is None else np.concatenate((hist, x[s:e]))
+    return (np.convolve(src, taps)[s - a:e - a],
+            src[max(0, e - k) - a:].copy())
+
+
+def _run_stages(x, y, d, taps, cfg, sps, noise, in_place):
+    """y[d:] = the FIR, CFO and gain stages of x, block by block, forward,
+    with every chunk of `noise` that the helper has finished landed in y
+    after each block's stages.  Every stage that is an exact identity (unit
+    tap, zero CFO, unit gain) is skipped, and with all three there is
+    nothing to interleave: x is copied, and no chunk lands."""
+    fir = taps.size > 1 or taps[0] != 1.0
+    body = y[d:]
+    if not (fir or cfg.cfo_normalized != 0.0 or cfg.complex_gain != 1.0):
+        if not in_place:
+            body[:] = x
+        return
+    if cfg.cfo_normalized != 0.0:
+        ramp = _cfo_ramp(cfg.cfo_normalized, sps, body.size)
+    hist = None
+    edges = _block_edges(body.size, taps.size)
+    for s, e in zip(edges, edges[1:]):
+        if fir:
+            t, tail = _fir_block(x, taps, s, e, hist)
+            if in_place:   # the block's write overwrites x[e - k:e]
+                hist = tail
+        elif in_place:
+            t = body[s:e]
+        else:
+            t = x[s:e].astype(complex)
+        if cfg.cfo_normalized != 0.0:
+            # ramp first: complex products round differently with the
+            # operands swapped, and this is the order numpy evaluates
+            # `y * ramp` in when it reuses the ramp's buffer, as it does at
+            # frame sizes
+            np.multiply(ramp[s:e], t, out=t)
+        if cfg.complex_gain != 1.0:
+            t *= cfg.complex_gain
+        noise.land(y, d + s, not in_place)
+        if fir or not in_place:
+            noise.put(y, d + s, t)
+        del t   # a block's temporary goes before the next is made
 
 
 def apply_channel(sig: BasebandSignal, cfg: ChannelConfig,
@@ -309,11 +438,16 @@ def apply_channel(sig: BasebandSignal, cfg: ChannelConfig,
     error.
 
     w is drawn on the calling thread's noise helper (NoiseDraw) while the
-    FIR, CFO and gain stages run, and added after them.  The draw starts at
-    entry, unless `noise` is given: a draw of this pass, NoiseDraw(cfg, sps,
-    len(y)), that the caller started earlier to run more work under it;
-    a draw made for another pass is refused.  The pass closes its draw, so
-    a pass that raises cancels it.
+    stages run: the FIR, CFO and gain run forward over blocks of FIR_BLOCK
+    samples, and between blocks every chunk the helper has finished lands
+    in y.  Out of place a chunk lands at once, before its samples' stages
+    if it comes first; in place only behind the stages, as the samples
+    ahead still hold x.  A pass whose stages are all identities adds the
+    draw after copying x.  The draw starts at entry, unless `noise` is
+    given: a draw of this pass, NoiseDraw(cfg, sps, len(y)), that the
+    caller started earlier to run more work under it; a draw made for
+    another pass is refused.  The pass closes its draw, so a pass that
+    raises cancels it.
     """
     x = np.asarray(sig.samples)
     sps = sig.samples_per_symbol
@@ -325,36 +459,16 @@ def apply_channel(sig: BasebandSignal, cfg: ChannelConfig,
     elif noise.key != _noise_key(cfg, sps, n):
         raise ValueError("noise must be drawn for this channel pass")
     with noise:
-        # One output buffer at its final length; every stage that is an
-        # exact identity (unit tap, zero CFO, unit gain) is skipped.
-        # np.empty, not np.zeros: only the delay prefix needs zeroing, and
-        # the zeroed allocation measured slower on the stream workload
+        # One output buffer at its final length.  np.empty, not np.zeros:
+        # only the delay prefix needs zeroing, and the zeroed allocation
+        # measured slower on the stream workload
         y = check_out(out, (n,), complex)
         in_place = np.shares_memory(y, x)
         if in_place and not _is_body_of(x, y, d):
             raise ValueError("out must not share memory with the input "
                              "samples, except as out[d:d + len(x)]")
         y[:d] = 0.0
-        body = y[d:]
-        if taps.size == 1 and taps[0] == 1.0:
-            if not in_place:
-                body[:] = x
-        else:
-            # last block first, so x may be body's prefix: each block reads
-            # only inputs below the blocks written before it
-            k = taps.size - 1
-            for s in reversed(range(0, body.size, FIR_BLOCK)):
-                a, e = max(0, s - k), s + FIR_BLOCK
-                body[s:e] = np.convolve(x[a:e], taps)[s - a:e - a]
-        if cfg.cfo_normalized != 0.0:
-            ramp = _cfo_ramp(cfg.cfo_normalized, sps, body.size)
-            # ramp first: complex products round differently with the
-            # operands swapped, and this is the order numpy evaluates
-            # `y * ramp` in when it reuses the ramp's buffer, as it does at
-            # frame sizes
-            np.multiply(ramp, body, out=body)
-        if cfg.complex_gain != 1.0:
-            body *= cfg.complex_gain
+        _run_stages(x, y, d, taps, cfg, sps, noise, in_place)
         noise.add_to(y)
     return BasebandSignal(samples=y, sample_rate=sig.sample_rate,
                           samples_per_symbol=sps)

@@ -28,9 +28,11 @@ from .errors import (InfeasibleError, InterpolationError, PartialReceiveError,
 from .harness import (DEFAULT_TARGET_BER, _channel, receive_file,
                       run_ber_sweep, run_frame, snr_gap, transmit_file,
                       transmit_frame, write_ber_csv)
+from .iqfile import in_file
 from .rxchain import frame_sync
 
-# every flag, declared once; a subcommand adds the ones it names
+# every flag, declared once; a subcommand adds the ones it names (and
+# ONE_SNR below)
 FLAGS = {
     "--config": dict(help="key = value config file"),
     "--out": dict(help="output path"),
@@ -42,6 +44,21 @@ FLAGS = {
     "--header": dict(help="stream header path"),
     "input": dict(help="input file path"),
 }
+
+
+def _one_snr(text):
+    """--snr of a command that runs at one SNR: one value, as snr_list."""
+    try:
+        return (float(text),)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"takes one SNR in dB, not {text!r}") from None
+
+
+# the --snr of constellation and sync-check, which run at one SNR: the
+# default grid's first point when it is not given
+ONE_SNR = dict(type=_one_snr, help="SNR in dB")
+
 # the ExperimentConfig field each experiment flag sets
 _FIELDS = {"seed": "base_seed", "snr": "snr_list",
            "frames": "frames_per_point", "mode": "mode", "mask": "mask"}
@@ -71,6 +88,9 @@ def cmd_ber_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     base = _load(args)
+    if "mode" in base:   # each curve sets its own, as --mode is refused
+        raise in_file(ValueError("mode is not read by compare, which runs "
+                                 "both modes"), base)
     # both configs are built, and so checked, before any frame runs
     cfgs = [_experiment(args, base, mode=mode)
             for mode in ("conventional", "metasurface")]
@@ -160,7 +180,8 @@ def cmd_sync_check(args) -> int:
     return 0
 
 
-# name -> (handler, help, the flags it reads)
+# name -> (handler, help, the flags it reads: a name in FLAGS, or a name
+# and its own spec)
 SUBCOMMANDS = {
     "ber-sweep": (cmd_ber_sweep, "Monte-Carlo BER sweep",
                   ("--config", "--out", "--seed", "--snr", "--frames",
@@ -175,11 +196,11 @@ SUBCOMMANDS = {
     "gamma-curve": (cmd_gamma_curve, "voltage -> reflection table CSV",
                     ("--config", "--out")),
     "constellation": (cmd_constellation, "equalized-symbol dump",
-                      ("--config", "--out", "--seed", "--snr", "--mode",
-                       "--mask")),
+                      ("--config", "--out", "--seed", ("--snr", ONE_SNR),
+                       "--mode", "--mask")),
     "sync-check": (cmd_sync_check, "frame-sync detection statistics",
-                   ("--config", "--seed", "--snr", "--frames", "--mode",
-                    "--mask")),
+                   ("--config", "--seed", ("--snr", ONE_SNR), "--frames",
+                    "--mode", "--mask")),
 }
 
 
@@ -192,7 +213,9 @@ def main(argv=None) -> int:
     for name, (fn, help_text, flags) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag in flags:
-            p.add_argument(flag, **FLAGS[flag])
+            flag, spec = flag if isinstance(flag, tuple) else (flag,
+                                                               FLAGS[flag])
+            p.add_argument(flag, **spec)
         p.set_defaults(fn=fn)
 
     args = parser.parse_args(argv)

@@ -1,11 +1,14 @@
 import dataclasses
 import math
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from mslink.channel import (CFO_BLOCK, NOISE_CHUNK, ChannelConfig,
+from mslink import channel
+from mslink.channel import (CFO_BLOCK, FIR_BLOCK, NOISE_CHUNK, ChannelConfig,
                             NoiseDraw, _cfo_ramp, apply_channel, cfo_phasors,
                             noise_variance)
 from mslink.rxchain import _ramp_index, derotate_and_dump
@@ -281,6 +284,169 @@ def test_channel_in_place_at_the_delay_equals_closed_form(
                       out=out).samples
     assert y is out
     assert y.tobytes() == _closed_form_channel(x, sps, cfg).tobytes()
+
+
+def _channel_input(body, taps, seed):
+    # random-amplitude QPSK of the length that gives a body of `body`
+    # samples behind the delay
+    rng = np.random.default_rng(seed)
+    m = body - (len(taps) - 1)
+    return (np.exp(1j * np.pi / 2 * rng.integers(0, 4, m) + 1j * np.pi / 4)
+            * rng.uniform(0.5, 1.0, m))
+
+
+def _pass(x, sps, cfg, in_place):
+    """apply_channel's output bytes, out of place into a NaN buffer or in
+    place with x written into the buffer at the delay."""
+    d = cfg.timing_offset
+    out = np.full(d + x.size + len(cfg.fir_taps) - 1, np.nan, dtype=complex)
+    if in_place:
+        out[d:d + x.size] = x
+        x = out[d:d + x.size]
+    y = apply_channel(_sig(x, sps), cfg, out=out).samples
+    assert y is out
+    return y.tobytes()
+
+
+_THREE_TAPS = (1.0, 0.3 - 0.2j, 0.1j)
+_TWENTY_TAPS = tuple(0.8 ** k * np.exp(1j * k) for k in range(20))
+
+
+@pytest.mark.parametrize("sps", [1, 8])
+@pytest.mark.parametrize("snr_db", [math.inf, 10.0])
+@pytest.mark.parametrize("body, taps", [
+    (9 * FIR_BLOCK + 1, (1.0,)), (9 * FIR_BLOCK + 1, _THREE_TAPS),
+    (3 * NOISE_CHUNK + 5001, (1.0,)), (3 * NOISE_CHUNK + 5001, _THREE_TAPS),
+    (9 * FIR_BLOCK + 19, _TWENTY_TAPS),
+], ids=["blocks-plus-one-unit-tap", "blocks-plus-one-3-tap",
+        "over-three-chunks-unit-tap", "over-three-chunks-3-tap",
+        "input-of-whole-blocks-20-tap"])
+@pytest.mark.parametrize("in_place", [False, True],
+                         ids=["out-of-place", "in-place"])
+def test_channel_block_bounds_equal_closed_form(in_place, body, taps,
+                                                snr_db, sps):
+    # the stages run FIR_BLOCK samples at a time.  numpy rounds a complex
+    # product of a 1-element array differently from the same element in a
+    # longer one, so a body of k * FIR_BLOCK + 1 samples must not end in a
+    # 1-sample block; and np.convolve swaps an input shorter than the taps
+    # with them, so an input of whole blocks must not leave a last block
+    # (its FIR input as long as itself) shorter than the 20 taps.  Each
+    # seed gives the last samples other values.  Every body is frame-sized
+    # (see test_channel_bit_exact_against_closed_form)
+    for seed in range(8):
+        x = _channel_input(body, taps, seed)
+        cfg = ChannelConfig(snr_db=snr_db, cfo_normalized=0.2,
+                            timing_offset=37, complex_gain=0.6 - 0.45j,
+                            fir_taps=taps, seed=seed)
+        want = _closed_form_channel(x, sps, cfg).tobytes()
+        assert _pass(x, sps, cfg, in_place) == want
+
+
+_REAL_CONVOLVE = np.convolve
+
+
+def _held_until(ready):
+    """A wait of at most 10 s for ready() to hold."""
+    deadline = time.monotonic() + 10.0
+    while not ready() and time.monotonic() < deadline:
+        time.sleep(1e-4)
+
+
+@pytest.mark.parametrize("in_place", [False, True],
+                         ids=["out-of-place", "in-place"])
+@pytest.mark.parametrize("first", ["stages", "noise"])
+def test_either_landing_order_gives_the_same_bytes(monkeypatch, first,
+                                                   in_place):
+    # each lane gets its stage value and its noise in either order: the
+    # second is added to the first, and float addition commutes.  The
+    # helper's draws wait for the last block's stages, or each FIR block
+    # waits for the helper to fill its ring; put() records the lanes
+    # landed when each block's stage values went in
+    body = 3 * NOISE_CHUNK + 5001
+    taps = _THREE_TAPS
+    x = _channel_input(body, taps, 5)
+    cfg = ChannelConfig(snr_db=10.0, cfo_normalized=0.2, timing_offset=37,
+                        complex_gain=0.6 - 0.45j, fir_taps=taps, seed=5)
+    want = _pass(x, 8, cfg, in_place)
+    assert want == _closed_form_channel(x, 8, cfg).tobytes()
+    seen, stages_done = [], threading.Event()
+    real_put = NoiseDraw.put
+
+    def put(noise, y, a, t):
+        seen.append((a, a + t.size, noise._lanes))
+        real_put(noise, y, a, t)
+        if a + t.size == y.size:
+            stages_done.set()
+
+    class DrawAfterTheStages:
+        def __init__(self, seed):
+            self.rng = _REAL_DEFAULT_RNG(seed)
+
+        def standard_normal(self, out):
+            _held_until(stages_done.is_set)
+            return self.rng.standard_normal(out=out)
+
+    def convolve_after_the_draw(*args):
+        ring = channel._THREAD.ring
+        noise, n = ring.active, ring.active.key[-1]
+        _held_until(lambda: ring.drawn.qsize() >= 2
+                    or noise._held is not None or noise._lanes == 2 * n)
+        return _REAL_CONVOLVE(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(NoiseDraw, "put", put)
+        if first == "stages":
+            m.setattr(np.random, "default_rng", DrawAfterTheStages)
+        else:
+            m.setattr(np, "convolve", convolve_after_the_draw)
+        assert _pass(x, 8, cfg, in_place) == want
+    assert len(seen) == len(range(0, body, FIR_BLOCK))
+    if first == "noise" and not in_place:
+        # every block's real parts had their noise before their stages
+        assert all(lanes >= b for a, b, lanes in seen)
+    else:
+        # no noise ahead of the stages: in place, the samples there still
+        # hold the input
+        assert all(lanes <= a for a, b, lanes in seen)
+
+
+def test_noise_and_stage_values_meet_inside_a_chunk_and_a_block(
+        monkeypatch):
+    # out of place, the stages stop at 5 000 while the helper has drawn
+    # real chunk 0 alone: it lands added below 5 000 and written above, and
+    # the stage values from 5 000 on straddle its end at NOISE_CHUNK
+    gate = threading.Semaphore(0)
+
+    class GatedGenerator:
+        def __init__(self, seed):
+            self.rng = _REAL_DEFAULT_RNG(seed)
+
+        def standard_normal(self, out):
+            gate.acquire(timeout=10.0)
+            return self.rng.standard_normal(out=out)
+
+    n = NOISE_CHUNK + 100
+    cfg = ChannelConfig(snr_db=10.0, seed=6)
+    t = _channel_input(n, (1.0,), 6)
+    monkeypatch.setattr(np.random, "default_rng", GatedGenerator)
+    y = np.full(n, np.nan, dtype=complex)
+    with NoiseDraw(cfg, 1, n) as noise:
+        noise.put(y, 0, t[:5000])
+        gate.release()
+        ring = channel._THREAD.ring
+        _held_until(lambda: ring.drawn.qsize() >= 1)
+        noise.land(y, 5000, True)
+        assert noise._lanes == NOISE_CHUNK
+        noise.put(y, 5000, t[5000:])
+        for _ in range(3):
+            gate.release()
+        noise.add_to(y)
+    w = _REAL_DEFAULT_RNG(6).normal(
+        scale=np.sqrt(noise_variance(10.0, 1.0, 1) / 2.0), size=(2, n))
+    want = t.copy()
+    want.real += w[0]
+    want.imag += w[1]
+    assert y.tobytes() == want.tobytes()
 
 
 def test_apply_channel_rejects_every_other_overlap():

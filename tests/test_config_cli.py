@@ -667,6 +667,41 @@ def test_cli_metasurface_sync_check_from_the_defaults(capsys):
     assert " 3/3 " in capsys.readouterr().out
 
 
+# both run at one SNR: a list used to run at its first value and exit 0
+def test_cli_constellation_refuses_an_snr_list(tmp_path, capsys):
+    out = tmp_path / "points.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["constellation", "--snr", "10,20", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --snr: takes one SNR in dB, not '10,20'" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_cli_sync_check_refuses_an_snr_list(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sync-check", "--snr", "10,-20", "--frames", "2"])
+    assert exc.value.code == 2
+    assert "argument --snr: takes one SNR in dB, not '10,-20'" in (
+        capsys.readouterr().err)
+    assert main(["sync-check", "--snr", "-20", "--frames", "2"]) == 0
+    assert "at snr=-20.0 dB" in capsys.readouterr().out
+
+
+def test_cli_compare_refuses_a_config_mode(tmp_path, capsys, monkeypatch):
+    # compare runs both modes: a config's `mode` used to be dropped, as the
+    # --mode flag is refused.  The error comes before any frame runs
+    cfg = tmp_path / "link.cfg"
+    cfg.write_text("frames_per_point = 1\nmode = metasurface\n")
+    monkeypatch.setattr("mslink.cli.run_ber_sweep", None)
+    assert main(["compare", "--config", str(cfg),
+                 "--out", str(tmp_path / "cmp")]) == 1
+    assert capsys.readouterr().err == (
+        f"mslink: error: {cfg}:2: mode is not read by compare, which runs "
+        f"both modes\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_cli_config_file(tmp_path):
     cfg = tmp_path / "link.cfg"
     cfg.write_text("snr_list = 8\nframes_per_point = 1\nbase_seed = 2\n")
