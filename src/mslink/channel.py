@@ -9,13 +9,15 @@ A channel pass's noise is drawn on a helper thread that belongs to the
 calling thread (see NoiseDraw).  numpy's generator fills an array without
 holding the GIL, so the caller filters, rotates and scales the samples, or
 synthesizes the frame, while its helper draws; between the stages' blocks
-it puts each chunk the helper has finished into the samples.  The helper
-draws the same stream of the same generator, in the same order and with
-the same arithmetic as one thread drawing inline, and each sample's stage
-value and noise are summed in either order, so the samples are bit for
-bit the same.  The helper calls the generator alone and no BLAS routine,
-so pinning BLAS to one thread (see README) still leaves each calling
-thread one BLAS thread.
+it adds each chunk the helper has finished to the samples.  Noise is only
+ever added, and nothing is written after it: out of place the output
+starts at zero and the stage values are added too, in place a chunk is
+added only behind the stages.  The helper draws the same stream of the
+same generator, in the same order and with the same arithmetic as one
+thread drawing inline, and float addition commutes, so the samples are bit
+for bit the same.  The helper calls the generator alone and no BLAS
+routine, so pinning BLAS to one thread (see README) still leaves each
+calling thread one BLAS thread.
 """
 
 from __future__ import annotations
@@ -44,10 +46,11 @@ FIR_BLOCK = 2048
 # into a ring of NOISE_SLOTS such chunks of float64 (192 KiB), allocated
 # with the helper and reused by every draw the thread starts.  The helper
 # runs at most the ring ahead of the chunks the caller has landed.  Out of
-# place the caller lands each chunk between the stages' blocks as soon as
-# it is drawn, so the helper never waits on the stages; in place, and
-# while run_frame synthesizes a frame before its pass, it waits once the
-# ring is full.  A pass's first on its thread holds the ring and one FIR
+# place the caller adds each chunk between the stages' blocks as soon as
+# it is drawn, so the helper never waits on the stages; in place, where a
+# chunk is added only once the stages have passed its end, and while
+# run_frame synthesizes a frame before its pass, it waits once the ring is
+# full.  A pass's first on its thread holds the ring and one FIR
 # block besides its output, within 256 KiB.
 NOISE_CHUNK = 12288
 NOISE_SLOTS = 2
@@ -234,13 +237,9 @@ class NoiseDraw:
     samples: a scaled standard draw is rng.normal's own arithmetic.  At
     snr_db = inf nothing is drawn.
 
-    The pass takes each chunk as the helper finishes it (land) and puts
-    its stage values in (put); each lane, the real or imaginary part of a
-    sample, gets whichever of its two values comes second added to the one
-    already there.  Float addition commutes, so the landing order leaves
-    every sample bit for bit the same.  add_to lands the rest, waiting for
-    each chunk; close cancels the draw if it was not added, and it is a
-    context manager that closes it on exit.  A draw belongs to the thread
+    The pass adds each chunk to the samples as the helper finishes it,
+    once no stage value is left to be written over it (land).  close
+    cancels the rest of the draw, and it is a context manager that closes it on exit.  A draw belongs to the thread
     that made it, which has one draw at a time: making another closes the
     last."""
 
@@ -248,7 +247,6 @@ class NoiseDraw:
         self.key = _noise_key(cfg, sps, n)
         self._ring = None
         self._lanes = 0      # lanes landed: n real parts, then n imaginary
-        self._held = None    # a drawn slot waiting for its stage values
         if cfg.snr_db == math.inf:
             return
         self._scale = np.sqrt(noise_variance(cfg.snr_db, cfg.ref_power,
@@ -270,15 +268,11 @@ class NoiseDraw:
     def __exit__(self, *exc):
         self.close()
 
-    def land(self, y: np.ndarray, cursor: int, ahead: bool,
-             wait: bool = False) -> None:
-        """Put into y every chunk the helper has finished, in order: added
-        to the lanes below `cursor`, whose stage values are in y, and
-        written to those from it on, which put adds theirs to.  Unless
-        `ahead`, a chunk that reaches past the cursor waits for it: in
-        place, the lanes from the cursor on still hold the pass's input.
-        With `wait`, waits for each chunk until every lane has landed.  A
-        helper's exception is raised here."""
+    def land(self, y: np.ndarray, cursor: int, wait: bool = False) -> None:
+        """Add to y every chunk the helper has finished, in order, up to the
+        first that reaches past `cursor`, which waits for it: the lanes from
+        the cursor on may still be overwritten.  With `wait`, waits for each
+        chunk.  A helper's exception is raised here."""
         ring = self._ring
         if ring is None:
             return
@@ -287,69 +281,32 @@ class NoiseDraw:
             raise ValueError("the noise draw is closed or another thread's")
         n = y.size
         while self._lanes < 2 * n:
-            slot = self._held
-            if slot is None:
-                try:
-                    slot = ring.drawn.get(block=wait)
-                except queue.Empty:
-                    return
-                if not isinstance(slot, int):   # the helper raised
-                    ring.active = None
-                    raise slot
             part, i = ((y.real, self._lanes) if self._lanes < n
                        else (y.imag, self._lanes - n))
             k = min(NOISE_CHUNK, n - i)
-            if not ahead and i + k > cursor:
-                self._held = slot
+            if i + k > cursor:
                 return
-            self._held = None
+            try:
+                slot = ring.drawn.get(block=wait)
+            except queue.Empty:
+                return
+            if not isinstance(slot, int):   # the helper raised
+                ring.active = None
+                raise slot
             w = ring.chunks[slot, :k]
-            c = min(max(cursor - i, 0), k)
-            np.multiply(w[c:], self._scale, out=part[i + c:i + k])
-            w = w[:c]
             w *= self._scale
-            part[i:i + c] += w
+            part[i:i + k] += w
             ring.free.put(slot)
             self._lanes += k
 
-    def put(self, y: np.ndarray, a: int, t: np.ndarray) -> None:
-        """y[a:a + len(t)] = t, but added to the lanes whose noise has
-        landed."""
-        b, n = a + t.size, y.size
-        re_end, im_end = min(self._lanes, n), max(self._lanes - n, 0)
-        if im_end >= b:
-            y[a:b] += t
-        elif re_end <= a:
-            y[a:b] = t
-        else:
-            for part, tp, end in ((y.real, t.real, re_end),
-                                  (y.imag, t.imag, im_end)):
-                c = min(max(end, a), b)
-                part[a:c] += tp[:c - a]
-                part[c:b] = tp[c - a:]
-
-    def add_to(self, y: np.ndarray) -> None:
-        """Land the rest of the draw in y, whose stage values are all in,
-        waiting for each chunk.  A helper's exception is raised here."""
-        ring = self._ring
-        if ring is None:
-            return
-        self.land(y, y.size, False, wait=True)
-        ring.active = None
-        end = ring.drawn.get()
-        if end is not None:
-            raise end
-
     def close(self) -> None:
-        """Cancel the draw unless it was added: the helper stops before its
-        next chunk, and the chunks it drew are dropped."""
+        """Cancel the draw, unless the helper raised: the helper stops
+        before its next chunk, the chunks it drew that did not land are
+        dropped, and its end mark is taken."""
         ring = self._ring
         if ring is None or ring.active is not self:
             return
         ring.cancel.set()
-        if self._held is not None:
-            ring.free.put(self._held)
-            self._held = None
         while isinstance(slot := ring.drawn.get(), int):
             ring.free.put(slot)
         ring.cancel.clear()
@@ -383,16 +340,25 @@ def _fir_block(x, taps, s, e, hist):
 
 def _run_stages(x, y, d, taps, cfg, sps, noise, in_place):
     """y[d:] = the FIR, CFO and gain stages of x, block by block, forward,
-    with every chunk of `noise` that the helper has finished landed in y
-    after each block's stages.  Every stage that is an exact identity (unit
-    tap, zero CFO, unit gain) is skipped, and with all three there is
-    nothing to interleave: x is copied, and no chunk lands."""
+    with every chunk of `noise` that the helper has finished added to y
+    before each block's stage values go in: out of place all of them, y
+    starting at zero, in place those behind the block.  Every stage that is
+    an exact identity (unit tap, zero CFO, unit gain) is skipped, and with
+    all three there is nothing to interleave: x is copied, and no chunk
+    lands."""
     fir = taps.size > 1 or taps[0] != 1.0
     body = y[d:]
     if not (fir or cfg.cfo_normalized != 0.0 or cfg.complex_gain != 1.0):
         if not in_place:
             body[:] = x
         return
+    if x.size == 0:   # h * x of no samples: len(h) - 1 zeros
+        body[:] = 0.0
+        return
+    if not in_place:
+        # -0.0, the zero that adding a value leaves bit for bit unchanged
+        # (+0.0 would turn a stage value's -0.0 into +0.0)
+        body[:] = complex(-0.0, -0.0)
     if cfg.cfo_normalized != 0.0:
         ramp = _cfo_ramp(cfg.cfo_normalized, sps, body.size)
     hist = None
@@ -408,15 +374,15 @@ def _run_stages(x, y, d, taps, cfg, sps, noise, in_place):
             t = x[s:e].astype(complex)
         if cfg.cfo_normalized != 0.0:
             # ramp first: complex products round differently with the
-            # operands swapped, and this is the order numpy evaluates
-            # `y * ramp` in when it reuses the ramp's buffer, as it does at
-            # frame sizes
+            # operands swapped, and the closed form is evaluated so too
             np.multiply(ramp[s:e], t, out=t)
         if cfg.complex_gain != 1.0:
             t *= cfg.complex_gain
-        noise.land(y, d + s, not in_place)
-        if fir or not in_place:
-            noise.put(y, d + s, t)
+        noise.land(y, d + s if in_place else y.size)
+        if not in_place:
+            body[s:e] += t
+        elif fir:
+            body[s:e] = t
         del t   # a block's temporary goes before the next is made
 
 
@@ -439,15 +405,16 @@ def apply_channel(sig: BasebandSignal, cfg: ChannelConfig,
 
     w is drawn on the calling thread's noise helper (NoiseDraw) while the
     stages run: the FIR, CFO and gain run forward over blocks of FIR_BLOCK
-    samples, and between blocks every chunk the helper has finished lands
-    in y.  Out of place a chunk lands at once, before its samples' stages
-    if it comes first; in place only behind the stages, as the samples
-    ahead still hold x.  A pass whose stages are all identities adds the
-    draw after copying x.  The draw starts at entry, unless `noise` is
-    given: a draw of this pass, NoiseDraw(cfg, sps, len(y)), that the
-    caller started earlier to run more work under it; a draw made for
-    another pass is refused.  The pass closes its draw, so a pass that
-    raises cancels it.
+    samples, and between blocks every chunk the helper has finished is
+    added to y.  w is only ever added, and nothing is written after it: out
+    of place y starts at zero, and each chunk is added at once and each
+    block's stage values too; in place the stage values overwrite x, and a
+    chunk is added only once the stages have passed its end.  A pass whose
+    stages are all identities adds the draw after copying x.  The draw
+    starts at entry, unless `noise` is given: a draw of this pass,
+    NoiseDraw(cfg, sps, len(y)), that the caller started earlier to run
+    more work under it; a draw made for another pass is refused.  The pass
+    closes its draw, so a pass that raises cancels it.
     """
     x = np.asarray(sig.samples)
     sps = sig.samples_per_symbol
@@ -460,8 +427,8 @@ def apply_channel(sig: BasebandSignal, cfg: ChannelConfig,
         raise ValueError("noise must be drawn for this channel pass")
     with noise:
         # One output buffer at its final length.  np.empty, not np.zeros:
-        # only the delay prefix needs zeroing, and the zeroed allocation
-        # measured slower on the stream workload
+        # the body is x in place, or starts at -0.0, so only the delay
+        # prefix needs zeroing
         y = check_out(out, (n,), complex)
         in_place = np.shares_memory(y, x)
         if in_place and not _is_body_of(x, y, d):
@@ -469,6 +436,6 @@ def apply_channel(sig: BasebandSignal, cfg: ChannelConfig,
                              "samples, except as out[d:d + len(x)]")
         y[:d] = 0.0
         _run_stages(x, y, d, taps, cfg, sps, noise, in_place)
-        noise.add_to(y)
+        noise.land(y, n, wait=True)
     return BasebandSignal(samples=y, sample_rate=sig.sample_rate,
                           samples_per_symbol=sps)

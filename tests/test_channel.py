@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 import threading
@@ -187,15 +188,16 @@ def test_noise_variance_past_float64_per_sample_raises():
 
 def _closed_form_channel(x, sps, cfg):
     """The channel written as one expression per stage, every stage always
-    applied: the oracle for the fast path, which skips identity stages."""
+    applied, in the channel's order over the body: the FIR, the CFO ramp
+    (ramp first in its product), the gain, then the delay's zero prefix and
+    the noise.  The oracle for the fast path, which skips identity
+    stages."""
     taps = np.asarray(cfg.fir_taps, dtype=complex)
     y = np.convolve(x, taps)
-    d = cfg.timing_offset
-    y = np.concatenate([np.zeros(d, dtype=complex), y])
-    n = np.arange(y.size)
-    y = y * np.exp(2j * np.pi * cfg.cfo_normalized * (n - d)
-                   / (CFO_BLOCK * sps))
+    m = np.arange(y.size)
+    y = np.exp(2j * np.pi * cfg.cfo_normalized * m / (CFO_BLOCK * sps)) * y
     y = y * cfg.complex_gain
+    y = np.concatenate([np.zeros(cfg.timing_offset, dtype=complex), y])
     if cfg.snr_db != math.inf:
         var = sps * (cfg.ref_power / 10.0 ** (cfg.snr_db / 10.0))
         rng = np.random.default_rng(cfg.seed)
@@ -204,18 +206,18 @@ def _closed_form_channel(x, sps, cfg):
     return y
 
 
+_GAINS = [1.0, 0.5 * np.exp(1j * np.pi / 4), -0.33 - 0.25j]
+
+
 @pytest.mark.parametrize("sps", [1, 8])
 @pytest.mark.parametrize("snr_db", [math.inf, 10.0])
 @pytest.mark.parametrize("offset", [0, 37])
 @pytest.mark.parametrize("taps", [(1.0,), (0.7,), (1.0, 0.3 - 0.2j)])
-@pytest.mark.parametrize("gain", [1.0, 0.5 * np.exp(1j * np.pi / 4)])
+@pytest.mark.parametrize("gain", _GAINS)
 @pytest.mark.parametrize("cfo", [0.0, 0.2])
 @pytest.mark.parametrize("out", [None, "nan-buffer"])
 def test_channel_bit_exact_against_closed_form(out, cfo, gain, taps, offset,
                                                snr_db, sps):
-    # 20000 samples: frame-sized arrays (above numpy's 256 KiB threshold for
-    # reusing temporaries), where the oracle's `y * ramp` is evaluated as
-    # ramp * y; complex products round differently with the operands swapped
     rng = np.random.default_rng(21)
     sym = np.exp(1j * np.pi / 2 * rng.integers(0, 4, 20000 // sps)
                  + 1j * np.pi / 4)
@@ -262,7 +264,7 @@ def test_apply_channel_rejects_bad_out():
 @pytest.mark.parametrize("offset", [0, 37])
 @pytest.mark.parametrize("taps", [(1.0,), (1.0, 0.3 - 0.2j, 0.1j)],
                          ids=["unit-tap", "3-tap"])
-@pytest.mark.parametrize("gain", [1.0, 0.5 * np.exp(1j * np.pi / 4)])
+@pytest.mark.parametrize("gain", _GAINS)
 @pytest.mark.parametrize("cfo", [0.0, 0.3, -0.3])
 @pytest.mark.parametrize("ref_power", [1.0, 0.25])
 def test_channel_in_place_at_the_delay_equals_closed_form(
@@ -331,8 +333,7 @@ def test_channel_block_bounds_equal_closed_form(in_place, body, taps,
     # 1-sample block; and np.convolve swaps an input shorter than the taps
     # with them, so an input of whole blocks must not leave a last block
     # (its FIR input as long as itself) shorter than the 20 taps.  Each
-    # seed gives the last samples other values.  Every body is frame-sized
-    # (see test_channel_bit_exact_against_closed_form)
+    # seed gives the last samples other values
     for seed in range(8):
         x = _channel_input(body, taps, seed)
         cfg = ChannelConfig(snr_db=snr_db, cfo_normalized=0.2,
@@ -340,6 +341,46 @@ def test_channel_block_bounds_equal_closed_form(in_place, body, taps,
                             fir_taps=taps, seed=seed)
         want = _closed_form_channel(x, sps, cfg).tobytes()
         assert _pass(x, sps, cfg, in_place) == want
+
+
+@pytest.mark.parametrize("body", [100, 2049, 5000, 12289, 20000])
+@pytest.mark.parametrize("in_place", [False, True],
+                         ids=["out-of-place", "in-place"])
+def test_bodies_of_any_size_equal_closed_form(in_place, body):
+    # bodies below one frame too, each with and without CFO, with three
+    # gains, one and three taps, with and without noise.  The last gain has
+    # both parts negative: its product with a zero reads -0.0, as on the
+    # run of zeros in x, which the channel must keep
+    for cfo, gain, taps, snr_db in itertools.product(
+            (0.0, 0.2), _GAINS, ((1.0,), _THREE_TAPS), (math.inf, 10.0)):
+        x = _channel_input(body, taps, body)
+        x[10:74] = 0.0
+        cfg = ChannelConfig(snr_db=snr_db, cfo_normalized=cfo,
+                            timing_offset=37, complex_gain=gain,
+                            fir_taps=taps, seed=3)
+        want = _closed_form_channel(x, 8, cfg).tobytes()
+        assert _pass(x, 8, cfg, in_place) == want
+
+
+@pytest.mark.parametrize("cfo", [0.0, 0.1])
+@pytest.mark.parametrize("snr_db", [math.inf, 10.0])
+@pytest.mark.parametrize("taps", [(1.0,), _THREE_TAPS],
+                         ids=["unit-tap", "3-tap"])
+def test_empty_input_gives_the_delay_and_fir_tail(taps, snr_db, cfo):
+    # h * x of no samples is len(h) - 1 zeros behind the d zeros of the
+    # delay, plus the noise; a multi-tap FIR raised numpy's "a cannot be
+    # empty" (mslink transmit of an empty file writes such a stream)
+    cfg = ChannelConfig(snr_db=snr_db, cfo_normalized=cfo, timing_offset=3,
+                        fir_taps=taps, seed=8)
+    n = 3 + len(taps) - 1
+    y = apply_channel(_sig(np.zeros(0)), cfg).samples
+    want = np.zeros(n, dtype=complex)
+    if snr_db != math.inf:
+        w = np.random.default_rng(8).normal(
+            scale=np.sqrt(noise_variance(snr_db, 1.0, 1) / 2.0), size=(2, n))
+        want.real += w[0]
+        want.imag += w[1]
+    assert y.tobytes() == want.tobytes()
 
 
 _REAL_CONVOLVE = np.convolve
@@ -357,11 +398,12 @@ def _held_until(ready):
 @pytest.mark.parametrize("first", ["stages", "noise"])
 def test_either_landing_order_gives_the_same_bytes(monkeypatch, first,
                                                    in_place):
-    # each lane gets its stage value and its noise in either order: the
-    # second is added to the first, and float addition commutes.  The
-    # helper's draws wait for the last block's stages, or each FIR block
-    # waits for the helper to fill its ring; put() records the lanes
-    # landed when each block's stage values went in
+    # noise is only ever added: out of place a chunk lands whenever it is
+    # drawn, before its samples' stage values or after, and float addition
+    # commutes; in place only behind the stages.  The helper's draws wait
+    # until every stage value is in, or each FIR block waits for the helper
+    # to fill its ring; land() records the lanes landed just before each
+    # block's stage values go in
     body = 3 * NOISE_CHUNK + 5001
     taps = _THREE_TAPS
     x = _channel_input(body, taps, 5)
@@ -370,13 +412,14 @@ def test_either_landing_order_gives_the_same_bytes(monkeypatch, first,
     want = _pass(x, 8, cfg, in_place)
     assert want == _closed_form_channel(x, 8, cfg).tobytes()
     seen, stages_done = [], threading.Event()
-    real_put = NoiseDraw.put
+    real_land = NoiseDraw.land
 
-    def put(noise, y, a, t):
-        seen.append((a, a + t.size, noise._lanes))
-        real_put(noise, y, a, t)
-        if a + t.size == y.size:
+    def land(noise, y, cursor, wait=False):
+        if wait:   # every stage value is in
             stages_done.set()
+        real_land(noise, y, cursor, wait)
+        if not wait:
+            seen.append(noise._lanes)
 
     class DrawAfterTheStages:
         def __init__(self, seed):
@@ -387,34 +430,37 @@ def test_either_landing_order_gives_the_same_bytes(monkeypatch, first,
             return self.rng.standard_normal(out=out)
 
     def convolve_after_the_draw(*args):
+        # the ring is full, or the draw has ended (its end mark queued)
         ring = channel._THREAD.ring
         noise, n = ring.active, ring.active.key[-1]
-        _held_until(lambda: ring.drawn.qsize() >= 2
-                    or noise._held is not None or noise._lanes == 2 * n)
+        _held_until(lambda: ring.drawn.qsize() >= 2 or noise._lanes == 2 * n)
         return _REAL_CONVOLVE(*args)
 
     with monkeypatch.context() as m:
-        m.setattr(NoiseDraw, "put", put)
+        m.setattr(NoiseDraw, "land", land)
         if first == "stages":
             m.setattr(np.random, "default_rng", DrawAfterTheStages)
         else:
             m.setattr(np, "convolve", convolve_after_the_draw)
         assert _pass(x, 8, cfg, in_place) == want
-    assert len(seen) == len(range(0, body, FIR_BLOCK))
+    edges = [37 + e for e in channel._block_edges(body, len(taps))]
+    blocks = list(zip(edges, edges[1:]))
+    assert len(seen) == len(blocks)
     if first == "noise" and not in_place:
         # every block's real parts had their noise before their stages
-        assert all(lanes >= b for a, b, lanes in seen)
+        assert all(lanes >= b for (a, b), lanes in zip(blocks, seen))
     else:
-        # no noise ahead of the stages: in place, the samples there still
+        # no noise ahead of the block: in place, the samples there still
         # hold the input
-        assert all(lanes <= a for a, b, lanes in seen)
+        assert all(lanes <= a for (a, b), lanes in zip(blocks, seen))
 
 
 def test_noise_and_stage_values_meet_inside_a_chunk_and_a_block(
         monkeypatch):
-    # out of place, the stages stop at 5 000 while the helper has drawn
-    # real chunk 0 alone: it lands added below 5 000 and written above, and
-    # the stage values from 5 000 on straddle its end at NOISE_CHUNK
+    # in place, the stages have written 5 000 samples when the helper has
+    # drawn real chunk 0 alone: it reaches past the cursor, so it stays
+    # queued and the samples from 5 000 on keep the input; once the stage
+    # values are in to its end it lands, added to them
     gate = threading.Semaphore(0)
 
     class GatedGenerator:
@@ -427,23 +473,30 @@ def test_noise_and_stage_values_meet_inside_a_chunk_and_a_block(
 
     n = NOISE_CHUNK + 100
     cfg = ChannelConfig(snr_db=10.0, seed=6)
+    x = _channel_input(n, (1.0,), 7)
     t = _channel_input(n, (1.0,), 6)
     monkeypatch.setattr(np.random, "default_rng", GatedGenerator)
-    y = np.full(n, np.nan, dtype=complex)
+    y = x.copy()
     with NoiseDraw(cfg, 1, n) as noise:
-        noise.put(y, 0, t[:5000])
+        y[:5000] = t[:5000]
         gate.release()
         ring = channel._THREAD.ring
         _held_until(lambda: ring.drawn.qsize() >= 1)
-        noise.land(y, 5000, True)
+        noise.land(y, 5000)
+        y[5000:NOISE_CHUNK - 1] = t[5000:NOISE_CHUNK - 1]
+        noise.land(y, NOISE_CHUNK - 1)
+        assert noise._lanes == 0 and ring.drawn.qsize() == 1
+        assert y[:NOISE_CHUNK - 1].tobytes() == t[:NOISE_CHUNK - 1].tobytes()
+        assert y[NOISE_CHUNK - 1:].tobytes() == x[NOISE_CHUNK - 1:].tobytes()
+        y[NOISE_CHUNK - 1:] = t[NOISE_CHUNK - 1:]
+        noise.land(y, NOISE_CHUNK)
         assert noise._lanes == NOISE_CHUNK
-        noise.put(y, 5000, t[5000:])
         for _ in range(3):
             gate.release()
-        noise.add_to(y)
+        noise.land(y, n, wait=True)
     w = _REAL_DEFAULT_RNG(6).normal(
         scale=np.sqrt(noise_variance(10.0, 1.0, 1) / 2.0), size=(2, n))
-    want = t.copy()
+    want = t.astype(complex)
     want.real += w[0]
     want.imag += w[1]
     assert y.tobytes() == want.tobytes()
@@ -556,8 +609,6 @@ def _cfo_config(cfo, **kw):
 
 
 def _frame_sized(n, sps):
-    # above numpy's 256 KiB threshold for reusing temporaries, as in
-    # test_channel_bit_exact_against_closed_form
     rng = np.random.default_rng(n)
     return np.repeat(np.exp(2j * np.pi * rng.uniform(size=n // sps)), sps)
 

@@ -37,9 +37,10 @@ ring, 0.70; it syncs each of its frames once, inside `receive_frame`.
 measuring thread and its noise helper, 2.  On one CPU (`taskset -c 0`)
 nothing overlaps the helper's draw, so `p50 ms` there shows what handing
 the noise between the two threads costs; with `--mode stream` it also
-shows what the channel pays for landing each chunk between its FIR blocks
-as the helper finishes it, rather than adding the whole draw after the
-stages.
+shows what the out-of-place channel pays for its one landing rule: the
+output starts at zero, and each chunk is added between the FIR blocks as
+the helper finishes it, and each block's stage values too, rather than
+the whole draw being added after the stages.
 Caches are not counted: the channel's CFO ramp cache
 (`mslink.channel._cfo_ramp`, 16 B per sample of the stream, 1.4 MB for
 this one) also stays resident between round trips, and so do the frame

@@ -14,6 +14,10 @@ The hash covers, in this order:
 - the IQ file and the header file `transmit_file` writes for a 2.5-frame
   file, in both modes, and the samples `read_iq` reads back from that IQ
   file and the bytes `receive_file` recovers from it;
+- in both modes, `apply_channel` of that stream, out of place, through a
+  noisy multipath channel with CFO and delay (the stream channel of the
+  benchmark's `stream_impaired` workload, at a fixed seed), and the bytes
+  `receive_file` recovers from the channel's output;
 - the points of `surface_constellation` for the default LUT and targets.
 
 Run it on two checkouts (copy the tool into the older one if it lacks it)
@@ -40,6 +44,8 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 MODES = ("conventional", "metasurface")
 ROOT = Path(__file__).resolve().parent.parent
 FILE_FRAMES = 2.5
+STREAM_CHANNEL = dict(snr_db=30.0, cfo_normalized=0.05, timing_offset=500,
+                      fir_taps=(1.0 + 0.0j, 0.3 - 0.2j, 0.1 + 0.05j), seed=7)
 
 
 def parse_args(argv):
@@ -125,9 +131,10 @@ def hash_frames(d: Digest, seeds: int, snrs) -> None:
 
 def hash_files(d: Digest) -> None:
     import numpy as np
+    from mslink.channel import ChannelConfig, apply_channel
     from mslink.harness import ExperimentConfig, receive_file, transmit_file
-    from mslink.iqfile import read_iq
-    from mslink.txchain import FrameLayout
+    from mslink.iqfile import read_iq, write_iq
+    from mslink.txchain import BasebandSignal, FrameLayout
 
     n_bytes = int(FILE_FRAMES * FrameLayout.payload_bits) // 8
     content = np.random.default_rng(0).integers(
@@ -137,12 +144,20 @@ def hash_files(d: Digest) -> None:
         src.write_bytes(content)
         for mode in MODES:
             iq, hdr = Path(tmp) / f"{mode}.iq", Path(tmp) / f"{mode}.hdr"
-            transmit_file(src, ExperimentConfig(mode=mode), iq, hdr)
+            header = transmit_file(src, ExperimentConfig(mode=mode), iq, hdr)
             d.tag(f"file {mode}")
             d.data(iq.read_bytes())
             d.data(hdr.read_bytes())
             d.array(read_iq(iq))
             out = Path(tmp) / f"{mode}.out"
+            receive_file(iq, hdr, out)
+            d.data(out.read_bytes())
+            sig = BasebandSignal(read_iq(iq), header.sample_rate_hz,
+                                 header.samples_per_symbol)
+            rx = apply_channel(sig, ChannelConfig(**STREAM_CHANNEL)).samples
+            d.tag(f"stream channel {mode}")
+            d.array(rx)
+            write_iq(iq, rx)
             receive_file(iq, hdr, out)
             d.data(out.read_bytes())
 
