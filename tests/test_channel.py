@@ -1,16 +1,12 @@
-import dataclasses
 import itertools
 import math
 import re
-import threading
-import time
 
 import numpy as np
 import pytest
 
-from mslink import channel
 from mslink.channel import (CFO_BLOCK, FIR_BLOCK, NOISE_CHUNK, ChannelConfig,
-                            NoiseDraw, _cfo_ramp, apply_channel, cfo_phasors,
+                            _cfo_ramp, apply_channel, cfo_phasors,
                             noise_variance)
 from mslink.rxchain import _ramp_index, derotate_and_dump
 from mslink.txchain import BasebandSignal, FrameLayout
@@ -383,125 +379,6 @@ def test_empty_input_gives_the_delay_and_fir_tail(taps, snr_db, cfo):
     assert y.tobytes() == want.tobytes()
 
 
-_REAL_CONVOLVE = np.convolve
-
-
-def _held_until(ready):
-    """A wait of at most 10 s for ready() to hold."""
-    deadline = time.monotonic() + 10.0
-    while not ready() and time.monotonic() < deadline:
-        time.sleep(1e-4)
-
-
-@pytest.mark.parametrize("in_place", [False, True],
-                         ids=["out-of-place", "in-place"])
-@pytest.mark.parametrize("first", ["stages", "noise"])
-def test_either_landing_order_gives_the_same_bytes(monkeypatch, first,
-                                                   in_place):
-    # noise is only ever added: out of place a chunk lands whenever it is
-    # drawn, before its samples' stage values or after, and float addition
-    # commutes; in place only behind the stages.  The helper's draws wait
-    # until every stage value is in, or each FIR block waits for the helper
-    # to fill its ring; land() records the lanes landed just before each
-    # block's stage values go in
-    body = 3 * NOISE_CHUNK + 5001
-    taps = _THREE_TAPS
-    x = _channel_input(body, taps, 5)
-    cfg = ChannelConfig(snr_db=10.0, cfo_normalized=0.2, timing_offset=37,
-                        complex_gain=0.6 - 0.45j, fir_taps=taps, seed=5)
-    want = _pass(x, 8, cfg, in_place)
-    assert want == _closed_form_channel(x, 8, cfg).tobytes()
-    seen, stages_done = [], threading.Event()
-    real_land = NoiseDraw.land
-
-    def land(noise, y, cursor, wait=False):
-        if wait:   # every stage value is in
-            stages_done.set()
-        real_land(noise, y, cursor, wait)
-        if not wait:
-            seen.append(noise._lanes)
-
-    class DrawAfterTheStages:
-        def __init__(self, seed):
-            self.rng = _REAL_DEFAULT_RNG(seed)
-
-        def standard_normal(self, out):
-            _held_until(stages_done.is_set)
-            return self.rng.standard_normal(out=out)
-
-    def convolve_after_the_draw(*args):
-        # the ring is full, or the draw has ended (its end mark queued)
-        ring = channel._THREAD.ring
-        noise, n = ring.active, ring.active.key[-1]
-        _held_until(lambda: ring.drawn.qsize() >= 2 or noise._lanes == 2 * n)
-        return _REAL_CONVOLVE(*args)
-
-    with monkeypatch.context() as m:
-        m.setattr(NoiseDraw, "land", land)
-        if first == "stages":
-            m.setattr(np.random, "default_rng", DrawAfterTheStages)
-        else:
-            m.setattr(np, "convolve", convolve_after_the_draw)
-        assert _pass(x, 8, cfg, in_place) == want
-    edges = [37 + e for e in channel._block_edges(body, len(taps))]
-    blocks = list(zip(edges, edges[1:]))
-    assert len(seen) == len(blocks)
-    if first == "noise" and not in_place:
-        # every block's real parts had their noise before their stages
-        assert all(lanes >= b for (a, b), lanes in zip(blocks, seen))
-    else:
-        # no noise ahead of the block: in place, the samples there still
-        # hold the input
-        assert all(lanes <= a for (a, b), lanes in zip(blocks, seen))
-
-
-def test_noise_and_stage_values_meet_inside_a_chunk_and_a_block(
-        monkeypatch):
-    # in place, the stages have written 5 000 samples when the helper has
-    # drawn real chunk 0 alone: it reaches past the cursor, so it stays
-    # queued and the samples from 5 000 on keep the input; once the stage
-    # values are in to its end it lands, added to them
-    gate = threading.Semaphore(0)
-
-    class GatedGenerator:
-        def __init__(self, seed):
-            self.rng = _REAL_DEFAULT_RNG(seed)
-
-        def standard_normal(self, out):
-            gate.acquire(timeout=10.0)
-            return self.rng.standard_normal(out=out)
-
-    n = NOISE_CHUNK + 100
-    cfg = ChannelConfig(snr_db=10.0, seed=6)
-    x = _channel_input(n, (1.0,), 7)
-    t = _channel_input(n, (1.0,), 6)
-    monkeypatch.setattr(np.random, "default_rng", GatedGenerator)
-    y = x.copy()
-    with NoiseDraw(cfg, 1, n) as noise:
-        y[:5000] = t[:5000]
-        gate.release()
-        ring = channel._THREAD.ring
-        _held_until(lambda: ring.drawn.qsize() >= 1)
-        noise.land(y, 5000)
-        y[5000:NOISE_CHUNK - 1] = t[5000:NOISE_CHUNK - 1]
-        noise.land(y, NOISE_CHUNK - 1)
-        assert noise._lanes == 0 and ring.drawn.qsize() == 1
-        assert y[:NOISE_CHUNK - 1].tobytes() == t[:NOISE_CHUNK - 1].tobytes()
-        assert y[NOISE_CHUNK - 1:].tobytes() == x[NOISE_CHUNK - 1:].tobytes()
-        y[NOISE_CHUNK - 1:] = t[NOISE_CHUNK - 1:]
-        noise.land(y, NOISE_CHUNK)
-        assert noise._lanes == NOISE_CHUNK
-        for _ in range(3):
-            gate.release()
-        noise.land(y, n, wait=True)
-    w = _REAL_DEFAULT_RNG(6).normal(
-        scale=np.sqrt(noise_variance(10.0, 1.0, 1) / 2.0), size=(2, n))
-    want = t.astype(complex)
-    want.real += w[0]
-    want.imag += w[1]
-    assert y.tobytes() == want.tobytes()
-
-
 def test_apply_channel_rejects_every_other_overlap():
     # the channel reads x after it starts writing y, so x may sit in out
     # only exactly at the delay
@@ -558,10 +435,11 @@ def _noisy_pass(x, cfg):
     return apply_channel(_sig(x), cfg).samples.tobytes()
 
 
-def test_a_helper_exception_is_raised_in_the_caller(monkeypatch,
-                                                     in_fresh_thread):
-    # the helper draws the noise; its exception reaches the pass that
-    # reads the chunk, and the helper serves the thread's next pass
+def test_a_generator_exception_is_raised_by_its_pass(monkeypatch,
+                                                      in_fresh_thread):
+    # the generator fails inside a draw of several chunks: the pass raises
+    # its exception, and the thread's next pass draws its noise as a fresh
+    # thread's does
     x = np.exp(1j * np.linspace(0, 5, 3 * NOISE_CHUNK))
     cfg = ChannelConfig(snr_db=10.0, seed=4)
     with monkeypatch.context() as m:
@@ -571,36 +449,15 @@ def test_a_helper_exception_is_raised_in_the_caller(monkeypatch,
     assert _noisy_pass(x, cfg) == in_fresh_thread(_noisy_pass, x, cfg)
 
 
-def test_a_pass_that_raises_cancels_its_draw(in_fresh_thread):
-    # the draw starts at entry; a pass that then rejects its `out` cancels
-    # it, so the thread's next pass reads its own noise and no other's
+def test_a_pass_that_raises_leaves_no_noise_behind(in_fresh_thread):
+    # a pass that rejects its `out` draws nothing, so the thread's next
+    # pass reads its own noise and no other's
     x = np.exp(1j * np.linspace(0, 5, 3 * NOISE_CHUNK))
     cfg = ChannelConfig(snr_db=10.0, seed=4)
     for bad in range(5):
         with pytest.raises(ValueError, match="out must hold"):
             apply_channel(_sig(x), cfg, out=np.empty(x.size - 1, complex))
     assert _noisy_pass(x, cfg) == in_fresh_thread(_noisy_pass, x, cfg)
-
-
-def test_a_draw_fits_only_its_own_pass_and_thread(in_fresh_thread):
-    x = np.ones(100, dtype=complex)
-    cfg = ChannelConfig(snr_db=10.0, seed=4)
-    want = _noisy_pass(x, cfg)
-    with NoiseDraw(cfg, 1, x.size) as noise:
-        # a draw made for another pass is refused, and this one still fits
-        with pytest.raises(ValueError, match="drawn for this channel pass"):
-            apply_channel(_sig(x), dataclasses.replace(cfg, seed=5),
-                          noise=noise)
-        assert apply_channel(_sig(x), cfg, noise=noise).samples.tobytes() == (
-            want)
-    with NoiseDraw(cfg, 1, x.size) as noise:
-        # a draw belongs to the thread that made it
-        with pytest.raises(ValueError, match="another thread's"):
-            in_fresh_thread(apply_channel, _sig(x), cfg, noise=noise)
-        NoiseDraw(cfg, 1, x.size)   # a thread's next draw closes this one
-        with pytest.raises(ValueError, match="closed"):
-            apply_channel(_sig(x), cfg, noise=noise)
-    assert _noisy_pass(x, cfg) == want
 
 
 def _cfo_config(cfo, **kw):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import mslink
-from mslink import channel, harness, rxchain
+from mslink import harness, rxchain
 from mslink.channel import ChannelConfig, apply_channel
 from mslink.circuit import (DEFAULT_TARGET_PHASES, GammaLUT, default_gamma_lut,
                             select_control_voltages)
@@ -1024,13 +1024,12 @@ def test_a_config_holds_no_arrays_after_its_frames():
     assert not any(isinstance(v, np.ndarray) for v in vars(cfg).values())
 
 
-# --- per-thread noise helper ------------------------------------------------
+# --- a frame's noise, drawn on its own thread -------------------------------
 
-def test_a_frame_that_raises_cancels_its_noise_draw(monkeypatch,
-                                                    in_fresh_thread):
-    # run_frame starts the frame's noise draw before transmit_frame, which
-    # raises here: the draw is cancelled at once, the thread's next frame
-    # draws its own noise from the start, and the failures start no thread
+def test_a_frame_that_raises_draws_no_noise(monkeypatch, in_fresh_thread):
+    # transmit_frame raises before the frame's channel pass, so the frame
+    # draws no noise: the failures start no thread, and the thread's next
+    # frame draws its own noise from the start, as a fresh thread's does
     cfg = ExperimentConfig(mode="metasurface")
 
     def fail(*args, **kwargs):
@@ -1045,9 +1044,8 @@ def test_a_frame_that_raises_cancels_its_noise_draw(monkeypatch,
         for seed in range(2, 51):
             with pytest.raises(RuntimeError, match="transmitter failed"):
                 run_frame(cfg, 12.0, seed)
-            assert channel._THREAD.ring.active is None
-        # no thread was started; a helper of another test's finished
-        # thread may have stopped meanwhile, so the set is the check
+        # no thread was started; another test's finished thread may have
+        # stopped meanwhile, so the set is the check
         assert set(threading.enumerate()) <= threads
         assert threading.active_count() <= after_one
     got = run_frame(cfg, 12.0, 7)
@@ -1055,27 +1053,9 @@ def test_a_frame_that_raises_cancels_its_noise_draw(monkeypatch,
         in_fresh_thread(run_frame, cfg, 12.0, 7))
 
 
-def test_each_calling_thread_has_one_noise_helper(in_fresh_thread):
-    # a thread's frames share its helper and ring; another thread's frames
-    # run on a helper and a ring of their own
-    cfg = ExperimentConfig()
-
-    def helper_after_frames():
-        run_frame(cfg, 12.0, 1)
-        ring = channel._THREAD.ring
-        run_frame(cfg, 12.0, 2)
-        assert channel._THREAD.ring is ring and ring.active is None
-        return ring.chunks
-
-    mine = helper_after_frames()
-    other = in_fresh_thread(helper_after_frames)
-    assert not np.shares_memory(mine, other)
-    assert mine.nbytes == other.nbytes == 2 * 12_288 * 8
-
-
-def test_a_forked_child_draws_its_noise_on_a_helper_of_its_own():
-    # the parent's main thread has a helper when it forks; the child has
-    # none, so without a fresh one its frame would wait on it for ever
+def test_a_forked_child_draws_the_parents_frame():
+    # the parent runs a frame before it forks; the child's frame of the
+    # same seed, run on the forked state, returns the same bytes in time
     src = str(Path(mslink.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     script = textwrap.dedent("""

@@ -33,6 +33,11 @@ and opportunities", ACM Computing Surveys 51(1), 2018).
   symbols and CFO estimate.  The receiver sits at boresight, where every
   cell's reflection arrives in phase, so which cells are active cannot
   matter, only how many.
+- Constellation, not mode: at sps 8 on a flat channel, a conventional link
+  given the surface's four received points (the stock points after
+  `aggregate_reflection`) as its constellation returns the payload, bits
+  and equalized symbols of the metasurface link byte for byte.  The surface
+  acts on the link through those four points alone.
 
 A frame that the receiver cannot decode fails the same way under both.
 Each frame is drawn as `run_frame` makes it, and received as `run_frame`
@@ -48,10 +53,11 @@ from hypothesis import given, settings, strategies as st
 
 from mslink.channel import apply_channel
 from mslink.errors import SingularChannelError, SyncNotFoundError
-from mslink.harness import ExperimentConfig, _channel, transmit_frame
+from mslink.harness import (ExperimentConfig, _channel, run_frame,
+                            transmit_frame)
 from mslink.rxchain import receive_frame
-from mslink.surface import ArrayConfig
-from mslink.txchain import BasebandSignal
+from mslink.surface import ArrayConfig, aggregate_reflection
+from mslink.txchain import BasebandSignal, Constellation
 
 frames = st.fixed_dictionaries({
     "mode": st.sampled_from(["conventional", "metasurface"]),
@@ -235,3 +241,23 @@ def test_masks_with_as_many_active_cells_give_the_same_frame(
                                                snr_db, seed)
     assert other_tx == tx
     assert _same_decode(got, want)
+
+
+@pytest.mark.parametrize("snr_db", [8.0, 14.0, math.inf])
+@pytest.mark.parametrize("mask", ["full", "left-half"])
+def test_the_surface_acts_only_through_its_four_points(mask, snr_db):
+    array = ArrayConfig(mask=mask)
+    surface = ExperimentConfig(mode="metasurface", array=array)
+    points = aggregate_reflection(surface.resolved_constellation().points,
+                                  array)
+    conventional = ExperimentConfig(sps=8, constellation=Constellation(points))
+    for seed in range(3):
+        want = run_frame(surface, snr_db, seed)
+        got = run_frame(conventional, snr_db, seed)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert (got[1] is None) == (want[1] is None)
+        assert (got[2] is None) == (want[2] is None)
+        if want[1] is not None:
+            assert got[1].tobytes() == want[1].tobytes()
+            assert (got[2].equalized_symbols.tobytes()
+                    == want[2].equalized_symbols.tobytes())

@@ -26,21 +26,13 @@ allocated when either changes.  `rx`, `run_frame`'s received samples, is
 frame, is 0.36 MB and `decided`, its slicer decisions, 0.15 MB at any sps.
 No array holds the derotation ramp, built in `symbols` at sps 1 and in one
 64 KB block above it, or the EVM, derived only when a frame's diagnostics
-are read.  `buf MB` also counts the thread's noise ring
-(`mslink.channel`): the two 12 288-value float64 chunks, 0.20 MB, that the
-thread's noise helper draws a channel pass's noise into, allocated with
-the helper by the thread's first noisy pass and reused by every later one.
-So `buf MB` reads 1.06 conventional and 3.58 metasurface.  A stream round
-trip runs no `run_frame`, so its `buf MB` is `symbols`, `decided` and the
-ring, 0.70; it syncs each of its frames once, inside `receive_frame`.
+are read.  So `buf MB` reads 0.87 conventional and 3.39 metasurface.  A
+stream round trip runs no `run_frame`, so its `buf MB` is `symbols` and
+`decided`, 0.51; it syncs each of its frames once, inside `receive_frame`.
 `threads` is the number of live threads after the timed frames: the
-measuring thread and its noise helper, 2.  On one CPU (`taskset -c 0`)
-nothing overlaps the helper's draw, so `p50 ms` there shows what handing
-the noise between the two threads costs; with `--mode stream` it also
-shows what the out-of-place channel pays for its one landing rule: the
-output starts at zero, and each chunk is added between the FIR blocks as
-the helper finishes it, and each block's stage values too, rather than
-the whole draw being added after the stages.
+measuring thread alone, 1, since a channel pass draws its noise on the
+thread that runs it and starts none; its 12 288-value chunk is a
+temporary of the pass, in the allocation peak.
 Caches are not counted: the channel's CFO ramp cache
 (`mslink.channel._cfo_ramp`, 16 B per sample of the stream, 1.4 MB for
 this one) also stays resident between round trips, and so do the frame
@@ -121,14 +113,10 @@ def measure(op, n: int) -> dict:
 
 def buffers_mb() -> float:
     """MB held by this thread's frame scratch, whichever arrays it has
-    allocated, and by its noise ring, once it has one."""
-    from mslink import channel, rxchain
+    allocated."""
+    from mslink import rxchain
 
-    held = list(vars(rxchain._SCRATCH).values())
-    ring = getattr(channel._THREAD, "ring", None)
-    if ring is not None:
-        held.append(ring.chunks)
-    return sum(a.nbytes for a in held) / 1e6
+    return sum(a.nbytes for a in vars(rxchain._SCRATCH).values()) / 1e6
 
 
 def frame_cost(mode: str, frames: int, snr_db: float) -> dict:
