@@ -1,6 +1,9 @@
+import concurrent.futures
 import itertools
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -458,6 +461,43 @@ def test_a_pass_that_raises_leaves_no_noise_behind(in_fresh_thread):
         with pytest.raises(ValueError, match="out must hold"):
             apply_channel(_sig(x), cfg, out=np.empty(x.size - 1, complex))
     assert _noisy_pass(x, cfg) == in_fresh_thread(_noisy_pass, x, cfg)
+
+
+@pytest.mark.parametrize("in_place", [False, True],
+                         ids=["out-of-place", "in-place"])
+def test_passes_on_threads_at_once_equal_a_sequential_run(in_place):
+    # a pass shares nothing with another: three threads, switching often so
+    # that their stage blocks and noise chunks interleave, each run passes of
+    # their own seeds and get the bytes a sequential run gets
+    x = np.exp(1j * np.linspace(0, 5, 2 * NOISE_CHUNK + 5001))
+    d = 37
+
+    def one_pass(seed):
+        cfg = ChannelConfig(snr_db=10.0, cfo_normalized=0.2, timing_offset=d,
+                            complex_gain=0.6 - 0.45j, fir_taps=_THREE_TAPS,
+                            seed=seed)
+        if not in_place:
+            return apply_channel(_sig(x), cfg).samples.tobytes()
+        out = np.empty(d + x.size + len(_THREE_TAPS) - 1, complex)
+        out[d:d + x.size] = x
+        return apply_channel(_sig(out[d:d + x.size]), cfg,
+                             out=out).samples.tobytes()
+
+    seeds = ((1, 2, 3), (4, 5, 6), (7, 8, 9))
+    barrier = threading.Barrier(len(seeds), timeout=60)
+
+    def passes(thread_seeds):
+        barrier.wait()
+        return [one_pass(s) for s in thread_seeds]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(len(seeds)) as pool:
+            at_once = list(pool.map(passes, seeds, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert at_once == [[one_pass(s) for s in ss] for ss in seeds]
 
 
 def _cfo_config(cfo, **kw):
