@@ -5,9 +5,11 @@ normalized to cycles per FFT-length block of the fixed frame format
 (FrameLayout.fft_len = 2048 symbols), so the per-sample phase increment is
 2 pi eps / (2048 * sps).
 
-A channel pass runs on its calling thread alone: the FIR, CFO and gain
-stages write the samples, then the AWGN is drawn and added to them chunk
-by chunk, so a pass starts no thread and shares nothing with another.
+A channel pass has one path: the input lands in the output at the delay
+(where an in-place pass already holds it), then each stage runs in place
+over that body, the FIR, the CFO ramp and the gain in turn, and last the
+AWGN is drawn and added chunk by chunk.  A pass runs on its calling thread
+alone, starts no thread and shares nothing with another.
 """
 
 from __future__ import annotations
@@ -24,20 +26,15 @@ from .errors import check_count, check_out
 from .txchain import BasebandSignal, FrameLayout
 
 CFO_BLOCK = FrameLayout.fft_len  # symbols per normalization block
-# The FIR output is made this many samples at a time: np.convolve's block
-# temporary (32 KiB) is reused from the allocator on every call, where a
-# frame-sized one is handed back to the kernel and faulted in again later.
+# The FIR output is made this many samples at a time, or as many as its
+# taps when they are more: np.convolve's block temporary (32 KiB) is reused
+# from the allocator on every call, where a frame-sized one is handed back
+# to the kernel and faulted in again later.
 FIR_BLOCK = 2048
 # The noise is drawn NOISE_CHUNK values at a time into one float64 array
 # (96 KiB) per pass, reused for every chunk, so a pass holds that array or
 # one FIR block besides its output, within 256 KiB.
 NOISE_CHUNK = 12288
-# numpy's complex multiply rounds a 1-element array differently from the
-# same element inside a longer array (seen on AVX-512), so a pass never
-# runs a block this short unless its whole body is: a shorter last block
-# is folded into the one before it, and each product rounds as it does
-# over the whole body.
-SHORTEST_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -133,66 +130,24 @@ def _is_body_of(x: np.ndarray, out: np.ndarray, d: int) -> bool:
             and x.ctypes.data == body.ctypes.data)
 
 
-def _block_edges(size: int, ntaps: int) -> list:
-    """The edges of the FIR_BLOCK-sample blocks a pass's stages run in,
-    with a last block shorter than SHORTEST_BLOCK or than the ntaps FIR
-    taps folded into the one before it.  The last block's FIR input is as
-    long as the block, and np.convolve swaps an input shorter than the taps
-    with them, which sums each output in another order than the whole
-    convolution does."""
-    edges = list(range(0, size, FIR_BLOCK))
-    if len(edges) > 1 and size - edges[-1] < max(SHORTEST_BLOCK, ntaps):
-        edges.pop()
-    return edges + [size]
-
-
-def _fir_block(x, taps, s, e, hist):
-    """(h * x)[s:e], the same block np.convolve(x, taps) gives, read from
-    x[s - k:e], k = len(taps) - 1, or, when `hist` is given, from hist, a
-    copy of x[s - k:s], then x[s:e]; and a copy of x[e - k:e], the next
-    block's hist."""
+def _fir(body: np.ndarray, m: int, taps: np.ndarray) -> None:
+    """body = h * x in place, x = body[:m] and body m + len(taps) - 1
+    samples long.  The outputs are made forward, max(FIR_BLOCK, len(taps))
+    at a time, each block by np.convolve of its inputs behind the k =
+    len(taps) - 1 before them, kept in a copy as the block before overwrites
+    them.  A block starts only at an input, so the last is as long as the
+    taps: np.convolve swaps an input shorter than the taps with them and
+    sums in another order, so every block's input is as long as the taps,
+    or x is shorter than them and is convolved whole, as the closed form
+    convolves it."""
     k = taps.size - 1
-    a = max(0, s - k)
-    src = x[a:e] if hist is None else np.concatenate((hist, x[s:e]))
-    return (np.convolve(src, taps)[s - a:e - a],
-            src[max(0, e - k) - a:].copy())
-
-
-def _run_stages(x, y, d, taps, cfg, sps, in_place):
-    """y[d:] = the FIR, CFO and gain stages of x, block by block, forward.
-    Every stage that is an exact identity (unit tap, zero CFO, unit gain) is
-    skipped, and with all three x is copied."""
-    fir = taps.size > 1 or taps[0] != 1.0
-    body = y[d:]
-    if not (fir or cfg.cfo_normalized != 0.0 or cfg.complex_gain != 1.0):
-        if not in_place:
-            body[:] = x
-        return
-    if x.size == 0:   # h * x of no samples: len(h) - 1 zeros
-        body[:] = 0.0
-        return
-    if cfg.cfo_normalized != 0.0:
-        ramp = _cfo_ramp(cfg.cfo_normalized, sps, body.size)
-    hist = None
-    edges = _block_edges(body.size, taps.size)
-    for s, e in zip(edges, edges[1:]):
-        if fir:
-            t, tail = _fir_block(x, taps, s, e, hist)
-            if in_place:   # the block's write overwrites x[e - k:e]
-                hist = tail
-        elif in_place:
-            t = body[s:e]
-        else:
-            t = x[s:e].astype(complex)
-        if cfg.cfo_normalized != 0.0:
-            # ramp first: complex products round differently with the
-            # operands swapped, and the closed form is evaluated so too
-            np.multiply(ramp[s:e], t, out=t)
-        if cfg.complex_gain != 1.0:
-            t *= cfg.complex_gain
-        if fir or not in_place:   # else t is body[s:e] itself
-            body[s:e] = t
-        del t   # a block's temporary goes before the next is made
+    step = max(FIR_BLOCK, taps.size)
+    hist = body[:0].copy()
+    for s in range(0, m, step):
+        e = s + step if s + step < m else body.size
+        src = np.concatenate((hist, body[s:min(e, m)]))
+        lead, hist = hist.size, body[e - k:e].copy()
+        body[s:e] = np.convolve(src, taps)[lead:lead + e - s]
 
 
 def _add_noise(y, cfg, sps):
@@ -230,27 +185,42 @@ def apply_channel(sig: BasebandSignal, cfg: ChannelConfig,
     y is written into `out` when it is given (a contiguous complex array of
     d + len(x) + len(h) - 1 samples), else into a fresh array.  `out` may
     hold x itself exactly at the delay, x being out[d:d + len(x)], and the
-    channel then runs in place; any other overlap of `out` and x is an
-    error.
+    pass then skips the copy of x there that starts every other pass; any
+    other overlap of `out` and x is an error, since numpy's assignment
+    with a dtype cast is not safe for overlapping arrays.
 
-    The FIR, CFO and gain run forward over blocks of FIR_BLOCK samples and
-    write y; then w is drawn on the calling thread and added to y, chunk
-    by chunk (see _add_noise).
+    From the body y[d:] on, each stage runs in place over it and is skipped
+    when it is an exact identity (unit tap, zero CFO, unit gain): the FIR
+    block by block (see _fir), then the CFO ramp and the gain each as one
+    product over the whole body, the closed form's own arithmetic (ramp
+    first: complex products round differently with the operands swapped).
+    Then w is added chunk by chunk (see _add_noise).
     """
     x = np.asarray(sig.samples)
     sps = sig.samples_per_symbol
     taps = np.asarray(cfg.fir_taps, dtype=complex)
-    d = cfg.timing_offset
-    n = d + x.size + taps.size - 1
+    d, m = cfg.timing_offset, x.size
     # One output buffer at its final length.  np.empty, not np.zeros: the
-    # stages write the whole body, so only the delay prefix needs zeroing
-    y = check_out(out, (n,), complex)
-    in_place = np.shares_memory(y, x)
-    if in_place and not _is_body_of(x, y, d):
+    # copy and the stages write the whole body, so only the delay prefix
+    # needs zeroing
+    y = check_out(out, (d + m + taps.size - 1,), complex)
+    if not np.shares_memory(y, x):
+        y[d:d + m] = x
+    elif not _is_body_of(x, y, d):
         raise ValueError("out must not share memory with the input "
                          "samples, except as out[d:d + len(x)]")
     y[:d] = 0.0
-    _run_stages(x, y, d, taps, cfg, sps, in_place)
+    body = y[d:]
+    if m == 0:   # h * x of no samples: len(h) - 1 zeros
+        body[:] = 0.0
+    else:
+        if taps.size > 1 or taps[0] != 1.0:
+            _fir(body, m, taps)
+        if cfg.cfo_normalized != 0.0:
+            ramp = _cfo_ramp(cfg.cfo_normalized, sps, body.size)
+            np.multiply(ramp, body, out=body)
+        if cfg.complex_gain != 1.0:
+            body *= cfg.complex_gain
     _add_noise(y, cfg, sps)
     return BasebandSignal(samples=y, sample_rate=sig.sample_rate,
                           samples_per_symbol=sps)

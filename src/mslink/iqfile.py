@@ -149,9 +149,9 @@ def write_iq(path, samples) -> None:
 
 def read_iq(path) -> np.ndarray:
     """The complex samples of an IQ file.  The file comes from outside the
-    program, so an odd float count or a sample that is not finite is an
-    error naming the file (and the first such sample); bytes past the last
-    whole float are ignored.
+    program, so a size that is not a whole number of 8-byte I/Q pairs or a
+    sample that is not finite is an error naming the file (and the first
+    such sample).
 
     The floats are read IQ_CHUNK samples at a time into one reused float32
     buffer and widened into the complex128 result, so the call holds its
@@ -162,9 +162,11 @@ def read_iq(path) -> np.ndarray:
     # unbuffered: each chunk is read straight into the float32 buffer, and a
     # regular file gives every byte asked for before its end
     with open(path, "rb", buffering=0) as fh:
-        n_floats = os.fstat(fh.fileno()).st_size // 4
-        if n_floats % 2:
-            raise ValueError(f"{path}: odd float count, not an I/Q stream")
+        size = os.fstat(fh.fileno()).st_size
+        if size % 8:
+            raise ValueError(f"{path}: {size} bytes, not a whole number of "
+                             f"8-byte I/Q pairs")
+        n_floats = size // 4
         samples = np.empty(n_floats // 2, dtype=complex)
         flat = samples.view(np.float64)
         buf = np.empty(min(2 * IQ_CHUNK, n_floats), dtype="<f4")

@@ -237,9 +237,9 @@ def test_channel_bit_exact_against_closed_form(out, cfo, gain, taps, offset,
 
 
 def test_fir_channel_holds_no_second_sample_array(allocation_peak):
-    # the FIR runs FIR_BLOCK outputs at a time, so a stream-sized pass
-    # allocates its output and block-sized temporaries only, besides the
-    # thread's noise ring on its first noisy pass
+    # the FIR runs FIR_BLOCK outputs at a time in the output, and the CFO
+    # and gain multiply into it, so a stream-sized pass allocates its output
+    # and block-sized temporaries only: the FIR's blocks and the noise chunk
     x = np.ones(90_000, dtype=complex)
     cfg = ChannelConfig(snr_db=30.0, timing_offset=500,
                         fir_taps=(1.0, 0.3 - 0.2j, 0.1 + 0.05j))
@@ -313,26 +313,45 @@ _THREE_TAPS = (1.0, 0.3 - 0.2j, 0.1j)
 _TWENTY_TAPS = tuple(0.8 ** k * np.exp(1j * k) for k in range(20))
 
 
+def _long_taps(n):
+    # n decaying complex taps: an experiment allows up to
+    # (FIR_BLOCK - 1) * sps + 1 of them
+    return tuple(0.999 ** k * np.exp(1j * k) for k in range(n))
+
+
+_SPS_8_MOST_TAPS = (FIR_BLOCK - 1) * 8 + 1
+
+
 @pytest.mark.parametrize("sps", [1, 8])
 @pytest.mark.parametrize("snr_db", [math.inf, 10.0])
 @pytest.mark.parametrize("body, taps", [
     (9 * FIR_BLOCK + 1, (1.0,)), (9 * FIR_BLOCK + 1, _THREE_TAPS),
     (3 * NOISE_CHUNK + 5001, (1.0,)), (3 * NOISE_CHUNK + 5001, _THREE_TAPS),
     (9 * FIR_BLOCK + 19, _TWENTY_TAPS),
+    (4 * FIR_BLOCK + 11, _long_taps(FIR_BLOCK + 5)),
+    (3 * FIR_BLOCK - 3, _long_taps(2 * FIR_BLOCK + 1)),
+    (5000 + _SPS_8_MOST_TAPS - 1, _long_taps(_SPS_8_MOST_TAPS)),
 ], ids=["blocks-plus-one-unit-tap", "blocks-plus-one-3-tap",
         "over-three-chunks-unit-tap", "over-three-chunks-3-tap",
-        "input-of-whole-blocks-20-tap"])
+        "input-of-whole-blocks-20-tap", "taps-past-a-block",
+        "input-shorter-than-the-taps", "most-taps-at-sps-8"])
 @pytest.mark.parametrize("in_place", [False, True],
                          ids=["out-of-place", "in-place"])
 def test_channel_block_bounds_equal_closed_form(in_place, body, taps,
                                                 snr_db, sps):
-    # the stages run FIR_BLOCK samples at a time.  numpy rounds a complex
-    # product of a 1-element array differently from the same element in a
-    # longer one, so a body of k * FIR_BLOCK + 1 samples must not end in a
-    # 1-sample block; and np.convolve swaps an input shorter than the taps
-    # with them, so an input of whole blocks must not leave a last block
-    # (its FIR input as long as itself) shorter than the 20 taps.  Each
-    # seed gives the last samples other values
+    # the FIR runs FIR_BLOCK outputs at a time, and the CFO and gain each
+    # multiply the whole body at once.  numpy rounds a complex product of a
+    # 1-element array differently from the same element in a longer one
+    # (seen on AVX-512), so a product made block by block would give the
+    # last sample of a body of k * FIR_BLOCK + 1 samples other bytes; and
+    # np.convolve swaps an input shorter than the taps with them, so an
+    # input of whole blocks must not leave a last FIR block (its input as
+    # long as itself) shorter than the 20 taps, and taps longer than
+    # FIR_BLOCK need blocks as long as themselves (with FIR_BLOCK-output
+    # blocks, 2 007 of 6 151 outputs of FIR_BLOCK + 5 taps over
+    # 3 * FIR_BLOCK + 7 inputs were off by up to 1.9e-15).  An input
+    # shorter than the taps is convolved whole.  Each seed gives the last
+    # samples other values
     for seed in range(8):
         x = _channel_input(body, taps, seed)
         cfg = ChannelConfig(snr_db=snr_db, cfo_normalized=0.2,
@@ -383,8 +402,11 @@ def test_empty_input_gives_the_delay_and_fir_tail(taps, snr_db, cfo):
 
 
 def test_apply_channel_rejects_every_other_overlap():
-    # the channel reads x after it starts writing y, so x may sit in out
-    # only exactly at the delay
+    # a pass copies x into out at the delay before its stages run there,
+    # and numpy's assignment with a dtype cast is not safe for overlapping
+    # arrays: copying a float view at out[d] into out[d:] wrote wrong values
+    # from its second sample on (numpy 2.4.6).  So x may sit in out only
+    # exactly at the delay, where the pass copies nothing
     d, m = 5, 1000
     cfg = ChannelConfig(timing_offset=d, fir_taps=(1.0, 0.5))
     n = d + m + 1

@@ -517,7 +517,21 @@ def test_read_iq_names_a_bad_sample_past_the_first_chunk(tmp_path, k):
 def test_read_iq_rejects_an_odd_float_count(tmp_path, n_floats):
     path = tmp_path / "s.iq"
     np.ones(n_floats, dtype="<f4").tofile(path)
-    want = f"{path}: odd float count, not an I/Q stream"
+    want = (f"{path}: {4 * n_floats} bytes, not a whole number of 8-byte "
+            f"I/Q pairs")
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        read_iq(path)
+
+
+@pytest.mark.parametrize("extra", [1, 2, 3, 5])
+def test_read_iq_rejects_bytes_past_the_last_pair(tmp_path, extra):
+    # 1 to 3 trailing bytes used to be dropped without a word, while 4 to 7
+    # were an odd float count: any size that is not whole I/Q pairs is one
+    # error
+    path = tmp_path / "s.iq"
+    path.write_bytes(np.ones(2 * 100, dtype="<f4").tobytes() + b"\0" * extra)
+    want = (f"{path}: {800 + extra} bytes, not a whole number of 8-byte "
+            f"I/Q pairs")
     with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
         read_iq(path)
 
